@@ -128,6 +128,7 @@ class AffectanceMatrix:
             rows_of[w].append(i)
         self._rows_of = {w: np.array(r, dtype=int) for w, r in rows_of.items()}
         self._owner = np.array([v - 1 for v, _ in topo.links], dtype=int)
+        self._receiver = np.array([w - 1 for _, w in topo.links], dtype=int)
 
     @property
     def n(self):
@@ -143,6 +144,10 @@ class AffectanceMatrix:
     def owners(self):
         """0-based transmitter owning each link row."""
         return self._owner
+
+    def link_receivers(self):
+        """0-based receiver of each link row."""
+        return self._receiver
 
     def entries(self):
         """Nonzero entries as (u, v, w, value), sorted."""
@@ -184,23 +189,52 @@ def is_selected(A, transmitters, w):
     )
 
 
-@dataclass(frozen=True)
 class Schedule:
-    """Ordered family of transmitter subsets, one per slot."""
+    """Ordered family of transmitter subsets, one per slot.
 
-    n: int
-    slots: tuple = ()
+    Stored as one read-only (slots, n) bool mask: ``mask[j, v - 1]`` is True
+    iff transmitter v fires in slot j + 1. The constructor takes an iterable
+    of 1-based transmitter sets and checks their range; ``from_mask`` wraps a
+    mask that is already built. ``slots`` derives the per-slot frozensets for
+    the text edge. Schedules compare by value.
+    """
 
-    def __post_init__(self):
-        slots = tuple(frozenset(s) for s in self.slots)
-        for s in slots:
+    def __init__(self, n, slots=()):
+        slots = list(slots)
+        mask = np.zeros((len(slots), n), dtype=bool)
+        for j, s in enumerate(slots):
             for v in s:
-                if not (1 <= v <= self.n):
+                if not (1 <= v <= n):
                     raise InstanceError(f"slot member {v} out of range")
-        object.__setattr__(self, "slots", slots)
+                mask[j, v - 1] = True
+        self.n = n
+        self.mask = mask
+        mask.flags.writeable = False
+
+    @classmethod
+    def from_mask(cls, mask):
+        """Schedule over a (slots, n) bool mask, without copying it."""
+        if mask.ndim != 2 or mask.dtype != bool:
+            raise InstanceError("schedule mask must be a 2-d bool array")
+        sched = cls(mask.shape[1])
+        sched.mask = mask.view()
+        sched.mask.flags.writeable = False
+        return sched
+
+    @property
+    def slots(self):
+        return tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in self.mask)
 
     def __len__(self):
-        return len(self.slots)
+        return len(self.mask)
+
+    def __eq__(self, other):
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.mask, other.mask)
+
+    def __repr__(self):
+        return f"Schedule({self.n}, {[sorted(s) for s in self.slots]})"
 
 
 @dataclass(frozen=True)

@@ -10,27 +10,38 @@ import numpy as np
 
 from .core import InstanceError, Schedule, characterize, is_selected
 from .protocols import (
-    DecayState,
     RandomizedParams,
-    decay_step,
+    decay_period,
     deterministic_schedule,
     randomized_schedule,
-    sinr_step,
 )
 
 MAX_ROUNDS_DEFAULT = 10 ** 6
 
 
-@dataclass
+@dataclass(eq=False)
 class RunRecord:
-    """Outcome of one simulated execution."""
+    """Outcome of one simulated execution.
+
+    ``transmit`` is the (slots, n) bool mask of the executed slots: the whole
+    schedule for ``run_schedule``, the rounds up to completion or the cap for
+    ``run_adaptive``. ``per_slot_transmitters`` derives the 1-based ascending
+    transmitter tuple of each slot from it on demand.
+    """
 
     protocol: str
     seed: int | None
-    slots_executed: int
-    per_slot_transmitters: list
+    transmit: np.ndarray
     first_success: dict
     completed: bool
+
+    @property
+    def slots_executed(self):
+        return len(self.transmit)
+
+    @property
+    def per_slot_transmitters(self):
+        return [tuple((np.flatnonzero(row) + 1).tolist()) for row in self.transmit]
 
     @property
     def rounds(self):
@@ -44,48 +55,73 @@ class RunRecord:
             "protocol": self.protocol,
             "seed": self.seed,
             "slots_executed": self.slots_executed,
-            "per_slot_transmitters": [sorted(s) for s in self.per_slot_transmitters],
+            "per_slot_transmitters": [list(s) for s in self.per_slot_transmitters],
             "first_success": dict(sorted(self.first_success.items())),
             "completed": self.completed,
         }
 
 
-def _first_success_from_matrix(A, transmit):
-    """Per-receiver earliest selecting slot (1-based) given a boolean
-    (slots, n) transmit matrix."""
-    totals = transmit @ A.dense.T  # (slots, L)
-    owner_on = transmit[:, A.owners()]
-    success = owner_on & (totals < 1.0)
-    first = {}
-    for w in A.topo.receivers:
-        hit = success[:, A.link_rows(w)].any(axis=1)
-        idx = np.flatnonzero(hit)
-        if idx.size:
-            first[w] = int(idx[0]) + 1
-    return first
+def _link_success(A, transmit):
+    """Link-success mask of a bool transmit mask, (n,) or (slots, n): the
+    link's owner transmits and the summed affectance on it stays below 1."""
+    return transmit[..., A.owners()] & (transmit @ A.dense.T < 1.0)
+
+
+def _first_success(A, success):
+    """Earliest successful slot (1-based) of each receiver, from a (slots, L)
+    link-success mask: the first success of each link, then the minimum over
+    each receiver's links. Receivers never selected are absent."""
+    never = len(success)
+    hit = success.any(axis=0)
+    if not hit.any():
+        return {}
+    first = np.full(A.n, never)
+    np.minimum.at(first, A.link_receivers(), np.where(hit, success.argmax(axis=0), never))
+    covered = np.flatnonzero(first < never)
+    return dict(zip((covered + 1).tolist(), (first[covered] + 1).tolist()))
 
 
 def run_schedule(A, sched, protocol="schedule", seed=None):
     """Evaluate every slot of a schedule in order (the full schedule is kept
-    for auditability even after all receivers are covered)."""
-    n = A.n
-    transmit = np.zeros((len(sched), n), dtype=bool)
-    for j, slot in enumerate(sched.slots):
-        for v in slot:
-            transmit[j, v - 1] = True
-    first = _first_success_from_matrix(A, transmit)
-    return RunRecord(
-        protocol=protocol,
-        seed=seed,
-        slots_executed=len(sched),
-        per_slot_transmitters=[tuple(sorted(s)) for s in sched.slots],
-        first_success=first,
-        completed=len(first) == n,
-    )
+    for auditability even after all receivers are covered).
+
+    All slots are evaluated at once: the schedule's (slots, n) mask times
+    the transposed affectance matrix gives every link's total in every slot.
+    """
+    if sched.n != A.n:
+        raise InstanceError(f"schedule for n={sched.n} run on an instance with n={A.n}")
+    first = _first_success(A, _link_success(A, sched.mask))
+    return RunRecord(protocol, seed, sched.mask, first, len(first) == A.n)
 
 
 def max_in_degree(topo):
     return max(len(topo.f(w)) for w in topo.receivers)
+
+
+# Values each node draws from its generator at a time in run_adaptive; any
+# size gives the same streams.
+DRAW_BLOCK = 32
+
+
+class _NodeDraws:
+    """Per-node uniform streams, ``default_rng([seed, v])`` for node v, drawn
+    in blocks of ``DRAW_BLOCK``. ``rng.random(k)`` yields the same values as k
+    scalar ``rng.random()`` calls, so taking values only where the scalar
+    per-node step would draw one keeps every stream byte-identical."""
+
+    def __init__(self, seed, n):
+        self.rngs = [np.random.default_rng([seed, v]) for v in range(1, n + 1)]
+        self.block = np.empty((n, DRAW_BLOCK))
+        self.pos = np.full(n, DRAW_BLOCK)
+
+    def take(self, nodes):
+        """Next value of each listed node's stream (0-based, no repeats)."""
+        for v in nodes[self.pos[nodes] == DRAW_BLOCK]:
+            self.block[v] = self.rngs[v].random(DRAW_BLOCK)
+            self.pos[v] = 0
+        values = self.block[nodes, self.pos[nodes]]
+        self.pos[nodes] += 1
+        return values
 
 
 def run_adaptive(A, policy, params, seed, max_rounds):
@@ -95,59 +131,57 @@ def run_adaptive(A, policy, params, seed, max_rounds):
     The stop-when-all-covered guard uses global knowledge; it is a
     termination-detection device of the simulation, not of the protocol.
     Each node draws from its own substream of the master seed so decisions
-    are independent of iteration order.
+    are independent of iteration order. Every round is decided for all nodes
+    at once; the values come from per-node pre-drawn blocks and are taken
+    only where ``decay_step`` (firing nodes) or ``sinr_step`` (eligible
+    nodes) would draw, so runs match those per-node steps exactly. Each
+    round's transmit vector times the transposed affectance matrix gives its
+    link totals.
     """
     if max_rounds < 1:
         raise InstanceError("max_rounds must be >= 1")
     n = A.n
-    rngs = [np.random.default_rng([seed, v]) for v in range(1, n + 1)]
+    draws = _NodeDraws(seed, n)
     if policy == "decay":
-        delta = params.get("delta") or max_in_degree(A.topo)
-        states = [DecayState() for _ in range(n)]
+        period = decay_period(params.get("delta") or max_in_degree(A.topo))
+        on = np.zeros(n, dtype=bool)
 
         def decide(rnd):
-            return [
-                decay_step(states[v - 1], delta, rngs[v - 1])
-                for v in range(1, n + 1)
-            ]
+            # Every node's period counter is (rnd - 1) % period.
+            if (rnd - 1) % period == 0:
+                on[:] = True
+            fire = on.copy()
+            nodes = np.flatnonzero(fire)
+            on[nodes] = draws.take(nodes) >= 0.5
+            return fire
 
     elif policy == "sinr":
         density = params["density"]
         dilution = params["dilution"]
+        if density < 1 or dilution < 1:
+            raise InstanceError("density and dilution must be >= 1")
+        residue = np.arange(1, n + 1) % dilution
 
         def decide(rnd):
-            return [
-                sinr_step(v, rnd, density, dilution, rngs[v - 1])
-                for v in range(1, n + 1)
-            ]
+            nodes = np.flatnonzero(residue == rnd % dilution)
+            fire = np.zeros(n, dtype=bool)
+            fire[nodes] = draws.take(nodes) < 1.0 / density
+            return fire
 
     else:
         raise InstanceError(f"unknown adaptive policy {policy!r}")
 
-    dense_t = A.dense.T
-    owners = A.owners()
-    rows_of = {w: A.link_rows(w) for w in A.topo.receivers}
-    first = {}
-    slots = []
-    rounds = 0
-    while rounds < max_rounds and len(first) < n:
-        rounds += 1
-        fire = decide(rounds)
-        slots.append(tuple(v for v in range(1, n + 1) if fire[v - 1]))
-        x = np.asarray(fire, dtype=float)
-        totals = x @ dense_t
-        success = (totals < 1.0) & (x[owners] > 0)
-        for w in A.topo.receivers:
-            if w not in first and success[rows_of[w]].any():
-                first[w] = rounds
-    return RunRecord(
-        protocol=policy,
-        seed=seed,
-        slots_executed=rounds,
-        per_slot_transmitters=slots,
-        first_success=first,
-        completed=len(first) == n,
-    )
+    receiver_of = A.link_receivers()
+    covered = np.zeros(n, dtype=bool)
+    fires, successes = [], []
+    while len(fires) < max_rounds and not covered.all():
+        fire = decide(len(fires) + 1)
+        success = _link_success(A, fire)
+        covered[receiver_of[success]] = True
+        fires.append(fire)
+        successes.append(success)
+    first = _first_success(A, np.array(successes))
+    return RunRecord(policy, seed, np.array(fires), first, len(first) == n)
 
 
 def replay_first_success(A, record):
@@ -198,13 +232,12 @@ def _run_protocol(A, spec, seed, max_rounds, cache):
         )
         return run_schedule(A, randomized_schedule(params, A.n), name, seed)
     if name == "deterministic":
-        key = ("det", opts.get("c"), opts.get("mode", "exact"))
+        mode = opts.get("mode", "exact")
+        # Exact mode ignores the seed; a Monte Carlo schedule depends on it.
+        key = ("det", opts.get("c"), mode, None if mode == "exact" else seed)
         if key not in cache:
             char = characterize(A, c=opts.get("c"))
-            sched = deterministic_schedule(
-                A, char, mode=opts.get("mode", "exact"), seed=seed
-            )
-            cache[key] = sched
+            cache[key] = deterministic_schedule(A, char, mode=mode, seed=seed)
         return run_schedule(A, cache[key], name, seed)
     if name in ("decay", "sinr"):
         return run_adaptive(A, name, opts, seed, max_rounds)

@@ -64,7 +64,8 @@ def randomized_schedule(params, n):
     Phase i (0-based) holds m slots; each slot includes each transmitter
     independently with probability b**-i. Draws come from the seeded
     generator in phase-major, slot-minor, transmitter-ascending order, so
-    identical (params, n) reproduce identical schedules.
+    identical (params, n) reproduce identical schedules. The (phases, m, n)
+    draw mask becomes the schedule's (phases * m, n) mask as is.
     """
     char = params.characterization
     phases = randomized_phase_count(params, n)
@@ -73,12 +74,7 @@ def randomized_schedule(params, n):
     u = rng.random((phases, m, n))
     p = char.b ** -np.arange(phases)
     include = u < p[:, None, None]
-    slots = [
-        frozenset(int(v) + 1 for v in np.flatnonzero(include[i, j]))
-        for i in range(phases)
-        for j in range(m)
-    ]
-    return Schedule(n, slots)
+    return Schedule.from_mask(include.reshape(phases * m, n))
 
 
 @dataclass(frozen=True)
@@ -134,8 +130,9 @@ def exact_selection_probability(A, w, assign, p, k_exact=K_EXACT):
     fires independently with probability p and decided ones act as assigned.
 
     Enumerates all outcomes of the relevant undecided set; raises
-    CapacityError past ``k_exact`` of them (callers fall back to Monte
-    Carlo). Irrelevant undecided transmitters change no term and are skipped.
+    CapacityError past ``k_exact`` of them (nothing falls back to Monte
+    Carlo; callers choose that mode up front). Irrelevant undecided
+    transmitters change no term and are skipped.
     """
     rows = A.link_rows(w)
     relevant = _relevant_undecided(A, w, assign)

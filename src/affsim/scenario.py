@@ -152,13 +152,22 @@ def save_instance(A, path):
         fh.write("\n")
 
 
-def load_instance(path):
-    """Load and validate an instance file; omitted entries are zeros."""
+def _load_json_object(path):
+    """Top-level JSON object of a file; malformed JSON or any other top-level
+    value is an InstanceError."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InstanceError(f"{path}: malformed JSON at line {exc.lineno}") from exc
+    if not isinstance(payload, dict):
+        raise InstanceError(f"{path}: top level must be a JSON object")
+    return payload
+
+
+def load_instance(path):
+    """Load and validate an instance file; omitted entries are zeros."""
+    payload = _load_json_object(path)
     for key in ("n", "links", "affectance"):
         if key not in payload:
             raise InstanceError(f"{path}: missing field {key!r}")
@@ -185,8 +194,7 @@ def save_office_spec(spec, path):
 def load_scenario(path):
     """Scenario spec file; ``offices`` may be a list, yielding one spec per
     value (a size sweep)."""
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = _load_json_object(path)
     offices = payload.pop("offices", None)
     if offices is None:
         raise InstanceError(f"{path}: scenario needs an 'offices' field")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from affsim import OfficeGridSpec, encode_radio_network, generate_office_layer
 from affsim import LayerTopology, save_instance
 from affsim.cli import main
@@ -109,3 +111,16 @@ def test_sweep_without_protocol_rejected(tmp_path, capsys):
     instance = write_rn_star(tmp_path)
     code = main(["sweep", "--instance", instance, "--out", str(tmp_path / "x.csv")])
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+@pytest.mark.parametrize("content", ['{"offices": [2, 3]', '[{"offices": 2}]'],
+                         ids=["malformed_json", "top_level_list"])
+def test_bad_scenario_file_is_validation_error(tmp_path, capsys, command, content):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(content)
+    args = [command, "--scenario", str(scenario), "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        args += ["--protocol", "decay"]
+    assert main(args) == 1
+    assert "error:" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -270,6 +271,24 @@ class TestBruteForceMinSelective:
 
     def test_none_when_budget_too_small(self, mutually_blocking_pair):
         assert brute_force_min_selective(mutually_blocking_pair, 1) is None
+
+
+class TestSchedule:
+    def test_mask_from_sets(self):
+        sched = Schedule(3, [{3, 1}, set()])
+        assert sched.mask.tolist() == [[True, False, True], [False, False, False]]
+        assert sched.slots == (frozenset({1, 3}), frozenset())
+
+    def test_from_mask_equals_set_constructor(self):
+        mask = np.array([[True, False, True], [False, True, False]])
+        assert Schedule.from_mask(mask) == Schedule(3, [{1, 3}, {2}])
+        assert Schedule.from_mask(mask) != Schedule(3, [{1, 3}])
+
+    def test_member_out_of_range_rejected(self):
+        with pytest.raises(InstanceError):
+            Schedule(2, [{1}, {3}])
+        with pytest.raises(InstanceError):
+            Schedule(2, [{0}])
 
 
 class TestScheduleText:

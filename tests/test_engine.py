@@ -1,27 +1,37 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from affsim import (
     AffectanceMatrix,
+    DecayState,
     InstanceError,
     LayerTopology,
+    OfficeGridSpec,
     ProtocolSpec,
     RandomizedParams,
     Schedule,
     characterize,
+    decay_step,
     deterministic_schedule,
     encode_radio_network,
+    generate_office_layer,
     generate_random_instance,
+    generate_rn_instance,
     randomized_schedule,
     replay_first_success,
     run_adaptive,
     run_schedule,
+    sinr_defaults,
+    sinr_step,
     summarize,
     sweep,
     write_csv,
 )
+from affsim import engine
 from affsim.engine import max_in_degree
+from affsim.protocols import randomized_phase_count
 
 from conftest import random_instances
 
@@ -61,8 +71,90 @@ class TestRunSchedule:
         record = run_schedule(A, sched)
         assert replay_first_success(A, record) == record.first_success
 
+    def test_random_masks_match_replay(self):
+        # Random instances have no exact threshold ties, so the batched
+        # evaluation and the scalar predicate must agree slot for slot.
+        rng = np.random.default_rng(0)
+        for seed in range(40):
+            A = generate_random_instance(2 + seed % 11, seed=seed)
+            mask = rng.random((int(rng.integers(1, 30)), A.n)) < rng.random()
+            record = run_schedule(A, Schedule.from_mask(mask))
+            assert record.slots_executed == len(mask)
+            assert replay_first_success(A, record) == record.first_success
+
+    def test_schedule_size_must_match_instance(self, two_isolated_links):
+        with pytest.raises(InstanceError):
+            run_schedule(two_isolated_links, Schedule(3, [{3}]))
+
+    def test_randomized_slots_match_per_slot_draws(self):
+        # Reference: one frozenset per (phase, slot) row of the same draw.
+        for n, seed in [(2, 0), (5, 1), (9, 2), (42, 3)]:
+            A = generate_random_instance(n, seed=seed)
+            for fallback in (False, True):
+                params = RandomizedParams(characterize(A), seed, fallback_mode=fallback)
+                char = params.characterization
+                phases, m = randomized_phase_count(params, n), char.m
+                u = np.random.default_rng(seed).random((phases, m, n))
+                include = u < (char.b ** -np.arange(phases))[:, None, None]
+                expected = tuple(
+                    frozenset(int(v) + 1 for v in np.flatnonzero(include[i, j]))
+                    for i in range(phases)
+                    for j in range(m)
+                )
+                assert randomized_schedule(params, n).slots == expected
+
+
+def scalar_adaptive(A, policy, params, seed, max_rounds):
+    """Reference: the per-node loop over decay_step/sinr_step, one generator
+    per node, each slot evaluated with a float transmit vector."""
+    n = A.n
+    rngs = [np.random.default_rng([seed, v]) for v in range(1, n + 1)]
+    states = [DecayState() for _ in range(n)]
+    delta = params.get("delta") or max_in_degree(A.topo)
+    first, slots = {}, []
+    while len(slots) < max_rounds and len(first) < n:
+        rnd = len(slots) + 1
+        if policy == "decay":
+            fire = [decay_step(states[v - 1], delta, rngs[v - 1]) for v in range(1, n + 1)]
+        else:
+            fire = [
+                sinr_step(v, rnd, params["density"], params["dilution"], rngs[v - 1])
+                for v in range(1, n + 1)
+            ]
+        slots.append(tuple(v for v in range(1, n + 1) if fire[v - 1]))
+        x = np.asarray(fire, dtype=float)
+        success = (x @ A.dense.T < 1.0) & (x[A.owners()] > 0)
+        for w in A.topo.receivers:
+            if w not in first and success[A.link_rows(w)].any():
+                first[w] = rnd
+    return slots, first
+
 
 class TestRunAdaptive:
+    def assert_matches_scalar(self, A, policy, params, seed, max_rounds=10 ** 5):
+        record = run_adaptive(A, policy, params, seed, max_rounds)
+        slots, first = scalar_adaptive(A, policy, params, seed, max_rounds)
+        assert record.per_slot_transmitters == slots
+        assert record.first_success == first
+        expected_rounds = max(first.values()) if len(first) == A.n else None
+        assert record.rounds == expected_rounds
+
+    def test_matches_scalar_steps_on_offices(self):
+        for offices in range(2, 15):
+            spec = OfficeGridSpec(offices=offices)
+            A = generate_office_layer(spec)
+            for seed in range(20):
+                self.assert_matches_scalar(A, "decay", {}, seed)
+                self.assert_matches_scalar(A, "sinr", sinr_defaults(spec), seed)
+
+    def test_matches_scalar_steps_on_radio_networks(self):
+        for seed in range(20):
+            A = generate_rn_instance(60, 8, seed)
+            self.assert_matches_scalar(A, "decay", {}, seed)
+            self.assert_matches_scalar(A, "sinr", {"density": 4, "dilution": 2}, seed)
+            # Long enough to refill the per-node draw blocks.
+            self.assert_matches_scalar(A, "sinr", {"density": 60, "dilution": 1}, seed, 80)
+
     def test_single_link_decay_completes_first_round(self):
         topo = LayerTopology(1, ((1, 1),))
         record = run_adaptive(AffectanceMatrix(topo), "decay", {}, 0, 10)
@@ -129,6 +221,21 @@ class TestSweep:
         )
         assert rows[0].rounds == 10
         assert not rows[0].completed
+
+    def test_mc_schedule_cached_per_seed(self, monkeypatch):
+        seen = []
+
+        def recording_schedule(A, char, mode, seed):
+            seen.append((mode, seed))
+            return Schedule(A.n, [{v} for v in A.topo.transmitters])
+
+        monkeypatch.setattr(engine, "deterministic_schedule", recording_schedule)
+        specs = [
+            ProtocolSpec("deterministic", {"mode": "monte_carlo"}),
+            ProtocolSpec("deterministic"),
+        ]
+        sweep([self.instance()], specs, [5, 6, 5], max_rounds=500)
+        assert seen == [("monte_carlo", 5), ("monte_carlo", 6), ("exact", 5)]
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(InstanceError):
