@@ -141,62 +141,60 @@ def cmd_schedule(args):
 
 
 def _sweep_instances(args):
-    instances = []
-    for path in args.instance:
-        instances.append((path, load_instance(path)))
-    office_specs = {}
+    """(instance_id, matrix, office spec or None) for every --instance file,
+    then every office size of --scenario."""
+    instances = [(path, load_instance(path), None) for path in args.instance]
     if args.scenario:
         for spec in load_scenario(args.scenario):
-            A = generate_office_layer(spec)
-            instances.append((f"office_n{spec.n}", A))
-            office_specs[f"office_n{spec.n}"] = spec
+            instances.append((f"office_n{spec.n}", generate_office_layer(spec), spec))
     if not instances:
         raise InstanceError("sweep needs --instance or --scenario")
-    return instances, office_specs
+    return instances
 
 
-def _sweep_protocols(args, instances, office_specs):
-    protocols = []
-    for name in args.protocol:
-        if name == "randomized":
-            opts = {"c": args.c}
-            if args.m_override:
-                opts["m_override"] = args.m_override
-            protocols.append(ProtocolSpec(name, opts))
-        elif name == "deterministic":
-            mode = "exact" if args.mode == "exact" else "monte_carlo"
-            protocols.append(ProtocolSpec(name, {"c": args.c, "mode": mode}))
-        elif name == "sinr":
-            opts = {}
-            if args.density and args.dilution:
-                opts = {"density": args.density, "dilution": args.dilution}
-            elif office_specs:
-                opts = sinr_defaults(next(iter(office_specs.values())))
-            else:
-                raise InstanceError(
-                    "sinr needs --density and --dilution for non-office sweeps"
-                )
-            protocols.append(ProtocolSpec(name, opts))
-        else:
-            protocols.append(ProtocolSpec(name, {}))
-    if not protocols:
-        raise InstanceError("sweep needs at least one --protocol")
-    return protocols
+def _sweep_protocol(args, name, instance_id, office_spec):
+    """The protocol column ``name`` with its options on one instance: sinr
+    takes --density/--dilution, else the defaults of the instance's own
+    office spec; an instance file has none."""
+    if name == "randomized":
+        opts = {"c": args.c}
+        if args.m_override:
+            opts["m_override"] = args.m_override
+        return ProtocolSpec(name, opts)
+    if name == "deterministic":
+        mode = "exact" if args.mode == "exact" else "monte_carlo"
+        return ProtocolSpec(name, {"c": args.c, "mode": mode})
+    if name == "sinr":
+        if args.density and args.dilution:
+            return ProtocolSpec(name, {"density": args.density, "dilution": args.dilution})
+        if office_spec is None:
+            raise InstanceError(
+                f"sinr needs --density and --dilution for instance file {instance_id}"
+            )
+        return ProtocolSpec(name, sinr_defaults(office_spec))
+    return ProtocolSpec(name, {})
 
 
 def cmd_sweep(args):
-    instances, office_specs = _sweep_instances(args)
-    protocols = _sweep_protocols(args, instances, office_specs)
+    instances = _sweep_instances(args)
+    if not args.protocol:
+        raise InstanceError("sweep needs at least one --protocol")
+    # Rows run protocol by protocol, then instance, then seed.
+    runs = [
+        (_sweep_protocol(args, name, instance_id, office_spec), instance_id, A)
+        for name in args.protocol
+        for instance_id, A, office_spec in instances
+    ]
     all_seeds = list(range(args.seed_base, args.seed_base + args.seeds))
     rows = []
-    for spec in protocols:
+    for spec, instance_id, A in runs:
         seeds = all_seeds if spec.uses_seed else all_seeds[:1]
-        rows.extend(sweep(instances, [spec], seeds, max_rounds=args.max_rounds))
+        rows.extend(sweep([(instance_id, A)], [spec], seeds, max_rounds=args.max_rounds))
     write_csv(rows, args.out)
     stats = summarize(rows)
     bounds = {}
-    for instance_id, A in instances:
-        if any(spec.name == "randomized" for spec in protocols):
+    if "randomized" in args.protocol:
+        for instance_id, A, _ in instances:
             bounds[instance_id] = characterize(A, c=args.c).slot_bound
     print("instance_id,protocol,runs,mean,median,max,bound")
     for (instance_id, protocol), stat in sorted(stats.items()):

@@ -41,6 +41,42 @@ class CapacityError(RuntimeError):
     """An exact computation would exceed its enumeration budget."""
 
 
+def _table(rows, width, what):
+    """``rows`` as an (E, width) float array. Ragged rows, rows of another
+    length and non-numeric values are an InstanceError."""
+    message = f"{what} must be a list of rows of {width} numbers"
+    try:
+        table = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InstanceError(message) from None
+    if table.shape == (0,):
+        table = table.reshape(0, width)
+    if table.ndim != 2 or table.shape[1] != width:
+        raise InstanceError(message)
+    return table
+
+
+def _indices(table, n, what):
+    """A float table of 1-based indices as ints. A non-integral value (NaN
+    included) is an InstanceError; values are clipped to 0..n + 1 first, so
+    out-of-range indices stay out of range and cast safely."""
+    bad = _first((table != np.floor(table)).any(axis=1))
+    if bad is not None:
+        raise InstanceError(f"non-integral index in {what} {table[bad].tolist()}")
+    return np.clip(table, 0, n + 1).astype(int)
+
+
+def _first(mask):
+    """Index of the first True of a 1-d bool mask, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _entry_text(row):
+    u, v, w, value = row.tolist()
+    return f"a({u:.15g},({v:.15g},{w:.15g}))={value}"
+
+
 @dataclass(frozen=True)
 class LayerTopology:
     """Bipartite transmitter/receiver layer with equal index spaces 1..n.
@@ -75,6 +111,20 @@ class LayerTopology:
             self, "_link_index", {link: i for i, link in enumerate(self.links)}
         )
 
+    @classmethod
+    def from_rows(cls, n, rows):
+        """Topology from parsed JSON: ``n`` an integral number, ``rows`` a
+        list of [v, w] pairs of integral numbers."""
+        try:
+            size = float(n)
+        except (TypeError, ValueError, OverflowError):
+            size = math.nan
+        if not size.is_integer():
+            raise InstanceError(f"n must be an integer, got {n!r}")
+        size = int(size)
+        links = _indices(_table(rows, 2, "links"), size, "link")
+        return cls(size, tuple(map(tuple, links.tolist())))
+
     def f(self, w):
         """Transmitters with a link to receiver ``w``."""
         try:
@@ -97,38 +147,97 @@ class LayerTopology:
         return range(1, self.n + 1)
 
 
+def _link_columns(topo):
+    """0-based owner and receiver of each link of ``topo.links``, as the two
+    contiguous rows of a read-only (2, L) int array."""
+    links = (np.array(topo.links, dtype=int).reshape(-1, 2) - 1).T.copy()
+    links.flags.writeable = False
+    return links
+
+
 class AffectanceMatrix:
     """Interference weights a(u, (v, w)) in [0, 1], bound to one topology.
 
-    Self-interference a(v, (v, w)) is fixed to 0 so a lone transmitter always
-    succeeds. Absent entries are implicit zeros. Immutable after construction.
+    Stored as one read-only dense (L, n) float array: ``dense[i, u - 1]`` is
+    the weight of transmitter u on the i-th link of ``topo.links`` (links in
+    sorted order). Every instance is checked once, on that array: the shape
+    is (L, n), every value lies in [0, 1] (NaN does not), and each link
+    owner's own column is 0 (self-interference a(v, (v, w)) = 0, so a lone
+    transmitter always succeeds). The array takes 8 * L * n bytes.
+
+    ``from_dense`` wraps an array that is already built, without copying
+    it; generators use it. The constructor takes (u, v, w, value) entries
+    (1-based, absent pairs are 0) and scatters them into a zero array
+    first: indices must be integral, u in 1..n, (v, w) a link of the
+    topology, and no (u, v, w) may repeat. Immutable after construction.
     """
 
     def __init__(self, topo, entries=()):
+        self._bind(topo)
+        self.dense = self._checked(self._scatter(entries))
+
+    @classmethod
+    def from_dense(cls, topo, dense):
+        """Matrix over an (L, n) float array, checked but not copied."""
+        A = cls.__new__(cls)
+        A._bind(topo)
+        A.dense = A._checked(np.asarray(dense, dtype=float).view())
+        return A
+
+    def _bind(self, topo):
         self.topo = topo
-        dense = np.zeros((len(topo.links), topo.n))
-        for u, v, w, value in entries:
-            if not (1 <= u <= topo.n):
-                raise InstanceError(f"transmitter {u} out of range")
-            row = topo.link_row((v, w))
-            if not (0.0 <= value <= 1.0):
-                raise InstanceError(
-                    f"affectance a({u},({v},{w}))={value} outside [0,1]"
-                )
-            if u == v and value != 0.0:
-                raise InstanceError(
-                    f"self-affectance a({v},({v},{w})) must be 0, got {value}"
-                )
-            dense[row, u - 1] = value
+        self._owner, self._receiver = _link_columns(topo)
+        # Link rows grouped by receiver, ascending within each group.
+        self._by_receiver = np.argsort(self._receiver, kind="stable")
+        self._by_receiver.flags.writeable = False
+        self._receiver_start = np.searchsorted(
+            self._receiver[self._by_receiver], np.arange(topo.n + 1)
+        )
+
+    def _scatter(self, entries):
+        table = _table(entries, 4, "affectance entries")
+        n = self.topo.n
+        u, v, w = _indices(table[:, :3], n, "affectance entry").T
+        bad = _first((u < 1) | (u > n))
+        if bad is not None:
+            raise InstanceError(f"transmitter out of range in {_entry_text(table[bad])}")
+        # Sorted links have ascending keys v * (n + 2) + w.
+        keys = (self._owner + 1) * (n + 2) + self._receiver + 1
+        query = v * (n + 2) + w
+        rows = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+        bad = _first(keys[rows] != query)
+        if bad is not None:
+            raise UnknownLinkError(f"unknown link in {_entry_text(table[bad])}")
+        cells = rows * n + u - 1
+        order = np.argsort(cells, kind="stable")
+        bad = _first(cells[order[1:]] == cells[order[:-1]])
+        if bad is not None:
+            raise InstanceError(f"duplicate entry {_entry_text(table[order[bad + 1]])}")
+        dense = np.zeros((len(keys), n))
+        dense[rows, u - 1] = table[:, 3]
+        return dense
+
+    def _checked(self, dense):
+        """The array itself, made read-only, once it passes the checks."""
+        shape = (len(self._owner), self.topo.n)
+        if dense.shape != shape:
+            raise InstanceError(f"affectance array of shape {dense.shape}, expected {shape}")
+        # NaN fails both comparisons.
+        if not (dense.min() >= 0.0 and dense.max() <= 1.0):
+            row, u0 = np.argwhere(~((dense >= 0.0) & (dense <= 1.0)))[0]
+            v, w = self.topo.links[row]
+            raise InstanceError(
+                f"affectance a({u0 + 1},({v},{w}))={dense[row, u0]} outside [0,1]"
+            )
+        own = dense[np.arange(shape[0]), self._owner]
+        bad = _first(own != 0.0)
+        if bad is not None:
+            v, w = self.topo.links[bad]
+            raise InstanceError(
+                f"self-affectance a({v},({v},{w})) must be 0, got {own[bad]}"
+            )
         dense.flags.writeable = False
-        self.dense = dense
-        # Per-receiver link rows and owners, in ascending link order.
-        rows_of = {w: [] for w in topo.receivers}
-        for i, (v, w) in enumerate(topo.links):
-            rows_of[w].append(i)
-        self._rows_of = {w: np.array(r, dtype=int) for w, r in rows_of.items()}
-        self._owner = np.array([v - 1 for v, _ in topo.links], dtype=int)
-        self._receiver = np.array([w - 1 for _, w in topo.links], dtype=int)
+        return dense
 
     @property
     def n(self):
@@ -139,7 +248,9 @@ class AffectanceMatrix:
         return float(self.dense[self.topo.link_row(link), u - 1])
 
     def link_rows(self, w):
-        return self._rows_of[w]
+        """Rows of the links into receiver ``w``, ascending."""
+        start = self._receiver_start
+        return self._by_receiver[start[w - 1] : start[w]]
 
     def owners(self):
         """0-based transmitter owning each link row."""
@@ -151,11 +262,15 @@ class AffectanceMatrix:
 
     def entries(self):
         """Nonzero entries as (u, v, w, value), sorted."""
-        out = []
-        for row, (v, w) in enumerate(self.topo.links):
-            for u0 in np.flatnonzero(self.dense[row]):
-                out.append((int(u0) + 1, v, w, float(self.dense[row, u0])))
-        return sorted(out)
+        rows, cols = np.nonzero(self.dense)
+        u, v, w = cols + 1, self._owner[rows] + 1, self._receiver[rows] + 1
+        order = np.lexsort((w, v, u))
+        return list(zip(
+            u[order].tolist(),
+            v[order].tolist(),
+            w[order].tolist(),
+            self.dense[rows[order], cols[order]].tolist(),
+        ))
 
 
 def _indicator(n, transmitters):
@@ -354,13 +469,14 @@ def characterize(A, c=None):
 
 def encode_radio_network(topo):
     """Unit-weight matrix under which a receiver is selected iff exactly one
-    of its neighbors transmits (classic no-collision semantics)."""
-    entries = []
-    for v, w in topo.links:
-        for u in topo.f(w):
-            if u != v:
-                entries.append((u, v, w, 1.0))
-    return AffectanceMatrix(topo, entries)
+    of its neighbors transmits (classic no-collision semantics): every
+    neighbor u of w weighs 1 on each link (v, w) with u != v."""
+    owner, receiver = _link_columns(topo)
+    adjacency = np.zeros((topo.n, topo.n))
+    adjacency[receiver, owner] = 1.0
+    dense = adjacency[receiver]
+    dense[np.arange(len(owner)), owner] = 0.0
+    return AffectanceMatrix.from_dense(topo, dense)
 
 
 BRUTE_FORCE_MAX_N = 10

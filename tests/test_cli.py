@@ -124,3 +124,54 @@ def test_bad_scenario_file_is_validation_error(tmp_path, capsys, command, conten
         args += ["--protocol", "decay"]
     assert main(args) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [
+    {"n": 2, "links": [[1, 1, 5], [2, 2]], "affectance": []},
+    {"n": 2, "links": [[1, 1], [2, 2]], "affectance": [[2, 1, 1]]},
+    {"n": "x", "links": [[1, 1]], "affectance": []},
+    {"n": 2, "links": [[1, 1], [2, 2]], "affectance": [[2.7, 1, 1, 0.5]]},
+    {"n": 2, "links": [[1, 1], [2, 2]], "affectance": [[2, 1, 1, 0.5], [2, 1, 1, 0.5]]},
+], ids=["long_link", "short_entry", "n_not_a_number", "non_integral", "duplicate"])
+def test_malformed_instance_file_is_validation_error(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["characterize", "--instance", str(path)]) == 1
+    assert "bad.json" in capsys.readouterr().err
+
+
+def test_sweep_sinr_instance_file_needs_density(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"offices": [2]}))
+    code = main([
+        "sweep", "--instance", write_rn_star(tmp_path), "--scenario", str(scenario),
+        "--protocol", "sinr", "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == 1
+    assert "--density and --dilution" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_sweep_mixed_instance_and_scenario(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"offices": [2, 3], "nodes_per_office": 2}))
+    star = write_rn_star(tmp_path)
+    common = ["--protocol", "decay", "--protocol", "sinr", "--seeds", "2",
+              "--max-rounds", "5000"]
+    mixed, offices = tmp_path / "mixed.csv", tmp_path / "offices.csv"
+    assert main(["sweep", "--instance", star, "--scenario", str(scenario),
+                 "--density", "3", "--dilution", "1", *common,
+                 "--out", str(mixed)]) == 0
+    rows = [line.split(",") for line in mixed.read_text().splitlines()[1:]]
+    # Protocol, then instance (files before scenario sizes), then seed.
+    assert [(r[1], r[0], r[2]) for r in rows] == [
+        (p, i, s) for p in ("decay", "sinr")
+        for i in (star, "office_n4", "office_n6") for s in ("0", "1")
+    ]
+    # Without --density/--dilution the office sizes take their spec's
+    # defaults (density 2, dilution 4 for two nodes per office).
+    args = ["sweep", "--scenario", str(scenario), *common]
+    explicit = tmp_path / "explicit.csv"
+    assert main(args + ["--out", str(offices)]) == 0
+    assert main(args + ["--density", "2", "--dilution", "4", "--out", str(explicit)]) == 0
+    assert offices.read_bytes() == explicit.read_bytes()

@@ -18,6 +18,7 @@ from affsim import (
     brute_force_min_selective,
     characterize,
     encode_radio_network,
+    generate_rn_instance,
     is_selected,
     is_successful,
     max_avg_affectance_w,
@@ -68,6 +69,49 @@ class TestAffectanceMatrix:
     def test_absent_entry_is_zero(self):
         A = simple_pair()
         assert A.a(2, (1, 2)) == 0.0
+
+    @pytest.mark.parametrize("entries", [
+        [(2, 1, 1, 0.4), (2, 1, 1, 0.4)],
+        [(2.5, 1, 1, 0.4)],
+        [(2, 1, 1, float("nan"))],
+        [(2, 1, 1, -0.1)],
+        [(3, 1, 1, 0.4)],
+        [(2, 1, 1)],
+    ], ids=["duplicate", "non_integral", "nan", "negative", "u_out_of_range",
+            "short_row"])
+    def test_rejects_bad_entries(self, entries):
+        topo = LayerTopology(2, ((1, 1), (2, 1), (1, 2)))
+        with pytest.raises(InstanceError):
+            AffectanceMatrix(topo, entries)
+
+    def test_unknown_link_entry(self):
+        topo = LayerTopology(2, ((1, 1), (2, 1), (1, 2)))
+        with pytest.raises(UnknownLinkError):
+            AffectanceMatrix(topo, [(1, 2, 2, 0.4)])
+
+    def test_from_dense_checks_the_array(self):
+        topo = LayerTopology(2, ((1, 1), (2, 1), (1, 2)))
+        for bad in (np.zeros((2, 2)), np.full((3, 2), 0.5), np.full((3, 2), np.nan)):
+            with pytest.raises(InstanceError):
+                AffectanceMatrix.from_dense(topo, bad)
+        dense = np.array([[0.0, 0.4], [0.0, 0.0], [0.4, 0.0]])
+        A = AffectanceMatrix.from_dense(topo, dense)
+        assert A.entries() == simple_pair().entries()
+        assert not A.dense.flags.writeable
+
+    @given(random_instances(max_n=7))
+    def test_entries_and_rows_match_scalar_walk(self, A):
+        expected = sorted(
+            (u, v, w, A.a(u, (v, w)))
+            for v, w in A.topo.links for u in A.topo.transmitters
+            if A.a(u, (v, w)) != 0.0
+        )
+        assert A.entries() == expected
+        assert AffectanceMatrix(A.topo, expected).dense.tobytes() == A.dense.tobytes()
+        for w in A.topo.receivers:
+            rows = A.link_rows(w).tolist()
+            assert rows == [i for i, (_, w2) in enumerate(A.topo.links) if w2 == w]
+            assert sorted(A.owners()[rows] + 1) == sorted(A.topo.f(w))
 
 
 class TestTotalAffectance:
@@ -216,6 +260,15 @@ class TestCharacterize:
 
 
 class TestRadioNetworkEncoding:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_scalar_encoding(self, seed):
+        A = generate_rn_instance(40, 7, seed)
+        entries = [(u, v, w, 1.0) for v, w in A.topo.links
+                   for u in A.topo.f(w) if u != v]
+        B = AffectanceMatrix(A.topo, entries)
+        assert np.array_equal(A.dense, B.dense)
+        assert A.entries() == sorted(entries)
+
     def test_star_degree_identity(self, rn_star):
         char = characterize(rn_star)
         assert char.abar == pytest.approx(2.0)

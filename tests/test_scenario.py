@@ -16,7 +16,27 @@ from affsim import (
     save_instance,
     sinr_defaults,
 )
+from affsim import AffectanceMatrix, LayerTopology
 from affsim.scenario import load_scenario, save_office_spec
+
+
+def scalar_office_layer(spec):
+    """Reference: one ``office_affectance`` call per (u, link) entry."""
+    n, k, width = spec.n, spec.nodes_per_office, spec.office_width
+    xs = [o * width + (j + 0.5) * width / k for o in range(spec.offices) for j in range(k)]
+    links = tuple((v, w) for w in range(1, n + 1) for v in range(1, n + 1)
+                  if (v - 1) // k == (w - 1) // k)
+    topo = LayerTopology(n, links)
+    entries = []
+    for v, w in topo.links:
+        for u in range(1, n + 1):
+            if u != v:
+                distance = abs(xs[u - 1] - xs[w - 1]) + 1.0
+                walls = abs((u - 1) // k - (w - 1) // k)
+                value = office_affectance(spec, distance, walls)
+                if value > 0.0:
+                    entries.append((u, v, w, value))
+    return AffectanceMatrix(topo, entries)
 
 
 class TestOfficeAffectance:
@@ -81,6 +101,18 @@ class TestOfficeLayer:
             assert char.c <= 10.0
             for w in A.topo.receivers:
                 assert char.abar_w[w - 1] <= char.c * len(A.topo.f(w))
+
+    @pytest.mark.parametrize("spec", [OfficeGridSpec(offices=k) for k in range(1, 15)] + [
+        OfficeGridSpec(offices=7, alpha=1.5, nodes_per_office=4),
+        OfficeGridSpec(offices=9, wall_penalty=0),
+        OfficeGridSpec(offices=6, reach=2.5, alpha=3.3, office_width=3.0),
+    ], ids=repr)
+    def test_equals_scalar_generator(self, spec):
+        A = generate_office_layer(spec)
+        B = scalar_office_layer(spec)
+        assert A.topo.links == B.topo.links
+        assert np.array_equal(A.dense, B.dense)
+        assert not A.dense.flags.writeable
 
     def test_sinr_defaults(self):
         params = sinr_defaults(OfficeGridSpec(offices=2))
@@ -162,6 +194,78 @@ class TestInstanceFiles:
         ))
         with pytest.raises(InstanceError):
             load_instance(path)
+
+
+    @pytest.mark.parametrize("payload", [
+        {"n": 2, "links": [[1, 1, 5], [2, 2]], "affectance": []},
+        {"n": 2, "links": [[1, 1], [2]], "affectance": []},
+        {"n": 2, "links": [[1, 1], [2, 2]], "affectance": [[2, 1, 1]]},
+        {"n": 2, "links": [[1, 1], [2, 2]], "affectance": [[2, 1, 1, 0.5], [1, 2]]},
+        {"n": 2, "links": [[1, 1], [2, 2]], "affectance": [[2, 1, 1, "x"]]},
+        {"n": 2, "links": 5, "affectance": []},
+        {"n": "x", "links": [[1, 1]], "affectance": []},
+        {"n": None, "links": [[1, 1]], "affectance": []},
+        {"n": 1.5, "links": [[1, 1]], "affectance": []},
+    ], ids=["long_link", "short_link", "short_entry", "ragged_entries",
+            "non_numeric_value", "links_not_a_list", "n_not_a_number", "n_null",
+            "n_non_integral"])
+    def test_malformed_rows_name_the_path(self, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InstanceError, match="bad.json"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("affectance", [
+        [[2.7, 1, 1, 0.5]],
+        [[2, 1.5, 1, 0.5]],
+        [[2, 1, 1, 0.5], [2, 1, 1, 0.25]],
+        [[2, 1, 1, float("nan")]],
+        [[3, 1, 1, 0.5]],
+        [[2, 1, 2, 0.5]],
+    ], ids=["non_integral_u", "non_integral_v", "duplicate", "nan_value",
+            "u_out_of_range", "unknown_link"])
+    def test_rejects_bad_entries(self, tmp_path, affectance):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {"n": 2, "links": [[1, 1], [2, 2]], "affectance": affectance}
+        ))
+        with pytest.raises(InstanceError, match="bad.json"):
+            load_instance(path)
+
+    def test_non_integral_link_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {"n": 2, "links": [[1, 1], [2.5, 2]], "affectance": []}
+        ))
+        with pytest.raises(InstanceError, match="non-integral"):
+            load_instance(path)
+
+    def test_integral_floats_accepted(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(
+            {"n": 2.0, "links": [[1.0, 1], [2, 2]], "affectance": [[2.0, 1, 1, 1]]}
+        ))
+        A = load_instance(path)
+        assert A.topo.links == ((1, 1), (2, 2))
+        assert A.a(2, (1, 1)) == 1.0
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_office_layer(OfficeGridSpec(offices=4)),
+        lambda: generate_office_layer(OfficeGridSpec(offices=3, alpha=1.5, nodes_per_office=4)),
+        lambda: generate_rn_instance(30, 6, seed=2),
+        lambda: generate_random_instance(6, seed=5),
+        lambda: generate_random_instance(4, seed=1, entry_prob=0.0),
+    ], ids=["office", "office_spec", "rn", "random", "no_entries"])
+    def test_saved_bytes_equal_json_dump(self, tmp_path, make):
+        A = make()
+        path = tmp_path / "inst.json"
+        save_instance(A, path)
+        payload = {
+            "n": A.n,
+            "links": [[v, w] for v, w in A.topo.links],
+            "affectance": [[u, v, w, value] for u, v, w, value in A.entries()],
+        }
+        assert path.read_text() == json.dumps(payload, indent=1) + "\n"
 
 
 class TestScenarioFiles:
