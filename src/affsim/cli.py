@@ -128,8 +128,7 @@ def cmd_schedule(args):
         )
         sched = randomized_schedule(params, A.n)
     else:
-        mode = "exact" if args.mode == "exact" else "monte_carlo"
-        sched = deterministic_schedule(A, char, mode=mode,
+        sched = deterministic_schedule(A, char, mode=args.mode,
                                        mc_samples=args.samples, seed=args.seed)
     with open(args.out, "w") as fh:
         fh.write(schedule_to_text(sched))
@@ -154,18 +153,20 @@ def _sweep_instances(args):
 
 def _sweep_protocol(args, name, instance_id, office_spec):
     """The protocol column ``name`` with its options on one instance: sinr
-    takes --density/--dilution, else the defaults of the instance's own
-    office spec; an instance file has none."""
+    takes --density and --dilution (both, each >= 1), else the defaults of
+    the instance's own office spec; an instance file has none."""
     if name == "randomized":
         opts = {"c": args.c}
         if args.m_override:
             opts["m_override"] = args.m_override
         return ProtocolSpec(name, opts)
     if name == "deterministic":
-        mode = "exact" if args.mode == "exact" else "monte_carlo"
-        return ProtocolSpec(name, {"c": args.c, "mode": mode})
+        return ProtocolSpec(name, {"c": args.c, "mode": args.mode})
     if name == "sinr":
-        if args.density and args.dilution:
+        given = (args.density, args.dilution)
+        if given != (None, None):
+            if None in given or min(given) < 1:
+                raise InstanceError("sinr needs both --density and --dilution, each >= 1")
             return ProtocolSpec(name, {"density": args.density, "dilution": args.dilution})
         if office_spec is None:
             raise InstanceError(

@@ -1,9 +1,10 @@
 """Additive-interference model core.
 
 Holds the bipartite layer topology, the per-(transmitter, link) interference
-weight matrix, the success/selection predicates, instance characterization
-(derived scheduling constants), the unit-weight radio-network encoding, and
-brute-force oracles used as test ground truth.
+weight matrix, the batched success kernel and the scalar success/selection
+predicates, instance characterization (derived scheduling constants), the
+unit-weight radio-network encoding, and brute-force oracles used as test
+ground truth.
 
 All indices in the public API are 1-based; internal numpy storage is 0-based.
 """
@@ -14,6 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Stored weights are multiples of 1 / GRID (see AffectanceMatrix).
+GRID = 2.0 ** 32
 
 # Tightening margin applied when the interference-to-degree ratio constant is
 # derived from the instance instead of supplied (the scheduling formulas need
@@ -66,6 +70,18 @@ def _indices(table, n, what):
     return np.clip(table, 0, n + 1).astype(int)
 
 
+def _integer(value, what):
+    """``value`` as an int if it is an integral number (a JSON number or a
+    numeric string); anything else is an InstanceError."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not number.is_integer():
+        raise InstanceError(f"{what} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _first(mask):
     """Index of the first True of a 1-d bool mask, or None."""
     hits = np.flatnonzero(mask)
@@ -115,13 +131,7 @@ class LayerTopology:
     def from_rows(cls, n, rows):
         """Topology from parsed JSON: ``n`` an integral number, ``rows`` a
         list of [v, w] pairs of integral numbers."""
-        try:
-            size = float(n)
-        except (TypeError, ValueError, OverflowError):
-            size = math.nan
-        if not size.is_integer():
-            raise InstanceError(f"n must be an integer, got {n!r}")
-        size = int(size)
+        size = _integer(n, "n")
         links = _indices(_table(rows, 2, "links"), size, "link")
         return cls(size, tuple(map(tuple, links.tolist())))
 
@@ -165,6 +175,12 @@ class AffectanceMatrix:
     owner's own column is 0 (self-interference a(v, (v, w)) = 0, so a lone
     transmitter always succeeds). The array takes 8 * L * n bytes.
 
+    Once checked, each weight is rounded in place to the nearest multiple
+    of 2**-32. A sum of up to 2**21 such weights is exact in float64, so a
+    link's total, and the test total < 1, come out the same in every
+    summation order (``np.dot``, BLAS products, partial sums), ties
+    included; the dense layout keeps n far below 2**21.
+
     ``from_dense`` wraps an array that is already built, without copying
     it; generators use it. The constructor takes (u, v, w, value) entries
     (1-based, absent pairs are 0) and scatters them into a zero array
@@ -178,10 +194,12 @@ class AffectanceMatrix:
 
     @classmethod
     def from_dense(cls, topo, dense):
-        """Matrix over an (L, n) float array, checked but not copied."""
+        """Matrix over an (L, n) float array, checked and rounded to the
+        weight grid in place: the matrix takes ownership of the array, which
+        is copied only if it is not a writeable float array."""
         A = cls.__new__(cls)
         A._bind(topo)
-        A.dense = A._checked(np.asarray(dense, dtype=float).view())
+        A.dense = A._checked(np.require(dense, dtype=float, requirements="W").view())
         return A
 
     def _bind(self, topo):
@@ -218,7 +236,8 @@ class AffectanceMatrix:
         return dense
 
     def _checked(self, dense):
-        """The array itself, made read-only, once it passes the checks."""
+        """The array itself, once it passes the checks: rounded in place to
+        multiples of 1 / GRID, then made read-only."""
         shape = (len(self._owner), self.topo.n)
         if dense.shape != shape:
             raise InstanceError(f"affectance array of shape {dense.shape}, expected {shape}")
@@ -236,6 +255,9 @@ class AffectanceMatrix:
             raise InstanceError(
                 f"self-affectance a({v},({v},{w})) must be 0, got {own[bad]}"
             )
+        dense *= GRID
+        np.rint(dense, out=dense)
+        dense /= GRID
         dense.flags.writeable = False
         return dense
 
@@ -288,9 +310,20 @@ def total_affectance(A, transmitters, link):
     return float(np.dot(A.dense[row], _indicator(A.n, transmitters)))
 
 
+def link_success(weights, owners, transmit):
+    """The success rule, batched: link i succeeds iff its owner transmits and
+    its summed affectance stays strictly below 1. ``weights`` is (L, c) over
+    c transmit columns (usually ``A.dense``), ``owners`` the column of each
+    link's owner, ``transmit`` a bool (c,) or (slots, c) mask; returns a
+    bool (L,) or (slots, L) mask. On the weight grid it agrees with the
+    scalar ``is_successful``, ties included."""
+    return transmit[..., owners] & (transmit @ weights.T < 1.0)
+
+
 def is_successful(A, transmitters, link):
     """True iff the link's owner transmits and the slot's summed interference
-    on the link stays strictly below 1."""
+    on the link stays strictly below 1. The scalar oracle that tests and
+    replays check ``link_success`` against."""
     v, _ = link
     tset = set(transmitters)
     return v in tset and total_affectance(A, tset, link) < 1.0
@@ -386,11 +419,7 @@ def max_avg_affectance_w(A, w):
     reduces to the largest per-link total; the exponential subset definition
     is kept as the brute-force oracle below.
     """
-    members = A.topo.f(w)
-    if not members:
-        raise InstanceError(f"receiver {w} has no neighbors")
-    rows = A.link_rows(w)
-    return float(A.dense[rows].sum(axis=1).max())
+    return float(A.dense[A.link_rows(w)].sum(axis=1).max())
 
 
 def brute_force_max_avg_affectance(A, w):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import InstanceError, Schedule, characterize, is_selected
+from .core import InstanceError, Schedule, characterize, link_success, verify_selective
 from .protocols import (
     RandomizedParams,
     decay_period,
@@ -61,12 +61,6 @@ class RunRecord:
         }
 
 
-def _link_success(A, transmit):
-    """Link-success mask of a bool transmit mask, (n,) or (slots, n): the
-    link's owner transmits and the summed affectance on it stays below 1."""
-    return transmit[..., A.owners()] & (transmit @ A.dense.T < 1.0)
-
-
 def _first_success(A, success):
     """Earliest successful slot (1-based) of each receiver, from a (slots, L)
     link-success mask: the first success of each link, then the minimum over
@@ -90,7 +84,7 @@ def run_schedule(A, sched, protocol="schedule", seed=None):
     """
     if sched.n != A.n:
         raise InstanceError(f"schedule for n={sched.n} run on an instance with n={A.n}")
-    first = _first_success(A, _link_success(A, sched.mask))
+    first = _first_success(A, link_success(A.dense, A.owners(), sched.mask))
     return RunRecord(protocol, seed, sched.mask, first, len(first) == A.n)
 
 
@@ -176,7 +170,7 @@ def run_adaptive(A, policy, params, seed, max_rounds):
     fires, successes = [], []
     while len(fires) < max_rounds and not covered.all():
         fire = decide(len(fires) + 1)
-        success = _link_success(A, fire)
+        success = link_success(A.dense, A.owners(), fire)
         covered[receiver_of[success]] = True
         fires.append(fire)
         successes.append(success)
@@ -185,14 +179,10 @@ def run_adaptive(A, policy, params, seed, max_rounds):
 
 
 def replay_first_success(A, record):
-    """Independent re-evaluation of a record's slots through the selection
-    predicate; must reproduce first_success exactly."""
-    first = {}
-    for j, slot in enumerate(record.per_slot_transmitters, start=1):
-        for w in A.topo.receivers:
-            if w not in first and is_selected(A, slot, w):
-                first[w] = j
-    return first
+    """Independent re-evaluation of a record's slots through the scalar
+    selection predicate (``verify_selective``); must reproduce
+    first_success exactly."""
+    return verify_selective(A, Schedule.from_mask(record.transmit)).first_slot
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from .core import (
     Characterization,
     InstanceError,
     Schedule,
-    is_selected,
+    link_success,
 )
 
 # Exact expectation engine: cap on the number of relevant undecided
@@ -93,36 +93,12 @@ class PartialAssignment:
     def frontier(self):
         return len(self.choices)
 
-    def is_decided(self, v):
-        return v <= self.frontier
-
-    def decision(self, v):
-        return self.choices[v - 1]
-
-    @property
-    def transmitting(self):
-        return frozenset(
-            v for v, on in enumerate(self.choices, start=1) if on
-        )
-
     @property
     def undecided(self):
         return range(self.frontier + 1, self.n + 1)
 
     def with_choice(self, on):
         return PartialAssignment(self.n, self.choices + (bool(on),))
-
-
-def _relevant_undecided(A, w, assign):
-    """Undecided transmitters that can change the receiver's outcome: its
-    neighbors plus anyone with nonzero weight on a link into it."""
-    rows = A.link_rows(w)
-    f_w = A.topo.f(w)
-    out = []
-    for v in assign.undecided:
-        if v in f_w or A.dense[rows, v - 1].any():
-            out.append(v)
-    return out
 
 
 def exact_selection_probability(A, w, assign, p, k_exact=K_EXACT):
@@ -132,35 +108,38 @@ def exact_selection_probability(A, w, assign, p, k_exact=K_EXACT):
     Enumerates all outcomes of the relevant undecided set; raises
     CapacityError past ``k_exact`` of them (nothing falls back to Monte
     Carlo; callers choose that mode up front). Irrelevant undecided
-    transmitters change no term and are skipped.
+    transmitters change no term and are skipped. ``link_success`` sees k + 2
+    columns: the relevant transmitters (bit i of outcome j), then one always
+    on, weighing the decided-on sum, and one always off for decided owners.
     """
     rows = A.link_rows(w)
-    relevant = _relevant_undecided(A, w, assign)
+    dense, owners = A.dense[rows], A.owners()[rows]
+    # Relevant: the receiver's neighbors and anyone weighing on its links.
+    hit = dense.any(axis=0)
+    hit[owners] = True
+    relevant = np.flatnonzero(hit[assign.frontier :]) + assign.frontier
     k = len(relevant)
     if k > k_exact:
         raise CapacityError(
             f"receiver {w}: {k} relevant undecided transmitters exceed {k_exact}"
         )
-    sub = A.dense[rows][:, [v - 1 for v in relevant]]  # (L_w, k)
-    decided_on = assign.transmitting
-    base = A.dense[rows][:, [v - 1 for v in decided_on]].sum(axis=1) \
-        if decided_on else np.zeros(len(rows))
-    owners = A.owners()[rows] + 1
-    pos = {v: i for i, v in enumerate(relevant)}
+    on = np.flatnonzero(assign.choices)
+    weights = np.column_stack(
+        [dense[:, relevant], dense[:, on].sum(axis=1), np.zeros(len(rows))]
+    )
+    column = np.full(A.n, k + 1)
+    column[on] = k
+    column[relevant] = np.arange(k)
 
     outcomes = np.arange(1 << k)
-    bits = (outcomes[:, None] >> np.arange(k)) & 1  # (2**k, k)
-    totals = base + bits @ sub.T  # (2**k, L_w)
-    owner_on = np.zeros((1 << k, len(rows)), dtype=bool)
-    for col, v in enumerate(owners):
-        if v in pos:
-            owner_on[:, col] = bits[:, pos[v]].astype(bool)
-        else:
-            owner_on[:, col] = assign.decision(v) if assign.is_decided(v) else False
-    selected = (owner_on & (totals < 1.0)).any(axis=1)
-    ones = bits.sum(axis=1)
-    weights = (p ** ones) * ((1.0 - p) ** (k - ones))
-    return float(weights[selected].sum())
+    transmit = np.zeros((1 << k, k + 2), dtype=bool)
+    transmit[:, :k] = (outcomes[:, None] >> np.arange(k)) & 1
+    transmit[:, k] = True
+    selected = link_success(weights, column[owners], transmit).any(axis=1)
+    ones = transmit[:, :k].sum(axis=1)
+    probability = (p ** ones) * ((1.0 - p) ** (k - ones))
+    # The outcome probabilities sum to 1 only up to rounding.
+    return min(1.0, float(probability[selected].sum()))
 
 
 def mc_selection_probability(A, w, assign, p, samples, seed, uniforms=None):
@@ -172,17 +151,12 @@ def mc_selection_probability(A, w, assign, p, samples, seed, uniforms=None):
     """
     if samples < 1:
         raise InstanceError("samples must be >= 1")
-    n = A.n
     if uniforms is None:
-        uniforms = np.random.default_rng(seed).random((samples, n))
+        uniforms = np.random.default_rng(seed).random((samples, A.n))
     transmit = uniforms[:samples] < p
-    for v in range(1, n + 1):
-        if assign.is_decided(v):
-            transmit[:, v - 1] = assign.decision(v)
+    transmit[:, : assign.frontier] = assign.choices
     rows = A.link_rows(w)
-    totals = transmit @ A.dense[rows].T  # (samples, L_w)
-    owner_on = transmit[:, A.owners()[rows]]
-    selected = (owner_on & (totals < 1.0)).any(axis=1)
+    selected = link_success(A.dense[rows], A.owners()[rows], transmit).any(axis=1)
     return float(selected.mean())
 
 
@@ -238,6 +212,12 @@ def deterministic_schedule(
     reset_at = 1.0 / (2.0 * b * char.abar) if char.abar > 0 else math.inf
     budget = greedy_slot_budget(n, char)
     master = np.random.default_rng(seed)
+
+    def estimate(w, assign, uniforms):
+        if exact:
+            return exact_selection_probability(A, w, assign, p)
+        return mc_selection_probability(A, w, assign, p, mc_samples, None, uniforms)
+
     slots = []
     p, r = 0.0, 0
     while any(buckets.values()):
@@ -252,41 +232,24 @@ def deterministic_schedule(
         target = sorted(buckets.get(r, ()))
         assign = PartialAssignment(n)
         for _ in range(n):
-            if exact:
-                e_true = sum(
-                    exact_selection_probability(A, w, assign.with_choice(True), p)
-                    for w in target
-                )
-                e_false = sum(
-                    exact_selection_probability(A, w, assign.with_choice(False), p)
-                    for w in target
-                )
-            else:
-                uniforms = master.random((mc_samples, n))
-                e_true = sum(
-                    mc_selection_probability(
-                        A, w, assign.with_choice(True), p, mc_samples, None,
-                        uniforms=uniforms,
-                    )
-                    for w in target
-                )
-                e_false = sum(
-                    mc_selection_probability(
-                        A, w, assign.with_choice(False), p, mc_samples, None,
-                        uniforms=uniforms,
-                    )
-                    for w in target
-                )
+            # Both branches share one block of draws (common random numbers).
+            uniforms = None if exact else master.random((mc_samples, n))
+            e_true, e_false = (
+                sum(estimate(w, assign.with_choice(on), uniforms) for w in target)
+                for on in (True, False)
+            )
             # Keeping the better branch can never fall below the mixture.
             assert max(e_true, e_false) >= p * e_true + (1.0 - p) * e_false - 1e-9
             assign = assign.with_choice(e_true > e_false)
-        slot = assign.transmitting
+        slot = np.array(assign.choices)
         slots.append(slot)
+        success = link_success(A.dense, A.owners(), slot)
+        selected = set((A.link_receivers()[success] + 1).tolist())
         for bucket in buckets.values():
-            bucket -= {w for w in bucket if is_selected(A, slot, w)}
+            bucket -= selected
         p /= b
         r += 1
-    return Schedule(n, slots)
+    return Schedule.from_mask(np.array(slots, dtype=bool).reshape(len(slots), n))
 
 
 @dataclass

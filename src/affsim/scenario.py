@@ -14,6 +14,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .core import AffectanceMatrix, InstanceError, LayerTopology, encode_radio_network
+from .core import _integer
 
 # Entries below this are truncated to 0; distant offices then cost no storage
 # and perturb no success outcome by more than n * 1e-6.
@@ -225,13 +226,15 @@ def save_office_spec(spec, path):
 
 def load_scenario(path):
     """Scenario spec file; ``offices`` may be a list, yielding one spec per
-    value (a size sweep)."""
+    value (a size sweep). Each value must be an integral number >= 1."""
     payload = _load_json_object(path)
     offices = payload.pop("offices", None)
     if offices is None:
         raise InstanceError(f"{path}: scenario needs an 'offices' field")
     values = offices if isinstance(offices, list) else [offices]
     try:
-        return [OfficeGridSpec(offices=int(v), **payload) for v in values]
+        return [OfficeGridSpec(offices=_integer(v, "offices"), **payload) for v in values]
     except TypeError as exc:
         raise InstanceError(f"{path}: bad scenario field ({exc})") from exc
+    except InstanceError as exc:
+        raise InstanceError(f"{path}: {exc}") from exc

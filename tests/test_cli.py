@@ -175,3 +175,26 @@ def test_sweep_mixed_instance_and_scenario(tmp_path, capsys):
     assert main(args + ["--out", str(offices)]) == 0
     assert main(args + ["--density", "2", "--dilution", "4", "--out", str(explicit)]) == 0
     assert offices.read_bytes() == explicit.read_bytes()
+
+
+@pytest.mark.parametrize("options", [
+    ["--density", "5"], ["--dilution", "2"], ["--density", "0", "--dilution", "0"],
+], ids=["density_alone", "dilution_alone", "zeros"])
+def test_sweep_sinr_needs_both_positive_options(tmp_path, capsys, options):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"offices": 2}))
+    code = main(["sweep", "--scenario", str(scenario), "--protocol", "sinr", *options,
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "--density and --dilution" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("offices", [2.7, "x"], ids=["non_integral", "not_a_number"])
+def test_generate_rejects_bad_office_count(tmp_path, capsys, offices):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"offices": offices}))
+    out = tmp_path / "inst.json"
+    assert main(["generate", "--scenario", str(scenario), "--out", str(out)]) == 1
+    assert "scenario.json" in capsys.readouterr().err
+    assert not out.exists()

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from affsim import (
@@ -12,24 +12,35 @@ from affsim import (
     ConstraintError,
     InstanceError,
     LayerTopology,
+    OfficeGridSpec,
     Schedule,
     UnknownLinkError,
     brute_force_max_avg_affectance,
     brute_force_min_selective,
     characterize,
     encode_radio_network,
+    generate_office_layer,
+    generate_random_instance,
     generate_rn_instance,
     is_selected,
     is_successful,
+    load_instance,
     max_avg_affectance_w,
+    save_instance,
     schedule_from_text,
     schedule_to_text,
     total_affectance,
     verify_selective,
 )
-from affsim.core import failure_constant, phase_count
+from affsim.core import failure_constant, link_success, phase_count
 
-from conftest import random_instances
+from conftest import (
+    random_instances,
+    selected_by_slot,
+    ten_tenths,
+    ten_tenths_case,
+    tie_cases,
+)
 
 
 def simple_pair():
@@ -172,6 +183,88 @@ class TestIsSelected:
         assert total_affectance(A, {1, 2}, (1, 1)) == pytest.approx(0.9)
         assert total_affectance(A, {1, 2}, (2, 1)) == pytest.approx(1.0)
         assert is_selected(A, {1, 2}, 1)
+
+
+def on_grid(dense):
+    scaled = dense * 2.0 ** 32
+    return bool(np.all(scaled == np.rint(scaled)))
+
+
+class TestWeightGrid:
+    @given(random_instances(max_n=7))
+    def test_random_weights_on_grid(self, A):
+        assert on_grid(A.dense)
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_office_layer(OfficeGridSpec(offices=4)),
+        lambda: generate_rn_instance(30, 5, 1),
+        ten_tenths,
+    ], ids=["office", "rn", "tenths"])
+    def test_generated_weights_on_grid(self, make):
+        assert on_grid(make().dense)
+
+    def test_rounds_to_nearest_grid_point(self):
+        A = ten_tenths()
+        assert A.a(2, (1, 1)) == round(0.1 * 2 ** 32) / 2 ** 32
+        assert abs(A.a(2, (1, 1)) - 0.1) <= 2.0 ** -33
+
+    def test_save_load_bit_identical(self, tmp_path):
+        for seed in range(5):
+            A = generate_random_instance(6, seed)
+            save_instance(A, tmp_path / "a.json")
+            B = load_instance(tmp_path / "a.json")
+            assert B.dense.tobytes() == A.dense.tobytes()
+            save_instance(B, tmp_path / "b.json")
+            assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_just_above_one_still_rejected(self):
+        topo = LayerTopology(2, ((1, 1), (2, 2)))
+        with pytest.raises(InstanceError):
+            AffectanceMatrix(topo, [(2, 1, 1, 1.0 + 1e-10)])
+        with pytest.raises(InstanceError):
+            AffectanceMatrix.from_dense(topo, np.array([[0.0, 1.0 + 1e-10], [0.0, 0.0]]))
+
+    def test_from_dense_rounds_its_own_array_in_place(self):
+        topo = LayerTopology(2, ((1, 1), (2, 2)))
+        dense = np.array([[0.0, 0.1], [0.0, 0.0]])
+        A = AffectanceMatrix.from_dense(topo, dense)
+        assert np.shares_memory(A.dense, dense)
+        assert dense[0, 1] == A.a(2, (1, 1)) != 0.1
+        frozen = np.array([[0.0, 0.1], [0.0, 0.0]])
+        frozen.flags.writeable = False
+        B = AffectanceMatrix.from_dense(topo, frozen)
+        assert frozen[0, 1] == 0.1 and B.dense[0, 1] == A.dense[0, 1]
+
+
+class TestTies:
+    def test_ten_tenths_not_selected(self):
+        A = ten_tenths()
+        everyone = set(range(1, 12))
+        assert total_affectance(A, everyone, (1, 1)) > 1.0
+        assert not is_successful(A, everyone, (1, 1))
+        assert not is_selected(A, everyone, 1)
+        assert verify_selective(A, Schedule(11, [everyone])).uncovered == {1}
+        assert not link_success(A.dense, A.owners(), np.ones(11, dtype=bool))[0]
+
+    @settings(max_examples=60)
+    @example(ten_tenths_case())
+    @given(tie_cases())
+    def test_kernel_matches_scalar_predicates(self, case):
+        A, mask = case
+        success = link_success(A.dense, A.owners(), mask)
+        for j, row in enumerate(mask):
+            slot = set((np.flatnonzero(row) + 1).tolist())
+            assert success[j].tolist() == [
+                is_successful(A, slot, link) for link in A.topo.links]
+            for link in A.topo.links:
+                total = total_affectance(A, slot, link)
+                terms = A.dense[A.topo.link_row(link)] * row
+                # Exact: every summation order gives the same total.
+                assert total == math.fsum(terms) == sum(terms[::-1])
+        selected = selected_by_slot(A, mask)
+        first = {w: int(np.argmax(selected[:, w - 1])) + 1
+                 for w in A.topo.receivers if selected[:, w - 1].any()}
+        assert verify_selective(A, Schedule.from_mask(mask)).first_slot == first
 
 
 class TestVerifySelective:

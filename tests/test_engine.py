@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from affsim import (
@@ -27,13 +27,14 @@ from affsim import (
     sinr_step,
     summarize,
     sweep,
+    verify_selective,
     write_csv,
 )
 from affsim import engine
 from affsim.engine import max_in_degree
 from affsim.protocols import randomized_phase_count
 
-from conftest import random_instances
+from conftest import random_instances, selected_by_slot, ten_tenths_case, tie_cases
 
 
 class TestRunSchedule:
@@ -190,6 +191,43 @@ class TestRunAdaptive:
 
     def test_max_in_degree(self, rn_star):
         assert max_in_degree(rn_star.topo) == 3
+
+
+class TestTies:
+    """Instances whose link totals land exactly on 1: the batched runs agree
+    with the scalar predicate slot for slot."""
+
+    @settings(max_examples=60)
+    @example(ten_tenths_case())
+    @given(tie_cases())
+    def test_run_schedule_matches_scalar(self, case):
+        A, mask = case
+        selected = selected_by_slot(A, mask)
+        for j in range(len(mask)):
+            record = run_schedule(A, Schedule.from_mask(mask[j : j + 1]))
+            assert sorted(record.first_success) == (np.flatnonzero(selected[j]) + 1).tolist()
+        record = run_schedule(A, Schedule.from_mask(mask))
+        assert replay_first_success(A, record) == record.first_success
+        assert verify_selective(A, Schedule.from_mask(mask)).first_slot == record.first_success
+
+    @settings(max_examples=30)
+    @example(ten_tenths_case())
+    @given(tie_cases())
+    def test_run_adaptive_matches_replay(self, case):
+        A, _ = case
+        # Density and dilution 1: every node fires in every round.
+        record = run_adaptive(A, "sinr", {"density": 1, "dilution": 1}, 0, 3)
+        assert record.transmit.all()
+        assert replay_first_success(A, record) == record.first_success
+        record = run_adaptive(A, "decay", {}, 0, 50)
+        assert replay_first_success(A, record) == record.first_success
+
+    def test_ten_tenths_never_selected(self):
+        A, _ = ten_tenths_case()
+        record = run_adaptive(A, "sinr", {"density": 1, "dilution": 1}, 0, 3)
+        assert not record.completed
+        assert 1 not in record.first_success
+        assert replay_first_success(A, record) == record.first_success
 
 
 class TestSweep:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from affsim import (
@@ -19,15 +19,17 @@ from affsim import (
     encode_radio_network,
     exact_selection_probability,
     generate_random_instance,
+    is_selected,
     mc_selection_probability,
     randomized_schedule,
     receiver_partition,
+    run_schedule,
     sinr_step,
     verify_selective,
 )
 from affsim.protocols import DecayState, greedy_slot_budget
 
-from conftest import random_instances
+from conftest import random_instances, selected_by_slot, ten_tenths_case, tie_cases
 
 
 def fake_char(abar, c, m):
@@ -153,6 +155,57 @@ class TestMonteCarloSelectionProbability:
             if abs(est - exact) > 5 * se:
                 failures += 1
         assert failures == 0
+
+
+def enumerated_selection_probability(A, w, assign, p):
+    """Oracle: sum over every outcome of all undecided transmitters of its
+    probability, where the scalar ``is_selected`` holds."""
+    on = {v for v, choice in enumerate(assign.choices, start=1) if choice}
+    undecided = list(assign.undecided)
+    total = 0.0
+    for outcome in range(1 << len(undecided)):
+        fire = {v for i, v in enumerate(undecided) if outcome >> i & 1}
+        if is_selected(A, on | fire, w):
+            total += p ** len(fire) * (1.0 - p) ** (len(undecided) - len(fire))
+    return total
+
+
+class TestTies:
+    """Instances whose link totals land exactly on 1: the estimators agree
+    with the scalar predicate."""
+
+    @settings(max_examples=60)
+    @example(ten_tenths_case())
+    @given(tie_cases())
+    def test_fully_decided_estimates_match_scalar(self, case):
+        A, mask = case
+        selected = selected_by_slot(A, mask)
+        for row, expected in zip(mask, selected):
+            assign = PartialAssignment(A.n, tuple(row.tolist()))
+            for w in A.topo.receivers:
+                want = float(expected[w - 1])
+                assert exact_selection_probability(A, w, assign, 0.5) == want
+                assert mc_selection_probability(A, w, assign, 0.5, 4, 0) == want
+
+    @settings(max_examples=40)
+    @example(ten_tenths_case(), 6)
+    @given(tie_cases(), st.integers(0, 8))
+    def test_partly_decided_matches_enumeration(self, case, frontier):
+        A, mask = case
+        assign = PartialAssignment(A.n, tuple(mask[0, : min(frontier, A.n)].tolist()))
+        for w in A.topo.receivers:
+            assert exact_selection_probability(A, w, assign, 0.5) == pytest.approx(
+                enumerated_selection_probability(A, w, assign, 0.5), abs=1e-12)
+
+    @settings(max_examples=20)
+    @example(ten_tenths_case())
+    @given(tie_cases(max_n=6))
+    def test_greedy_retires_what_the_run_selects(self, case):
+        A, _ = case
+        sched = deterministic_schedule(A, characterize(A))
+        report = verify_selective(A, sched)
+        assert report.selective
+        assert run_schedule(A, sched).first_success == report.first_slot
 
 
 class TestDeterministicSchedule:

@@ -282,6 +282,19 @@ class TestScenarioFiles:
         specs = load_scenario(path)
         assert [s.n for s in specs] == [6, 9, 12]
 
+    @pytest.mark.parametrize("offices", [2.7, "x", [2, 2.5], None, [[2]]],
+                             ids=["non_integral", "not_a_number", "in_list", "null", "nested"])
+    def test_bad_office_count_names_the_path(self, tmp_path, offices):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"offices": offices}))
+        with pytest.raises(InstanceError, match="scenario.json"):
+            load_scenario(path)
+
+    def test_integral_float_office_count_accepted(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"offices": [2.0, 3]}))
+        assert [s.offices for s in load_scenario(path)] == [2, 3]
+
     def test_missing_offices_rejected(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"reach": 5}))
