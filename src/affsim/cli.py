@@ -86,7 +86,9 @@ def build_parser():
                    choices=["randomized", "deterministic", "decay", "sinr"])
     p.add_argument("--seeds", type=int, default=1, help="number of seeds")
     p.add_argument("--seed-base", type=int, default=0)
-    p.add_argument("--max-rounds", type=int, default=MAX_ROUNDS_DEFAULT)
+    p.add_argument("--max-rounds", type=int, default=MAX_ROUNDS_DEFAULT,
+                   help="round cap of the decay and sinr baselines; "
+                        "schedules always run to their end")
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--m-override", type=int, default=None)
@@ -157,7 +159,7 @@ def _sweep_protocol(args, name, instance_id, office_spec):
     the instance's own office spec; an instance file has none."""
     if name == "randomized":
         opts = {"c": args.c}
-        if args.m_override:
+        if args.m_override is not None:
             opts["m_override"] = args.m_override
         return ProtocolSpec(name, opts)
     if name == "deterministic":

@@ -71,15 +71,13 @@ def _indices(table, n, what):
 
 
 def _integer(value, what):
-    """``value`` as an int if it is an integral number (a JSON number or a
-    numeric string); anything else is an InstanceError."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not number.is_integer():
+    """``value`` as an int if it is an integral JSON number (an int, or a
+    float such as 6.0); strings, booleans and anything else are an
+    InstanceError."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
         raise InstanceError(f"{what} must be an integer, got {value!r}")
-    return int(number)
+    return int(value)
 
 
 def _first(mask):
@@ -129,7 +127,7 @@ class LayerTopology:
 
     @classmethod
     def from_rows(cls, n, rows):
-        """Topology from parsed JSON: ``n`` an integral number, ``rows`` a
+        """Topology from parsed JSON: ``n`` an integral JSON number, ``rows`` a
         list of [v, w] pairs of integral numbers."""
         size = _integer(n, "n")
         links = _indices(_table(rows, 2, "links"), size, "link")

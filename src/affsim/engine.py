@@ -3,7 +3,6 @@ sweep harness that crosses instances x protocols x seeds into CSV rows."""
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,31 +60,54 @@ class RunRecord:
         }
 
 
-def _first_success(A, success):
-    """Earliest successful slot (1-based) of each receiver, from a (slots, L)
-    link-success mask: the first success of each link, then the minimum over
-    each receiver's links. Receivers never selected are absent."""
-    never = len(success)
-    hit = success.any(axis=0)
-    if not hit.any():
-        return {}
-    first = np.full(A.n, never)
-    np.minimum.at(first, A.link_receivers(), np.where(hit, success.argmax(axis=0), never))
-    covered = np.flatnonzero(first < never)
-    return dict(zip((covered + 1).tolist(), (first[covered] + 1).tolist()))
+# Slots of the first evaluation block; later blocks double, up to _MAX_BLOCK
+# (which bounds a block's (slots, links) product on long runs).
+_FIRST_BLOCK = 32
+_MAX_BLOCK = 1024
+
+
+def _first_success(A, slots, cap):
+    """Earliest successful slot (1-based) of each receiver within the first
+    ``cap`` slots; receivers never selected are absent.
+
+    ``slots(start, stop)`` returns the bool mask of slots start + 1..stop.
+    Each block goes through ``link_success`` on the link rows of uncovered
+    receivers only; a receiver's rows drop at its first success, and the
+    loop ends when none is left. Grid totals do not depend on summation
+    order and later slots cannot undo a first success, so the answer is
+    that of one pass over all ``cap`` slots. ``A.dense`` is read in place
+    until the first rows drop; only then is a smaller copy gathered.
+    """
+    receiver_of = A.link_receivers()
+    rows = np.arange(len(receiver_of))
+    weights, owners = A.dense, A.owners()
+    first = np.zeros(A.n, dtype=int)
+    done, size = 0, _FIRST_BLOCK
+    while done < cap and len(rows):
+        stop = min(done + size, cap)
+        success = link_success(weights, owners, slots(done, stop))
+        hit = success.any(axis=0)
+        if hit.any():
+            slot = np.full(A.n, stop - done)
+            np.minimum.at(slot, receiver_of[rows[hit]], success.argmax(axis=0)[hit])
+            covered = slot < stop - done
+            first[covered] = done + slot[covered] + 1
+            rows = rows[~covered[receiver_of[rows]]]
+            weights, owners = A.dense[rows], A.owners()[rows]
+        done, size = stop, min(2 * size, _MAX_BLOCK)
+    covered = np.flatnonzero(first)
+    return dict(zip((covered + 1).tolist(), first[covered].tolist()))
 
 
 def run_schedule(A, sched, protocol="schedule", seed=None):
-    """Evaluate every slot of a schedule in order (the full schedule is kept
-    for auditability even after all receivers are covered).
-
-    All slots are evaluated at once: the schedule's (slots, n) mask times
-    the transposed affectance matrix gives every link's total in every slot.
-    """
+    """Run a schedule: slots are evaluated in blocks only until every
+    receiver is covered, but the record keeps the whole schedule, for
+    auditability. There is no round cap."""
     if sched.n != A.n:
         raise InstanceError(f"schedule for n={sched.n} run on an instance with n={A.n}")
-    first = _first_success(A, link_success(A.dense, A.owners(), sched.mask))
-    return RunRecord(protocol, seed, sched.mask, first, len(first) == A.n)
+    mask = sched.mask
+    first = _first_success(A, lambda start, stop: mask[start:stop], len(mask))
+    return RunRecord(protocol, seed, mask, first, len(first) == A.n)
 
 
 def max_in_degree(topo):
@@ -128,9 +150,10 @@ def run_adaptive(A, policy, params, seed, max_rounds):
     are independent of iteration order. Every round is decided for all nodes
     at once; the values come from per-node pre-drawn blocks and are taken
     only where ``decay_step`` (firing nodes) or ``sinr_step`` (eligible
-    nodes) would draw, so runs match those per-node steps exactly. Each
-    round's transmit vector times the transposed affectance matrix gives its
-    link totals.
+    nodes) would draw, so runs match those per-node steps exactly. No
+    decision depends on feedback, so rounds are decided block by block for
+    ``_first_success``; the record keeps the rounds up to completion or the
+    cap and drops any decided past completion.
     """
     if max_rounds < 1:
         raise InstanceError("max_rounds must be >= 1")
@@ -165,17 +188,16 @@ def run_adaptive(A, policy, params, seed, max_rounds):
     else:
         raise InstanceError(f"unknown adaptive policy {policy!r}")
 
-    receiver_of = A.link_receivers()
-    covered = np.zeros(n, dtype=bool)
-    fires, successes = [], []
-    while len(fires) < max_rounds and not covered.all():
-        fire = decide(len(fires) + 1)
-        success = link_success(A.dense, A.owners(), fire)
-        covered[receiver_of[success]] = True
-        fires.append(fire)
-        successes.append(success)
-    first = _first_success(A, np.array(successes))
-    return RunRecord(policy, seed, np.array(fires), first, len(first) == n)
+    decided = []
+
+    def slots(start, stop):
+        decided.append(np.array([decide(rnd) for rnd in range(start + 1, stop + 1)]))
+        return decided[-1]
+
+    first = _first_success(A, slots, max_rounds)
+    completed = len(first) == n
+    rounds = max(first.values()) if completed else max_rounds
+    return RunRecord(policy, seed, np.concatenate(decided)[:rounds], first, completed)
 
 
 def replay_first_success(A, record):

@@ -226,7 +226,7 @@ def save_office_spec(spec, path):
 
 def load_scenario(path):
     """Scenario spec file; ``offices`` may be a list, yielding one spec per
-    value (a size sweep). Each value must be an integral number >= 1."""
+    value (a size sweep). Each value must be an integral JSON number >= 1."""
     payload = _load_json_object(path)
     offices = payload.pop("offices", None)
     if offices is None:

@@ -132,7 +132,10 @@ def test_bad_scenario_file_is_validation_error(tmp_path, capsys, command, conten
     {"n": "x", "links": [[1, 1]], "affectance": []},
     {"n": 2, "links": [[1, 1], [2, 2]], "affectance": [[2.7, 1, 1, 0.5]]},
     {"n": 2, "links": [[1, 1], [2, 2]], "affectance": [[2, 1, 1, 0.5], [2, 1, 1, 0.5]]},
-], ids=["long_link", "short_entry", "n_not_a_number", "non_integral", "duplicate"])
+    {"n": "6", "links": [[v, v] for v in range(1, 7)], "affectance": []},
+    {"n": True, "links": [[1, 1]], "affectance": []},
+], ids=["long_link", "short_entry", "n_not_a_number", "non_integral", "duplicate",
+        "n_numeric_string", "n_boolean"])
 def test_malformed_instance_file_is_validation_error(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
@@ -190,7 +193,8 @@ def test_sweep_sinr_needs_both_positive_options(tmp_path, capsys, options):
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("offices", [2.7, "x"], ids=["non_integral", "not_a_number"])
+@pytest.mark.parametrize("offices", [2.7, "x", "3", True],
+                         ids=["non_integral", "not_a_number", "numeric_string", "boolean"])
 def test_generate_rejects_bad_office_count(tmp_path, capsys, offices):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"offices": offices}))
@@ -198,3 +202,13 @@ def test_generate_rejects_bad_office_count(tmp_path, capsys, offices):
     assert main(["generate", "--scenario", str(scenario), "--out", str(out)]) == 1
     assert "scenario.json" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_rejects_zero_m_override(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"offices": 2}))
+    code = main(["sweep", "--scenario", str(scenario), "--protocol", "randomized",
+                 "--m-override", "0", "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "m_override" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()

@@ -31,6 +31,7 @@ from affsim import (
     write_csv,
 )
 from affsim import engine
+from affsim.core import link_success
 from affsim.engine import max_in_degree
 from affsim.protocols import randomized_phase_count
 
@@ -293,3 +294,157 @@ class TestSweep:
         stat = stats[("inst", "decay")]
         assert stat["runs"] == 3
         assert stat["median"] <= stat["max"]
+
+
+def full_mask_first_success(A, mask):
+    """Reference: one ``link_success`` over the whole (slots, n) mask, then
+    each receiver's earliest successful slot over its links."""
+    success = link_success(A.dense, A.owners(), mask)
+    first = {}
+    for row, w in enumerate((A.link_receivers() + 1).tolist()):
+        hits = np.flatnonzero(success[:, row])
+        if hits.size:
+            first[w] = min(first.get(w, len(mask)), int(hits[0]) + 1)
+    return first
+
+
+def isolated_links(n):
+    """One link (v, v) per receiver and no interference."""
+    return AffectanceMatrix(LayerTopology(n, tuple((v, v) for v in range(1, n + 1))))
+
+
+def one_slot_each(slots, length):
+    """Mask of ``length`` slots in which node v transmits only in slot
+    ``slots[v - 1]`` (1-based)."""
+    mask = np.zeros((length, len(slots)), dtype=bool)
+    mask[np.asarray(slots) - 1, np.arange(len(slots))] = True
+    return mask
+
+
+class TestBlockLoop:
+    """The block loop (blocks of 32 slots, doubling, pending link rows only)
+    against one full-mask evaluation of the same slots."""
+
+    LENGTHS = (0, 1, 5, 31, 32, 33, 95, 96, 97, 250, 600)
+
+    def instances(self):
+        yield from (generate_random_instance(2 + seed % 13, seed=seed) for seed in range(12))
+        yield from (generate_rn_instance(n, d, seed)
+                    for seed, (n, d) in enumerate([(20, 3), (60, 8), (120, 16)]))
+
+    def test_schedules_match_full_mask(self):
+        rng = np.random.default_rng(1)
+        for A in self.instances():
+            for length in self.LENGTHS:
+                mask = rng.random((length, A.n)) < rng.random() * 0.4
+                record = run_schedule(A, Schedule.from_mask(mask))
+                assert record.first_success == full_mask_first_success(A, mask)
+                assert record.completed == (len(record.first_success) == A.n)
+                assert np.array_equal(record.transmit, mask)
+
+    def test_randomized_schedules_match_full_mask(self):
+        for A in self.instances():
+            for seed in range(3):
+                sched = randomized_schedule(RandomizedParams(characterize(A), seed), A.n)
+                record = run_schedule(A, sched)
+                assert record.first_success == full_mask_first_success(A, sched.mask)
+                assert record.slots_executed == len(sched)
+
+    @pytest.mark.parametrize("slots", [
+        [32], [96], [1, 32], [31, 32], [32, 33], [96, 97], [5, 96], [97, 224, 225],
+    ])
+    def test_completion_at_block_edges(self, slots):
+        A = isolated_links(len(slots))
+        mask = one_slot_each(slots, 300)
+        record = run_schedule(A, Schedule.from_mask(mask))
+        assert record.first_success == dict(enumerate(slots, start=1))
+        assert record.rounds == max(slots)
+        assert record.slots_executed == 300
+
+    @pytest.mark.parametrize("last, cap, blocks", [
+        (32, 1000, [(0, 32)]),
+        (33, 1000, [(0, 32), (32, 96)]),
+        (96, 1000, [(0, 32), (32, 96)]),
+        (97, 1000, [(0, 32), (32, 96), (96, 224)]),
+        (None, 100, [(0, 32), (32, 96), (96, 100)]),
+        (None, 20, [(0, 20)]),
+    ])
+    def test_stops_at_completion(self, last, cap, blocks):
+        # Receiver 2 succeeds in slot ``last`` (never if None), receiver 1
+        # in slot 1; the loop asks for slots only until both are covered.
+        A = isolated_links(2)
+        mask = one_slot_each([1, last or cap + 1], cap + 1)[:cap]
+        asked = []
+
+        def slots(start, stop):
+            asked.append((start, stop))
+            return mask[start:stop]
+
+        first = engine._first_success(A, slots, cap)
+        assert asked == blocks
+        assert first == full_mask_first_success(A, mask)
+
+    def test_blocks_stop_doubling_at_max_block(self):
+        # A run that never completes asks for contiguous blocks whose size
+        # stops growing at _MAX_BLOCK (long truncated runs stay bounded).
+        A = isolated_links(2)
+        asked = []
+
+        def slots(start, stop):
+            asked.append((start, stop))
+            return np.zeros((stop - start, 2), dtype=bool)
+
+        assert engine._first_success(A, slots, 5000) == {}
+        assert [start for start, _ in asked[1:]] == [stop for _, stop in asked[:-1]]
+        assert asked[-1][1] == 5000
+        sizes = [stop - start for start, stop in asked]
+        assert sizes[:7] == [32, 64, 128, 256, 512, 1024, 1024]
+        assert max(sizes) == engine._MAX_BLOCK == 1024
+
+    def test_receiver_never_selected(self):
+        A, _ = ten_tenths_case()
+        mask = np.ones((100, A.n), dtype=bool)
+        record = run_schedule(A, Schedule.from_mask(mask))
+        assert record.first_success == full_mask_first_success(A, mask)
+        assert 1 not in record.first_success and not record.completed
+        record = run_adaptive(A, "sinr", {"density": 1, "dilution": 1}, 0, 70)
+        assert 1 not in record.first_success and not record.completed
+        assert record.transmit.shape == (70, A.n)
+
+    @pytest.mark.parametrize("max_rounds", [1, 5, 31, 32, 33, 100])
+    def test_truncated_run_keeps_every_round(self, mutually_blocking_pair, max_rounds):
+        params = {"density": 1, "dilution": 1}
+        record = run_adaptive(mutually_blocking_pair, "sinr", params, 0, max_rounds)
+        assert not record.completed and record.rounds is None
+        assert record.transmit.shape == (max_rounds, 2)
+        assert record.first_success == {}
+
+    @pytest.mark.parametrize("max_rounds", [1, 5, 31])
+    def test_adaptive_cap_below_one_block(self, max_rounds):
+        for seed in range(5):
+            A = generate_rn_instance(60, 8, seed)
+            for policy, params in [("decay", {}), ("sinr", {"density": 4, "dilution": 2})]:
+                record = run_adaptive(A, policy, params, seed, max_rounds)
+                slots, first = scalar_adaptive(A, policy, params, seed, max_rounds)
+                assert record.per_slot_transmitters == slots
+                assert record.first_success == first
+                assert record.slots_executed <= max_rounds
+
+    @pytest.mark.parametrize("n", [31, 32, 33, 96, 97])
+    def test_adaptive_completion_at_block_edges(self, n):
+        # Density 1, dilution n: node v fires alone in round v.
+        record = run_adaptive(isolated_links(n), "sinr", {"density": 1, "dilution": n}, 0, 500)
+        assert record.completed and record.rounds == n
+        assert record.first_success == {v: v for v in range(1, n + 1)}
+        assert record.transmit.shape == (n, n)
+
+    def test_completed_adaptive_record_ends_at_completion(self):
+        instances = [generate_rn_instance(60, 8, seed) for seed in range(5)]
+        instances += [generate_office_layer(OfficeGridSpec(offices=k)) for k in (2, 7, 14)]
+        for A in instances:
+            for seed in range(3):
+                for policy, params in [("decay", {}), ("sinr", {"density": 4, "dilution": 2})]:
+                    record = run_adaptive(A, policy, params, seed, 10 ** 5)
+                    assert record.completed
+                    assert record.slots_executed == record.rounds
+                    assert record.first_success == full_mask_first_success(A, record.transmit)

@@ -206,9 +206,11 @@ class TestInstanceFiles:
         {"n": "x", "links": [[1, 1]], "affectance": []},
         {"n": None, "links": [[1, 1]], "affectance": []},
         {"n": 1.5, "links": [[1, 1]], "affectance": []},
+        {"n": "6", "links": [[v, v] for v in range(1, 7)], "affectance": []},
+        {"n": True, "links": [[1, 1]], "affectance": []},
     ], ids=["long_link", "short_link", "short_entry", "ragged_entries",
             "non_numeric_value", "links_not_a_list", "n_not_a_number", "n_null",
-            "n_non_integral"])
+            "n_non_integral", "n_numeric_string", "n_boolean"])
     def test_malformed_rows_name_the_path(self, tmp_path, payload):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
@@ -282,8 +284,9 @@ class TestScenarioFiles:
         specs = load_scenario(path)
         assert [s.n for s in specs] == [6, 9, 12]
 
-    @pytest.mark.parametrize("offices", [2.7, "x", [2, 2.5], None, [[2]]],
-                             ids=["non_integral", "not_a_number", "in_list", "null", "nested"])
+    @pytest.mark.parametrize("offices", [2.7, "x", [2, 2.5], None, [[2]], "3", True, [2, True]],
+                             ids=["non_integral", "not_a_number", "in_list", "null", "nested",
+                                  "numeric_string", "boolean", "boolean_in_list"])
     def test_bad_office_count_names_the_path(self, tmp_path, offices):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"offices": offices}))
