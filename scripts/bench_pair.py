@@ -82,7 +82,7 @@ def git_state(tree):
 
 def summary(values):
     q1, median, q3 = statistics.quantiles(values, n=4)
-    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+    return {"median": median, "q1": q1, "q3": q3}
 
 
 def compare(spec, runs):
