@@ -2,17 +2,17 @@
 """Alternating parent/change runs of the affsim benchmark.
 
     python3 scripts/bench_pair.py --parent ../affsim-parent --change . \\
-        --label block_eval --pairs 10 --seed-base 700
+        --label block_eval --seed-base 700
 
 Both trees are checkouts of this repository. For every workload named in
-the change's ``BENCHMARK.json`` (or each ``--workload``), pair i runs
-``perfbench/run.py --seed <seed-base + i> --trace 0`` once in each tree,
-parent first on even pairs and change first on odd ones, so a drift in
-machine speed falls on both sides. The last line a run prints is its
+the change's ``BENCHMARK.json``, pair i of ``PAIRS`` runs
+``perfbench/run.py --seed <seed-base + i> --trace 0`` for that file's
+``run_seconds`` once in each tree, parent first on even pairs and change
+first on odd ones, so a drift in machine speed falls on both sides. The last line a run prints is its
 result; a run that exits non-zero or reports ``correct: false`` is kept
 and counted in ``incorrect_runs``.
 
-Writes ``BENCH_<label>.json`` into ``--out-dir``: the environment of each
+Writes ``BENCH_<label>.json`` into the change tree: the environment of each
 side (git sha, whether the tree had uncommitted changes, the SHA-256 of
 ``src/affsim/*.py`` as the benchmark computes it, Python, numpy, BLAS,
 nproc, CPU), and for every workload and end-to-end metric both sides'
@@ -30,6 +30,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# Alternating pairs per workload: a claimed gain is judged on ten pairs.
+PAIRS = 10
 
 
 def parse_args(argv):
@@ -37,17 +39,8 @@ def parse_args(argv):
     parser.add_argument("--parent", required=True, type=Path, help="parent checkout")
     parser.add_argument("--change", required=True, type=Path, help="changed checkout")
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
-    parser.add_argument("--workload", action="append", default=[],
-                        help="workload to run (repeatable; default: all)")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed-base", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: run_seconds of BENCHMARK.json)")
-    parser.add_argument("--out-dir", type=Path, default=Path("."))
-    args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 (quartiles need two values)")
-    return args
+    return parser.parse_args(argv)
 
 
 def run_once(tree, workload, seed, seconds):
@@ -106,15 +99,14 @@ def main(argv=None):
     args = parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     env = {side: git_state(tree) for side, tree in trees.items()}
     report = {"label": args.label, "seconds": seconds, "seed_base": args.seed_base,
-              "pairs": args.pairs, "environment": env, "workloads": {}}
+              "pairs": PAIRS, "environment": env, "workloads": {}}
     incorrect = 0
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             seed = args.seed_base + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
@@ -129,7 +121,7 @@ def main(argv=None):
                   flush=True)
         report["workloads"][workload] = compare(spec, runs)
     report["incorrect_runs"] = incorrect
-    path = args.out_dir / f"BENCH_{args.label}.json"
+    path = trees["change"] / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {path}")
     return 1 if incorrect else 0

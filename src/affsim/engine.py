@@ -114,30 +114,33 @@ def max_in_degree(topo):
     return max(len(topo.f(w)) for w in topo.receivers)
 
 
-# Values each node draws from its generator at a time in run_adaptive; any
-# size gives the same streams.
-DRAW_BLOCK = 32
-
-
 class _NodeDraws:
-    """Per-node uniform streams, ``default_rng([seed, v])`` for node v, drawn
-    in blocks of ``DRAW_BLOCK``. ``rng.random(k)`` yields the same values as k
-    scalar ``rng.random()`` calls, so taking values only where the scalar
-    per-node step would draw one keeps every stream byte-identical."""
+    """Per-node uniform streams, ``default_rng([seed, v])`` for node v, read
+    ahead in blocks. ``rng.random(k)`` yields the same values as k scalar
+    ``rng.random()`` calls, so consuming exactly the values the scalar
+    per-node step would draw keeps every stream byte-identical."""
 
     def __init__(self, seed, n):
         self.rngs = [np.random.default_rng([seed, v]) for v in range(1, n + 1)]
-        self.block = np.empty((n, DRAW_BLOCK))
-        self.pos = np.full(n, DRAW_BLOCK)
+        self.buffer = np.empty((n, 0))
+        self.pos = np.zeros(n, dtype=int)
 
-    def take(self, nodes):
-        """Next value of each listed node's stream (0-based, no repeats)."""
-        for v in nodes[self.pos[nodes] == DRAW_BLOCK]:
-            self.block[v] = self.rngs[v].random(DRAW_BLOCK)
-            self.pos[v] = 0
-        values = self.block[nodes, self.pos[nodes]]
-        self.pos[nodes] += 1
-        return values
+    def peek(self, k):
+        """(n, k) array of each node's next k values; ``advance`` consumes
+        them."""
+        n, width = self.buffer.shape
+        if k > width - self.pos.max():
+            # Refill every row at once: the row widths of a 2-D buffer match.
+            buffer = np.empty((n, max(k, width)))
+            for v, rng in enumerate(self.rngs):
+                rest = self.buffer[v, self.pos[v]:]
+                buffer[v, :len(rest)] = rest
+                buffer[v, len(rest):] = rng.random(buffer.shape[1] - len(rest))
+            self.buffer, self.pos = buffer, np.zeros(n, dtype=int)
+        return np.take_along_axis(self.buffer, self.pos[:, None] + np.arange(k), axis=1)
+
+    def advance(self, used):
+        self.pos += used
 
 
 def run_adaptive(A, policy, params, seed, max_rounds):
@@ -147,13 +150,13 @@ def run_adaptive(A, policy, params, seed, max_rounds):
     The stop-when-all-covered guard uses global knowledge; it is a
     termination-detection device of the simulation, not of the protocol.
     Each node draws from its own substream of the master seed so decisions
-    are independent of iteration order. Every round is decided for all nodes
-    at once; the values come from per-node pre-drawn blocks and are taken
-    only where ``decay_step`` (firing nodes) or ``sinr_step`` (eligible
-    nodes) would draw, so runs match those per-node steps exactly. No
-    decision depends on feedback, so rounds are decided block by block for
-    ``_first_success``; the record keeps the rounds up to completion or the
-    cap and drops any decided past completion.
+    are independent of iteration order. No decision depends on feedback, so
+    ``_first_success`` asks for whole blocks of rounds, and each block is
+    decided for all nodes at once: values are consumed only where
+    ``decay_step`` (firing nodes) or ``sinr_step`` (eligible nodes) would
+    draw, so runs match those per-node steps exactly. The record keeps the
+    rounds up to completion or the cap and drops any decided past
+    completion.
     """
     if max_rounds < 1:
         raise InstanceError("max_rounds must be >= 1")
@@ -162,14 +165,30 @@ def run_adaptive(A, policy, params, seed, max_rounds):
     if policy == "decay":
         period = decay_period(params.get("delta") or max_in_degree(A.topo))
         on = np.zeros(n, dtype=bool)
+        nodes = np.arange(n)
 
-        def decide(rnd):
-            # Every node's period counter is (rnd - 1) % period.
-            if (rnd - 1) % period == 0:
-                on[:] = True
-            fire = on.copy()
-            nodes = np.flatnonzero(fire)
-            on[nodes] = draws.take(nodes) >= 0.5
+        def decide(start, stop):
+            # A node fires from each period start (round 1 mod period) and,
+            # drawing once per firing, stays on while it draws >= 0.5: its
+            # firings in a period are a run of rounds that use consecutive
+            # values, up to and including its first draw < 0.5.
+            k = stop - start
+            low = np.where(draws.peek(k) < 0.5, np.arange(k), k)
+            next_low = np.minimum.accumulate(low[:, ::-1], axis=1)[:, ::-1]
+            used = np.zeros(n, dtype=int)
+            fire = np.empty((k, n), dtype=bool)
+            a = start
+            while a < stop:
+                b = min(stop, a + period - a % period)
+                if a % period == 0:
+                    on[:] = True
+                high = next_low[nodes, used] - used
+                count = on * np.minimum(b - a, high + 1)
+                fire[a - start:b - start] = np.arange(b - a)[:, None] < count
+                on[:] &= high >= b - a
+                used += count
+                a = b
+            draws.advance(used)
             return fire
 
     elif policy == "sinr":
@@ -179,11 +198,13 @@ def run_adaptive(A, policy, params, seed, max_rounds):
             raise InstanceError("density and dilution must be >= 1")
         residue = np.arange(1, n + 1) % dilution
 
-        def decide(rnd):
-            nodes = np.flatnonzero(residue == rnd % dilution)
-            fire = np.zeros(n, dtype=bool)
-            fire[nodes] = draws.take(nodes) < 1.0 / density
-            return fire
+        def decide(start, stop):
+            eligible = residue == (np.arange(start + 1, stop + 1) % dilution)[:, None]
+            # The j-th eligible round of a node uses its j-th next value.
+            index = np.maximum(np.cumsum(eligible, axis=0) - 1, 0)
+            values = np.take_along_axis(draws.peek(stop - start).T, index, axis=0)
+            draws.advance(eligible.sum(axis=0))
+            return eligible & (values < 1.0 / density)
 
     else:
         raise InstanceError(f"unknown adaptive policy {policy!r}")
@@ -191,7 +212,7 @@ def run_adaptive(A, policy, params, seed, max_rounds):
     decided = []
 
     def slots(start, stop):
-        decided.append(np.array([decide(rnd) for rnd in range(start + 1, stop + 1)]))
+        decided.append(decide(start, stop))
         return decided[-1]
 
     first = _first_success(A, slots, max_rounds)

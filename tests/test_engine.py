@@ -154,8 +154,40 @@ class TestRunAdaptive:
             A = generate_rn_instance(60, 8, seed)
             self.assert_matches_scalar(A, "decay", {}, seed)
             self.assert_matches_scalar(A, "sinr", {"density": 4, "dilution": 2}, seed)
-            # Long enough to refill the per-node draw blocks.
+            # Long enough to cross blocks and refill the per-node read-ahead.
             self.assert_matches_scalar(A, "sinr", {"density": 60, "dilution": 1}, seed, 80)
+
+    @pytest.mark.parametrize("policy, params", [
+        ("decay", {"delta": 1}),  # period 1: every round starts a period
+        ("decay", {"delta": 5}),  # period 6 does not divide the blocks
+        ("decay", {"delta": 100}),  # period 14
+        ("sinr", {"density": 1, "dilution": 5}),
+        ("sinr", {"density": 3, "dilution": 40}),  # eligible less than once a block
+        ("sinr", {"density": 16, "dilution": 1}),
+    ])
+    def test_block_decisions_match_scalar_steps(self, policy, params):
+        # Caps that end inside, at and past the 32- and 64-round blocks.
+        for seed in range(3):
+            A = generate_rn_instance(30, 6, seed)
+            for max_rounds in (20, 32, 96, 150):
+                self.assert_matches_scalar(A, policy, params, seed, max_rounds)
+
+    def test_node_draws_follow_scalar_streams(self):
+        rng = np.random.default_rng(0)
+        draws = engine._NodeDraws(7, 4)
+        taken = [[] for _ in range(4)]
+        # Rows that use all or none of a peek leave ragged rests, so later
+        # peeks, also shorter ones, must refill some rows and keep others.
+        for k in (3, 32, 1, 64, 0, 40, 5, 90, 7):
+            values = draws.peek(k)
+            assert values.shape == (4, k)
+            used = np.r_[k, 0, rng.integers(0, k + 1, size=2)]
+            for v in range(4):
+                taken[v] += values[v, :used[v]].tolist()
+            draws.advance(used)
+        for v in range(4):
+            scalar = np.random.default_rng([7, v + 1])
+            assert taken[v] == [scalar.random() for _ in taken[v]]
 
     def test_single_link_decay_completes_first_round(self):
         topo = LayerTopology(1, ((1, 1),))
