@@ -131,12 +131,12 @@ class _NodeDraws:
         n, width = self.buffer.shape
         if k > width - self.pos.max():
             # Refill every row at once: the row widths of a 2-D buffer match.
-            buffer = np.empty((n, max(k, width)))
-            for v, rng in enumerate(self.rngs):
-                rest = self.buffer[v, self.pos[v]:]
-                buffer[v, :len(rest)] = rest
-                buffer[v, len(rest):] = rng.random(buffer.shape[1] - len(rest))
-            self.buffer, self.pos = buffer, np.zeros(n, dtype=int)
+            width = max(k, width)
+            parts = []
+            for row, start, rng in zip(self.buffer, self.pos.tolist(), self.rngs):
+                parts += [row[start:], rng.random(width - len(row) + start)]
+            self.buffer = np.concatenate(parts).reshape(n, width)
+            self.pos = np.zeros(n, dtype=int)
         return np.take_along_axis(self.buffer, self.pos[:, None] + np.arange(k), axis=1)
 
     def advance(self, used):
