@@ -119,6 +119,8 @@ def cmd_generate(args):
 
 
 def cmd_schedule(args):
+    if args.seed < 0:
+        raise InstanceError(f"--seed must be >= 0, got {args.seed}")
     A = load_instance(args.instance)
     char = characterize(A, c=args.c)
     if args.protocol == "randomized":
@@ -179,6 +181,8 @@ def _sweep_protocol(args, name, instance_id, office_spec):
 
 
 def cmd_sweep(args):
+    if args.seed_base < 0:
+        raise InstanceError(f"--seed-base must be >= 0, got {args.seed_base}")
     instances = _sweep_instances(args)
     if not args.protocol:
         raise InstanceError("sweep needs at least one --protocol")

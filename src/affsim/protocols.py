@@ -22,7 +22,8 @@ from .core import (
 )
 
 # Exact expectation engine: cap on the number of relevant undecided
-# transmitters enumerated per receiver (2**K outcomes).
+# transmitters enumerated per receiver (2**K outcomes). A greedy table may
+# hold 2**(K + 1): transmitter 1 is decided before the greedy reads it.
 K_EXACT = 20
 MC_SAMPLES_DEFAULT = 4096
 
@@ -101,45 +102,73 @@ class PartialAssignment:
         return PartialAssignment(self.n, self.choices + (bool(on),))
 
 
-def exact_selection_probability(A, w, assign, p, k_exact=K_EXACT):
-    """Probability that ``w`` is selected when each undecided transmitter
-    fires independently with probability p and decided ones act as assigned.
+def _outcome_table(A, w, choices, k_exact, first_read=0):
+    """Whether ``w`` is selected under each outcome of its relevant
+    undecided transmitters: (R, selected).
 
-    Enumerates all outcomes of the relevant undecided set; raises
-    CapacityError past ``k_exact`` of them (nothing falls back to Monte
-    Carlo; callers choose that mode up front). Irrelevant undecided
-    transmitters change no term and are skipped. ``link_success`` sees k + 2
-    columns: the relevant transmitters (bit i of outcome j), then one always
-    on, weighing the decided-on sum, and one always off for decided owners.
+    R holds, ascending, the 0-based transmitters from ``len(choices)`` on
+    that own or weigh on a link into ``w``; outcome j fires R[i] iff bit i
+    of j is set, and decided transmitters act as ``choices`` says. Raises
+    CapacityError, before anything of size 2**|R| is allocated, when more
+    than ``k_exact`` of R lie at or past ``first_read`` (the ones still
+    undecided when the table is first read). Each link's totals are built
+    by doubling from the decided-on sum, and a silent owner blocks its
+    link; grid sums are exact, so this agrees with ``link_success``.
     """
     rows = A.link_rows(w)
     dense, owners = A.dense[rows], A.owners()[rows]
-    # Relevant: the receiver's neighbors and anyone weighing on its links.
+    frontier = len(choices)
     hit = dense.any(axis=0)
     hit[owners] = True
-    relevant = np.flatnonzero(hit[assign.frontier :]) + assign.frontier
-    k = len(relevant)
+    relevant = np.flatnonzero(hit[frontier:]) + frontier
+    k = np.count_nonzero(relevant >= first_read)
     if k > k_exact:
         raise CapacityError(
             f"receiver {w}: {k} relevant undecided transmitters exceed {k_exact}"
         )
-    on = np.flatnonzero(assign.choices)
-    weights = np.column_stack(
-        [dense[:, relevant], dense[:, on].sum(axis=1), np.zeros(len(rows))]
-    )
-    column = np.full(A.n, k + 1)
-    column[on] = k
-    column[relevant] = np.arange(k)
+    base = dense[:, np.flatnonzero(choices)].sum(axis=1)
+    selected = np.zeros(1 << len(relevant), dtype=bool)
+    for row, owner, total in zip(dense, owners, base):
+        if owner < frontier and not choices[owner]:
+            continue
+        totals = np.empty(len(selected))
+        totals[0] = total
+        for i, u in enumerate(relevant):
+            low = totals[: 1 << i]
+            np.add(low, row[u], out=totals[1 << i : 2 << i])
+            if u == owner:
+                low[:] = np.inf
+        selected |= totals < 1.0
+    return relevant, selected
 
-    outcomes = np.arange(1 << k)
-    transmit = np.zeros((1 << k, k + 2), dtype=bool)
-    transmit[:, :k] = (outcomes[:, None] >> np.arange(k)) & 1
-    transmit[:, k] = True
-    selected = link_success(weights, column[owners], transmit).any(axis=1)
-    ones = transmit[:, :k].sum(axis=1)
-    probability = (p ** ones) * ((1.0 - p) ** (k - ones))
+
+def _selected_mass(selected, p, probabilities):
+    """Probability of the outcomes ``selected`` marks in a table (or strided
+    view) over k transmitters that fire independently with probability p.
+    ``probabilities`` caches each k's outcome probabilities for this p."""
+    k = len(selected).bit_length() - 1
+    if k not in probabilities:
+        ones = np.zeros(1, dtype=np.int64)
+        for _ in range(k):
+            ones = np.concatenate([ones, ones + 1])
+        probabilities[k] = (p ** ones) * ((1.0 - p) ** (k - ones))
     # The outcome probabilities sum to 1 only up to rounding.
-    return min(1.0, float(probability[selected].sum()))
+    return min(1.0, float(probabilities[k][selected].sum()))
+
+
+def exact_selection_probability(A, w, assign, p, k_exact=K_EXACT):
+    """Probability that ``w`` is selected when each undecided transmitter
+    fires independently with probability p and decided ones act as assigned.
+
+    Builds the outcome table of the relevant undecided transmitters and
+    sums the probabilities of the outcomes that select ``w``. Raises
+    CapacityError past ``k_exact`` of them, checked before the table is
+    built (nothing falls back to Monte Carlo; callers choose that mode up
+    front). The exact greedy builds such a table once per receiver and reads
+    slices of it instead of calling this.
+    """
+    _, selected = _outcome_table(A, w, assign.choices, k_exact)
+    return _selected_mass(selected, p, {})
 
 
 def mc_selection_probability(A, w, assign, p, samples, seed, uniforms=None):
@@ -200,8 +229,13 @@ def deterministic_schedule(
     retired from every bucket.
 
     In exact mode the result is guaranteed selective: the loop only exits
-    once every receiver was selected. Monte Carlo mode trades that worst-case
-    guarantee for tractability on wide instances.
+    once every receiver was selected. A receiver's outcome table is built
+    once, when it first becomes a target, after the ``K_EXACT`` check on its
+    relevant transmitters from transmitter 2 on, and dropped when the
+    receiver is retired. A decision reads the strided slice of the outcomes
+    that agree with the slot's decisions so far, only for the receivers the
+    decided transmitter is relevant to. Monte Carlo mode, the only one that
+    uses ``seed``, trades that guarantee for tractability on wide instances.
     """
     if mode not in ("exact", "monte_carlo", "mc"):
         raise InstanceError(f"unknown mode {mode!r}")
@@ -211,12 +245,9 @@ def deterministic_schedule(
     buckets = receiver_partition(A, char)
     reset_at = 1.0 / (2.0 * b * char.abar) if char.abar > 0 else math.inf
     budget = greedy_slot_budget(n, char)
-    master = np.random.default_rng(seed)
-
-    def estimate(w, assign, uniforms):
-        if exact:
-            return exact_selection_probability(A, w, assign, p)
-        return mc_selection_probability(A, w, assign, p, mc_samples, None, uniforms)
+    master = None if exact else np.random.default_rng(seed)
+    tables = {}
+    probabilities = {}
 
     slots = []
     p, r = 0.0, 0
@@ -230,23 +261,56 @@ def deterministic_schedule(
         if p <= reset_at:
             p, r = 1.0, 0
         target = sorted(buckets.get(r, ()))
+        probabilities.clear()
+        # Exact mode, per target: the view of its table that agrees with the
+        # slot's decisions so far, and the view's selection probability
+        # (None until read).
+        cursors = {}
+        for w in target if exact else ():
+            if w not in tables:
+                relevant, selected = _outcome_table(A, w, (), K_EXACT, first_read=1)
+                tables[w] = (set(relevant.tolist()), selected)
+            cursors[w] = (tables[w][1], None)
         assign = PartialAssignment(n)
-        for _ in range(n):
-            # Both branches share one block of draws (common random numbers).
-            uniforms = None if exact else master.random((mc_samples, n))
-            e_true, e_false = (
-                sum(estimate(w, assign.with_choice(on), uniforms) for w in target)
-                for on in (True, False)
-            )
+        for t in range(n):
+            if exact:
+                # Each target's cursor if t fires and if it stays silent. A
+                # relevant t is the lowest undecided bit: odd outcomes fire it.
+                branches = {}
+                for w, (view, value) in cursors.items():
+                    if t in tables[w][0]:
+                        branches[w] = [(half, _selected_mass(half, p, probabilities))
+                                       for half in (view[1::2], view[0::2])]
+                    else:
+                        if value is None:
+                            value = _selected_mass(view, p, probabilities)
+                        branches[w] = [(view, value)] * 2
+                e_true, e_false = (
+                    sum(branches[w][i][1] for w in target) for i in (0, 1)
+                )
+            else:
+                # Both branches share one block of draws (common random numbers).
+                uniforms = master.random((mc_samples, n))
+                e_true, e_false = (
+                    sum(mc_selection_probability(A, w, assign.with_choice(on), p,
+                                                 mc_samples, None, uniforms)
+                        for w in target)
+                    for on in (True, False)
+                )
             # Keeping the better branch can never fall below the mixture.
             assert max(e_true, e_false) >= p * e_true + (1.0 - p) * e_false - 1e-9
-            assign = assign.with_choice(e_true > e_false)
+            on = e_true > e_false
+            assign = assign.with_choice(on)
+            if exact:
+                cursors = {w: branch[0 if on else 1] for w, branch in branches.items()}
         slot = np.array(assign.choices)
         slots.append(slot)
         success = link_success(A.dense, A.owners(), slot)
         selected = set((A.link_receivers()[success] + 1).tolist())
         for bucket in buckets.values():
             bucket -= selected
+        for w in selected:
+            tables.pop(w, None)
         p /= b
         r += 1
     return Schedule.from_mask(np.array(slots, dtype=bool).reshape(len(slots), n))

@@ -212,3 +212,17 @@ def test_sweep_rejects_zero_m_override(tmp_path, capsys):
     assert code == 1
     assert "m_override" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["schedule", "--protocol", "deterministic", "--seed", "-1"],
+    ["schedule", "--protocol", "randomized", "--seed", "-1"],
+    ["sweep", "--protocol", "randomized", "--seed-base", "-3"],
+], ids=["deterministic", "randomized", "sweep"])
+def test_negative_seed_is_validation_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = main([command[0], "--instance", write_rn_star(tmp_path), *command[1:],
+                 "--out", str(out)])
+    assert code == 1
+    assert f"{command[-2]} must be >= 0, got {command[-1]}" in capsys.readouterr().err
+    assert not out.exists()

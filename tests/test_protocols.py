@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from affsim import (
     CapacityError,
     Characterization,
     LayerTopology,
+    OfficeGridSpec,
     PartialAssignment,
     RandomizedParams,
     characterize,
@@ -18,7 +20,9 @@ from affsim import (
     deterministic_schedule,
     encode_radio_network,
     exact_selection_probability,
+    generate_office_layer,
     generate_random_instance,
+    generate_rn_instance,
     is_selected,
     mc_selection_probability,
     randomized_schedule,
@@ -27,7 +31,8 @@ from affsim import (
     sinr_step,
     verify_selective,
 )
-from affsim.protocols import DecayState, greedy_slot_budget
+from affsim.core import link_success
+from affsim.protocols import K_EXACT, DecayState, greedy_slot_budget
 
 from conftest import random_instances, selected_by_slot, ten_tenths_case, tie_cases
 
@@ -101,7 +106,8 @@ class TestExactSelectionProbability:
     def test_capacity_error(self):
         topo = LayerTopology(4, ((1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (1, 3), (1, 4)))
         A = encode_radio_network(topo)
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError,
+                           match=r"^receiver 1: 4 relevant undecided transmitters exceed 3$"):
             exact_selection_probability(A, 1, PartialAssignment(4), 0.5, k_exact=3)
 
     def test_silent_to_transmit_monotone(self):
@@ -206,6 +212,162 @@ class TestTies:
         report = verify_selective(A, sched)
         assert report.selective
         assert run_schedule(A, sched).first_success == report.first_slot
+
+
+def matmul_selection_probability(A, w, assign, p, k_exact=K_EXACT):
+    """Reference: the earlier exact enumerator, one (2**k, k + 2) bit table
+    through ``link_success`` per call (relevant undecided columns, then an
+    always-on column weighing the decided-on sum, then an always-off one)."""
+    rows = A.link_rows(w)
+    dense, owners = A.dense[rows], A.owners()[rows]
+    hit = dense.any(axis=0)
+    hit[owners] = True
+    relevant = np.flatnonzero(hit[assign.frontier :]) + assign.frontier
+    k = len(relevant)
+    if k > k_exact:
+        raise CapacityError(
+            f"receiver {w}: {k} relevant undecided transmitters exceed {k_exact}"
+        )
+    on = np.flatnonzero(assign.choices)
+    weights = np.column_stack(
+        [dense[:, relevant], dense[:, on].sum(axis=1), np.zeros(len(rows))]
+    )
+    column = np.full(A.n, k + 1)
+    column[on] = k
+    column[relevant] = np.arange(k)
+    transmit = np.zeros((1 << k, k + 2), dtype=bool)
+    transmit[:, :k] = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    transmit[:, k] = True
+    selected = link_success(weights, column[owners], transmit).any(axis=1)
+    ones = transmit[:, :k].sum(axis=1)
+    probability = (p ** ones) * ((1.0 - p) ** (k - ones))
+    return min(1.0, float(probability[selected].sum()))
+
+
+def matmul_greedy(A, char):
+    """Reference: the exact greedy with every estimate a fresh
+    ``matmul_selection_probability`` call; returns the (slots, n) mask."""
+    buckets = receiver_partition(A, char)
+    reset_at = 1.0 / (2.0 * char.b * char.abar) if char.abar > 0 else math.inf
+    slots, p, r = [], 0.0, 0
+    while any(buckets.values()):
+        assert len(slots) < greedy_slot_budget(A.n, char)
+        if p <= reset_at:
+            p, r = 1.0, 0
+        target = sorted(buckets.get(r, ()))
+        assign = PartialAssignment(A.n)
+        for _ in range(A.n):
+            e_true, e_false = (
+                sum(matmul_selection_probability(A, w, assign.with_choice(on), p)
+                    for w in target)
+                for on in (True, False)
+            )
+            assign = assign.with_choice(e_true > e_false)
+        slots.append(assign.choices)
+        success = link_success(A.dense, A.owners(), np.array(assign.choices))
+        for bucket in buckets.values():
+            bucket -= set((A.link_receivers()[success] + 1).tolist())
+        p /= char.b
+        r += 1
+    return np.array(slots, dtype=bool).reshape(len(slots), A.n)
+
+
+# p = 1 opens every slot of the greedy; the odd value once summed above 1.
+PROBABILITIES = (1.0, 0.9, 0.5, 0.3, 0.22720823020625397)
+
+
+def assert_prefixes_match_matmul(A, choices):
+    """Every prefix of ``choices``, every receiver and every p in
+    PROBABILITIES: the outcome table gives the reference's exact float."""
+    for frontier in range(A.n + 1):
+        assign = PartialAssignment(A.n, tuple(bool(c) for c in choices[:frontier]))
+        for w in A.topo.receivers:
+            for p in PROBABILITIES:
+                got = exact_selection_probability(A, w, assign, p)
+                assert got == matmul_selection_probability(A, w, assign, p)
+
+
+def assert_greedy_matches_matmul(A):
+    char = characterize(A)
+    assert np.array_equal(deterministic_schedule(A, char).mask, matmul_greedy(A, char))
+
+
+def office(offices):
+    return generate_office_layer(OfficeGridSpec(offices=offices))
+
+
+def rn_star_instance():
+    return encode_radio_network(
+        LayerTopology(3, ((1, 1), (2, 1), (3, 1), (1, 2), (1, 3))))
+
+
+FIXED_INSTANCES = {
+    "rn_star": rn_star_instance,
+    "office_n6": lambda: office(2),
+    "office_n9": lambda: office(3),
+}
+
+
+class TestOutcomeTable:
+    """The outcome tables give bit for bit what the matmul enumerator gave,
+    and the greedy that reads them builds the same schedules."""
+
+    @settings(max_examples=20)
+    @example(ten_tenths_case())
+    @given(tie_cases(max_n=7))
+    def test_tie_instances_match_matmul(self, case):
+        A, mask = case
+        for row in mask:
+            assert_prefixes_match_matmul(A, row)
+
+    @settings(max_examples=30)
+    @given(random_instances(max_n=7), st.data())
+    def test_random_instances_match_matmul(self, A, data):
+        choices = data.draw(st.lists(st.booleans(), min_size=A.n, max_size=A.n))
+        assert_prefixes_match_matmul(A, choices)
+
+    @pytest.mark.parametrize("make", FIXED_INSTANCES.values(), ids=FIXED_INSTANCES.keys())
+    def test_fixed_instances_match_matmul(self, make):
+        A = make()
+        rng = np.random.default_rng(A.n)
+        for choices in (np.ones(A.n), np.zeros(A.n), rng.random(A.n) < 0.5):
+            assert_prefixes_match_matmul(A, choices)
+
+    @settings(max_examples=20)
+    @example(ten_tenths_case())
+    @given(tie_cases(max_n=6))
+    def test_greedy_matches_matmul_on_ties(self, case):
+        assert_greedy_matches_matmul(case[0])
+
+    @settings(max_examples=20)
+    @given(random_instances(max_n=7))
+    def test_greedy_matches_matmul_on_random(self, A):
+        assert_greedy_matches_matmul(A)
+
+    @pytest.mark.parametrize("make", [
+        *FIXED_INSTANCES.values(), lambda: generate_rn_instance(20, 3, [0, 0])
+    ], ids=[*FIXED_INSTANCES.keys(), "rn_n20"])
+    def test_greedy_matches_matmul_on_fixed(self, make):
+        assert_greedy_matches_matmul(make())
+
+    def test_office_n24_raises_before_any_table(self):
+        A = office(8)
+        char = characterize(A)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError) as info:
+                deterministic_schedule(A, char)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "receiver 1: 23 relevant undecided transmitters exceed 20"
+        # A table over 23 transmitters alone would take 2**23 bytes.
+        assert peak < 2 ** 20
+
+    def test_exact_mode_ignores_seed(self):
+        A = generate_random_instance(6, seed=2)
+        char = characterize(A)
+        assert deterministic_schedule(A, char, seed=-1) == deterministic_schedule(A, char)
 
 
 class TestDeterministicSchedule:
