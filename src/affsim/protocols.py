@@ -247,7 +247,7 @@ def deterministic_schedule(
     budget = greedy_slot_budget(n, char)
     master = None if exact else np.random.default_rng(seed)
     tables = {}
-    probabilities = {}
+    probabilities = {}  # outcome probabilities per k, at this slot's p
 
     slots = []
     p, r = 0.0, 0
@@ -268,8 +268,8 @@ def deterministic_schedule(
         cursors = {}
         for w in target if exact else ():
             if w not in tables:
-                relevant, selected = _outcome_table(A, w, (), K_EXACT, first_read=1)
-                tables[w] = (set(relevant.tolist()), selected)
+                relevant, outcomes = _outcome_table(A, w, (), K_EXACT, first_read=1)
+                tables[w] = (set(relevant.tolist()), outcomes)
             cursors[w] = (tables[w][1], None)
         assign = PartialAssignment(n)
         for t in range(n):
