@@ -36,14 +36,12 @@ from .engine import (
 )
 from .protocols import (
     DecayState,
-    PartialAssignment,
     RandomizedParams,
     ScheduleError,
     decay_period,
     decay_step,
     deterministic_schedule,
     exact_selection_probability,
-    mc_selection_probability,
     randomized_schedule,
     receiver_partition,
     sinr_step,

@@ -1,8 +1,8 @@
 """Command-line front end: generate instances, characterize them, build
 schedules, and run comparison sweeps.
 
-Exit codes: 0 success, 1 validation error, 2 capacity errors or sweeps whose
-results include truncated runs.
+Exit codes: 0 success, 1 validation error, 2 a greedy schedule over its slot
+budget or a sweep whose results include truncated runs.
 """
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import argparse
 import sys
 
 from .core import (
-    CapacityError,
     InstanceError,
     characterize,
     schedule_to_text,
@@ -39,7 +38,7 @@ from .scenario import (
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
-EXIT_CAPACITY = 2
+EXIT_INCOMPLETE = 2
 
 
 def _add_instance_args(parser, repeatable=False):
@@ -76,8 +75,6 @@ def build_parser():
     p.add_argument("--m-override", type=int, default=None)
     p.add_argument("--fallback", action="store_true",
                    help="size phases from n alone")
-    p.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    p.add_argument("--samples", type=int, default=4096)
 
     p = sub.add_parser("sweep", help="run instances x protocols x seeds to CSV")
     _add_instance_args(p, repeatable=True)
@@ -94,7 +91,6 @@ def build_parser():
     p.add_argument("--m-override", type=int, default=None)
     p.add_argument("--density", type=int, default=None)
     p.add_argument("--dilution", type=int, default=None)
-    p.add_argument("--mode", choices=["exact", "mc"], default="exact")
     return parser
 
 
@@ -132,8 +128,7 @@ def cmd_schedule(args):
         )
         sched = randomized_schedule(params, A.n)
     else:
-        sched = deterministic_schedule(A, char, mode=args.mode,
-                                       mc_samples=args.samples, seed=args.seed)
+        sched = deterministic_schedule(A, char)
     with open(args.out, "w") as fh:
         fh.write(schedule_to_text(sched))
     report = verify_selective(A, sched)
@@ -165,7 +160,7 @@ def _sweep_protocol(args, name, instance_id, office_spec):
             opts["m_override"] = args.m_override
         return ProtocolSpec(name, opts)
     if name == "deterministic":
-        return ProtocolSpec(name, {"c": args.c, "mode": args.mode})
+        return ProtocolSpec(name, {"c": args.c})
     if name == "sinr":
         given = (args.density, args.dilution)
         if given != (None, None):
@@ -212,7 +207,7 @@ def cmd_sweep(args):
         )
     if any(not row.completed for row in rows):
         print("warning: truncated runs present", file=sys.stderr)
-        return EXIT_CAPACITY
+        return EXIT_INCOMPLETE
     return EXIT_OK
 
 
@@ -229,9 +224,9 @@ def main(argv=None):
     except (InstanceError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (CapacityError, ScheduleError) as exc:
+    except ScheduleError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+        return EXIT_INCOMPLETE
 
 
 if __name__ == "__main__":

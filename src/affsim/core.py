@@ -469,7 +469,8 @@ def characterize(A, c=None):
     protocol constants.
 
     If ``c`` is omitted, the smallest admissible value is derived from the
-    instance and tightened by ``EPS_C`` (the formulas need c > 1 strictly).
+    instance and tightened by ``EPS_C`` (the formulas need c > 1 strictly);
+    a given ``c`` that is not a finite number above 1 raises ConstraintError.
     """
     topo = A.topo
     abar_w = tuple(max_avg_affectance_w(A, w) for w in topo.receivers)
@@ -478,8 +479,8 @@ def characterize(A, c=None):
     if c is None:
         c = max(1.0 + EPS_C, max(ratios) + EPS_C)
     else:
-        if c <= 1.0:
-            raise ConstraintError(f"c must exceed 1, got {c}")
+        if not 1.0 < c < math.inf:
+            raise ConstraintError(f"c must be a finite number above 1, got {c}")
         for w in topo.receivers:
             if abar_w[w - 1] > c * len(topo.f(w)):
                 raise ConstraintError(

@@ -265,12 +265,9 @@ def _run_protocol(A, spec, seed, max_rounds, cache):
         )
         return run_schedule(A, randomized_schedule(params, A.n), name, seed)
     if name == "deterministic":
-        mode = opts.get("mode", "exact")
-        # Exact mode ignores the seed; a Monte Carlo schedule depends on it.
-        key = ("det", opts.get("c"), mode, None if mode == "exact" else seed)
+        key = ("det", opts.get("c"))
         if key not in cache:
-            char = characterize(A, c=opts.get("c"))
-            cache[key] = deterministic_schedule(A, char, mode=mode, seed=seed)
+            cache[key] = deterministic_schedule(A, characterize(A, c=opts.get("c")))
         return run_schedule(A, cache[key], name, seed)
     if name in ("decay", "sinr"):
         return run_adaptive(A, name, opts, seed, max_rounds)

@@ -8,12 +8,11 @@ here as per-node step functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    AffectanceMatrix,
     CapacityError,
     Characterization,
     InstanceError,
@@ -21,11 +20,10 @@ from .core import (
     link_success,
 )
 
-# Exact expectation engine: cap on the number of relevant undecided
-# transmitters enumerated per receiver (2**K outcomes). A greedy table may
-# hold 2**(K + 1): transmitter 1 is decided before the greedy reads it.
+# Cap on the relevant undecided transmitters enumerated per receiver (2**K
+# outcomes). A greedy table may hold 2**(K + 1): transmitter 1 is decided
+# before the greedy reads it. Wider receivers use the pessimistic estimator.
 K_EXACT = 20
-MC_SAMPLES_DEFAULT = 4096
 
 
 class ScheduleError(RuntimeError):
@@ -78,54 +76,26 @@ def randomized_schedule(params, n):
     return Schedule.from_mask(include.reshape(phases * m, n))
 
 
-@dataclass(frozen=True)
-class PartialAssignment:
-    """Prefix of transmit/silent decisions; transmitters beyond the frontier
-    are undecided."""
-
-    n: int
-    choices: tuple = ()
-
-    def __post_init__(self):
-        if len(self.choices) > self.n:
-            raise InstanceError("more decisions than transmitters")
-
-    @property
-    def frontier(self):
-        return len(self.choices)
-
-    @property
-    def undecided(self):
-        return range(self.frontier + 1, self.n + 1)
-
-    def with_choice(self, on):
-        return PartialAssignment(self.n, self.choices + (bool(on),))
+def _relevant(A, w, frontier=0):
+    """The 0-based transmitters from ``frontier`` on that own or weigh on a
+    link into ``w``, ascending."""
+    rows = A.link_rows(w)
+    hit = A.dense[rows].any(axis=0)
+    hit[A.owners()[rows]] = True
+    return np.flatnonzero(hit[frontier:]) + frontier
 
 
-def _outcome_table(A, w, choices, k_exact, first_read=0):
-    """Whether ``w`` is selected under each outcome of its relevant
-    undecided transmitters: (R, selected).
-
-    R holds, ascending, the 0-based transmitters from ``len(choices)`` on
-    that own or weigh on a link into ``w``; outcome j fires R[i] iff bit i
-    of j is set, and decided transmitters act as ``choices`` says. Raises
-    CapacityError, before anything of size 2**|R| is allocated, when more
-    than ``k_exact`` of R lie at or past ``first_read`` (the ones still
-    undecided when the table is first read). Each link's totals are built
-    by doubling from the decided-on sum, and a silent owner blocks its
-    link; grid sums are exact, so this agrees with ``link_success``.
+def _outcome_table(A, w, choices, relevant):
+    """Whether ``w`` is selected under each outcome of ``relevant``, the
+    transmitters ``_relevant`` gives from ``len(choices)`` on: outcome j
+    fires relevant[i] iff bit i of j is set, and decided transmitters act as
+    ``choices`` says. Each link's totals are built by doubling from the
+    decided-on sum, and a silent owner blocks its link; grid sums are exact,
+    so this agrees with ``link_success``.
     """
     rows = A.link_rows(w)
     dense, owners = A.dense[rows], A.owners()[rows]
     frontier = len(choices)
-    hit = dense.any(axis=0)
-    hit[owners] = True
-    relevant = np.flatnonzero(hit[frontier:]) + frontier
-    k = np.count_nonzero(relevant >= first_read)
-    if k > k_exact:
-        raise CapacityError(
-            f"receiver {w}: {k} relevant undecided transmitters exceed {k_exact}"
-        )
     base = dense[:, np.flatnonzero(choices)].sum(axis=1)
     selected = np.zeros(1 << len(relevant), dtype=bool)
     for row, owner, total in zip(dense, owners, base):
@@ -139,7 +109,7 @@ def _outcome_table(A, w, choices, k_exact, first_read=0):
             if u == owner:
                 low[:] = np.inf
         selected |= totals < 1.0
-    return relevant, selected
+    return selected
 
 
 def _selected_mass(selected, p, probabilities):
@@ -156,37 +126,44 @@ def _selected_mass(selected, p, probabilities):
     return min(1.0, float(probabilities[k][selected].sum()))
 
 
-def exact_selection_probability(A, w, assign, p, k_exact=K_EXACT):
-    """Probability that ``w`` is selected when each undecided transmitter
-    fires independently with probability p and decided ones act as assigned.
+def exact_selection_probability(A, w, choices, p, k_exact=K_EXACT):
+    """Probability that ``w`` is selected when transmitters 1..len(choices)
+    act as the bools ``choices`` say and every later one fires independently
+    with probability p.
 
     Builds the outcome table of the relevant undecided transmitters and
-    sums the probabilities of the outcomes that select ``w``. Raises
-    CapacityError past ``k_exact`` of them, checked before the table is
-    built (nothing falls back to Monte Carlo; callers choose that mode up
-    front). The exact greedy builds such a table once per receiver and reads
-    slices of it instead of calling this.
+    sums the probabilities of the outcomes that select ``w``; raises
+    CapacityError past ``k_exact`` of them, before the table is built. The
+    greedy does not call this: it builds such a table once per receiver that
+    fits ``K_EXACT`` and reads slices of it, and scores wider receivers with
+    ``_pessimistic_estimates``. This stays as the exact oracle of tests.
     """
-    _, selected = _outcome_table(A, w, assign.choices, k_exact)
-    return _selected_mass(selected, p, {})
+    relevant = _relevant(A, w, len(choices))
+    if len(relevant) > k_exact:
+        raise CapacityError(
+            f"receiver {w}: {len(relevant)} relevant undecided transmitters exceed {k_exact}"
+        )
+    return _selected_mass(_outcome_table(A, w, choices, relevant), p, {})
 
 
-def mc_selection_probability(A, w, assign, p, samples, seed, uniforms=None):
-    """Monte Carlo estimate of the same selection probability.
+def _pessimistic_estimates(owners, receivers, q, totals):
+    """Raghavan's pessimistic estimator of each receiver's selection, for
+    links with 0-based ``owners`` and ``receivers`` and transmit
+    probabilities ``q`` (0 or 1 once decided):
 
-    ``uniforms`` may supply a fixed (samples, n) block of per-(sample,
-    transmitter) draws; the greedy shares one block across its two branch
-    evaluations so the comparison is paired (common random numbers).
+        L_w(q) = sum_v q_v (1 - total_(v,w)) - sum_{v < v'} q_v q_v'
+
+    over the owners v of w's links, where ``totals`` holds each link's
+    ``sum_u a(u, link) q_u``. Each term has at most one factor per
+    transmitter (a(v, (v, w)) = 0), so L_w is multilinear in q: its value at
+    q_t = p is the p-mixture of its values at q_t = 1 and 0. At a 0/1 vector
+    L_w <= 1 if w is selected and <= 0 if not: one owner on gives
+    1 - total, and k >= 2 owners on give at most k - k(k-1)/2.
     """
-    if samples < 1:
-        raise InstanceError("samples must be >= 1")
-    if uniforms is None:
-        uniforms = np.random.default_rng(seed).random((samples, A.n))
-    transmit = uniforms[:samples] < p
-    transmit[:, : assign.frontier] = assign.choices
-    rows = A.link_rows(w)
-    selected = link_success(A.dense[rows], A.owners()[rows], transmit).any(axis=1)
-    return float(selected.mean())
+    on = q[owners]
+    owned = np.bincount(receivers, on)
+    return (np.bincount(receivers, on * (1.0 - totals))
+            - (owned * owned - np.bincount(receivers, on * on)) / 2.0)
 
 
 def receiver_partition(A, char):
@@ -211,42 +188,36 @@ def greedy_slot_budget(n, char):
     return 10 * (1 + math.ceil(math.log2(max(n, 1))) * char.phases)
 
 
-def deterministic_schedule(
-    A,
-    char,
-    mode="exact",
-    mc_samples=MC_SAMPLES_DEFAULT,
-    seed=0,
-):
+def deterministic_schedule(A, char):
     """Conditional-expectation greedy schedule.
 
-    Per slot, transmitters are decided in ascending order by comparing the
-    expected number of still-pending receivers in the current bucket selected
-    when the transmitter fires versus stays silent, with the remaining
-    transmitters randomized at the slot's probability; ties go to silent.
-    The probability starts at 1, divides by b each slot, and resets to 1 once
-    it falls to 1/(2*b*abar). Receivers selected by the realized slot are
-    retired from every bucket.
+    Per slot, transmitters are decided in ascending order by comparing a
+    score of the still-pending receivers in the current bucket when the
+    transmitter fires versus stays silent, with the remaining transmitters
+    randomized at the slot's probability; ties go to silent. The probability
+    starts at 1, divides by b each slot, and resets to 1 once it falls to
+    1/(2*b*abar). Receivers selected by the realized slot are retired from
+    every bucket, and the loop only exits once every receiver was selected.
 
-    In exact mode the result is guaranteed selective: the loop only exits
-    once every receiver was selected. A receiver's outcome table is built
-    once, when it first becomes a target, after the ``K_EXACT`` check on its
-    relevant transmitters from transmitter 2 on, and dropped when the
-    receiver is retired. A decision reads the strided slice of the outcomes
-    that agree with the slot's decisions so far, only for the receivers the
-    decided transmitter is relevant to. Monte Carlo mode, the only one that
-    uses ``seed``, trades that guarantee for tractability on wide instances.
+    A receiver scores its selection probability while its relevant
+    transmitters from transmitter 2 on (transmitter 1 is decided before the
+    first read) fit ``K_EXACT``: its outcome table is built once, when it
+    first becomes a target, and dropped when it is retired, and a decision
+    reads the strided slice of the outcomes that agree with the slot's
+    decisions so far, only for the receivers the decided transmitter is
+    relevant to. A wider receiver scores Raghavan's pessimistic estimator
+    ``_pessimistic_estimates`` of the transmit probabilities q, over link
+    totals ``weights @ q`` that each decision updates by one column.
+    Both scores are multilinear in each undecided q_t, so the better branch
+    never scores below the slot's current score. The slot budget
+    (``ScheduleError``) stays as a safety net.
     """
-    if mode not in ("exact", "monte_carlo", "mc"):
-        raise InstanceError(f"unknown mode {mode!r}")
-    exact = mode == "exact"
     n = A.n
     b = char.b
     buckets = receiver_partition(A, char)
     reset_at = 1.0 / (2.0 * b * char.abar) if char.abar > 0 else math.inf
     budget = greedy_slot_budget(n, char)
-    master = None if exact else np.random.default_rng(seed)
-    tables = {}
+    tables = {}  # per receiver: (relevant set, outcome table), None if wide
     probabilities = {}  # outcome probabilities per k, at this slot's p
 
     slots = []
@@ -255,55 +226,59 @@ def deterministic_schedule(
         if len(slots) >= budget:
             raise ScheduleError(
                 f"greedy exceeded {budget} slots with pending receivers "
-                f"{sorted(set().union(*buckets.values()))}; this signals a "
-                "bug in exact mode or estimator noise in Monte Carlo mode"
+                f"{sorted(set().union(*buckets.values()))}; this signals a bug"
             )
         if p <= reset_at:
             p, r = 1.0, 0
         target = sorted(buckets.get(r, ()))
         probabilities.clear()
-        # Exact mode, per target: the view of its table that agrees with the
+        for w in target:
+            if w not in tables:
+                relevant = _relevant(A, w)
+                tables[w] = None
+                if np.count_nonzero(relevant) <= K_EXACT:  # counted from transmitter 2
+                    tables[w] = (set(relevant.tolist()), _outcome_table(A, w, (), relevant))
+        # Per exact target: the view of its table that agrees with the
         # slot's decisions so far, and the view's selection probability
         # (None until read).
-        cursors = {}
-        for w in target if exact else ():
-            if w not in tables:
-                relevant, outcomes = _outcome_table(A, w, (), K_EXACT, first_read=1)
-                tables[w] = (set(relevant.tolist()), outcomes)
-            cursors[w] = (tables[w][1], None)
-        assign = PartialAssignment(n)
+        cursors = {w: (tables[w][1], None) for w in target if tables[w] is not None}
+        # Wide targets: their links, and each link's total sum_u a(u, link) q_u.
+        wide = [w for w in target if tables[w] is None]
+        q = np.full(n, p)
+        if wide:
+            rows = np.concatenate([A.link_rows(w) for w in wide])
+            owners, receivers = A.owners()[rows], A.link_receivers()[rows]
+            columns = A.dense[rows].T.copy()  # contiguous per transmitter
+            totals = q @ columns
         for t in range(n):
-            if exact:
-                # Each target's cursor if t fires and if it stays silent. A
-                # relevant t is the lowest undecided bit: odd outcomes fire it.
-                branches = {}
-                for w, (view, value) in cursors.items():
-                    if t in tables[w][0]:
-                        branches[w] = [(half, _selected_mass(half, p, probabilities))
-                                       for half in (view[1::2], view[0::2])]
-                    else:
-                        if value is None:
-                            value = _selected_mass(view, p, probabilities)
-                        branches[w] = [(view, value)] * 2
-                e_true, e_false = (
-                    sum(branches[w][i][1] for w in target) for i in (0, 1)
-                )
-            else:
-                # Both branches share one block of draws (common random numbers).
-                uniforms = master.random((mc_samples, n))
-                e_true, e_false = (
-                    sum(mc_selection_probability(A, w, assign.with_choice(on), p,
-                                                 mc_samples, None, uniforms)
-                        for w in target)
-                    for on in (True, False)
-                )
+            # Each exact target's cursor if t fires and if it stays silent. A
+            # relevant t is the lowest undecided bit: odd outcomes fire it.
+            branches = {}
+            for w, (view, value) in cursors.items():
+                if t in tables[w][0]:
+                    branches[w] = [(half, _selected_mass(half, p, probabilities))
+                                   for half in (view[1::2], view[0::2])]
+                else:
+                    if value is None:
+                        value = _selected_mass(view, p, probabilities)
+                    branches[w] = [(view, value)] * 2
+            e_true, e_false = (sum(branch[i][1] for branch in branches.values())
+                               for i in (0, 1))
+            if wide:
+                q[t] = 1.0
+                e_true += _pessimistic_estimates(
+                    owners, receivers, q, totals + (1.0 - p) * columns[t]).sum()
+                q[t] = 0.0
+                e_false += _pessimistic_estimates(
+                    owners, receivers, q, totals - p * columns[t]).sum()
             # Keeping the better branch can never fall below the mixture.
             assert max(e_true, e_false) >= p * e_true + (1.0 - p) * e_false - 1e-9
             on = e_true > e_false
-            assign = assign.with_choice(on)
-            if exact:
-                cursors = {w: branch[0 if on else 1] for w, branch in branches.items()}
-        slot = np.array(assign.choices)
+            q[t] = on
+            if wide:
+                totals += (q[t] - p) * columns[t]
+            cursors = {w: branch[0 if on else 1] for w, branch in branches.items()}
+        slot = q == 1.0
         slots.append(slot)
         success = link_success(A.dense, A.owners(), slot)
         selected = set((A.link_receivers()[success] + 1).tolist())

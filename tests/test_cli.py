@@ -32,6 +32,13 @@ def test_characterize_missing_file_is_validation_error(tmp_path, capsys):
     assert main(["characterize", "--instance", str(tmp_path / "nope.json")]) == 1
 
 
+@pytest.mark.parametrize("c", ["nan", "inf"])
+def test_characterize_rejects_non_finite_c(tmp_path, capsys, c):
+    code = main(["characterize", "--instance", write_rn_star(tmp_path), "--c", c])
+    assert code == 1
+    assert f"c must be a finite number above 1, got {c}" in capsys.readouterr().err
+
+
 def test_generate_then_characterize(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"offices": 2}))
@@ -63,6 +70,15 @@ def test_deterministic_schedule_on_star(tmp_path, capsys):
     assert code == 0
     assert "slots=1 covered=3/3" in captured
     assert out.read_text().splitlines()[0] == "slots=1 n=3"
+
+
+def test_deterministic_schedule_past_exact_tables(tmp_path, capsys):
+    # Office n = 24: every receiver has 23 relevant transmitters, past K_EXACT.
+    out = tmp_path / "sched.txt"
+    code = main(["schedule", "--instance", write_office(tmp_path, offices=8),
+                 "--protocol", "deterministic", "--out", str(out)])
+    assert code == 0
+    assert "covered=24/24" in capsys.readouterr().out
 
 
 def test_sweep_row_count_and_determinism(tmp_path, capsys):

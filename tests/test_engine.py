@@ -293,20 +293,18 @@ class TestSweep:
         assert rows[0].rounds == 10
         assert not rows[0].completed
 
-    def test_mc_schedule_cached_per_seed(self, monkeypatch):
+    def test_deterministic_schedule_built_once_per_instance(self, monkeypatch):
         seen = []
 
-        def recording_schedule(A, char, mode, seed):
-            seen.append((mode, seed))
+        def recording_schedule(A, char):
+            seen.append(A.n)
             return Schedule(A.n, [{v} for v in A.topo.transmitters])
 
         monkeypatch.setattr(engine, "deterministic_schedule", recording_schedule)
-        specs = [
-            ProtocolSpec("deterministic", {"mode": "monte_carlo"}),
-            ProtocolSpec("deterministic"),
-        ]
-        sweep([self.instance()], specs, [5, 6, 5], max_rounds=500)
-        assert seen == [("monte_carlo", 5), ("monte_carlo", 6), ("exact", 5)]
+        instances = [self.instance(), ("other", generate_random_instance(5, seed=1))]
+        rows = sweep(instances, [ProtocolSpec("deterministic")], [5, 6, 5], max_rounds=500)
+        assert seen == [4, 5]
+        assert len(rows) == 6
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(InstanceError):

@@ -12,7 +12,6 @@ from affsim import (
     Characterization,
     LayerTopology,
     OfficeGridSpec,
-    PartialAssignment,
     RandomizedParams,
     characterize,
     decay_period,
@@ -24,7 +23,6 @@ from affsim import (
     generate_random_instance,
     generate_rn_instance,
     is_selected,
-    mc_selection_probability,
     randomized_schedule,
     receiver_partition,
     run_schedule,
@@ -32,7 +30,13 @@ from affsim import (
     verify_selective,
 )
 from affsim.core import link_success
-from affsim.protocols import K_EXACT, DecayState, greedy_slot_budget
+from affsim import protocols
+from affsim.protocols import (
+    K_EXACT,
+    DecayState,
+    _pessimistic_estimates,
+    greedy_slot_budget,
+)
 
 from conftest import random_instances, selected_by_slot, ten_tenths_case, tie_cases
 
@@ -88,19 +92,18 @@ class TestRandomizedSchedule:
 
 class TestExactSelectionProbability:
     def test_decided_transmit_no_interference(self, two_isolated_links):
-        assign = PartialAssignment(2, (True, True))
-        assert exact_selection_probability(two_isolated_links, 1, assign, 0.3) == 1.0
+        assert exact_selection_probability(two_isolated_links, 1, (True, True), 0.3) == 1.0
 
     def test_single_undecided_neighbor(self):
         topo = LayerTopology(1, ((1, 1),))
         A = AffectanceMatrix(topo)
-        prob = exact_selection_probability(A, 1, PartialAssignment(1), 0.5)
+        prob = exact_selection_probability(A, 1, (), 0.5)
         assert prob == pytest.approx(0.5)
 
     def test_rn_pair_exactly_one(self):
         topo = LayerTopology(2, ((1, 1), (2, 1), (1, 2)))
         A = encode_radio_network(topo)
-        prob = exact_selection_probability(A, 1, PartialAssignment(2), 0.5)
+        prob = exact_selection_probability(A, 1, (), 0.5)
         assert prob == pytest.approx(0.5)
 
     def test_capacity_error(self):
@@ -108,15 +111,15 @@ class TestExactSelectionProbability:
         A = encode_radio_network(topo)
         with pytest.raises(CapacityError,
                            match=r"^receiver 1: 4 relevant undecided transmitters exceed 3$"):
-            exact_selection_probability(A, 1, PartialAssignment(4), 0.5, k_exact=3)
+            exact_selection_probability(A, 1, (), 0.5, k_exact=3)
 
     def test_silent_to_transmit_monotone(self):
         # Flipping a zero-outgoing-affectance neighbor from silent to
         # transmitting can only help the receiver.
         topo = LayerTopology(2, ((1, 1), (2, 1), (1, 2)))
         A = AffectanceMatrix(topo, [(2, 1, 1, 0.4)])
-        silent = exact_selection_probability(A, 1, PartialAssignment(2, (False,)), 0.5)
-        loud = exact_selection_probability(A, 1, PartialAssignment(2, (True,)), 0.5)
+        silent = exact_selection_probability(A, 1, (False,), 0.5)
+        loud = exact_selection_probability(A, 1, (True,), 0.5)
         assert loud >= silent
 
     @given(random_instances(max_n=5), st.floats(0.0, 1.0), st.data())
@@ -125,49 +128,15 @@ class TestExactSelectionProbability:
         w = data.draw(st.sampled_from(list(A.topo.receivers)))
         k = data.draw(st.integers(0, A.n))
         choices = tuple(data.draw(st.booleans()) for _ in range(k))
-        prob = exact_selection_probability(A, w, PartialAssignment(A.n, choices), p)
+        prob = exact_selection_probability(A, w, choices, p)
         assert 0.0 <= prob <= 1.0
 
 
-class TestMonteCarloSelectionProbability:
-    def test_converges_to_exact(self):
-        topo = LayerTopology(1, ((1, 1),))
-        A = AffectanceMatrix(topo)
-        est = mc_selection_probability(A, 1, PartialAssignment(1), 0.5, 10 ** 4, 3)
-        assert abs(est - 0.5) <= 3 * math.sqrt(0.25 / 10 ** 4)
-
-    def test_single_sample_is_indicator(self):
-        topo = LayerTopology(1, ((1, 1),))
-        A = AffectanceMatrix(topo)
-        est = mc_selection_probability(A, 1, PartialAssignment(1), 0.5, 1, 0)
-        assert est in (0.0, 1.0)
-
-    def test_seed_determinism(self):
-        A = generate_random_instance(5, seed=11)
-        args = (A, 2, PartialAssignment(5, (True,)), 0.4, 500, 99)
-        assert mc_selection_probability(*args) == mc_selection_probability(*args)
-
-    def test_paired_with_exact_within_five_sigma(self):
-        samples = 2000
-        failures = 0
-        for trial in range(100):
-            A = generate_random_instance(5, seed=1000 + trial)
-            w = trial % 5 + 1
-            p = 0.3
-            assign = PartialAssignment(5, (trial % 2 == 0,))
-            exact = exact_selection_probability(A, w, assign, p)
-            est = mc_selection_probability(A, w, assign, p, samples, trial)
-            se = math.sqrt(max(exact * (1 - exact), 1e-12) / samples)
-            if abs(est - exact) > 5 * se:
-                failures += 1
-        assert failures == 0
-
-
-def enumerated_selection_probability(A, w, assign, p):
+def enumerated_selection_probability(A, w, choices, p):
     """Oracle: sum over every outcome of all undecided transmitters of its
     probability, where the scalar ``is_selected`` holds."""
-    on = {v for v, choice in enumerate(assign.choices, start=1) if choice}
-    undecided = list(assign.undecided)
+    on = {v for v, choice in enumerate(choices, start=1) if choice}
+    undecided = list(range(len(choices) + 1, A.n + 1))
     total = 0.0
     for outcome in range(1 << len(undecided)):
         fire = {v for i, v in enumerate(undecided) if outcome >> i & 1}
@@ -177,8 +146,8 @@ def enumerated_selection_probability(A, w, assign, p):
 
 
 class TestTies:
-    """Instances whose link totals land exactly on 1: the estimators agree
-    with the scalar predicate."""
+    """Instances whose link totals land exactly on 1: the exact selection
+    probability agrees with the scalar predicate."""
 
     @settings(max_examples=60)
     @example(ten_tenths_case())
@@ -187,21 +156,19 @@ class TestTies:
         A, mask = case
         selected = selected_by_slot(A, mask)
         for row, expected in zip(mask, selected):
-            assign = PartialAssignment(A.n, tuple(row.tolist()))
             for w in A.topo.receivers:
                 want = float(expected[w - 1])
-                assert exact_selection_probability(A, w, assign, 0.5) == want
-                assert mc_selection_probability(A, w, assign, 0.5, 4, 0) == want
+                assert exact_selection_probability(A, w, tuple(row.tolist()), 0.5) == want
 
     @settings(max_examples=40)
     @example(ten_tenths_case(), 6)
     @given(tie_cases(), st.integers(0, 8))
     def test_partly_decided_matches_enumeration(self, case, frontier):
         A, mask = case
-        assign = PartialAssignment(A.n, tuple(mask[0, : min(frontier, A.n)].tolist()))
+        choices = tuple(mask[0, : min(frontier, A.n)].tolist())
         for w in A.topo.receivers:
-            assert exact_selection_probability(A, w, assign, 0.5) == pytest.approx(
-                enumerated_selection_probability(A, w, assign, 0.5), abs=1e-12)
+            assert exact_selection_probability(A, w, choices, 0.5) == pytest.approx(
+                enumerated_selection_probability(A, w, choices, 0.5), abs=1e-12)
 
     @settings(max_examples=20)
     @example(ten_tenths_case())
@@ -214,7 +181,7 @@ class TestTies:
         assert run_schedule(A, sched).first_success == report.first_slot
 
 
-def matmul_selection_probability(A, w, assign, p, k_exact=K_EXACT):
+def matmul_selection_probability(A, w, choices, p, k_exact=K_EXACT):
     """Reference: the earlier exact enumerator, one (2**k, k + 2) bit table
     through ``link_success`` per call (relevant undecided columns, then an
     always-on column weighing the decided-on sum, then an always-off one)."""
@@ -222,13 +189,13 @@ def matmul_selection_probability(A, w, assign, p, k_exact=K_EXACT):
     dense, owners = A.dense[rows], A.owners()[rows]
     hit = dense.any(axis=0)
     hit[owners] = True
-    relevant = np.flatnonzero(hit[assign.frontier :]) + assign.frontier
+    relevant = np.flatnonzero(hit[len(choices) :]) + len(choices)
     k = len(relevant)
     if k > k_exact:
         raise CapacityError(
             f"receiver {w}: {k} relevant undecided transmitters exceed {k_exact}"
         )
-    on = np.flatnonzero(assign.choices)
+    on = np.flatnonzero(choices)
     weights = np.column_stack(
         [dense[:, relevant], dense[:, on].sum(axis=1), np.zeros(len(rows))]
     )
@@ -255,16 +222,16 @@ def matmul_greedy(A, char):
         if p <= reset_at:
             p, r = 1.0, 0
         target = sorted(buckets.get(r, ()))
-        assign = PartialAssignment(A.n)
+        choices = ()
         for _ in range(A.n):
             e_true, e_false = (
-                sum(matmul_selection_probability(A, w, assign.with_choice(on), p)
+                sum(matmul_selection_probability(A, w, choices + (on,), p)
                     for w in target)
                 for on in (True, False)
             )
-            assign = assign.with_choice(e_true > e_false)
-        slots.append(assign.choices)
-        success = link_success(A.dense, A.owners(), np.array(assign.choices))
+            choices += (e_true > e_false,)
+        slots.append(choices)
+        success = link_success(A.dense, A.owners(), np.array(choices))
         for bucket in buckets.values():
             bucket -= set((A.link_receivers()[success] + 1).tolist())
         p /= char.b
@@ -280,11 +247,11 @@ def assert_prefixes_match_matmul(A, choices):
     """Every prefix of ``choices``, every receiver and every p in
     PROBABILITIES: the outcome table gives the reference's exact float."""
     for frontier in range(A.n + 1):
-        assign = PartialAssignment(A.n, tuple(bool(c) for c in choices[:frontier]))
+        prefix = tuple(bool(c) for c in choices[:frontier])
         for w in A.topo.receivers:
             for p in PROBABILITIES:
-                got = exact_selection_probability(A, w, assign, p)
-                assert got == matmul_selection_probability(A, w, assign, p)
+                got = exact_selection_probability(A, w, prefix, p)
+                assert got == matmul_selection_probability(A, w, prefix, p)
 
 
 def assert_greedy_matches_matmul(A):
@@ -350,24 +317,82 @@ class TestOutcomeTable:
     def test_greedy_matches_matmul_on_fixed(self, make):
         assert_greedy_matches_matmul(make())
 
-    def test_office_n24_raises_before_any_table(self):
+    def test_office_n24_is_scheduled_without_a_table(self):
         A = office(8)
         char = characterize(A)
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityError) as info:
-                deterministic_schedule(A, char)
+            sched = deterministic_schedule(A, char)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert str(info.value) == "receiver 1: 23 relevant undecided transmitters exceed 20"
-        # A table over 23 transmitters alone would take 2**23 bytes.
+        assert verify_selective(A, sched).selective
+        assert len(sched) <= greedy_slot_budget(A.n, char)
+        # Every receiver has 23 relevant transmitters, past K_EXACT; a table
+        # over them alone would take 2**23 bytes.
         assert peak < 2 ** 20
 
-    def test_exact_mode_ignores_seed(self):
-        A = generate_random_instance(6, seed=2)
+
+def estimate(A, w, q):
+    """L_w(q) of one receiver, its link totals computed from scratch."""
+    rows = A.link_rows(w)
+    return _pessimistic_estimates(A.owners()[rows], np.zeros(len(rows), dtype=np.intp),
+                                  q, A.dense[rows] @ q)[0]
+
+
+@st.composite
+def random_cases(st_draw, max_n=7):
+    """A random instance and a (slots, n) bool mask."""
+    A = st_draw(random_instances(max_n=max_n))
+    rows = st_draw(st.lists(st.lists(st.booleans(), min_size=A.n, max_size=A.n),
+                            min_size=1, max_size=6))
+    return A, np.array(rows, dtype=bool)
+
+
+CASES = st.one_of(tie_cases(max_n=7), random_cases())
+
+
+class TestPessimisticEstimator:
+    """L_w is multilinear, and at every 0/1 vector at most 1 if w is
+    selected and at most 0 if not; the greedy stays selective when it
+    scores every receiver with it."""
+
+    @settings(max_examples=40)
+    @given(CASES, st.floats(0.0, 1.0), st.data())
+    def test_value_at_p_is_the_mixture_of_branches(self, case, p, data):
+        A, _ = case
+        q = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, p]),
+                                        min_size=A.n, max_size=A.n)))
+        t = data.draw(st.integers(0, A.n - 1))
+        for w in A.topo.receivers:
+            q[t] = 1.0
+            fire = estimate(A, w, q)
+            q[t] = 0.0
+            silent = estimate(A, w, q)
+            q[t] = p
+            assert estimate(A, w, q) == pytest.approx(p * fire + (1.0 - p) * silent,
+                                                      rel=0.0, abs=1e-12)
+
+    @settings(max_examples=40)
+    @example(ten_tenths_case())
+    @given(CASES)
+    def test_at_most_selection_at_every_slot(self, case):
+        A, mask = case
+        for row, selected in zip(mask, selected_by_slot(A, mask)):
+            for w in A.topo.receivers:
+                assert estimate(A, w, row.astype(float)) <= selected[w - 1]
+
+    @settings(max_examples=30)
+    @example(ten_tenths_case())
+    @given(CASES)
+    def test_greedy_on_estimates_alone_is_selective(self, case):
+        A, _ = case
         char = characterize(A)
-        assert deterministic_schedule(A, char, seed=-1) == deterministic_schedule(A, char)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocols, "K_EXACT", -1)
+            sched = deterministic_schedule(A, char)
+        assert verify_selective(A, sched).selective
+        assert len(sched) <= greedy_slot_budget(A.n, char)
 
 
 class TestDeterministicSchedule:
@@ -393,12 +418,6 @@ class TestDeterministicSchedule:
         A = generate_random_instance(6, seed=4)
         char = characterize(A)
         assert deterministic_schedule(A, char) == deterministic_schedule(A, char)
-
-    def test_monte_carlo_mode_runs(self, rn_star):
-        char = characterize(rn_star)
-        sched = deterministic_schedule(rn_star, char, mode="monte_carlo",
-                                       mc_samples=512, seed=5)
-        assert verify_selective(rn_star, sched).selective
 
     def test_slot_budget_formula(self):
         char = fake_char(abar=4.0, c=2.0, m=1)
