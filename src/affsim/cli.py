@@ -98,8 +98,8 @@ def cmd_characterize(args):
     A = load_instance(args.instance)
     char = characterize(A, c=args.c)
     print("receiver  |F_w|  abar_w")
-    for w in A.topo.receivers:
-        print(f"{w:8d}  {len(A.topo.f(w)):5d}  {char.abar_w[w - 1]:.6f}")
+    for w, degree, abar_w in zip(A.topo.receivers, A.topo.degree.tolist(), char.abar_w):
+        print(f"{w:8d}  {degree:5d}  {abar_w:.6f}")
     print(f"abar={char.abar:.6f} c={char.c:.6f} b={char.b:.6f} d={char.d:.6f}")
     print(f"m={char.m} phases={char.phases} slot_bound={char.slot_bound}")
     return EXIT_OK
@@ -212,7 +212,11 @@ def cmd_sweep(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message; its usage-error code 2 means 1 here.
+        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     handlers = {
         "characterize": cmd_characterize,
         "generate": cmd_generate,

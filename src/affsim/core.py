@@ -46,11 +46,12 @@ class CapacityError(RuntimeError):
 
 
 def _table(rows, width, what):
-    """``rows`` as an (E, width) float array. Ragged rows, rows of another
-    length and non-numeric values are an InstanceError."""
+    """``rows`` as an (E, width) float array, not copied if it is one
+    already. Ragged rows, rows of another length and non-numeric values are
+    an InstanceError."""
     message = f"{what} must be a list of rows of {width} numbers"
     try:
-        table = np.array(rows, dtype=float)
+        table = np.asarray(rows, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise InstanceError(message) from None
     if table.shape == (0,):
@@ -91,60 +92,88 @@ def _entry_text(row):
     return f"a({u:.15g},({v:.15g},{w:.15g}))={value}"
 
 
-@dataclass(frozen=True)
 class LayerTopology:
     """Bipartite transmitter/receiver layer with equal index spaces 1..n.
 
-    ``links`` is kept sorted; the per-receiver transmitter sets F_w are
-    derived once at construction and cached.
+    Built from 1-based (v, w) pairs in any order (a sequence or an (L, 2)
+    int array); an InstanceError names the first link, in input order, out
+    of 1..n or listed twice, else the first receiver with no link. Link i is
+    the i-th in sorted (v, w) order. Read-only int arrays hold the layout:
+    ``owner`` and ``receiver`` (0-based, per link), ``degree`` (|F_w| at
+    w - 1) and the rows of each receiver, which ``link_rows(w)`` gives.
+    ``links`` and ``f(w)`` derive 1-based pairs and sets from them.
     """
 
-    n: int
-    links: tuple = ()
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n, links=()):
+        if n < 1:
             raise InstanceError("n must be a positive integer")
-        seen = set()
-        for link in self.links:
-            v, w = link
-            if not (1 <= v <= self.n and 1 <= w <= self.n):
-                raise InstanceError(f"link {link} out of range for n={self.n}")
-            if link in seen:
-                raise InstanceError(f"duplicate link {link}")
-            seen.add(link)
-        object.__setattr__(self, "links", tuple(sorted(seen)))
-        f_w = {w: frozenset() for w in range(1, self.n + 1)}
-        for v, w in self.links:
-            f_w[w] = f_w[w] | {v}
-        for w, members in f_w.items():
-            if not members:
-                raise InstanceError(f"receiver {w} has no incoming link")
-        object.__setattr__(self, "_f_w", f_w)
-        object.__setattr__(
-            self, "_link_index", {link: i for i, link in enumerate(self.links)}
-        )
+        self.n = n
+        links = np.asarray(links, dtype=np.int64).reshape(-1, 2)
+        bad = _first(((links < 1) | (links > n)).any(axis=1))
+        # Keys v * (n + 2) + w ascend with (v, w), distinct for indices in
+        # 0..n + 1; only a repeat before the first out-of-range link counts.
+        keys = links[:bad] @ [n + 2, 1]
+        order = np.argsort(keys, kind="stable")
+        repeats = order[1:][np.diff(keys[order]) == 0]
+        if repeats.size:
+            raise InstanceError(f"duplicate link {tuple(links[repeats.min()].tolist())}")
+        if bad is not None:
+            raise InstanceError(f"link {tuple(links[bad].tolist())} out of range for n={n}")
+        # A sentinel above every key lets each search result index _keys.
+        self._keys = np.append(keys[order], np.iinfo(np.int64).max)
+        self.owner, self.receiver = links[order].T - 1
+        self.degree = np.bincount(self.receiver, minlength=n)
+        bad = _first(self.degree == 0)
+        if bad is not None:
+            raise InstanceError(f"receiver {bad + 1} has no incoming link")
+        self._by_receiver = np.argsort(self.receiver, kind="stable")
+        self._start = np.concatenate([[0], np.cumsum(self.degree)])
+        for array in (self._keys, self.owner, self.receiver, self.degree, self._by_receiver):
+            array.flags.writeable = False
 
     @classmethod
     def from_rows(cls, n, rows):
         """Topology from parsed JSON: ``n`` an integral JSON number, ``rows`` a
         list of [v, w] pairs of integral numbers."""
         size = _integer(n, "n")
-        links = _indices(_table(rows, 2, "links"), size, "link")
-        return cls(size, tuple(map(tuple, links.tolist())))
+        return cls(size, _indices(_table(rows, 2, "links"), size, "link"))
+
+    def __eq__(self, other):
+        if not isinstance(other, LayerTopology):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self._keys, other._keys)
+
+    @property
+    def links(self):
+        """The 1-based (v, w) pairs in sorted order."""
+        return tuple(zip((self.owner + 1).tolist(), (self.receiver + 1).tolist()))
+
+    def link_rows(self, w):
+        """Rows of the links into receiver ``w``, ascending."""
+        return self._by_receiver[self._start[w - 1] : self._start[w]]
 
     def f(self, w):
         """Transmitters with a link to receiver ``w``."""
-        try:
-            return self._f_w[w]
-        except KeyError:
-            raise InstanceError(f"unknown receiver {w}") from None
+        if w not in self.receivers:
+            raise InstanceError(f"unknown receiver {w}")
+        return frozenset((self.owner[self.link_rows(w)] + 1).tolist())
+
+    def _find(self, v, w):
+        """Row of each link (v, w), for 1-based ints or int arrays ``v`` and
+        ``w`` in 0..n + 1, and whether (v, w) is a link (if not, the row is
+        arbitrary)."""
+        query = v * (self.n + 2) + w
+        rows = self._keys.searchsorted(query)
+        return rows, self._keys[rows] == query
 
     def link_row(self, link):
-        try:
-            return self._link_index[tuple(link)]
-        except KeyError:
-            raise UnknownLinkError(f"unknown link {tuple(link)}") from None
+        """Row of one (v, w) link."""
+        v, w = link
+        if 1 <= v <= self.n and 1 <= w <= self.n:
+            row, found = self._find(v, w)
+            if found:
+                return int(row)
+        raise UnknownLinkError(f"unknown link {tuple(link)}")
 
     @property
     def receivers(self):
@@ -155,20 +184,12 @@ class LayerTopology:
         return range(1, self.n + 1)
 
 
-def _link_columns(topo):
-    """0-based owner and receiver of each link of ``topo.links``, as the two
-    contiguous rows of a read-only (2, L) int array."""
-    links = (np.array(topo.links, dtype=int).reshape(-1, 2) - 1).T.copy()
-    links.flags.writeable = False
-    return links
-
-
 class AffectanceMatrix:
     """Interference weights a(u, (v, w)) in [0, 1], bound to one topology.
 
     Stored as one read-only dense (L, n) float array: ``dense[i, u - 1]`` is
-    the weight of transmitter u on the i-th link of ``topo.links`` (links in
-    sorted order). Every instance is checked once, on that array: the shape
+    the weight of transmitter u on link i of ``topo`` (in sorted order).
+    Every instance is checked once, on that array: the shape
     is (L, n), every value lies in [0, 1] (NaN does not), and each link
     owner's own column is 0 (self-interference a(v, (v, w)) = 0, so a lone
     transmitter always succeeds). The array takes 8 * L * n bytes.
@@ -187,7 +208,7 @@ class AffectanceMatrix:
     """
 
     def __init__(self, topo, entries=()):
-        self._bind(topo)
+        self.topo = topo
         self.dense = self._checked(self._scatter(entries))
 
     @classmethod
@@ -196,19 +217,9 @@ class AffectanceMatrix:
         weight grid in place: the matrix takes ownership of the array, which
         is copied only if it is not a writeable float array."""
         A = cls.__new__(cls)
-        A._bind(topo)
+        A.topo = topo
         A.dense = A._checked(np.require(dense, dtype=float, requirements="W").view())
         return A
-
-    def _bind(self, topo):
-        self.topo = topo
-        self._owner, self._receiver = _link_columns(topo)
-        # Link rows grouped by receiver, ascending within each group.
-        self._by_receiver = np.argsort(self._receiver, kind="stable")
-        self._by_receiver.flags.writeable = False
-        self._receiver_start = np.searchsorted(
-            self._receiver[self._by_receiver], np.arange(topo.n + 1)
-        )
 
     def _scatter(self, entries):
         table = _table(entries, 4, "affectance entries")
@@ -217,11 +228,8 @@ class AffectanceMatrix:
         bad = _first((u < 1) | (u > n))
         if bad is not None:
             raise InstanceError(f"transmitter out of range in {_entry_text(table[bad])}")
-        # Sorted links have ascending keys v * (n + 2) + w.
-        keys = (self._owner + 1) * (n + 2) + self._receiver + 1
-        query = v * (n + 2) + w
-        rows = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-        bad = _first(keys[rows] != query)
+        rows, found = self.topo._find(v, w)
+        bad = _first(~found)
         if bad is not None:
             raise UnknownLinkError(f"unknown link in {_entry_text(table[bad])}")
         cells = rows * n + u - 1
@@ -229,14 +237,14 @@ class AffectanceMatrix:
         bad = _first(cells[order[1:]] == cells[order[:-1]])
         if bad is not None:
             raise InstanceError(f"duplicate entry {_entry_text(table[order[bad + 1]])}")
-        dense = np.zeros((len(keys), n))
+        dense = np.zeros((len(self.topo.owner), n))
         dense[rows, u - 1] = table[:, 3]
         return dense
 
     def _checked(self, dense):
         """The array itself, once it passes the checks: rounded in place to
         multiples of 1 / GRID, then made read-only."""
-        shape = (len(self._owner), self.topo.n)
+        shape = (len(self.topo.owner), self.topo.n)
         if dense.shape != shape:
             raise InstanceError(f"affectance array of shape {dense.shape}, expected {shape}")
         # NaN fails both comparisons.
@@ -246,7 +254,7 @@ class AffectanceMatrix:
             raise InstanceError(
                 f"affectance a({u0 + 1},({v},{w}))={dense[row, u0]} outside [0,1]"
             )
-        own = dense[np.arange(shape[0]), self._owner]
+        own = dense[np.arange(shape[0]), self.topo.owner]
         bad = _first(own != 0.0)
         if bad is not None:
             v, w = self.topo.links[bad]
@@ -267,23 +275,10 @@ class AffectanceMatrix:
         """Single entry lookup; absent pairs are 0."""
         return float(self.dense[self.topo.link_row(link), u - 1])
 
-    def link_rows(self, w):
-        """Rows of the links into receiver ``w``, ascending."""
-        start = self._receiver_start
-        return self._by_receiver[start[w - 1] : start[w]]
-
-    def owners(self):
-        """0-based transmitter owning each link row."""
-        return self._owner
-
-    def link_receivers(self):
-        """0-based receiver of each link row."""
-        return self._receiver
-
     def entries(self):
         """Nonzero entries as (u, v, w, value), sorted."""
         rows, cols = np.nonzero(self.dense)
-        u, v, w = cols + 1, self._owner[rows] + 1, self._receiver[rows] + 1
+        u, v, w = cols + 1, self.topo.owner[rows] + 1, self.topo.receiver[rows] + 1
         order = np.lexsort((w, v, u))
         return list(zip(
             u[order].tolist(),
@@ -417,7 +412,7 @@ def max_avg_affectance_w(A, w):
     reduces to the largest per-link total; the exponential subset definition
     is kept as the brute-force oracle below.
     """
-    return float(A.dense[A.link_rows(w)].sum(axis=1).max())
+    return float(A.dense[A.topo.link_rows(w)].sum(axis=1).max())
 
 
 def brute_force_max_avg_affectance(A, w):
@@ -472,38 +467,38 @@ def characterize(A, c=None):
     instance and tightened by ``EPS_C`` (the formulas need c > 1 strictly);
     a given ``c`` that is not a finite number above 1 raises ConstraintError.
     """
-    topo = A.topo
-    abar_w = tuple(max_avg_affectance_w(A, w) for w in topo.receivers)
-    abar = max(abar_w)
-    ratios = [abar_w[w - 1] / len(topo.f(w)) for w in topo.receivers]
+    degree = A.topo.degree
+    # max_avg_affectance_w of every receiver at once.
+    abar_w = np.zeros(A.n)
+    np.maximum.at(abar_w, A.topo.receiver, A.dense.sum(axis=1))
+    abar = float(abar_w.max())
     if c is None:
-        c = max(1.0 + EPS_C, max(ratios) + EPS_C)
+        c = max(1.0 + EPS_C, float((abar_w / degree).max()) + EPS_C)
     else:
         if not 1.0 < c < math.inf:
             raise ConstraintError(f"c must be a finite number above 1, got {c}")
-        for w in topo.receivers:
-            if abar_w[w - 1] > c * len(topo.f(w)):
-                raise ConstraintError(
-                    f"c={c} violated at receiver {w}: "
-                    f"{abar_w[w - 1]} > {c * len(topo.f(w))}",
-                    receiver=w,
-                )
+        bad = _first(abar_w > c * degree)
+        if bad is not None:
+            raise ConstraintError(
+                f"c={c} violated at receiver {bad + 1}: "
+                f"{float(abar_w[bad])} > {c * int(degree[bad])}",
+                receiver=bad + 1,
+            )
     b = 1.0 + 1.0 / (2.0 * c)
     d = failure_constant(b)
     # Multiplicity floored at 1 so degenerate n=1 instances still get a slot.
     m = max(1, math.ceil(2.0 * math.log(max(A.n, 1)) / math.log(1.0 / d)))
-    return Characterization(abar_w, abar, c, b, d, m, phase_count(abar, b))
+    return Characterization(tuple(abar_w.tolist()), abar, c, b, d, m, phase_count(abar, b))
 
 
 def encode_radio_network(topo):
     """Unit-weight matrix under which a receiver is selected iff exactly one
     of its neighbors transmits (classic no-collision semantics): every
     neighbor u of w weighs 1 on each link (v, w) with u != v."""
-    owner, receiver = _link_columns(topo)
     adjacency = np.zeros((topo.n, topo.n))
-    adjacency[receiver, owner] = 1.0
-    dense = adjacency[receiver]
-    dense[np.arange(len(owner)), owner] = 0.0
+    adjacency[topo.receiver, topo.owner] = 1.0
+    dense = adjacency[topo.receiver]
+    dense[np.arange(len(topo.owner)), topo.owner] = 0.0
     return AffectanceMatrix.from_dense(topo, dense)
 
 

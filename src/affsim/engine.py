@@ -78,9 +78,9 @@ def _first_success(A, slots, cap):
     that of one pass over all ``cap`` slots. ``A.dense`` is read in place
     until the first rows drop; only then is a smaller copy gathered.
     """
-    receiver_of = A.link_receivers()
+    receiver_of = A.topo.receiver
     rows = np.arange(len(receiver_of))
-    weights, owners = A.dense, A.owners()
+    weights, owners = A.dense, A.topo.owner
     first = np.zeros(A.n, dtype=int)
     done, size = 0, _FIRST_BLOCK
     while done < cap and len(rows):
@@ -93,7 +93,7 @@ def _first_success(A, slots, cap):
             covered = slot < stop - done
             first[covered] = done + slot[covered] + 1
             rows = rows[~covered[receiver_of[rows]]]
-            weights, owners = A.dense[rows], A.owners()[rows]
+            weights, owners = A.dense[rows], A.topo.owner[rows]
         done, size = stop, min(2 * size, _MAX_BLOCK)
     covered = np.flatnonzero(first)
     return dict(zip((covered + 1).tolist(), first[covered].tolist()))
@@ -111,7 +111,7 @@ def run_schedule(A, sched, protocol="schedule", seed=None):
 
 
 def max_in_degree(topo):
-    return max(len(topo.f(w)) for w in topo.receivers)
+    return int(topo.degree.max())
 
 
 class _NodeDraws:
@@ -258,10 +258,7 @@ def _run_protocol(A, spec, seed, max_rounds, cache):
         if key not in cache:
             cache[key] = characterize(A, c=opts.get("c"))
         params = RandomizedParams(
-            characterization=cache[key],
-            seed=seed,
-            fallback_mode=opts.get("fallback", False),
-            m_override=opts.get("m_override"),
+            characterization=cache[key], seed=seed, m_override=opts.get("m_override")
         )
         return run_schedule(A, randomized_schedule(params, A.n), name, seed)
     if name == "deterministic":

@@ -79,9 +79,9 @@ def randomized_schedule(params, n):
 def _relevant(A, w, frontier=0):
     """The 0-based transmitters from ``frontier`` on that own or weigh on a
     link into ``w``, ascending."""
-    rows = A.link_rows(w)
+    rows = A.topo.link_rows(w)
     hit = A.dense[rows].any(axis=0)
-    hit[A.owners()[rows]] = True
+    hit[A.topo.owner[rows]] = True
     return np.flatnonzero(hit[frontier:]) + frontier
 
 
@@ -93,8 +93,8 @@ def _outcome_table(A, w, choices, relevant):
     decided-on sum, and a silent owner blocks its link; grid sums are exact,
     so this agrees with ``link_success``.
     """
-    rows = A.link_rows(w)
-    dense, owners = A.dense[rows], A.owners()[rows]
+    rows = A.topo.link_rows(w)
+    dense, owners = A.dense[rows], A.topo.owner[rows]
     frontier = len(choices)
     base = dense[:, np.flatnonzero(choices)].sum(axis=1)
     selected = np.zeros(1 << len(relevant), dtype=bool)
@@ -246,8 +246,8 @@ def deterministic_schedule(A, char):
         wide = [w for w in target if tables[w] is None]
         q = np.full(n, p)
         if wide:
-            rows = np.concatenate([A.link_rows(w) for w in wide])
-            owners, receivers = A.owners()[rows], A.link_receivers()[rows]
+            rows = np.concatenate([A.topo.link_rows(w) for w in wide])
+            owners, receivers = A.topo.owner[rows], A.topo.receiver[rows]
             columns = A.dense[rows].T.copy()  # contiguous per transmitter
             totals = q @ columns
         for t in range(n):
@@ -280,8 +280,8 @@ def deterministic_schedule(A, char):
             cursors = {w: branch[0 if on else 1] for w, branch in branches.items()}
         slot = q == 1.0
         slots.append(slot)
-        success = link_success(A.dense, A.owners(), slot)
-        selected = set((A.link_receivers()[success] + 1).tolist())
+        success = link_success(A.dense, A.topo.owner, slot)
+        selected = set((A.topo.receiver[success] + 1).tolist())
         for bucket in buckets.values():
             bucket -= selected
         for w in selected:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .core import AffectanceMatrix, InstanceError, LayerTopology, encode_radio_network
-from .core import _integer
+from .core import _integer, _table
 
 # Entries below this are truncated to 0; distant offices then cost no storage
 # and perturb no success outcome by more than n * 1e-6.
@@ -109,7 +109,7 @@ def generate_office_layer(spec):
     # (v, w) order.
     owner = np.repeat(np.arange(n), k)
     receiver = owner // k * k + np.tile(np.arange(k), n)
-    topo = LayerTopology(n, tuple(zip((owner + 1).tolist(), (receiver + 1).tolist())))
+    topo = LayerTopology(n, np.column_stack((owner, receiver)) + 1)
     dense = _office_kernel(spec)[receiver]
     dense[np.arange(len(owner)), owner] = 0.0
     return AffectanceMatrix.from_dense(topo, dense)
@@ -211,9 +211,10 @@ def load_instance(path):
     for key in ("n", "links", "affectance"):
         if key not in payload:
             raise InstanceError(f"{path}: missing field {key!r}")
+    # Each parsed list is freed once its array exists, before the dense one.
     try:
-        topo = LayerTopology.from_rows(payload["n"], payload["links"])
-        return AffectanceMatrix(topo, payload["affectance"])
+        topo = LayerTopology.from_rows(payload.pop("n"), payload.pop("links"))
+        return AffectanceMatrix(topo, _table(payload.pop("affectance"), 4, "affectance entries"))
     except InstanceError as exc:
         raise InstanceError(f"{path}: {exc}") from exc
 

@@ -242,3 +242,21 @@ def test_negative_seed_is_validation_error(tmp_path, capsys, command):
     assert code == 1
     assert f"{command[-2]} must be >= 0, got {command[-1]}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["characterize", "--c", "-inf"], "argument --c: expected one argument"),
+    (["schedule", "--protocol", "deterministic", "--out", "x.txt", "--mode", "mc"],
+     "unrecognized arguments: --mode mc"),
+    (["simulate"], "invalid choice: 'simulate'"),
+], ids=["negative_infinite_c", "removed_option", "unknown_command"])
+def test_usage_error_is_validation_error(tmp_path, capsys, argv, message):
+    if argv[0] != "simulate":
+        argv = [argv[0], "--instance", write_rn_star(tmp_path), *argv[1:]]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: affsim" in capsys.readouterr().out

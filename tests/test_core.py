@@ -65,6 +65,39 @@ class TestTopology:
         assert topo.f(2) == {3}
         assert topo.f(3) == {2}
 
+    @pytest.mark.parametrize("w", [0, 4])
+    def test_unknown_receiver(self, w):
+        topo = LayerTopology(3, ((1, 1), (2, 1), (3, 2), (2, 3)))
+        with pytest.raises(InstanceError, match=f"unknown receiver {w}"):
+            topo.f(w)
+
+    def test_out_of_range_link_does_not_alias(self):
+        # Under the key v * (n + 2) + w, (1, n + 3) would read as (2, 1).
+        topo = LayerTopology(2, ((1, 1), (2, 1), (2, 2)))
+        assert topo.link_row((2, 1)) == 1
+        with pytest.raises(UnknownLinkError, match=r"unknown link \(1, 5\)"):
+            topo.link_row((1, 5))
+
+    @given(st.data())
+    def test_arrays_match_scalar_walk(self, data):
+        n = data.draw(st.integers(1, 7))
+        pairs = data.draw(st.sets(st.tuples(st.integers(1, n), st.integers(1, n))))
+        links = sorted(pairs | {(data.draw(st.integers(1, n)), w) for w in range(1, n + 1)})
+        topo = LayerTopology(n, tuple(data.draw(st.permutations(links))))
+        assert topo.links == tuple(links)
+        assert (topo.owner + 1).tolist() == [v for v, _ in links]
+        assert (topo.receiver + 1).tolist() == [w for _, w in links]
+        assert topo.degree.tolist() == [
+            sum(1 for _, w2 in links if w2 == w) for w in range(1, n + 1)]
+        for i, link in enumerate(links):
+            assert topo.link_row(link) == i
+        for w in range(1, n + 1):
+            assert topo.f(w) == {v for v, w2 in links if w2 == w}
+        for array in (topo.owner, topo.receiver, topo.degree):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
 
 class TestAffectanceMatrix:
     def test_rejects_out_of_range_value(self):
@@ -120,9 +153,9 @@ class TestAffectanceMatrix:
         assert A.entries() == expected
         assert AffectanceMatrix(A.topo, expected).dense.tobytes() == A.dense.tobytes()
         for w in A.topo.receivers:
-            rows = A.link_rows(w).tolist()
+            rows = A.topo.link_rows(w).tolist()
             assert rows == [i for i, (_, w2) in enumerate(A.topo.links) if w2 == w]
-            assert sorted(A.owners()[rows] + 1) == sorted(A.topo.f(w))
+            assert sorted(A.topo.owner[rows] + 1) == sorted(A.topo.f(w))
 
 
 class TestTotalAffectance:
@@ -244,14 +277,14 @@ class TestTies:
         assert not is_successful(A, everyone, (1, 1))
         assert not is_selected(A, everyone, 1)
         assert verify_selective(A, Schedule(11, [everyone])).uncovered == {1}
-        assert not link_success(A.dense, A.owners(), np.ones(11, dtype=bool))[0]
+        assert not link_success(A.dense, A.topo.owner, np.ones(11, dtype=bool))[0]
 
     @settings(max_examples=60)
     @example(ten_tenths_case())
     @given(tie_cases())
     def test_kernel_matches_scalar_predicates(self, case):
         A, mask = case
-        success = link_success(A.dense, A.owners(), mask)
+        success = link_success(A.dense, A.topo.owner, mask)
         for j, row in enumerate(mask):
             slot = set((np.flatnonzero(row) + 1).tolist())
             assert success[j].tolist() == [

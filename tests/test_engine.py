@@ -125,9 +125,9 @@ def scalar_adaptive(A, policy, params, seed, max_rounds):
             ]
         slots.append(tuple(v for v in range(1, n + 1) if fire[v - 1]))
         x = np.asarray(fire, dtype=float)
-        success = (x @ A.dense.T < 1.0) & (x[A.owners()] > 0)
+        success = (x @ A.dense.T < 1.0) & (x[A.topo.owner] > 0)
         for w in A.topo.receivers:
-            if w not in first and success[A.link_rows(w)].any():
+            if w not in first and success[A.topo.link_rows(w)].any():
                 first[w] = rnd
     return slots, first
 
@@ -329,9 +329,9 @@ class TestSweep:
 def full_mask_first_success(A, mask):
     """Reference: one ``link_success`` over the whole (slots, n) mask, then
     each receiver's earliest successful slot over its links."""
-    success = link_success(A.dense, A.owners(), mask)
+    success = link_success(A.dense, A.topo.owner, mask)
     first = {}
-    for row, w in enumerate((A.link_receivers() + 1).tolist()):
+    for row, w in enumerate((A.topo.receiver + 1).tolist()):
         hits = np.flatnonzero(success[:, row])
         if hits.size:
             first[w] = min(first.get(w, len(mask)), int(hits[0]) + 1)

@@ -185,8 +185,8 @@ def matmul_selection_probability(A, w, choices, p, k_exact=K_EXACT):
     """Reference: the earlier exact enumerator, one (2**k, k + 2) bit table
     through ``link_success`` per call (relevant undecided columns, then an
     always-on column weighing the decided-on sum, then an always-off one)."""
-    rows = A.link_rows(w)
-    dense, owners = A.dense[rows], A.owners()[rows]
+    rows = A.topo.link_rows(w)
+    dense, owners = A.dense[rows], A.topo.owner[rows]
     hit = dense.any(axis=0)
     hit[owners] = True
     relevant = np.flatnonzero(hit[len(choices) :]) + len(choices)
@@ -231,9 +231,9 @@ def matmul_greedy(A, char):
             )
             choices += (e_true > e_false,)
         slots.append(choices)
-        success = link_success(A.dense, A.owners(), np.array(choices))
+        success = link_success(A.dense, A.topo.owner, np.array(choices))
         for bucket in buckets.values():
-            bucket -= set((A.link_receivers()[success] + 1).tolist())
+            bucket -= set((A.topo.receiver[success] + 1).tolist())
         p /= char.b
         r += 1
     return np.array(slots, dtype=bool).reshape(len(slots), A.n)
@@ -335,8 +335,8 @@ class TestOutcomeTable:
 
 def estimate(A, w, q):
     """L_w(q) of one receiver, its link totals computed from scratch."""
-    rows = A.link_rows(w)
-    return _pessimistic_estimates(A.owners()[rows], np.zeros(len(rows), dtype=np.intp),
+    rows = A.topo.link_rows(w)
+    return _pessimistic_estimates(A.topo.owner[rows], np.zeros(len(rows), dtype=np.intp),
                                   q, A.dense[rows] @ q)[0]
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from affsim import (
 )
 from affsim import AffectanceMatrix, LayerTopology
 from affsim.scenario import load_scenario, save_office_spec
+
+ROWS_OF_2 = "links must be a list of rows of 2 numbers"
+ROWS_OF_4 = "affectance entries must be a list of rows of 4 numbers"
 
 
 def scalar_office_layer(spec):
@@ -196,25 +200,36 @@ class TestInstanceFiles:
             load_instance(path)
 
 
-    @pytest.mark.parametrize("payload", [
-        {"n": 2, "links": [[1, 1, 5], [2, 2]], "affectance": []},
-        {"n": 2, "links": [[1, 1], [2]], "affectance": []},
-        {"n": 2, "links": [[1, 1], [2, 2]], "affectance": [[2, 1, 1]]},
-        {"n": 2, "links": [[1, 1], [2, 2]], "affectance": [[2, 1, 1, 0.5], [1, 2]]},
-        {"n": 2, "links": [[1, 1], [2, 2]], "affectance": [[2, 1, 1, "x"]]},
-        {"n": 2, "links": 5, "affectance": []},
-        {"n": "x", "links": [[1, 1]], "affectance": []},
-        {"n": None, "links": [[1, 1]], "affectance": []},
-        {"n": 1.5, "links": [[1, 1]], "affectance": []},
-        {"n": "6", "links": [[v, v] for v in range(1, 7)], "affectance": []},
-        {"n": True, "links": [[1, 1]], "affectance": []},
+    @pytest.mark.parametrize("payload, message", [
+        ({"n": 2, "links": [[1, 1, 5], [2, 2]], "affectance": []}, ROWS_OF_2),
+        ({"n": 2, "links": [[1, 1], [2]], "affectance": []}, ROWS_OF_2),
+        ({"n": 2, "links": [[1, 1], [2, 2]], "affectance": [[2, 1, 1]]}, ROWS_OF_4),
+        ({"n": 2, "links": [[1, 1], [2, 2]], "affectance": [[2, 1, 1, 0.5], [1, 2]]}, ROWS_OF_4),
+        ({"n": 2, "links": [[1, 1], [2, 2]], "affectance": [[2, 1, 1, "x"]]}, ROWS_OF_4),
+        ({"n": 2, "links": 5, "affectance": []}, ROWS_OF_2),
+        ({"n": "x", "links": [[1, 1]], "affectance": []}, "n must be an integer, got 'x'"),
+        ({"n": None, "links": [[1, 1]], "affectance": []}, "n must be an integer, got None"),
+        ({"n": 1.5, "links": [[1, 1]], "affectance": []}, "n must be an integer, got 1.5"),
+        ({"n": "6", "links": [[v, v] for v in range(1, 7)], "affectance": []},
+         "n must be an integer, got '6'"),
+        ({"n": True, "links": [[1, 1]], "affectance": []}, "n must be an integer, got True"),
+        ({"n": 2, "links": [[1, 1], [2, 2], [2, 2]], "affectance": []}, "duplicate link (2, 2)"),
+        ({"n": 2, "links": [[1, 1], [2, 3], [2, 2]], "affectance": []},
+         "link (2, 3) out of range for n=2"),
+        ({"n": 3, "links": [[1, 1], [2, 3]], "affectance": []}, "receiver 2 has no incoming link"),
+        ({"n": 2, "links": [[1, 1], [2, 2], [1, 1], [3, 1]], "affectance": []},
+         "duplicate link (1, 1)"),
+        ({"n": 2, "links": [[1, 1], [3, 1], [2, 2], [1, 1]], "affectance": []},
+         "link (3, 1) out of range for n=2"),
     ], ids=["long_link", "short_link", "short_entry", "ragged_entries",
             "non_numeric_value", "links_not_a_list", "n_not_a_number", "n_null",
-            "n_non_integral", "n_numeric_string", "n_boolean"])
-    def test_malformed_rows_name_the_path(self, tmp_path, payload):
+            "n_non_integral", "n_numeric_string", "n_boolean", "duplicate_link",
+            "link_out_of_range", "receiver_without_link", "duplicate_before_out_of_range",
+            "out_of_range_before_duplicate"])
+    def test_malformed_rows_name_the_path(self, tmp_path, payload, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(InstanceError, match="bad.json"):
+        with pytest.raises(InstanceError, match=re.escape(f"bad.json: {message}")):
             load_instance(path)
 
     @pytest.mark.parametrize("affectance", [
