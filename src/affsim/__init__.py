@@ -24,7 +24,6 @@ from .core import (
     verify_selective,
 )
 from .engine import (
-    ProtocolSpec,
     RunRecord,
     SweepRow,
     replay_first_success,

@@ -9,19 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import (
-    InstanceError,
-    characterize,
-    schedule_to_text,
-    verify_selective,
-)
-from .engine import (
-    MAX_ROUNDS_DEFAULT,
-    ProtocolSpec,
-    summarize,
-    sweep,
-    write_csv,
-)
+from .core import InstanceError, characterize, schedule_to_text
+from .engine import MAX_ROUNDS_DEFAULT, run_schedule, summarize, sweep, write_csv
 from .protocols import (
     RandomizedParams,
     ScheduleError,
@@ -41,14 +30,6 @@ EXIT_VALIDATION = 1
 EXIT_INCOMPLETE = 2
 
 
-def _add_instance_args(parser, repeatable=False):
-    if repeatable:
-        parser.add_argument("--instance", action="append", default=[],
-                            help="instance JSON file (repeatable)")
-    else:
-        parser.add_argument("--instance", required=True, help="instance JSON file")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="affsim",
@@ -57,7 +38,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("characterize", help="print instance characterization")
-    _add_instance_args(p)
+    p.add_argument("--instance", required=True, help="instance JSON file")
     p.add_argument("--c", type=float, default=None,
                    help="interference-to-degree ratio constant (derived if omitted)")
 
@@ -66,7 +47,7 @@ def build_parser():
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("schedule", help="build and verify a schedule")
-    _add_instance_args(p)
+    p.add_argument("--instance", required=True, help="instance JSON file")
     p.add_argument("--protocol", required=True,
                    choices=["randomized", "deterministic"])
     p.add_argument("--out", required=True)
@@ -77,7 +58,8 @@ def build_parser():
                    help="size phases from n alone")
 
     p = sub.add_parser("sweep", help="run instances x protocols x seeds to CSV")
-    _add_instance_args(p, repeatable=True)
+    p.add_argument("--instance", action="append", default=[],
+                   help="instance JSON file (repeatable)")
     p.add_argument("--scenario", default=None, help="scenario spec JSON")
     p.add_argument("--protocol", action="append", default=[],
                    choices=["randomized", "deterministic", "decay", "sinr"])
@@ -131,10 +113,10 @@ def cmd_schedule(args):
         sched = deterministic_schedule(A, char)
     with open(args.out, "w") as fh:
         fh.write(schedule_to_text(sched))
-    report = verify_selective(A, sched)
-    print(f"slots={len(sched)} covered={len(report.covered)}/{A.n}")
-    if report.uncovered:
-        print(f"uncovered={sorted(report.uncovered)}")
+    first = run_schedule(A, sched).first_success
+    print(f"slots={len(sched)} covered={len(first)}/{A.n}")
+    if len(first) < A.n:
+        print(f"uncovered={[w for w in A.topo.receivers if w not in first]}")
     return EXIT_OK
 
 
@@ -150,29 +132,18 @@ def _sweep_instances(args):
     return instances
 
 
-def _sweep_protocol(args, name, instance_id, office_spec):
-    """The protocol column ``name`` with its options on one instance: sinr
-    takes --density and --dilution (both, each >= 1), else the defaults of
-    the instance's own office spec; an instance file has none."""
-    if name == "randomized":
-        opts = {"c": args.c}
-        if args.m_override is not None:
-            opts["m_override"] = args.m_override
-        return ProtocolSpec(name, opts)
-    if name == "deterministic":
-        return ProtocolSpec(name, {"c": args.c})
-    if name == "sinr":
-        given = (args.density, args.dilution)
-        if given != (None, None):
-            if None in given or min(given) < 1:
-                raise InstanceError("sinr needs both --density and --dilution, each >= 1")
-            return ProtocolSpec(name, {"density": args.density, "dilution": args.dilution})
-        if office_spec is None:
-            raise InstanceError(
-                f"sinr needs --density and --dilution for instance file {instance_id}"
-            )
-        return ProtocolSpec(name, sinr_defaults(office_spec))
-    return ProtocolSpec(name, {})
+def _sinr_options(args, instance_id, office_spec):
+    """sinr's options on one instance: --density and --dilution (both, each
+    >= 1), else the defaults of the instance's own office spec; an instance
+    file has none."""
+    given = (args.density, args.dilution)
+    if given != (None, None):
+        if None in given or min(given) < 1:
+            raise InstanceError("sinr needs both --density and --dilution, each >= 1")
+        return {"density": args.density, "dilution": args.dilution}
+    if office_spec is None:
+        raise InstanceError(f"sinr needs --density and --dilution for instance file {instance_id}")
+    return sinr_defaults(office_spec)
 
 
 def cmd_sweep(args):
@@ -181,17 +152,14 @@ def cmd_sweep(args):
     instances = _sweep_instances(args)
     if not args.protocol:
         raise InstanceError("sweep needs at least one --protocol")
-    # Rows run protocol by protocol, then instance, then seed.
-    runs = [
-        (_sweep_protocol(args, name, instance_id, office_spec), instance_id, A)
-        for name in args.protocol
-        for instance_id, A, office_spec in instances
+    runs_sinr = "sinr" in args.protocol
+    instances = [
+        (instance_id, A, _sinr_options(args, instance_id, spec) if runs_sinr else None)
+        for instance_id, A, spec in instances
     ]
-    all_seeds = list(range(args.seed_base, args.seed_base + args.seeds))
-    rows = []
-    for spec, instance_id, A in runs:
-        seeds = all_seeds if spec.uses_seed else all_seeds[:1]
-        rows.extend(sweep([(instance_id, A)], [spec], seeds, max_rounds=args.max_rounds))
+    seeds = list(range(args.seed_base, args.seed_base + args.seeds))
+    rows = sweep(instances, args.protocol, seeds, args.max_rounds,
+                 c=args.c, m_override=args.m_override)
     write_csv(rows, args.out)
     stats = summarize(rows)
     bounds = {}

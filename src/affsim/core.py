@@ -61,14 +61,13 @@ def _table(rows, width, what):
     return table
 
 
-def _indices(table, n, what):
-    """A float table of 1-based indices as ints. A non-integral value (NaN
-    included) is an InstanceError; values are clipped to 0..n + 1 first, so
-    out-of-range indices stay out of range and cast safely."""
+def _integral(table, what):
+    """A float table of indices, once every value is integral (a NaN is
+    not: an InstanceError)."""
     bad = _first((table != np.floor(table)).any(axis=1))
     if bad is not None:
         raise InstanceError(f"non-integral index in {what} {table[bad].tolist()}")
-    return np.clip(table, 0, n + 1).astype(int)
+    return table
 
 
 def _integer(value, what):
@@ -96,32 +95,35 @@ class LayerTopology:
     """Bipartite transmitter/receiver layer with equal index spaces 1..n.
 
     Built from 1-based (v, w) pairs in any order (a sequence or an (L, 2)
-    int array); an InstanceError names the first link, in input order, out
-    of 1..n or listed twice, else the first receiver with no link. Link i is
-    the i-th in sorted (v, w) order. Read-only int arrays hold the layout:
-    ``owner`` and ``receiver`` (0-based, per link), ``degree`` (|F_w| at
-    w - 1) and the rows of each receiver, which ``link_rows(w)`` gives.
-    ``links`` and ``f(w)`` derive 1-based pairs and sets from them.
+    array of integral values); an InstanceError names the first link, in
+    input order and as given, out of 1..n or listed twice, else the first
+    receiver with no link. Link i is the i-th in sorted (v, w) order.
+    Read-only int arrays hold the layout: ``owner`` and ``receiver``
+    (0-based, per link), ``degree`` (|F_w| at w - 1) and the rows of each
+    receiver, which ``link_rows(w)`` gives. ``links`` and ``f(w)`` derive
+    1-based pairs and sets from them.
     """
 
     def __init__(self, n, links=()):
         if n < 1:
             raise InstanceError("n must be a positive integer")
         self.n = n
-        links = np.asarray(links, dtype=np.int64).reshape(-1, 2)
+        links = np.asarray(links).reshape(-1, 2)
         bad = _first(((links < 1) | (links > n)).any(axis=1))
-        # Keys v * (n + 2) + w ascend with (v, w), distinct for indices in
-        # 0..n + 1; only a repeat before the first out-of-range link counts.
-        keys = links[:bad] @ [n + 2, 1]
+        # Only a repeat before the first out-of-range link counts. Keys
+        # v * (n + 2) + w ascend with (v, w), distinct for indices in 0..n + 1.
+        valid = links[:bad].astype(np.int64)
+        keys = valid @ [n + 2, 1]
         order = np.argsort(keys, kind="stable")
         repeats = order[1:][np.diff(keys[order]) == 0]
         if repeats.size:
-            raise InstanceError(f"duplicate link {tuple(links[repeats.min()].tolist())}")
+            raise InstanceError(f"duplicate link {tuple(valid[repeats.min()].tolist())}")
         if bad is not None:
-            raise InstanceError(f"link {tuple(links[bad].tolist())} out of range for n={n}")
+            v, w = links[bad].tolist()
+            raise InstanceError(f"link ({v:.15g}, {w:.15g}) out of range for n={n}")
         # A sentinel above every key lets each search result index _keys.
         self._keys = np.append(keys[order], np.iinfo(np.int64).max)
-        self.owner, self.receiver = links[order].T - 1
+        self.owner, self.receiver = valid[order].T - 1
         self.degree = np.bincount(self.receiver, minlength=n)
         bad = _first(self.degree == 0)
         if bad is not None:
@@ -136,7 +138,7 @@ class LayerTopology:
         """Topology from parsed JSON: ``n`` an integral JSON number, ``rows`` a
         list of [v, w] pairs of integral numbers."""
         size = _integer(n, "n")
-        return cls(size, _indices(_table(rows, 2, "links"), size, "link"))
+        return cls(size, _integral(_table(rows, 2, "links"), "link"))
 
     def __eq__(self, other):
         if not isinstance(other, LayerTopology):
@@ -224,7 +226,8 @@ class AffectanceMatrix:
     def _scatter(self, entries):
         table = _table(entries, 4, "affectance entries")
         n = self.topo.n
-        u, v, w = _indices(table[:, :3], n, "affectance entry").T
+        # Clipped to 0..n + 1, out-of-range indices stay out of range and cast safely.
+        u, v, w = np.clip(_integral(table[:, :3], "affectance entry"), 0, n + 1).astype(int).T
         bad = _first((u < 1) | (u > n))
         if bad is not None:
             raise InstanceError(f"transmitter out of range in {_entry_text(table[bad])}")

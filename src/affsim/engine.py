@@ -3,7 +3,7 @@ sweep harness that crosses instances x protocols x seeds into CSV rows."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -229,18 +229,6 @@ def replay_first_success(A, record):
 
 
 @dataclass(frozen=True)
-class ProtocolSpec:
-    """One protocol column of a sweep, with its per-protocol options."""
-
-    name: str  # randomized | deterministic | decay | sinr
-    options: dict = field(default_factory=dict)
-
-    @property
-    def uses_seed(self):
-        return self.name != "deterministic"
-
-
-@dataclass(frozen=True)
 class SweepRow:
     instance_id: str
     protocol: str
@@ -250,29 +238,17 @@ class SweepRow:
     completed: bool
 
 
-def _run_protocol(A, spec, seed, max_rounds, cache):
-    name = spec.name
-    opts = spec.options
-    if name == "randomized":
-        key = ("char", opts.get("c"))
-        if key not in cache:
-            cache[key] = characterize(A, c=opts.get("c"))
-        params = RandomizedParams(
-            characterization=cache[key], seed=seed, m_override=opts.get("m_override")
-        )
-        return run_schedule(A, randomized_schedule(params, A.n), name, seed)
-    if name == "deterministic":
-        key = ("det", opts.get("c"))
-        if key not in cache:
-            cache[key] = deterministic_schedule(A, characterize(A, c=opts.get("c")))
-        return run_schedule(A, cache[key], name, seed)
-    if name in ("decay", "sinr"):
-        return run_adaptive(A, name, opts, seed, max_rounds)
-    raise InstanceError(f"unknown protocol {name!r}")
+def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_override=None):
+    """Cross product of runs, one row per (protocol, instance, seed), in
+    that order, except that the greedy (``deterministic``), which draws
+    nothing, runs on the first seed only.
 
-
-def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT):
-    """Cross product of runs, one row per (instance, protocol, seed).
+    ``instances`` holds (instance_id, A, sinr), where ``sinr`` is the
+    instance's {"density", "dilution"} (None when sinr is not run);
+    ``protocols`` holds names: randomized, deterministic, decay, sinr.
+    ``c`` goes to ``characterize``, and ``m_override`` to the randomized
+    schedule. Each instance is characterized once, on its first randomized
+    or deterministic run, and its greedy schedule is built once.
 
     Rounds is the completion round (last first-success slot) for every
     protocol, schedules included, so the metric is comparable with the
@@ -281,21 +257,27 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT):
     """
     if not instances or not protocols or not seeds:
         raise InstanceError("instances, protocols, and seeds must be non-empty")
+    chars, greedy = {}, {}
     rows = []
-    for instance_id, A in instances:
-        cache = {}
-        for spec in protocols:
-            for seed in seeds:
-                record = _run_protocol(A, spec, seed, max_rounds, cache)
-                if record.completed:
-                    rounds = record.rounds
-                    completed = True
+    for name in protocols:
+        for j, (instance_id, A, sinr) in enumerate(instances):
+            if name in ("randomized", "deterministic") and j not in chars:
+                chars[j] = characterize(A, c=c)
+            if name == "deterministic" and j not in greedy:
+                greedy[j] = deterministic_schedule(A, chars[j])
+            for seed in seeds[:1] if name == "deterministic" else seeds:
+                if name == "randomized":
+                    params = RandomizedParams(
+                        characterization=chars[j], seed=seed, m_override=m_override
+                    )
+                    record = run_schedule(A, randomized_schedule(params, A.n), name, seed)
+                elif name == "deterministic":
+                    record = run_schedule(A, greedy[j], name, seed)
                 else:
-                    rounds = max_rounds
-                    completed = False
-                rows.append(
-                    SweepRow(instance_id, spec.name, seed, A.n, rounds, completed)
-                )
+                    params = sinr if name == "sinr" else {}
+                    record = run_adaptive(A, name, params, seed, max_rounds)
+                rounds = record.rounds if record.completed else max_rounds
+                rows.append(SweepRow(instance_id, name, seed, A.n, rounds, record.completed))
     return rows
 
 

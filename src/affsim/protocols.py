@@ -1,9 +1,11 @@
 """Schedule-producing protocols and adaptive baseline policies.
 
 The randomized protocol and the conditional-expectation greedy emit whole
-schedules up front; the two baselines (decay-style backoff and the
-congruence/thinning policy) decide slot by slot during simulation and live
-here as per-node step functions.
+schedules up front. The two baselines (decay-style backoff and the
+congruence/thinning policy) decide during simulation: ``engine.run_adaptive``
+decides a whole block of rounds for all nodes at once, and the per-node
+steps here (``DecayState``, ``decay_step``, ``sinr_step``) are the scalar
+references that the tests check it against; ``decay_period`` serves both.
 """
 from __future__ import annotations
 

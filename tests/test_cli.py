@@ -1,9 +1,12 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from affsim import OfficeGridSpec, encode_radio_network, generate_office_layer
-from affsim import LayerTopology, save_instance
+from affsim import LayerTopology, load_instance, save_instance, schedule_from_text
+from affsim import verify_selective
 from affsim.cli import main
 
 
@@ -79,6 +82,74 @@ def test_deterministic_schedule_past_exact_tables(tmp_path, capsys):
                  "--protocol", "deterministic", "--out", str(out)])
     assert code == 0
     assert "covered=24/24" in capsys.readouterr().out
+
+
+def test_schedule_reports_uncovered_receivers(tmp_path, capsys):
+    # One slot per phase leaves some receivers of office n = 15 uncovered.
+    instance = write_office(tmp_path, offices=5)
+    out = tmp_path / "sched.txt"
+    code = main(["schedule", "--instance", instance, "--protocol", "randomized",
+                 "--m-override", "1", "--out", str(out)])
+    A, sched = load_instance(instance), schedule_from_text(out.read_text())
+    report = verify_selective(A, sched)
+    assert code == 0
+    assert report.uncovered
+    assert capsys.readouterr().out.splitlines() == [
+        f"slots={len(sched)} covered={len(report.covered)}/{A.n}",
+        f"uncovered={sorted(report.uncovered)}",
+    ]
+
+
+# Fixed sweeps with the SHA-256 of their CSV and of their summary on stdout:
+# fixed seeds give byte-identical sweep outputs, from one version to the next.
+GOLDEN_SWEEPS = {
+    # All four protocols, the greedy's single row under --seeds 3, and the
+    # sinr defaults of each --scenario office size.
+    "all_protocols": (
+        ["--scenario", "offices.json", "--protocol", "randomized", "--protocol", "deterministic",
+         "--protocol", "decay", "--protocol", "sinr", "--seeds", "3"],
+        0,
+        "cd7546d80ea88063a3ed63c2bb3b8b3f209ce4e0a62b65b1308396dad5a65b93",
+        "0660c3eecd93c3b38fcc3d7d1d19cfd7c73f28a53c5be5a8c3d8e62afacf5cd3",
+    ),
+    # Instance files with --density/--dilution, and a repeated --protocol.
+    "files_repeated_protocol": (
+        ["--instance", "star.json", "--instance", "office.json", "--protocol", "sinr",
+         "--protocol", "decay", "--protocol", "sinr", "--density", "3", "--dilution", "2",
+         "--seeds", "2", "--seed-base", "4"],
+        0,
+        "243502a27d04a112269436b6a5db84be6d52c8b23f1316d4313c6f8d5d284a2c",
+        "99601d1fd8a907168ccb5f087b1dd2f263fa9f13be52f32aa9cc274578b28398",
+    ),
+    # --c and --m-override, and the greedy on an instance file beside the sizes.
+    "options": (
+        ["--instance", "star.json", "--scenario", "offices.json", "--protocol", "deterministic",
+         "--protocol", "randomized", "--c", "3.5", "--m-override", "4", "--seeds", "2"],
+        0,
+        "7f9c30d59585f266c0c218b9609168b11458784bca2128681df30e2704111d5e",
+        "ca944810fbde539f4b507560c258c08fad11a68b0e3b25308317eb0eed25bd0d",
+    ),
+    # A round cap that truncates runs: exit 2, with every row written.
+    "truncated": (
+        ["--scenario", "offices.json", "--protocol", "decay", "--protocol", "sinr",
+         "--seeds", "2", "--max-rounds", "3"],
+        2,
+        "5de86f30aba8c7fe4ac79206ec1ced33ac8088281d54ef7be078c2eb9d57c106",
+        "ef8dd574fa371cbf63f87aca300871a79a00740c21b86abf92449dee5728d98a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
+def test_sweep_golden_outputs(tmp_path, monkeypatch, capsys, name):
+    argv, code, csv_digest, stdout_digest = GOLDEN_SWEEPS[name]
+    monkeypatch.chdir(tmp_path)
+    write_rn_star(tmp_path)
+    write_office(tmp_path)
+    Path("offices.json").write_text(json.dumps({"offices": [2, 3]}))
+    assert main(["sweep", *argv, "--out", "sweep.csv"]) == code
+    assert hashlib.sha256(Path("sweep.csv").read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
 
 
 def test_sweep_row_count_and_determinism(tmp_path, capsys):

@@ -9,7 +9,6 @@ from affsim import (
     InstanceError,
     LayerTopology,
     OfficeGridSpec,
-    ProtocolSpec,
     RandomizedParams,
     Schedule,
     characterize,
@@ -265,53 +264,85 @@ class TestTies:
 
 class TestSweep:
     def instance(self):
-        return ("inst", generate_random_instance(4, seed=0))
+        return ("inst", generate_random_instance(4, seed=0), None)
 
     def test_row_count(self):
-        rows = sweep([self.instance()], [ProtocolSpec("decay")], [1, 2, 3],
-                     max_rounds=500)
+        rows = sweep([self.instance()], ["decay"], [1, 2, 3], max_rounds=500)
         assert len(rows) == 3
 
     def test_deterministic_ignores_seed(self):
-        rows = sweep([self.instance()], [ProtocolSpec("deterministic")],
-                     [5, 6], max_rounds=500)
-        assert rows[0].rounds == rows[1].rounds
-        assert rows[0].completed and rows[1].completed
+        # The greedy draws nothing, so it gets one row, on the first seed.
+        rows = sweep([self.instance()], ["deterministic"], [5, 6], max_rounds=500)
+        assert [(row.protocol, row.seed) for row in rows] == [("deterministic", 5)]
+        assert rows[0].completed
 
     def test_seed_isolation(self):
-        a = sweep([self.instance()], [ProtocolSpec("decay")], [1, 2], 500)
-        b = sweep([self.instance()], [ProtocolSpec("decay")], [1, 9], 500)
+        a = sweep([self.instance()], ["decay"], [1, 2], 500)
+        b = sweep([self.instance()], ["decay"], [1, 9], 500)
         assert a[0] == b[0]
 
     def test_incomplete_rows_report_cap(self, mutually_blocking_pair):
-        rows = sweep(
-            [("blocked", mutually_blocking_pair)],
-            [ProtocolSpec("sinr", {"density": 1, "dilution": 1})],
-            [0],
-            max_rounds=10,
-        )
+        sinr = {"density": 1, "dilution": 1}
+        rows = sweep([("blocked", mutually_blocking_pair, sinr)], ["sinr"], [0], max_rounds=10)
         assert rows[0].rounds == 10
         assert not rows[0].completed
 
+    def test_row_order(self):
+        sinr = {"density": 2, "dilution": 2}
+        instances = [("a", generate_random_instance(3, seed=2), sinr),
+                     ("b", generate_random_instance(4, seed=3), sinr)]
+        rows = sweep(instances, ["sinr", "deterministic", "decay"], [7, 8], 500)
+        # Protocol, then instance, then seed; the greedy on the first seed only.
+        assert [(row.protocol, row.instance_id, row.seed) for row in rows] == [
+            ("sinr", "a", 7), ("sinr", "a", 8), ("sinr", "b", 7), ("sinr", "b", 8),
+            ("deterministic", "a", 7), ("deterministic", "b", 7),
+            ("decay", "a", 7), ("decay", "a", 8), ("decay", "b", 7), ("decay", "b", 8),
+        ]
+
+    def test_options_reach_their_runs(self):
+        _, A, _ = self.instance()
+        sinr = {"density": 3, "dilution": 2}
+        rows = sweep([("inst", A, sinr)], ["randomized", "deterministic", "sinr"], [4],
+                     500, c=3.0, m_override=2)
+        char = characterize(A, c=3.0)
+        params = RandomizedParams(characterization=char, seed=4, m_override=2)
+        expected = [
+            run_schedule(A, randomized_schedule(params, A.n)),
+            run_schedule(A, deterministic_schedule(A, char)),
+            run_adaptive(A, "sinr", sinr, 4, 500),
+        ]
+        assert [row.rounds for row in rows] == [record.rounds for record in expected]
+
     def test_deterministic_schedule_built_once_per_instance(self, monkeypatch):
-        seen = []
+        # One characterization per instance serves randomized and the greedy.
+        characterized, built = [], []
+
+        def recording_characterize(A, c=None):
+            characterized.append(A.n)
+            return characterize(A, c=c)
 
         def recording_schedule(A, char):
-            seen.append(A.n)
+            built.append(A.n)
             return Schedule(A.n, [{v} for v in A.topo.transmitters])
 
+        monkeypatch.setattr(engine, "characterize", recording_characterize)
         monkeypatch.setattr(engine, "deterministic_schedule", recording_schedule)
-        instances = [self.instance(), ("other", generate_random_instance(5, seed=1))]
-        rows = sweep(instances, [ProtocolSpec("deterministic")], [5, 6, 5], max_rounds=500)
-        assert seen == [4, 5]
-        assert len(rows) == 6
+        instances = [self.instance(), ("other", generate_random_instance(5, seed=1), None)]
+        rows = sweep(instances, ["deterministic", "randomized", "deterministic"],
+                     [5, 6, 5], max_rounds=500)
+        assert characterized == [4, 5]
+        assert built == [4, 5]
+        assert len(rows) == 2 + 2 * 3 + 2
 
     def test_empty_inputs_rejected(self):
-        with pytest.raises(InstanceError):
-            sweep([], [ProtocolSpec("decay")], [1])
+        instance = self.instance()
+        for instances, protocols, seeds in [([], ["decay"], [1]), ([instance], [], [1]),
+                                            ([instance], ["decay"], [])]:
+            with pytest.raises(InstanceError, match="must be non-empty"):
+                sweep(instances, protocols, seeds)
 
     def test_csv_output(self, tmp_path):
-        rows = sweep([self.instance()], [ProtocolSpec("decay")], [1], 500)
+        rows = sweep([self.instance()], ["decay"], [1], 500)
         path = tmp_path / "out.csv"
         write_csv(rows, path)
         lines = path.read_text().splitlines()
@@ -319,7 +350,7 @@ class TestSweep:
         assert len(lines) == 2
 
     def test_summarize(self):
-        rows = sweep([self.instance()], [ProtocolSpec("decay")], [1, 2, 3], 500)
+        rows = sweep([self.instance()], ["decay"], [1, 2, 3], 500)
         stats = summarize(rows)
         stat = stats[("inst", "decay")]
         assert stat["runs"] == 3

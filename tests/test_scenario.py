@@ -221,11 +221,13 @@ class TestInstanceFiles:
          "duplicate link (1, 1)"),
         ({"n": 2, "links": [[1, 1], [3, 1], [2, 2], [1, 1]], "affectance": []},
          "link (3, 1) out of range for n=2"),
+        ({"n": 2, "links": [[1, 1], [2, 2], [0, 9]], "affectance": []},
+         "link (0, 9) out of range for n=2"),
     ], ids=["long_link", "short_link", "short_entry", "ragged_entries",
             "non_numeric_value", "links_not_a_list", "n_not_a_number", "n_null",
             "n_non_integral", "n_numeric_string", "n_boolean", "duplicate_link",
             "link_out_of_range", "receiver_without_link", "duplicate_before_out_of_range",
-            "out_of_range_before_duplicate"])
+            "out_of_range_before_duplicate", "link_out_of_range_as_written"])
     def test_malformed_rows_name_the_path(self, tmp_path, payload, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
