@@ -162,13 +162,11 @@ def cmd_sweep(args):
                  c=args.c, m_override=args.m_override)
     write_csv(rows, args.out)
     stats = summarize(rows)
-    bounds = {}
-    if "randomized" in args.protocol:
-        for instance_id, A, _ in instances:
-            bounds[instance_id] = characterize(A, c=args.c).slot_bound
+    bounds = {(row.instance_id, row.protocol): row.slot_bound
+              for row in rows if row.slot_bound is not None}
     print("instance_id,protocol,runs,mean,median,max,bound")
     for (instance_id, protocol), stat in sorted(stats.items()):
-        bound = bounds.get(instance_id, "") if protocol == "randomized" else ""
+        bound = bounds.get((instance_id, protocol), "")
         print(
             f"{instance_id},{protocol},{stat['runs']},{stat['mean']:.1f},"
             f"{stat['median']:.1f},{stat['max']},{bound}"

@@ -3,6 +3,8 @@ sweep harness that crosses instances x protocols x seeds into CSV rows."""
 from __future__ import annotations
 
 import csv
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,14 +116,76 @@ def max_in_degree(topo):
     return int(topo.degree.max())
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _chain(init, mult, hashes):
+    """(hashes + 1, 1) uint32 init * mult**k mod 2**32, k = 0..hashes: hash k
+    of a chain XORs with entry k, then multiplies by entry k + 1."""
+    return np.array([init] + [mult] * hashes, np.uint32).cumprod(dtype=np.uint32)[:, None]
+
+
+_STATE_CHAIN = _chain(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hash(value, chain):
+    """Hash ``value`` by each of ``len(chain) - 1`` successive constants."""
+    value = (value ^ chain[:-1]) * chain[1:]
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ value >> 16
+
+
+def _node_seed_states(seed, n):
+    """(n, 4) uint64, row v - 1 ``SeedSequence([seed, v]).generate_state(4,
+    np.uint64)``, for all v = 1..n at once. The entropy is seed's 32-bit
+    words, low first (0 is one word), then v; the pool hashes in four words
+    (0-padded), mixes each pool word into the others, then each further word
+    into all four, and the state hashes the pool twice over."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise InstanceError(f"seed must be >= 0, got {seed}")
+    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.array(words + [0] * max(4 - len(words), 1), np.uint32)[:, None].repeat(n, 1)
+    entropy[len(words)] = np.arange(1, n + 1)
+    chain = _chain(_INIT_A, _MULT_A, 4 * len(entropy))
+    pool = _hash(entropy[:4], chain[:5])
+    for k, (src, dst) in enumerate(itertools.permutations(range(4), 2), start=4):
+        pool[dst] = _mix(pool[dst], _hash(pool[src], chain[k:k + 2]))
+    for k, word in zip(range(16, len(chain), 4), entropy[4:]):
+        pool = _mix(pool, _hash(word, chain[k:k + 5]))
+    state = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_CHAIN)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedState:
+    """Hands ``PCG64`` a precomputed ``generate_state(4, np.uint64)``; an
+    ``ISeedSequence`` registered on first use, as numpy.random loads slowly."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
 class _NodeDraws:
-    """Per-node uniform streams, ``default_rng([seed, v])`` for node v, read
-    ahead in blocks. ``rng.random(k)`` yields the same values as k scalar
-    ``rng.random()`` calls, so consuming exactly the values the scalar
+    """Per-node uniform streams, read ahead in blocks: node v draws from
+    ``Generator(PCG64(s))``, s its ``_node_seed_states`` row, the stream of
+    ``default_rng([seed, v])``. ``rng.random(k)`` yields the same values as k
+    scalar ``rng.random()`` calls, so consuming exactly the values the scalar
     per-node step would draw keeps every stream byte-identical."""
 
     def __init__(self, seed, n):
-        self.rngs = [np.random.default_rng([seed, v]) for v in range(1, n + 1)]
+        from numpy.random.bit_generator import ISeedSequence
+        ISeedSequence.register(_SeedState)
+        self.rngs = [np.random.Generator(np.random.PCG64(_SeedState(state)))
+                     for state in _node_seed_states(seed, n)]
         self.buffer = np.empty((n, 0))
         self.pos = np.zeros(n, dtype=int)
 
@@ -148,15 +212,15 @@ def run_adaptive(A, policy, params, seed, max_rounds):
     the round cap is hit (truncation is an outcome, not an error).
 
     The stop-when-all-covered guard uses global knowledge; it is a
-    termination-detection device of the simulation, not of the protocol.
-    Each node draws from its own substream of the master seed so decisions
-    are independent of iteration order. No decision depends on feedback, so
-    ``_first_success`` asks for whole blocks of rounds, and each block is
-    decided for all nodes at once: values are consumed only where
-    ``decay_step`` (firing nodes) or ``sinr_step`` (eligible nodes) would
-    draw, so runs match those per-node steps exactly. The record keeps the
-    rounds up to completion or the cap and drops any decided past
-    completion.
+    termination-detection device of the simulation, not of the protocol. Node v
+    draws from its own stream, that of ``default_rng([seed, v])``, seeded for
+    all nodes in one numpy pass (``_NodeDraws``), so decisions are independent
+    of iteration order. No decision depends on feedback, so ``_first_success``
+    asks for whole blocks of rounds, and each block is decided for all nodes at
+    once: values are consumed only where ``decay_step`` (firing nodes) or
+    ``sinr_step`` (eligible nodes) would draw, so runs match those per-node
+    steps exactly. The record keeps the rounds up to completion or the cap and
+    drops any decided past completion.
     """
     if max_rounds < 1:
         raise InstanceError("max_rounds must be >= 1")
@@ -236,6 +300,8 @@ class SweepRow:
     n: int
     rounds: int
     completed: bool
+    # The characterization's slot_bound, on randomized rows only.
+    slot_bound: int | None = None
 
 
 def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_override=None):
@@ -257,6 +323,9 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     """
     if not instances or not protocols or not seeds:
         raise InstanceError("instances, protocols, and seeds must be non-empty")
+    missing = [i for i, _, sinr in instances if sinr is None] if "sinr" in protocols else []
+    if missing:
+        raise InstanceError(f"sinr needs density and dilution for instance {missing[0]}")
     chars, greedy = {}, {}
     rows = []
     for name in protocols:
@@ -277,7 +346,8 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
                     params = sinr if name == "sinr" else {}
                     record = run_adaptive(A, name, params, seed, max_rounds)
                 rounds = record.rounds if record.completed else max_rounds
-                rows.append(SweepRow(instance_id, name, seed, A.n, rounds, record.completed))
+                bound = chars[j].slot_bound if name == "randomized" else None
+                rows.append(SweepRow(instance_id, name, seed, A.n, rounds, record.completed, bound))
     return rows
 
 
@@ -288,17 +358,8 @@ def write_csv(rows, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.instance_id,
-                    row.protocol,
-                    row.seed,
-                    row.n,
-                    row.rounds,
-                    "true" if row.completed else "false",
-                ]
-            )
+        writer.writerows([row.instance_id, row.protocol, row.seed, row.n, row.rounds,
+                          "true" if row.completed else "false"] for row in rows)
 
 
 def summarize(rows):
@@ -310,15 +371,6 @@ def summarize(rows):
     for key, values in groups.items():
         values = sorted(values)
         k = len(values)
-        median = (
-            values[k // 2]
-            if k % 2
-            else (values[k // 2 - 1] + values[k // 2]) / 2.0
-        )
-        out[key] = {
-            "mean": sum(values) / k,
-            "median": median,
-            "max": values[-1],
-            "runs": k,
-        }
+        median = values[k // 2] if k % 2 else (values[k // 2 - 1] + values[k // 2]) / 2.0
+        out[key] = {"mean": sum(values) / k, "median": median, "max": values[-1], "runs": k}
     return out

@@ -6,7 +6,7 @@ import pytest
 
 from affsim import OfficeGridSpec, encode_radio_network, generate_office_layer
 from affsim import LayerTopology, load_instance, save_instance, schedule_from_text
-from affsim import verify_selective
+from affsim import characterize, verify_selective
 from affsim.cli import main
 
 
@@ -169,6 +169,34 @@ def test_sweep_row_count_and_determinism(tmp_path, capsys):
     assert len(lines) == 1 + 3 + 1 + 3
     summary = capsys.readouterr().out
     assert "instance_id,protocol,runs,mean,median,max,bound" in summary
+
+
+def test_sweep_characterizes_each_instance_once(tmp_path, monkeypatch, capsys):
+    # The summary's bound column comes from the sweep's own characterization.
+    import affsim.cli
+    import affsim.engine
+    characterized = []
+
+    def recording_characterize(A, c=None):
+        characterized.append(A.n)
+        return characterize(A, c=c)
+
+    monkeypatch.setattr(affsim.engine, "characterize", recording_characterize)
+    monkeypatch.setattr(affsim.cli, "characterize", recording_characterize)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"offices": [2, 3]}))
+    code = main(["sweep", "--instance", write_rn_star(tmp_path), "--scenario", str(scenario),
+                 "--protocol", "randomized", "--protocol", "deterministic", "--seeds", "2",
+                 "--out", str(tmp_path / "sweep.csv")])
+    assert code == 0
+    assert characterized == [3, 6, 9]
+    lines = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    bounds = {(fields[0], fields[1]): fields[-1] for fields in lines}
+    star = str(tmp_path / "star.json")
+    offices = {f"office_n{3 * k}": generate_office_layer(OfficeGridSpec(offices=k)) for k in (2, 3)}
+    for instance_id, A in [(star, load_instance(star)), *offices.items()]:
+        assert bounds.pop((instance_id, "randomized")) == str(characterize(A).slot_bound)
+    assert set(bounds.values()) == {""}
 
 
 def test_sweep_scenario_with_office_list(tmp_path, capsys):

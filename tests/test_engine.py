@@ -188,6 +188,25 @@ class TestRunAdaptive:
             scalar = np.random.default_rng([7, v + 1])
             assert taken[v] == [scalar.random() for _ in taken[v]]
 
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7, 2 ** 96,
+                                      2 ** 127 + 1])
+    def test_node_seed_states_equal_seed_sequences(self, seed):
+        # Seeds of one to four 32-bit words, and past the 4-word pool.
+        expected = [np.random.SeedSequence([seed, v]).generate_state(4, np.uint64)
+                    for v in range(1, 601)]
+        states = engine._node_seed_states(seed, 600)
+        assert states.dtype == np.uint64
+        np.testing.assert_array_equal(states, expected)
+
+    def test_node_seed_states_reject_negative_seeds(self):
+        with pytest.raises(InstanceError, match="seed must be >= 0"):
+            engine._node_seed_states(-1, 3)
+
+    def test_large_seed_matches_scalar_steps(self):
+        A = generate_rn_instance(60, 8, 0)
+        self.assert_matches_scalar(A, "decay", {}, 2 ** 40 + 3)
+        self.assert_matches_scalar(A, "sinr", {"density": 4, "dilution": 2}, 2 ** 40 + 3)
+
     def test_single_link_decay_completes_first_round(self):
         topo = LayerTopology(1, ((1, 1),))
         record = run_adaptive(AffectanceMatrix(topo), "decay", {}, 0, 10)
@@ -312,6 +331,7 @@ class TestSweep:
             run_adaptive(A, "sinr", sinr, 4, 500),
         ]
         assert [row.rounds for row in rows] == [record.rounds for record in expected]
+        assert [row.slot_bound for row in rows] == [char.slot_bound, None, None]
 
     def test_deterministic_schedule_built_once_per_instance(self, monkeypatch):
         # One characterization per instance serves randomized and the greedy.
@@ -340,6 +360,13 @@ class TestSweep:
                                             ([instance], ["decay"], [])]:
             with pytest.raises(InstanceError, match="must be non-empty"):
                 sweep(instances, protocols, seeds)
+
+    def test_sinr_without_options_names_the_instance(self):
+        instances = [("a", generate_random_instance(3, seed=0), {"density": 2, "dilution": 2}),
+                     ("b", generate_random_instance(3, seed=1), None)]
+        with pytest.raises(InstanceError, match="for instance b"):
+            sweep(instances, ["decay", "sinr"], [0])
+        assert len(sweep(instances, ["decay"], [0])) == 2
 
     def test_csv_output(self, tmp_path):
         rows = sweep([self.instance()], ["decay"], [1], 500)
