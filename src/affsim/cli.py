@@ -162,11 +162,10 @@ def cmd_sweep(args):
                  c=args.c, m_override=args.m_override)
     write_csv(rows, args.out)
     stats = summarize(rows)
-    bounds = {(row.instance_id, row.protocol): row.slot_bound
-              for row in rows if row.slot_bound is not None}
+    bounds = {row.instance_id: row.slot_bound for row in rows if row.slot_bound is not None}
     print("instance_id,protocol,runs,mean,median,max,bound")
     for (instance_id, protocol), stat in sorted(stats.items()):
-        bound = bounds.get((instance_id, protocol), "")
+        bound = bounds.get(instance_id, "") if protocol == "randomized" else ""
         print(
             f"{instance_id},{protocol},{stat['runs']},{stat['mean']:.1f},"
             f"{stat['median']:.1f},{stat['max']},{bound}"

@@ -3,7 +3,6 @@ sweep harness that crosses instances x protocols x seeds into CSV rows."""
 from __future__ import annotations
 
 import csv
-import itertools
 import operator
 from dataclasses import dataclass
 
@@ -117,21 +116,17 @@ def max_in_degree(topo):
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
 def _chain(init, mult, hashes):
-    """(hashes + 1, 1) uint32 init * mult**k mod 2**32, k = 0..hashes: hash k
-    of a chain XORs with entry k, then multiplies by entry k + 1."""
+    """(hashes + 1, 1) uint32 init * mult**k mod 2**32, k = 0..hashes."""
     return np.array([init] + [mult] * hashes, np.uint32).cumprod(dtype=np.uint32)[:, None]
 
 
-_STATE_CHAIN = _chain(0x8B51F9DD, 0x58F38DED, 8)
-
-
 def _hash(value, chain):
-    """Hash ``value`` by each of ``len(chain) - 1`` successive constants."""
+    """Hash by each of the ``len(chain) - 1`` steps: XOR entry k, times entry k + 1."""
     value = (value ^ chain[:-1]) * chain[1:]
     return value ^ value >> 16
 
@@ -142,11 +137,8 @@ def _mix(x, y):
 
 
 def _node_seed_states(seed, n):
-    """(n, 4) uint64, row v - 1 ``SeedSequence([seed, v]).generate_state(4,
-    np.uint64)``, for all v = 1..n at once. The entropy is seed's 32-bit
-    words, low first (0 is one word), then v; the pool hashes in four words
-    (0-padded), mixes each pool word into the others, then each further word
-    into all four, and the state hashes the pool twice over."""
+    """Row v - 1 is ``SeedSequence([seed, v]).generate_state(4, np.uint64)``,
+    for all v = 1..n at once; the entropy is seed's 32-bit words, then v."""
     seed = operator.index(seed)
     if seed < 0:
         raise InstanceError(f"seed must be >= 0, got {seed}")
@@ -155,17 +147,18 @@ def _node_seed_states(seed, n):
     entropy[len(words)] = np.arange(1, n + 1)
     chain = _chain(_INIT_A, _MULT_A, 4 * len(entropy))
     pool = _hash(entropy[:4], chain[:5])
-    for k, (src, dst) in enumerate(itertools.permutations(range(4), 2), start=4):
-        pool[dst] = _mix(pool[dst], _hash(pool[src], chain[k:k + 2]))
+    for src in range(4):  # one step: mixing word src into the others leaves it alone
+        dst, k = [i for i in range(4) if i != src], 4 + 3 * src
+        pool[dst] = _mix(pool[dst], _hash(pool[src], chain[k:k + 4]))
     for k, word in zip(range(16, len(chain), 4), entropy[4:]):
         pool = _mix(pool, _hash(word, chain[k:k + 5]))
-    state = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_CHAIN)
+    state = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _chain(_INIT_B, _MULT_B, 8))
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
 class _SeedState:
-    """Hands ``PCG64`` a precomputed ``generate_state(4, np.uint64)``; an
-    ``ISeedSequence`` registered on first use, as numpy.random loads slowly."""
+    """Hands ``PCG64`` a precomputed state; registered as an ``ISeedSequence``
+    on first use, as importing numpy.random would slow every start."""
 
     def __init__(self, state):
         self.state = state
@@ -175,11 +168,10 @@ class _SeedState:
 
 
 class _NodeDraws:
-    """Per-node uniform streams, read ahead in blocks: node v draws from
-    ``Generator(PCG64(s))``, s its ``_node_seed_states`` row, the stream of
-    ``default_rng([seed, v])``. ``rng.random(k)`` yields the same values as k
-    scalar ``rng.random()`` calls, so consuming exactly the values the scalar
-    per-node step would draw keeps every stream byte-identical."""
+    """Per-node uniform streams, read ahead in blocks: node v's generator, seeded
+    from ``_node_seed_states``, draws the stream of ``default_rng([seed, v])``.
+    ``rng.random(k)`` equals k ``rng.random()`` calls, so taking exactly the
+    values the scalar per-node step would draw keeps every stream byte-identical."""
 
     def __init__(self, seed, n):
         from numpy.random.bit_generator import ISeedSequence
@@ -371,6 +363,15 @@ def summarize(rows):
     for key, values in groups.items():
         values = sorted(values)
         k = len(values)
-        median = values[k // 2] if k % 2 else (values[k // 2 - 1] + values[k // 2]) / 2.0
-        out[key] = {"mean": sum(values) / k, "median": median, "max": values[-1], "runs": k}
+        median = (
+            values[k // 2]
+            if k % 2
+            else (values[k // 2 - 1] + values[k // 2]) / 2.0
+        )
+        out[key] = {
+            "mean": sum(values) / k,
+            "median": median,
+            "max": values[-1],
+            "runs": k,
+        }
     return out
