@@ -3,7 +3,6 @@ under an additive interference-weight model."""
 
 from .core import (
     AffectanceMatrix,
-    CapacityError,
     Characterization,
     ConstraintError,
     InstanceError,
@@ -12,7 +11,6 @@ from .core import (
     SelectivityReport,
     UnknownLinkError,
     brute_force_max_avg_affectance,
-    brute_force_min_selective,
     characterize,
     encode_radio_network,
     is_selected,
@@ -34,16 +32,12 @@ from .engine import (
     write_csv,
 )
 from .protocols import (
-    DecayState,
     RandomizedParams,
     ScheduleError,
     decay_period,
-    decay_step,
     deterministic_schedule,
-    exact_selection_probability,
     randomized_schedule,
     receiver_partition,
-    sinr_step,
 )
 from .scenario import (
     OfficeGridSpec,

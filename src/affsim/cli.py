@@ -190,7 +190,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (InstanceError, FileNotFoundError) as exc:
+    except (InstanceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ScheduleError as exc:

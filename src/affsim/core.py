@@ -3,8 +3,8 @@
 Holds the bipartite layer topology, the per-(transmitter, link) interference
 weight matrix, the batched success kernel and the scalar success/selection
 predicates, instance characterization (derived scheduling constants), the
-unit-weight radio-network encoding, and brute-force oracles used as test
-ground truth.
+unit-weight radio-network encoding, and a brute-force oracle of the
+per-receiver average affectance, used as test ground truth.
 
 All indices in the public API are 1-based; internal numpy storage is 0-based.
 """
@@ -39,10 +39,6 @@ class ConstraintError(InstanceError):
     def __init__(self, message, receiver=None):
         super().__init__(message)
         self.receiver = receiver
-
-
-class CapacityError(RuntimeError):
-    """An exact computation would exceed its enumeration budget."""
 
 
 def _table(rows, width, what):
@@ -503,37 +499,6 @@ def encode_radio_network(topo):
     dense = adjacency[topo.receiver]
     dense[np.arange(len(topo.owner)), topo.owner] = 0.0
     return AffectanceMatrix.from_dense(topo, dense)
-
-
-BRUTE_FORCE_MAX_N = 10
-
-
-def brute_force_min_selective(A, max_slots):
-    """Shortest selective schedule of length <= max_slots by exhaustive
-    search, or None.
-
-    Search order: increasing length, then subsets enumerated by ascending
-    bitmask (transmitter v in the mask at bit v-1); first hit wins. Guarded to
-    tiny instances.
-    """
-    n = A.n
-    if n > BRUTE_FORCE_MAX_N:
-        raise CapacityError(f"n={n} exceeds brute-force budget {BRUTE_FORCE_MAX_N}")
-    subsets = [
-        frozenset(v + 1 for v in range(n) if mask >> v & 1)
-        for mask in range(1, 1 << n)
-    ]
-    receivers = list(A.topo.receivers)
-    for length in range(1, max_slots + 1):
-        for combo in itertools.product(subsets, repeat=length):
-            pending = set(receivers)
-            for slot in combo:
-                pending = {w for w in pending if not is_selected(A, slot, w)}
-                if not pending:
-                    break
-            if not pending:
-                return Schedule(n, combo)
-    return None
 
 
 def schedule_to_text(sched):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import operator
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +112,10 @@ def run_schedule(A, sched, protocol="schedule", seed=None):
     return RunRecord(protocol, seed, mask, first, len(first) == A.n)
 
 
+# The largest sinr density or dilution: numpy takes the dilution as an int64.
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def max_in_degree(topo):
     return int(topo.degree.max())
 
@@ -203,23 +208,29 @@ def run_adaptive(A, policy, params, seed, max_rounds):
     """Iterate an adaptive per-node policy until every receiver is covered or
     the round cap is hit (truncation is an outcome, not an error).
 
+    Under ``decay`` a node fires from the start of each period, of
+    ``decay_period`` of the maximum in-degree rounds, and draws once per
+    firing: below 1/2 it falls silent until the next period. Under ``sinr``,
+    whose ``params`` hold ``density`` and ``dilution``, node v draws in each
+    round congruent to v modulo the dilution and fires if the draw is below
+    1/density.
+
     The stop-when-all-covered guard uses global knowledge; it is a
     termination-detection device of the simulation, not of the protocol. Node v
     draws from its own stream, that of ``default_rng([seed, v])``, seeded for
     all nodes in one numpy pass (``_NodeDraws``), so decisions are independent
     of iteration order. No decision depends on feedback, so ``_first_success``
     asks for whole blocks of rounds, and each block is decided for all nodes at
-    once: values are consumed only where ``decay_step`` (firing nodes) or
-    ``sinr_step`` (eligible nodes) would draw, so runs match those per-node
-    steps exactly. The record keeps the rounds up to completion or the cap and
-    drops any decided past completion.
+    once, consuming exactly the values a round-by-round loop would. The record
+    keeps the rounds up to completion or the cap and drops any decided past
+    completion.
     """
     if max_rounds < 1:
         raise InstanceError("max_rounds must be >= 1")
     n = A.n
     draws = _NodeDraws(seed, n)
     if policy == "decay":
-        period = decay_period(params.get("delta") or max_in_degree(A.topo))
+        period = decay_period(max_in_degree(A.topo))
         on = np.zeros(n, dtype=bool)
         nodes = np.arange(n)
 
@@ -250,8 +261,9 @@ def run_adaptive(A, policy, params, seed, max_rounds):
     elif policy == "sinr":
         density = params["density"]
         dilution = params["dilution"]
-        if density < 1 or dilution < 1:
-            raise InstanceError("density and dilution must be >= 1")
+        for name, value in (("density", density), ("dilution", dilution)):
+            if not 1 <= value <= _INT64_MAX:
+                raise InstanceError(f"sinr {name} must be in 1..2**63 - 1, got {value:.6g}")
         residue = np.arange(1, n + 1) % dilution
 
         def decide(start, stop):
@@ -359,19 +371,8 @@ def summarize(rows):
     groups = {}
     for row in rows:
         groups.setdefault((row.instance_id, row.protocol), []).append(row.rounds)
-    out = {}
-    for key, values in groups.items():
-        values = sorted(values)
-        k = len(values)
-        median = (
-            values[k // 2]
-            if k % 2
-            else (values[k // 2 - 1] + values[k // 2]) / 2.0
-        )
-        out[key] = {
-            "mean": sum(values) / k,
-            "median": median,
-            "max": values[-1],
-            "runs": k,
-        }
-    return out
+    return {
+        key: {"mean": sum(values) / len(values), "median": statistics.median(values),
+              "max": max(values), "runs": len(values)}
+        for key, values in groups.items()
+    }

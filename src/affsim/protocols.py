@@ -3,9 +3,8 @@
 The randomized protocol and the conditional-expectation greedy emit whole
 schedules up front. The two baselines (decay-style backoff and the
 congruence/thinning policy) decide during simulation: ``engine.run_adaptive``
-decides a whole block of rounds for all nodes at once, and the per-node
-steps here (``DecayState``, ``decay_step``, ``sinr_step``) are the scalar
-references that the tests check it against; ``decay_period`` serves both.
+decides a whole block of rounds for all nodes at once, with decay's period
+from ``decay_period``.
 """
 from __future__ import annotations
 
@@ -14,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CapacityError,
-    Characterization,
-    InstanceError,
-    Schedule,
-    link_success,
-)
+from .core import Characterization, InstanceError, Schedule, link_success
 
 # Cap on the relevant undecided transmitters enumerated per receiver (2**K
 # outcomes). A greedy table may hold 2**(K + 1): transmitter 1 is decided
@@ -78,33 +71,27 @@ def randomized_schedule(params, n):
     return Schedule.from_mask(include.reshape(phases * m, n))
 
 
-def _relevant(A, w, frontier=0):
-    """The 0-based transmitters from ``frontier`` on that own or weigh on a
-    link into ``w``, ascending."""
+def _relevant(A, w):
+    """The 0-based transmitters that own or weigh on a link into ``w``,
+    ascending."""
     rows = A.topo.link_rows(w)
     hit = A.dense[rows].any(axis=0)
     hit[A.topo.owner[rows]] = True
-    return np.flatnonzero(hit[frontier:]) + frontier
+    return np.flatnonzero(hit)
 
 
-def _outcome_table(A, w, choices, relevant):
-    """Whether ``w`` is selected under each outcome of ``relevant``, the
-    transmitters ``_relevant`` gives from ``len(choices)`` on: outcome j
-    fires relevant[i] iff bit i of j is set, and decided transmitters act as
-    ``choices`` says. Each link's totals are built by doubling from the
-    decided-on sum, and a silent owner blocks its link; grid sums are exact,
-    so this agrees with ``link_success``.
+def _outcome_table(A, w, relevant):
+    """Whether ``w`` is selected under each outcome of its ``relevant``
+    transmitters (``_relevant``): outcome j fires relevant[i] iff bit i of j
+    is set. Each link's totals are built by doubling, and a silent owner
+    blocks its link; grid sums are exact, so this agrees with
+    ``link_success``. A decided prefix of the transmitters is a strided
+    slice: ``[1::2]`` fixes the lowest bit on, ``[0::2]`` off.
     """
     rows = A.topo.link_rows(w)
-    dense, owners = A.dense[rows], A.topo.owner[rows]
-    frontier = len(choices)
-    base = dense[:, np.flatnonzero(choices)].sum(axis=1)
     selected = np.zeros(1 << len(relevant), dtype=bool)
-    for row, owner, total in zip(dense, owners, base):
-        if owner < frontier and not choices[owner]:
-            continue
-        totals = np.empty(len(selected))
-        totals[0] = total
+    for row, owner in zip(A.dense[rows], A.topo.owner[rows]):
+        totals = np.zeros(len(selected))
         for i, u in enumerate(relevant):
             low = totals[: 1 << i]
             np.add(low, row[u], out=totals[1 << i : 2 << i])
@@ -126,26 +113,6 @@ def _selected_mass(selected, p, probabilities):
         probabilities[k] = (p ** ones) * ((1.0 - p) ** (k - ones))
     # The outcome probabilities sum to 1 only up to rounding.
     return min(1.0, float(probabilities[k][selected].sum()))
-
-
-def exact_selection_probability(A, w, choices, p, k_exact=K_EXACT):
-    """Probability that ``w`` is selected when transmitters 1..len(choices)
-    act as the bools ``choices`` say and every later one fires independently
-    with probability p.
-
-    Builds the outcome table of the relevant undecided transmitters and
-    sums the probabilities of the outcomes that select ``w``; raises
-    CapacityError past ``k_exact`` of them, before the table is built. The
-    greedy does not call this: it builds such a table once per receiver that
-    fits ``K_EXACT`` and reads slices of it, and scores wider receivers with
-    ``_pessimistic_estimates``. This stays as the exact oracle of tests.
-    """
-    relevant = _relevant(A, w, len(choices))
-    if len(relevant) > k_exact:
-        raise CapacityError(
-            f"receiver {w}: {len(relevant)} relevant undecided transmitters exceed {k_exact}"
-        )
-    return _selected_mass(_outcome_table(A, w, choices, relevant), p, {})
 
 
 def _pessimistic_estimates(owners, receivers, q, totals):
@@ -239,7 +206,7 @@ def deterministic_schedule(A, char):
                 relevant = _relevant(A, w)
                 tables[w] = None
                 if np.count_nonzero(relevant) <= K_EXACT:  # counted from transmitter 2
-                    tables[w] = (set(relevant.tolist()), _outcome_table(A, w, (), relevant))
+                    tables[w] = (set(relevant.tolist()), _outcome_table(A, w, relevant))
         # Per exact target: the view of its table that agrees with the
         # slot's decisions so far, and the view's selection probability
         # (None until read).
@@ -293,42 +260,9 @@ def deterministic_schedule(A, char):
     return Schedule.from_mask(np.array(slots, dtype=bool).reshape(len(slots), n))
 
 
-@dataclass
-class DecayState:
-    """Per-node backoff state: a period counter and a transmit flag."""
-
-    counter: int = 0
-    transmit: bool = False
-
-
 def decay_period(delta):
     """Backoff period 2*ceil(log2 delta), floored at 1 so delta=1 still
     yields a nonempty cycle."""
     if delta < 1:
         raise InstanceError("delta must be >= 1")
     return max(1, 2 * math.ceil(math.log2(delta)))
-
-
-def decay_step(state, delta, rng):
-    """One slot of the decay policy: fire from the start of each period and
-    drop out with probability 1/2 after each transmission."""
-    if state.counter == 0:
-        state.transmit = True
-    fire = state.transmit
-    if fire and rng.random() < 0.5:
-        state.transmit = False
-    state.counter += 1
-    if state.counter >= decay_period(delta):
-        state.counter = 0
-    return fire
-
-
-def sinr_step(v, round_index, density, dilution, rng):
-    """One slot of the congruence/thinning policy: node v is eligible in
-    rounds congruent to v modulo ``dilution`` and then fires with probability
-    1/density."""
-    if density < 1 or dilution < 1:
-        raise InstanceError("density and dilution must be >= 1")
-    if round_index % dilution != v % dilution:
-        return False
-    return rng.random() < 1.0 / density

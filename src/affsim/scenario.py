@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,13 @@ class OfficeGridSpec:
     office_width: float = 5.0
 
     def __post_init__(self):
+        # Each count must be an integral number (stored as an int), each
+        # length and exponent finite.
+        for name in ("offices", "nodes_per_office"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name in ("reach", "wall_penalty", "alpha", "office_width"):
+            if not math.isfinite(getattr(self, name)):
+                raise InstanceError(f"{name} must be finite, got {getattr(self, name)}")
         if self.offices < 1 or self.nodes_per_office < 1:
             raise InstanceError("offices and nodes_per_office must be >= 1")
         if self.reach < 1 or self.wall_penalty < 0:
@@ -46,11 +53,13 @@ class OfficeGridSpec:
 
 
 def office_affectance(spec, distance, walls):
-    """Clamped inverse-power attenuation of effective distance: grid distance
-    plus a per-wall penalty. Equals 1 inside reach; tiny values truncate to
-    0."""
+    """Clamped inverse-power attenuation of effective distance d_eff, the
+    grid distance plus a per-wall penalty: 1 within reach, else
+    (reach / d_eff)**alpha, with tiny values truncated to 0."""
     d_eff = distance + spec.wall_penalty * walls
-    value = min(1.0, (spec.reach / d_eff) ** spec.alpha)
+    if d_eff <= spec.reach:
+        return 1.0
+    value = (spec.reach / d_eff) ** spec.alpha
     return value if value >= SPARSITY_FLOOR else 0.0
 
 
@@ -118,11 +127,10 @@ def generate_office_layer(spec):
 def sinr_defaults(spec):
     """Baseline parameters for office scenarios: dilution covers the offices
     within interference range of one office, density the local contention."""
-    dilution = max(
-        1,
-        math.ceil((2.0 * spec.reach + spec.wall_penalty) / spec.office_width),
-    )
-    return {"density": spec.nodes_per_office, "dilution": dilution}
+    span = (2.0 * spec.reach + spec.wall_penalty) / spec.office_width
+    if span == math.inf:
+        raise InstanceError("sinr dilution (2 * reach + wall_penalty) / office_width overflows")
+    return {"density": spec.nodes_per_office, "dilution": max(1, math.ceil(span))}
 
 
 def generate_rn_instance(n, max_degree, seed):
@@ -219,12 +227,6 @@ def load_instance(path):
         raise InstanceError(f"{path}: {exc}") from exc
 
 
-def save_office_spec(spec, path):
-    with open(path, "w") as fh:
-        json.dump(asdict(spec), fh, indent=1)
-        fh.write("\n")
-
-
 def load_scenario(path):
     """Scenario spec file; ``offices`` may be a list, yielding one spec per
     value (a size sweep). Each value must be an integral JSON number >= 1."""
@@ -234,7 +236,7 @@ def load_scenario(path):
         raise InstanceError(f"{path}: scenario needs an 'offices' field")
     values = offices if isinstance(offices, list) else [offices]
     try:
-        return [OfficeGridSpec(offices=_integer(v, "offices"), **payload) for v in values]
+        return [OfficeGridSpec(offices=v, **payload) for v in values]
     except TypeError as exc:
         raise InstanceError(f"{path}: bad scenario field ({exc})") from exc
     except InstanceError as exc:

@@ -1,0 +1,80 @@
+"""Reference implementations that the tests check the simulator against.
+
+None of these run on a CLI or benchmark path: an exhaustive search for the
+shortest selective schedule, and the scalar per-node steps of the two
+adaptive baselines, whose block form is ``engine.run_adaptive``.
+"""
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+
+from affsim import InstanceError, Schedule, decay_period, is_selected
+
+
+class CapacityError(RuntimeError):
+    """An exact computation would exceed its enumeration budget."""
+
+
+BRUTE_FORCE_MAX_N = 10
+
+
+def brute_force_min_selective(A, max_slots):
+    """Shortest selective schedule of length <= max_slots by exhaustive
+    search, or None.
+
+    Search order: increasing length, then subsets enumerated by ascending
+    bitmask (transmitter v in the mask at bit v-1); first hit wins. Guarded to
+    tiny instances.
+    """
+    n = A.n
+    if n > BRUTE_FORCE_MAX_N:
+        raise CapacityError(f"n={n} exceeds brute-force budget {BRUTE_FORCE_MAX_N}")
+    subsets = [
+        frozenset(v + 1 for v in range(n) if mask >> v & 1)
+        for mask in range(1, 1 << n)
+    ]
+    receivers = list(A.topo.receivers)
+    for length in range(1, max_slots + 1):
+        for combo in itertools.product(subsets, repeat=length):
+            pending = set(receivers)
+            for slot in combo:
+                pending = {w for w in pending if not is_selected(A, slot, w)}
+                if not pending:
+                    break
+            if not pending:
+                return Schedule(n, combo)
+    return None
+
+
+@dataclass
+class DecayState:
+    """Per-node backoff state: a period counter and a transmit flag."""
+
+    counter: int = 0
+    transmit: bool = False
+
+
+def decay_step(state, delta, rng):
+    """One slot of the decay policy: fire from the start of each period and
+    drop out with probability 1/2 after each transmission."""
+    if state.counter == 0:
+        state.transmit = True
+    fire = state.transmit
+    if fire and rng.random() < 0.5:
+        state.transmit = False
+    state.counter += 1
+    if state.counter >= decay_period(delta):
+        state.counter = 0
+    return fire
+
+
+def sinr_step(v, round_index, density, dilution, rng):
+    """One slot of the congruence/thinning policy: node v is eligible in
+    rounds congruent to v modulo ``dilution`` and then fires with probability
+    1/density."""
+    if density < 1 or dilution < 1:
+        raise InstanceError("density and dilution must be >= 1")
+    if round_index % dilution != v % dilution:
+        return False
+    return rng.random() < 1.0 / density

@@ -359,3 +359,33 @@ def test_usage_error_is_validation_error(tmp_path, capsys, argv, message):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "usage: affsim" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target", ["out", "scenario"])
+def test_sweep_directory_path_is_validation_error(tmp_path, capsys, target):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"offices": 2}))
+    paths = {"out": str(tmp_path / "x.csv"), "scenario": str(scenario), target: str(tmp_path)}
+    code = main(["sweep", "--scenario", paths["scenario"], "--protocol", "decay",
+                 "--out", paths["out"]])
+    assert code == 1
+    assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields, options, message", [
+    ({}, ["--density", "1", "--dilution", "99999999999999999999"],
+     "sinr dilution must be in 1..2**63 - 1, got 1e+20"),
+    ({}, ["--density", "99999999999999999999", "--dilution", "1"],
+     "sinr density must be in 1..2**63 - 1, got 1e+20"),
+    ({"office_width": 1e-300}, [], "sinr dilution must be in 1..2**63 - 1, got 2e+301"),
+    ({"reach": 1e308}, [], "sinr dilution (2 * reach + wall_penalty) / office_width overflows"),
+], ids=["dilution_option", "density_option", "tiny_office_width", "huge_reach"])
+def test_sweep_sinr_option_past_int64_is_validation_error(tmp_path, capsys, fields, options,
+                                                          message):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"offices": 2, **fields}))
+    code = main(["sweep", "--scenario", str(scenario), "--protocol", "sinr", *options,
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()

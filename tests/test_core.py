@@ -8,7 +8,6 @@ import hypothesis.strategies as st
 
 from affsim import (
     AffectanceMatrix,
-    CapacityError,
     ConstraintError,
     InstanceError,
     LayerTopology,
@@ -16,7 +15,6 @@ from affsim import (
     Schedule,
     UnknownLinkError,
     brute_force_max_avg_affectance,
-    brute_force_min_selective,
     characterize,
     encode_radio_network,
     generate_office_layer,
@@ -41,6 +39,7 @@ from conftest import (
     ten_tenths_case,
     tie_cases,
 )
+from oracles import CapacityError, brute_force_min_selective
 
 
 def simple_pair():

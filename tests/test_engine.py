@@ -5,14 +5,12 @@ import hypothesis.strategies as st
 
 from affsim import (
     AffectanceMatrix,
-    DecayState,
     InstanceError,
     LayerTopology,
     OfficeGridSpec,
     RandomizedParams,
     Schedule,
     characterize,
-    decay_step,
     deterministic_schedule,
     encode_radio_network,
     generate_office_layer,
@@ -23,7 +21,6 @@ from affsim import (
     run_adaptive,
     run_schedule,
     sinr_defaults,
-    sinr_step,
     summarize,
     sweep,
     verify_selective,
@@ -32,9 +29,10 @@ from affsim import (
 from affsim import engine
 from affsim.core import link_success
 from affsim.engine import max_in_degree
-from affsim.protocols import randomized_phase_count
+from affsim.protocols import decay_period, randomized_phase_count
 
 from conftest import random_instances, selected_by_slot, ten_tenths_case, tie_cases
+from oracles import DecayState, decay_step, sinr_step
 
 
 class TestRunSchedule:
@@ -111,7 +109,7 @@ def scalar_adaptive(A, policy, params, seed, max_rounds):
     n = A.n
     rngs = [np.random.default_rng([seed, v]) for v in range(1, n + 1)]
     states = [DecayState() for _ in range(n)]
-    delta = params.get("delta") or max_in_degree(A.topo)
+    delta = max_in_degree(A.topo)
     first, slots = {}, []
     while len(slots) < max_rounds and len(first) < n:
         rnd = len(slots) + 1
@@ -157,19 +155,30 @@ class TestRunAdaptive:
             self.assert_matches_scalar(A, "sinr", {"density": 60, "dilution": 1}, seed, 80)
 
     @pytest.mark.parametrize("policy, params", [
-        ("decay", {"delta": 1}),  # period 1: every round starts a period
-        ("decay", {"delta": 5}),  # period 6 does not divide the blocks
-        ("decay", {"delta": 100}),  # period 14
+        # Decay takes no options; its period comes from the instance.
+        ("decay", {"in_degree": 1}),  # period 1: every round starts a period
+        ("decay", {"in_degree": 5}),  # period 6 does not divide the blocks
+        ("decay", {"in_degree": 100}),  # period 14
         ("sinr", {"density": 1, "dilution": 5}),
         ("sinr", {"density": 3, "dilution": 40}),  # eligible less than once a block
         ("sinr", {"density": 16, "dilution": 1}),
     ])
     def test_block_decisions_match_scalar_steps(self, policy, params):
+        degree = params.get("in_degree")
         # Caps that end inside, at and past the 32- and 64-round blocks.
         for seed in range(3):
-            A = generate_rn_instance(30, 6, seed)
+            if degree is None:
+                A = generate_rn_instance(30, 6, seed)
+            else:
+                # Offices of `degree` nodes, without walls; with one node
+                # each, all but the two outermost collide when all fire.
+                spec = OfficeGridSpec(offices=max(1, 30 // degree), nodes_per_office=degree,
+                                      wall_penalty=0.0, alpha=3.0)
+                A = generate_office_layer(spec)
+                assert decay_period(max_in_degree(A.topo)) == {1: 1, 5: 6, 100: 14}[degree]
             for max_rounds in (20, 32, 96, 150):
-                self.assert_matches_scalar(A, policy, params, seed, max_rounds)
+                self.assert_matches_scalar(A, policy, {} if degree else params, seed,
+                                           max_rounds)
 
     def test_node_draws_follow_scalar_streams(self):
         rng = np.random.default_rng(0)

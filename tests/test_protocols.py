@@ -8,17 +8,14 @@ import hypothesis.strategies as st
 
 from affsim import (
     AffectanceMatrix,
-    CapacityError,
     Characterization,
     LayerTopology,
     OfficeGridSpec,
     RandomizedParams,
     characterize,
     decay_period,
-    decay_step,
     deterministic_schedule,
     encode_radio_network,
-    exact_selection_probability,
     generate_office_layer,
     generate_random_instance,
     generate_rn_instance,
@@ -26,19 +23,21 @@ from affsim import (
     randomized_schedule,
     receiver_partition,
     run_schedule,
-    sinr_step,
     verify_selective,
 )
 from affsim.core import link_success
 from affsim import protocols
 from affsim.protocols import (
     K_EXACT,
-    DecayState,
+    _outcome_table,
     _pessimistic_estimates,
+    _relevant,
+    _selected_mass,
     greedy_slot_budget,
 )
 
 from conftest import random_instances, selected_by_slot, ten_tenths_case, tie_cases
+from oracles import CapacityError, DecayState, decay_step, sinr_step
 
 
 def fake_char(abar, c, m):
@@ -90,36 +89,51 @@ class TestRandomizedSchedule:
         assert len(randomized_schedule(params, 4)) == 2
 
 
+def prefix_views(A, w, choices):
+    """The greedy's read path: ``w``'s outcome table, then, after each of
+    the bools ``choices`` (transmitters 1, 2, ... in order), its odd (fired)
+    or even (silent) half if that transmitter is relevant to ``w``. Yields
+    the view of every prefix, the empty one first."""
+    relevant = _relevant(A, w)
+    view = _outcome_table(A, w, relevant)
+    yield view
+    for t, on in enumerate(choices):
+        if t in relevant:
+            view = view[1::2] if on else view[0::2]
+        yield view
+
+
+def greedy_selection_probability(A, w, choices, p):
+    """Probability that ``w`` is selected when transmitters 1..len(choices)
+    act as the bools ``choices`` say and every later one fires independently
+    with probability p, as the greedy reads it."""
+    *_, view = prefix_views(A, w, choices)
+    return _selected_mass(view, p, {})
+
+
 class TestExactSelectionProbability:
     def test_decided_transmit_no_interference(self, two_isolated_links):
-        assert exact_selection_probability(two_isolated_links, 1, (True, True), 0.3) == 1.0
+        assert greedy_selection_probability(two_isolated_links, 1, (True, True), 0.3) == 1.0
 
     def test_single_undecided_neighbor(self):
         topo = LayerTopology(1, ((1, 1),))
         A = AffectanceMatrix(topo)
-        prob = exact_selection_probability(A, 1, (), 0.5)
+        prob = greedy_selection_probability(A, 1, (), 0.5)
         assert prob == pytest.approx(0.5)
 
     def test_rn_pair_exactly_one(self):
         topo = LayerTopology(2, ((1, 1), (2, 1), (1, 2)))
         A = encode_radio_network(topo)
-        prob = exact_selection_probability(A, 1, (), 0.5)
+        prob = greedy_selection_probability(A, 1, (), 0.5)
         assert prob == pytest.approx(0.5)
-
-    def test_capacity_error(self):
-        topo = LayerTopology(4, ((1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (1, 3), (1, 4)))
-        A = encode_radio_network(topo)
-        with pytest.raises(CapacityError,
-                           match=r"^receiver 1: 4 relevant undecided transmitters exceed 3$"):
-            exact_selection_probability(A, 1, (), 0.5, k_exact=3)
 
     def test_silent_to_transmit_monotone(self):
         # Flipping a zero-outgoing-affectance neighbor from silent to
         # transmitting can only help the receiver.
         topo = LayerTopology(2, ((1, 1), (2, 1), (1, 2)))
         A = AffectanceMatrix(topo, [(2, 1, 1, 0.4)])
-        silent = exact_selection_probability(A, 1, (False,), 0.5)
-        loud = exact_selection_probability(A, 1, (True,), 0.5)
+        silent = greedy_selection_probability(A, 1, (False,), 0.5)
+        loud = greedy_selection_probability(A, 1, (True,), 0.5)
         assert loud >= silent
 
     @given(random_instances(max_n=5), st.floats(0.0, 1.0), st.data())
@@ -128,7 +142,7 @@ class TestExactSelectionProbability:
         w = data.draw(st.sampled_from(list(A.topo.receivers)))
         k = data.draw(st.integers(0, A.n))
         choices = tuple(data.draw(st.booleans()) for _ in range(k))
-        prob = exact_selection_probability(A, w, choices, p)
+        prob = greedy_selection_probability(A, w, choices, p)
         assert 0.0 <= prob <= 1.0
 
 
@@ -158,7 +172,7 @@ class TestTies:
         for row, expected in zip(mask, selected):
             for w in A.topo.receivers:
                 want = float(expected[w - 1])
-                assert exact_selection_probability(A, w, tuple(row.tolist()), 0.5) == want
+                assert greedy_selection_probability(A, w, tuple(row.tolist()), 0.5) == want
 
     @settings(max_examples=40)
     @example(ten_tenths_case(), 6)
@@ -167,7 +181,7 @@ class TestTies:
         A, mask = case
         choices = tuple(mask[0, : min(frontier, A.n)].tolist())
         for w in A.topo.receivers:
-            assert exact_selection_probability(A, w, choices, 0.5) == pytest.approx(
+            assert greedy_selection_probability(A, w, choices, 0.5) == pytest.approx(
                 enumerated_selection_probability(A, w, choices, 0.5), abs=1e-12)
 
     @settings(max_examples=20)
@@ -245,13 +259,14 @@ PROBABILITIES = (1.0, 0.9, 0.5, 0.3, 0.22720823020625397)
 
 def assert_prefixes_match_matmul(A, choices):
     """Every prefix of ``choices``, every receiver and every p in
-    PROBABILITIES: the outcome table gives the reference's exact float."""
-    for frontier in range(A.n + 1):
-        prefix = tuple(bool(c) for c in choices[:frontier])
-        for w in A.topo.receivers:
+    PROBABILITIES: the greedy's view of the outcome table gives the
+    reference's exact float."""
+    choices = tuple(bool(c) for c in choices)
+    for w in A.topo.receivers:
+        for frontier, view in enumerate(prefix_views(A, w, choices)):
             for p in PROBABILITIES:
-                got = exact_selection_probability(A, w, prefix, p)
-                assert got == matmul_selection_probability(A, w, prefix, p)
+                got = _selected_mass(view, p, {})
+                assert got == matmul_selection_probability(A, w, choices[:frontier], p)
 
 
 def assert_greedy_matches_matmul(A):

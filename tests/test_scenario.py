@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -18,7 +20,7 @@ from affsim import (
     sinr_defaults,
 )
 from affsim import AffectanceMatrix, LayerTopology
-from affsim.scenario import load_scenario, save_office_spec
+from affsim.scenario import SPARSITY_FLOOR, load_scenario
 
 ROWS_OF_2 = "links must be a list of rows of 2 numbers"
 ROWS_OF_4 = "affectance entries must be a list of rows of 4 numbers"
@@ -56,6 +58,19 @@ class TestOfficeAffectance:
     def test_sparsity_floor(self):
         spec = OfficeGridSpec(offices=2)
         assert office_affectance(spec, 5.0, 1000) == 0.0
+
+    @pytest.mark.parametrize("spec", [
+        OfficeGridSpec(offices=2),
+        OfficeGridSpec(offices=2, reach=3.5, wall_penalty=2.5, alpha=0.7),
+        OfficeGridSpec(offices=2, reach=1.0, wall_penalty=0.0, alpha=30.0),
+    ], ids=["default", "soft", "steep"])
+    def test_equals_clamped_power(self, spec):
+        # Within reach the power is not computed; min(1, .) clamped it to 1.
+        for distance in np.linspace(1.0, 40.0, 157).tolist():
+            for walls in range(4):
+                power = min(1.0, (spec.reach / (distance + spec.wall_penalty * walls)) ** spec.alpha)
+                expected = power if power >= SPARSITY_FLOOR else 0.0
+                assert office_affectance(spec, distance, walls) == expected
 
 
 class TestOfficeLayer:
@@ -291,7 +306,7 @@ class TestScenarioFiles:
     def test_single_spec_round_trip(self, tmp_path):
         spec = OfficeGridSpec(offices=3, alpha=1.5)
         path = tmp_path / "scenario.json"
-        save_office_spec(spec, path)
+        path.write_text(json.dumps(dataclasses.asdict(spec)))
         (loaded,) = load_scenario(path)
         assert loaded == spec
 
@@ -314,6 +329,35 @@ class TestScenarioFiles:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"offices": [2.0, 3]}))
         assert [s.offices for s in load_scenario(path)] == [2, 3]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("nodes_per_office", 2.5, "nodes_per_office must be an integer, got 2.5"),
+        ("nodes_per_office", True, "nodes_per_office must be an integer, got True"),
+        ("reach", math.nan, "reach must be finite, got nan"),
+        ("wall_penalty", math.inf, "wall_penalty must be finite, got inf"),
+    ], ids=["non_integral_nodes", "boolean_nodes", "nan_reach", "infinite_wall_penalty"])
+    def test_bad_field_names_the_path(self, tmp_path, field, value, message):
+        path = tmp_path / "scenario.json"
+        # json.dumps writes NaN and Infinity, as Python's json reads them.
+        path.write_text(json.dumps({"offices": 2, field: value}))
+        with pytest.raises(InstanceError, match=re.escape(f"scenario.json: {message}")):
+            load_scenario(path)
+
+    def test_integral_float_nodes_per_office_accepted(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"offices": 2, "nodes_per_office": 3.0}))
+        (spec,) = load_scenario(path)
+        assert spec == OfficeGridSpec(offices=2)
+        assert type(spec.nodes_per_office) is int
+
+    def test_huge_alpha_gives_zero_one_weights(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"offices": 3, "alpha": 1e308}))
+        (spec,) = load_scenario(path)
+        dense = generate_office_layer(spec).dense
+        # 1 within reach, and every weight past it underflows to 0.
+        expected = generate_office_layer(OfficeGridSpec(offices=3)).dense == 1.0
+        np.testing.assert_array_equal(dense, expected.astype(float))
 
     def test_missing_offices_rejected(self, tmp_path):
         path = tmp_path / "scenario.json"
