@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,9 +44,18 @@ class ConstraintError(InstanceError):
 
 def _table(rows, width, what):
     """``rows`` as an (E, width) float array, not copied if it is one
-    already. Ragged rows, rows of another length and non-numeric values are
-    an InstanceError."""
+    already. Ragged rows, rows of another length and non-numeric values
+    (strings and booleans included, which numpy would convert) are an
+    InstanceError."""
     message = f"{what} must be a list of rows of {width} numbers"
+    if not isinstance(rows, np.ndarray):
+        # One pass over the values in C collects their distinct types.
+        try:
+            types = set(map(type, itertools.chain.from_iterable(rows)))
+        except TypeError:
+            raise InstanceError(message) from None
+        if any(not issubclass(t, numbers.Real) or issubclass(t, bool) for t in types):
+            raise InstanceError(message)
     try:
         table = np.asarray(rows, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -87,6 +97,52 @@ def _entry_text(row):
     return f"a({u:.15g},({v:.15g},{w:.15g}))={value}"
 
 
+def _kernel_text(row):
+    u, w, value = row.tolist()
+    return f"kernel entry ({u:.15g}, {w:.15g}, {value})"
+
+
+def _fill(shape, cells, table, text):
+    """Zero array of ``shape`` holding the last column of each ``table`` row
+    at its flat index in ``cells``; a repeated cell is an InstanceError that
+    ``text`` formats."""
+    order = np.argsort(cells, kind="stable")
+    bad = _first(cells[order[1:]] == cells[order[:-1]])
+    if bad is not None:
+        raise InstanceError(f"duplicate entry {text(table[order[bad + 1]])}")
+    out = np.zeros(shape)
+    out.reshape(-1)[cells] = table[:, -1]
+    return out
+
+
+def _outside_unit(array):
+    """Index of the first value of ``array`` outside [0, 1], or None."""
+    # NaN fails both comparisons.
+    if array.min() >= 0.0 and array.max() <= 1.0:
+        return None
+    return tuple(np.argwhere(~((array >= 0.0) & (array <= 1.0)))[0].tolist())
+
+
+def _kernel_scatter(n, entries):
+    """(n, n) kernel from [u, w, value] entries, with ``G[w - 1, u - 1]`` the
+    value (absent pairs are 0): indices must be integral, u and w in 1..n,
+    and no (u, w) may repeat."""
+    table = _table(entries, 3, "kernel entries")
+    # Clipped to 0..n + 1, out-of-range indices stay out of range and cast safely.
+    u, w = np.clip(_integral(table[:, :2], "kernel entry"), 0, n + 1).astype(int).T
+    bad = _first((u < 1) | (u > n) | (w < 1) | (w > n))
+    if bad is not None:
+        raise InstanceError(f"index out of range in {_kernel_text(table[bad])}")
+    return _fill((n, n), (w - 1) * n + u - 1, table, _kernel_text)
+
+
+def _expand(topo, G):
+    """Row w - 1 of the kernel ``G`` for each link (v, w), column v zeroed."""
+    dense = G[topo.receiver]
+    dense[np.arange(len(topo.owner)), topo.owner] = 0.0
+    return dense
+
+
 class LayerTopology:
     """Bipartite transmitter/receiver layer with equal index spaces 1..n.
 
@@ -117,13 +173,18 @@ class LayerTopology:
         if bad is not None:
             v, w = links[bad].tolist()
             raise InstanceError(f"link ({v:.15g}, {w:.15g}) out of range for n={n}")
+        # L links cover at most L receivers, so the first uncovered one, if
+        # any, is at most L + 1: finding it takes no array of length n.
+        m = min(n, len(valid) + 1)
+        covered = np.zeros(m + 1, dtype=bool)
+        covered[valid[valid[:, 1] <= m, 1]] = True
+        bad = _first(~covered[1:])
+        if bad is not None:
+            raise InstanceError(f"receiver {bad + 1} has no incoming link")
         # A sentinel above every key lets each search result index _keys.
         self._keys = np.append(keys[order], np.iinfo(np.int64).max)
         self.owner, self.receiver = valid[order].T - 1
         self.degree = np.bincount(self.receiver, minlength=n)
-        bad = _first(self.degree == 0)
-        if bad is not None:
-            raise InstanceError(f"receiver {bad + 1} has no incoming link")
         self._by_receiver = np.argsort(self.receiver, kind="stable")
         self._start = np.concatenate([[0], np.cumsum(self.degree)])
         for array in (self._keys, self.owner, self.receiver, self.degree, self._by_receiver):
@@ -199,10 +260,14 @@ class AffectanceMatrix:
     included; the dense layout keeps n far below 2**21.
 
     ``from_dense`` wraps an array that is already built, without copying
-    it; generators use it. The constructor takes (u, v, w, value) entries
-    (1-based, absent pairs are 0) and scatters them into a zero array
-    first: indices must be integral, u in 1..n, (v, w) a link of the
-    topology, and no (u, v, w) may repeat. Immutable after construction.
+    it. ``from_kernel`` expands an (n, n) receiver kernel G, the form of
+    every instance whose weight a(u, (v, w)) depends on u and w only (the
+    office and radio-network generators build theirs so), and ``kernel``
+    recovers G from a matrix of that form. The constructor takes
+    (u, v, w, value) entries (1-based, absent pairs are 0) and scatters
+    them into a zero array first: indices must be integral, u in 1..n,
+    (v, w) a link of the topology, and no (u, v, w) may repeat. Immutable
+    after construction.
     """
 
     def __init__(self, topo, entries=()):
@@ -219,6 +284,30 @@ class AffectanceMatrix:
         A.dense = A._checked(np.require(dense, dtype=float, requirements="W").view())
         return A
 
+    @classmethod
+    def from_kernel(cls, topo, G):
+        """Matrix with a(u, (v, w)) = ``G[w - 1, u - 1]`` for every link (v, w)
+        and u != v. G must be (n, n) with every value in [0, 1], including
+        the cells (u, w) where u is w's only transmitter, which no link
+        reads."""
+        G = np.asarray(G, dtype=float)
+        shape = (topo.n, topo.n)
+        if G.shape != shape:
+            raise InstanceError(f"kernel of shape {G.shape}, expected {shape}")
+        bad = _outside_unit(G)
+        if bad is not None:
+            w0, u0 = bad
+            raise InstanceError(f"kernel a({u0 + 1},(*,{w0 + 1}))={G[bad]} outside [0,1]")
+        return cls.from_dense(topo, _expand(topo, G))
+
+    def kernel(self):
+        """The (n, n) kernel that ``from_kernel`` expands to exactly this
+        matrix, or None if the weights do not factor so. Row w - 1 is the
+        column-wise maximum of the rows of the links into w."""
+        topo = self.topo
+        G = np.maximum.reduceat(self.dense[topo._by_receiver], topo._start[:-1], axis=0)
+        return G if np.array_equal(_expand(topo, G), self.dense) else None
+
     def _scatter(self, entries):
         table = _table(entries, 4, "affectance entries")
         n = self.topo.n
@@ -231,14 +320,7 @@ class AffectanceMatrix:
         bad = _first(~found)
         if bad is not None:
             raise UnknownLinkError(f"unknown link in {_entry_text(table[bad])}")
-        cells = rows * n + u - 1
-        order = np.argsort(cells, kind="stable")
-        bad = _first(cells[order[1:]] == cells[order[:-1]])
-        if bad is not None:
-            raise InstanceError(f"duplicate entry {_entry_text(table[order[bad + 1]])}")
-        dense = np.zeros((len(self.topo.owner), n))
-        dense[rows, u - 1] = table[:, 3]
-        return dense
+        return _fill((len(self.topo.owner), n), rows * n + u - 1, table, _entry_text)
 
     def _checked(self, dense):
         """The array itself, once it passes the checks: rounded in place to
@@ -246,9 +328,9 @@ class AffectanceMatrix:
         shape = (len(self.topo.owner), self.topo.n)
         if dense.shape != shape:
             raise InstanceError(f"affectance array of shape {dense.shape}, expected {shape}")
-        # NaN fails both comparisons.
-        if not (dense.min() >= 0.0 and dense.max() <= 1.0):
-            row, u0 = np.argwhere(~((dense >= 0.0) & (dense <= 1.0)))[0]
+        bad = _outside_unit(dense)
+        if bad is not None:
+            row, u0 = bad
             v, w = self.topo.links[row]
             raise InstanceError(
                 f"affectance a({u0 + 1},({v},{w}))={dense[row, u0]} outside [0,1]"
@@ -464,7 +546,8 @@ def characterize(A, c=None):
 
     If ``c`` is omitted, the smallest admissible value is derived from the
     instance and tightened by ``EPS_C`` (the formulas need c > 1 strictly);
-    a given ``c`` that is not a finite number above 1 raises ConstraintError.
+    a given ``c`` that is not a finite number above 1, or so large that d
+    rounds to 1 (from about c = 2.6e7), raises ConstraintError.
     """
     degree = A.topo.degree
     # max_avg_affectance_w of every receiver at once.
@@ -485,6 +568,8 @@ def characterize(A, c=None):
             )
     b = 1.0 + 1.0 / (2.0 * c)
     d = failure_constant(b)
+    if not d < 1.0:
+        raise ConstraintError(f"c={c} is too large: the failure constant d rounds to 1")
     # Multiplicity floored at 1 so degenerate n=1 instances still get a slot.
     m = max(1, math.ceil(2.0 * math.log(max(A.n, 1)) / math.log(1.0 / d)))
     return Characterization(tuple(abar_w.tolist()), abar, c, b, d, m, phase_count(abar, b))
@@ -496,9 +581,7 @@ def encode_radio_network(topo):
     neighbor u of w weighs 1 on each link (v, w) with u != v."""
     adjacency = np.zeros((topo.n, topo.n))
     adjacency[topo.receiver, topo.owner] = 1.0
-    dense = adjacency[topo.receiver]
-    dense[np.arange(len(topo.owner)), topo.owner] = 0.0
-    return AffectanceMatrix.from_dense(topo, dense)
+    return AffectanceMatrix.from_kernel(topo, adjacency)
 
 
 def schedule_to_text(sched):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AffectanceMatrix, InstanceError, LayerTopology, encode_radio_network
-from .core import _integer, _table
+from .core import _integer, _kernel_scatter, _table
 
 # Entries below this are truncated to 0; distant offices then cost no storage
 # and perturb no success outcome by more than n * 1e-6.
@@ -107,8 +107,8 @@ def generate_office_layer(spec):
 
     The weight depends on (u, w) only, and an office row has few distinct
     (distance, walls) pairs (2493 at n = 600), so ``office_affectance`` runs
-    once per pair and link (v, w) takes row w of the resulting (n, n) kernel
-    with column v zeroed. The values are bit-identical to one scalar call
+    once per pair into an (n, n) kernel that ``AffectanceMatrix.from_kernel``
+    expands. The values are bit-identical to one scalar call
     per entry; the power stays in Python because numpy's differs from it in
     the last bit on some entries. The matrix is one dense (L, n) array of
     8 * L * n bytes, L = nodes_per_office * n.
@@ -119,9 +119,7 @@ def generate_office_layer(spec):
     owner = np.repeat(np.arange(n), k)
     receiver = owner // k * k + np.tile(np.arange(k), n)
     topo = LayerTopology(n, np.column_stack((owner, receiver)) + 1)
-    dense = _office_kernel(spec)[receiver]
-    dense[np.arange(len(owner)), owner] = 0.0
-    return AffectanceMatrix.from_dense(topo, dense)
+    return AffectanceMatrix.from_kernel(topo, _office_kernel(spec))
 
 
 def sinr_defaults(spec):
@@ -180,21 +178,33 @@ def _write_list(fh, items):
 
 def save_instance(A, path):
     """Write an instance file: a JSON object with ``n``, the sorted
-    ``links`` as [v, w] and the nonzero ``affectance`` entries as sorted
-    [u, v, w, value].
+    ``links`` as [v, w] and the weights. If they depend on (u, w) only
+    (``A.kernel()`` exists), the weights are the nonzero ``kernel`` entries
+    as [u, w, value] sorted by (u, w); otherwise the nonzero ``affectance``
+    entries as sorted [u, v, w, value].
 
     The bytes are those of ``json.dump(payload, fh, indent=1)`` plus a
     newline, floats included (both use ``float.__repr__``); a string
     formatter writes them, since json's indenting encoder is pure Python.
     """
+    G = A.kernel()
     with open(path, "w") as fh:
         fh.write(f'{{\n "n": {A.n},\n "links": ')
         _write_list(fh, (f"  [\n   {v},\n   {w}\n  ]" for v, w in A.topo.links))
-        fh.write(',\n "affectance": ')
-        _write_list(fh, (
-            f"  [\n   {u},\n   {v},\n   {w},\n   {value!r}\n  ]"
-            for u, v, w, value in A.entries()
-        ))
+        if G is None:
+            fh.write(',\n "affectance": ')
+            _write_list(fh, (
+                f"  [\n   {u},\n   {v},\n   {w},\n   {value!r}\n  ]"
+                for u, v, w, value in A.entries()
+            ))
+        else:
+            # Nonzero cells of G.T come in (u, w) order.
+            u0, w0 = np.nonzero(G.T)
+            fh.write(',\n "kernel": ')
+            _write_list(fh, (
+                f"  [\n   {u},\n   {w},\n   {value!r}\n  ]"
+                for u, w, value in zip((u0 + 1).tolist(), (w0 + 1).tolist(), G[w0, u0].tolist())
+            ))
         fh.write("\n}\n")
 
 
@@ -212,16 +222,21 @@ def _load_json_object(path):
 
 
 def load_instance(path):
-    """Load and check an instance file; omitted entries are zeros. Every
-    malformed file is an InstanceError naming the path (rules in the
+    """Load and check an instance file, its weights given either as
+    ``affectance`` or as ``kernel`` entries; omitted entries are zeros.
+    Every malformed file is an InstanceError naming the path (rules in the
     README's "Instance files" section)."""
     payload = _load_json_object(path)
-    for key in ("n", "links", "affectance"):
+    for key in ("n", "links"):
         if key not in payload:
             raise InstanceError(f"{path}: missing field {key!r}")
+    if ("affectance" in payload) == ("kernel" in payload):
+        raise InstanceError(f"{path}: needs exactly one of the fields 'affectance' and 'kernel'")
     # Each parsed list is freed once its array exists, before the dense one.
     try:
         topo = LayerTopology.from_rows(payload.pop("n"), payload.pop("links"))
+        if "kernel" in payload:
+            return AffectanceMatrix.from_kernel(topo, _kernel_scatter(topo.n, payload.pop("kernel")))
         return AffectanceMatrix(topo, _table(payload.pop("affectance"), 4, "affectance entries"))
     except InstanceError as exc:
         raise InstanceError(f"{path}: {exc}") from exc

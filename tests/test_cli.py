@@ -42,6 +42,14 @@ def test_characterize_rejects_non_finite_c(tmp_path, capsys, c):
     assert f"c must be a finite number above 1, got {c}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c", ["1e8", "1e15", "1e17"])
+def test_characterize_rejects_c_too_large_for_d(tmp_path, capsys, c):
+    # b = 1 + 1 / (2c) is then so close to 1 that d rounds to 1.
+    code = main(["characterize", "--instance", write_rn_star(tmp_path), "--c", c])
+    assert code == 1
+    assert f"c={float(c)} is too large: the failure constant d rounds to 1" in capsys.readouterr().err
+
+
 def test_generate_then_characterize(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"offices": 2}))
@@ -249,8 +257,14 @@ def test_bad_scenario_file_is_validation_error(tmp_path, capsys, command, conten
     {"n": 2, "links": [[1, 1], [2, 2]], "affectance": [[2, 1, 1, 0.5], [2, 1, 1, 0.5]]},
     {"n": "6", "links": [[v, v] for v in range(1, 7)], "affectance": []},
     {"n": True, "links": [[1, 1]], "affectance": []},
+    {"n": 2, "links": [["1", 1], [2, "2"]], "affectance": [[2, 1, 1, "0.5"]]},
+    {"n": 2, "links": [[True, 1], [2, 2]], "affectance": []},
+    {"n": 2, "links": [[1, 1], [2, 2]], "affectance": [], "kernel": []},
+    {"n": 2, "links": [[1, 1], [2, 2]], "kernel": [[2, 1, 0.5], [2, 1, 0.5]]},
+    {"n": 2, "links": [[1, 1], [2, 2]], "kernel": [[2, 2, 1.5]]},
 ], ids=["long_link", "short_entry", "n_not_a_number", "non_integral", "duplicate",
-        "n_numeric_string", "n_boolean"])
+        "n_numeric_string", "n_boolean", "link_numeric_strings", "link_boolean",
+        "both_weight_forms", "duplicate_kernel_entry", "kernel_value_on_unread_cell"])
 def test_malformed_instance_file_is_validation_error(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +59,27 @@ class TestTopology:
     def test_out_of_range_link_rejected(self):
         with pytest.raises(InstanceError):
             LayerTopology(2, ((1, 3), (1, 2), (1, 1)))
+
+    @pytest.mark.parametrize("n, links, w", [
+        (5, ((1, 1), (1, 2), (3, 4), (2, 5)), 3),
+        (3, ((1, 1), (2, 1), (3, 1), (1, 3)), 2),
+        (4, ((4, 1), (4, 2), (4, 3)), 4),
+        (1, (), 1),
+    ], ids=["fewer_links_than_n", "more_links_than_n", "last_receiver", "no_links"])
+    def test_first_uncovered_receiver_named(self, n, links, w):
+        with pytest.raises(InstanceError, match=f"^receiver {w} has no incoming link$"):
+            LayerTopology(n, links)
+
+    def test_uncovered_receiver_rejected_before_length_n_arrays(self):
+        # One int64 array of length n would take 160 MB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(InstanceError, match="^receiver 2 has no incoming link$"):
+                LayerTopology(20_000_000, ((1, 1),))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_f_w_is_exact(self):
         topo = LayerTopology(3, ((1, 1), (2, 1), (3, 2), (2, 3)))
@@ -141,6 +164,34 @@ class TestAffectanceMatrix:
         A = AffectanceMatrix.from_dense(topo, dense)
         assert A.entries() == simple_pair().entries()
         assert not A.dense.flags.writeable
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_office_layer(OfficeGridSpec(offices=4)),
+        lambda: generate_office_layer(OfficeGridSpec(offices=3, nodes_per_office=1)),
+        lambda: generate_rn_instance(40, 7, seed=1),
+        lambda: AffectanceMatrix(LayerTopology(2, ((1, 1), (2, 1), (1, 2)))),
+    ], ids=["office", "office_one_node", "rn", "zero"])
+    def test_kernel_expands_to_the_matrix(self, make):
+        A = make()
+        G = A.kernel()
+        assert G.shape == (A.n, A.n)
+        B = AffectanceMatrix.from_kernel(A.topo, G)
+        assert B.dense.tobytes() == A.dense.tobytes()
+        for v, w in A.topo.links:
+            for u in A.topo.transmitters:
+                if u != v:
+                    assert A.a(u, (v, w)) == G[w - 1, u - 1]
+
+    def test_from_kernel_checks_the_kernel(self):
+        # Transmitter 1 is receiver 2's only one: no link reads cell (1, 2).
+        topo = LayerTopology(2, ((1, 1), (2, 1), (1, 2)))
+        for bad in (np.zeros((3, 2)), np.full((2, 2), np.nan), np.array([[0, 0], [-0.5, 0]])):
+            with pytest.raises(InstanceError, match="kernel"):
+                AffectanceMatrix.from_kernel(topo, bad)
+        with pytest.raises(InstanceError, match=re.escape("kernel a(1,(*,2))=1.5 outside [0,1]")):
+            AffectanceMatrix.from_kernel(topo, np.array([[0.0, 0.4], [1.5, 0.0]]))
+        A = AffectanceMatrix.from_kernel(topo, np.array([[0.4, 0.4], [0.7, 0.0]]))
+        assert A.entries() == simple_pair().entries()
 
     @given(random_instances(max_n=7))
     def test_entries_and_rows_match_scalar_walk(self, A):

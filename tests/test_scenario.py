@@ -24,6 +24,14 @@ from affsim.scenario import SPARSITY_FLOOR, load_scenario
 
 ROWS_OF_2 = "links must be a list of rows of 2 numbers"
 ROWS_OF_4 = "affectance entries must be a list of rows of 4 numbers"
+ROWS_OF_3 = "kernel entries must be a list of rows of 3 numbers"
+
+FACTORING = {
+    "office": lambda: generate_office_layer(OfficeGridSpec(offices=4)),
+    "office_spec": lambda: generate_office_layer(
+        OfficeGridSpec(offices=3, alpha=1.5, nodes_per_office=4)),
+    "rn": lambda: generate_rn_instance(30, 6, seed=2),
+}
 
 
 def scalar_office_layer(spec):
@@ -176,6 +184,80 @@ class TestInstanceFiles:
         B = load_instance(path)
         assert np.array_equal(B.dense, A.dense)
 
+    @pytest.mark.parametrize("name", FACTORING)
+    def test_kernel_file_round_trip(self, tmp_path, name):
+        A = FACTORING[name]()
+        path = tmp_path / "inst.json"
+        save_instance(A, path)
+        assert set(json.loads(path.read_text())) == {"n", "links", "kernel"}
+        B = load_instance(path)
+        assert B.topo == A.topo
+        for array in ("owner", "receiver", "degree"):
+            assert np.array_equal(getattr(B.topo, array), getattr(A.topo, array))
+        assert B.dense.tobytes() == A.dense.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_non_factoring_instance_saved_as_entries(self, tmp_path, seed):
+        A = generate_random_instance(6, seed=seed)
+        path = tmp_path / "inst.json"
+        save_instance(A, path)
+        assert set(json.loads(path.read_text())) == {"n", "links", "affectance"}
+        assert load_instance(path).dense.tobytes() == A.dense.tobytes()
+
+    @pytest.mark.parametrize("name", FACTORING)
+    def test_entries_file_of_factoring_instance_loads(self, tmp_path, name):
+        A = FACTORING[name]()
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({
+            "n": A.n,
+            "links": [[v, w] for v, w in A.topo.links],
+            "affectance": [[u, v, w, value] for u, v, w, value in A.entries()],
+        }, indent=1))
+        B = load_instance(path)
+        assert B.topo == A.topo
+        assert B.dense.tobytes() == A.dense.tobytes()
+
+    def test_kernel_value_on_an_unread_cell_has_no_effect(self, tmp_path):
+        # Receiver 2's only transmitter is 1, so no link reads kernel cell (1, 2).
+        path = tmp_path / "inst.json"
+        links = [[1, 1], [2, 1], [1, 2]]
+        path.write_text(json.dumps({"n": 2, "links": links, "kernel": [[1, 2, 0.75], [2, 1, 0.5]]}))
+        A = load_instance(path)
+        assert A.entries() == [(2, 1, 1, 0.5)]
+        assert A.kernel().tolist() == [[0.0, 0.5], [0.0, 0.0]]
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"affectance": [], "kernel": []}, "needs exactly one of the fields"),
+        ({}, "needs exactly one of the fields"),
+        ({"kernel": [[2, 1]]}, ROWS_OF_3),
+        ({"kernel": [[2, 1, 0.5, 0]]}, ROWS_OF_3),
+        ({"kernel": [[2, 1, 0.5], [1]]}, ROWS_OF_3),
+        ({"kernel": [[2, 1, "0.5"]]}, ROWS_OF_3),
+        ({"kernel": [[2, True, 0.5]]}, ROWS_OF_3),
+        ({"kernel": 3}, ROWS_OF_3),
+        ({"kernel": [[2.5, 1, 0.5]]}, "non-integral index in kernel entry [2.5, 1.0]"),
+        ({"kernel": [[2, 1.5, 0.5]]}, "non-integral index in kernel entry [2.0, 1.5]"),
+        ({"kernel": [[3, 1, 0.5]]}, "index out of range in kernel entry (3, 1, 0.5)"),
+        ({"kernel": [[0, 1, 0.5]]}, "index out of range in kernel entry (0, 1, 0.5)"),
+        ({"kernel": [[2, 3, 0.5]]}, "index out of range in kernel entry (2, 3, 0.5)"),
+        ({"kernel": [[2, -1e300, 0.5]]}, "index out of range in kernel entry (2, -1e+300, 0.5)"),
+        ({"kernel": [[2, 1, 0.5], [1, 1, 0.1], [2, 1, 0.25]]},
+         "duplicate entry kernel entry (2, 1, 0.25)"),
+        ({"kernel": [[2, 1, 1.5]]}, "kernel a(2,(*,1))=1.5 outside [0,1]"),
+        ({"kernel": [[2, 1, -0.25]]}, "kernel a(2,(*,1))=-0.25 outside [0,1]"),
+        ({"kernel": [[2, 1, float("nan")]]}, "kernel a(2,(*,1))=nan outside [0,1]"),
+        ({"kernel": [[1, 2, 1.5]]}, "kernel a(1,(*,2))=1.5 outside [0,1]"),
+    ], ids=["both_forms", "neither_form", "short_row", "long_row", "ragged_rows",
+            "string_value", "boolean_index", "not_a_list", "non_integral_u",
+            "non_integral_w", "u_out_of_range", "u_zero", "w_out_of_range", "w_huge",
+            "duplicate", "value_above_one", "negative_value", "nan_value",
+            "bad_value_on_unread_cell"])
+    def test_malformed_kernel_names_the_path(self, tmp_path, fields, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 2, "links": [[1, 1], [2, 1], [1, 2]], **fields}))
+        with pytest.raises(InstanceError, match=re.escape(f"bad.json: {message}")):
+            load_instance(path)
+
     def test_rejects_value_out_of_range(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(
@@ -238,11 +320,18 @@ class TestInstanceFiles:
          "link (3, 1) out of range for n=2"),
         ({"n": 2, "links": [[1, 1], [2, 2], [0, 9]], "affectance": []},
          "link (0, 9) out of range for n=2"),
+        ({"n": 2, "links": [["1", 1], [2, "2"]], "affectance": [[2, 1, 1, "0.5"]]}, ROWS_OF_2),
+        ({"n": 2, "links": [[True, 1], [2, 2]], "affectance": []}, ROWS_OF_2),
+        ({"n": 2, "links": [[1, 1], [2, 2]], "affectance": [[2, 1, 1, "0.5"]]}, ROWS_OF_4),
+        ({"n": 2, "links": [[1, 1], [2, 2]], "affectance": [[2, 1, True, 0.5]]}, ROWS_OF_4),
+        ({"n": 2, "links": [[1, 1], [2, 2]], "affectance": [[2, 1, 1, None]]}, ROWS_OF_4),
     ], ids=["long_link", "short_link", "short_entry", "ragged_entries",
             "non_numeric_value", "links_not_a_list", "n_not_a_number", "n_null",
             "n_non_integral", "n_numeric_string", "n_boolean", "duplicate_link",
             "link_out_of_range", "receiver_without_link", "duplicate_before_out_of_range",
-            "out_of_range_before_duplicate", "link_out_of_range_as_written"])
+            "out_of_range_before_duplicate", "link_out_of_range_as_written",
+            "link_numeric_strings", "link_boolean", "entry_numeric_string", "entry_boolean",
+            "entry_null"])
     def test_malformed_rows_name_the_path(self, tmp_path, payload, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
@@ -283,22 +372,25 @@ class TestInstanceFiles:
         assert A.topo.links == ((1, 1), (2, 2))
         assert A.a(2, (1, 1)) == 1.0
 
-    @pytest.mark.parametrize("make", [
-        lambda: generate_office_layer(OfficeGridSpec(offices=4)),
-        lambda: generate_office_layer(OfficeGridSpec(offices=3, alpha=1.5, nodes_per_office=4)),
-        lambda: generate_rn_instance(30, 6, seed=2),
-        lambda: generate_random_instance(6, seed=5),
-        lambda: generate_random_instance(4, seed=1, entry_prob=0.0),
+    @pytest.mark.parametrize("make, form", [
+        (FACTORING["office"], "kernel"),
+        (FACTORING["office_spec"], "kernel"),
+        (FACTORING["rn"], "kernel"),
+        (lambda: generate_random_instance(6, seed=5), "affectance"),
+        # All weights 0: the zero kernel, with no entries, holds the instance.
+        (lambda: generate_random_instance(4, seed=1, entry_prob=0.0), "kernel"),
     ], ids=["office", "office_spec", "rn", "random", "no_entries"])
-    def test_saved_bytes_equal_json_dump(self, tmp_path, make):
+    def test_saved_bytes_equal_json_dump(self, tmp_path, make, form):
         A = make()
         path = tmp_path / "inst.json"
         save_instance(A, path)
-        payload = {
-            "n": A.n,
-            "links": [[v, w] for v, w in A.topo.links],
-            "affectance": [[u, v, w, value] for u, v, w, value in A.entries()],
-        }
+        if form == "kernel":
+            # Each (u, w) pair once: its weight on every link into w.
+            kernel = {(u, w): value for u, v, w, value in A.entries()}
+            weights = [[u, w, value] for (u, w), value in sorted(kernel.items())]
+        else:
+            weights = [[u, v, w, value] for u, v, w, value in A.entries()]
+        payload = {"n": A.n, "links": [[v, w] for v, w in A.topo.links], form: weights}
         assert path.read_text() == json.dumps(payload, indent=1) + "\n"
 
 
