@@ -547,7 +547,8 @@ def characterize(A, c=None):
     If ``c`` is omitted, the smallest admissible value is derived from the
     instance and tightened by ``EPS_C`` (the formulas need c > 1 strictly);
     a given ``c`` that is not a finite number above 1, or so large that d
-    rounds to 1 (from about c = 2.6e7), raises ConstraintError.
+    rounds to 1 (some c above about 2.6e7, every c above about 6.7e7),
+    raises ConstraintError.
     """
     degree = A.topo.degree
     # max_avg_affectance_w of every receiver at once.
