@@ -10,28 +10,37 @@ the change's ``BENCHMARK.json``, pair i of ``PAIRS`` runs
 ``run_seconds`` once in each tree, parent first on even pairs and change
 first on odd ones, so a drift in machine speed falls on both sides. The last line a run prints is its
 result; a run that exits non-zero or reports ``correct: false`` is kept
-and counted in ``incorrect_runs``.
+and counted in ``incorrect_runs``. After the workloads, pair i times one
+tier-1 run (``python -m pytest`` of the tree's tests, with its ``src`` first
+on ``PYTHONPATH``) in each tree, in the same alternating order.
 
 Writes ``BENCH_<label>.json`` into the change tree: the environment of each
 side (git sha, whether the tree had uncommitted changes, the SHA-256 of
 ``src/affsim/*.py`` as the benchmark computes it, Python, numpy, BLAS,
 nproc, CPU), and for every workload and end-to-end metric both sides'
 median and quartiles, the number of pairs in which the change was better
-(ties count for neither side) and every value in pair order. Exit code 1
-if any run failed.
+(ties count for neither side) and every value in pair order; under
+``"tier1"``, the same for the suite's wall seconds, with each run's passed
+and failed counts. Exit code 1 if any benchmark run failed; failing tests
+are only counted.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
 # Alternating pairs per workload: a claimed gain is judged on ten pairs.
 PAIRS = 10
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider"]
 
 
 def parse_args(argv):
@@ -63,6 +72,21 @@ def run_once(tree, workload, seed, seconds):
     return env, result
 
 
+def run_tier1(tree):
+    """One tier-1 run: its wall seconds and the passed and failed counts of
+    pytest's summary line (errors count as failed)."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tree / "src")] + ([path] if path else []))}
+    start = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    counts = dict((word, int(count)) for count, word in
+                  re.findall(r"(\d+) (passed|failed|errors?)\b", lines[-1] if lines else ""))
+    return {"wall_s": wall, "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0)}
+
+
 def git_state(tree):
     def git(*cmd):
         proc = subprocess.run(["git", "-C", str(tree), *cmd], capture_output=True, text=True)
@@ -78,21 +102,39 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def paired(values, lower):
+    """Both sides' summaries and the change's wins over paired values."""
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
+    return {**{side: summary(values[side]) for side in SIDES},
+            "change_better_pairs": wins, "pairs": len(values["parent"]), "values": values}
+
+
 def compare(spec, runs):
-    """Per end-to-end metric of BENCHMARK.json: both sides' summaries and
-    the change's wins over the pairs in which both runs gave a result."""
+    """Per end-to-end metric of BENCHMARK.json: ``paired`` over the pairs in
+    which both runs gave a result."""
     out = {}
     pairs = [p for p in runs if p["parent"] and p["change"]]
     for metric in spec["end_to_end"]:
-        name, lower = metric["name"], metric["better"] == "lower"
+        name = metric["name"]
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
-        wins = sum((c < p) if lower else (c > p)
-                   for p, c in zip(values["parent"], values["change"]))
         out[name] = {"unit": metric["unit"], "better": metric["better"],
-                     "bound": metric["bound"],
-                     **{side: summary(values[side]) for side in SIDES},
-                     "change_better_pairs": wins, "pairs": len(pairs), "values": values}
+                     "bound": metric["bound"], **paired(values, metric["better"] == "lower")}
     return out
+
+
+def tier1_pairs(trees):
+    """One tier-1 run per tree in each of ``PAIRS`` alternating pairs."""
+    runs = {side: [] for side in SIDES}
+    for i in range(PAIRS):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            runs[side].append(run_tier1(trees[side]))
+        print(f"tier1 pair {i}: " + " ".join(
+            f"{side} {runs[side][-1]['wall_s']:.2f} s ({runs[side][-1]['passed']} passed, "
+            f"{runs[side][-1]['failed']} failed)" for side in SIDES), flush=True)
+    walls = {side: [run["wall_s"] for run in runs[side]] for side in SIDES}
+    return {"wall_s": {"unit": "s", "better": "lower", **paired(walls, True)},
+            **{key: {side: [run[key] for run in runs[side]] for side in SIDES}
+               for key in ("passed", "failed")}}
 
 
 def main(argv=None):
@@ -120,6 +162,7 @@ def main(argv=None):
             print(f"{workload} seed {seed}: wall_s parent {walls[0]} change {walls[1]}",
                   flush=True)
         report["workloads"][workload] = compare(spec, runs)
+    report["tier1"] = tier1_pairs(trees)
     report["incorrect_runs"] = incorrect
     path = trees["change"] / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")

@@ -172,18 +172,48 @@ class _SeedState:
         return self.state
 
 
-class _NodeDraws:
-    """Per-node uniform streams, read ahead in blocks: node v's generator, seeded
-    from ``_node_seed_states``, draws the stream of ``default_rng([seed, v])``.
-    ``rng.random(k)`` equals k ``rng.random()`` calls, so taking exactly the
-    values the scalar per-node step would draw keeps every stream byte-identical."""
+# Values of each node's stream that a store draws once for every run on its
+# seed: they cover the first three evaluation blocks (32 + 64 + 128 rounds).
+_SHARED = 256
+
+
+class _NodeStreams:
+    """The first ``_SHARED`` values of node v's stream, that of
+    ``default_rng([seed, v])``, for v = 1..n, as the read-only (n, _SHARED)
+    ``prefix``. A stream depends only on the seed and v, so every adaptive
+    run on this seed whose instance has at most n nodes can read it."""
 
     def __init__(self, seed, n):
         from numpy.random.bit_generator import ISeedSequence
         ISeedSequence.register(_SeedState)
-        self.rngs = [np.random.Generator(np.random.PCG64(_SeedState(state)))
-                     for state in _node_seed_states(seed, n)]
-        self.buffer = np.empty((n, 0))
+        self.seed, self.states = seed, _node_seed_states(seed, n)
+        self.prefix = np.array([rng.random(_SHARED) for rng in self._rngs(len(self.states))])
+        self.prefix.flags.writeable = False
+
+    def _rngs(self, n):
+        return [np.random.Generator(np.random.PCG64(_SeedState(state)))
+                for state in self.states[:n]]
+
+    def rngs(self, n):
+        """Generators of nodes 1..n, each past its prefix (a double takes
+        one 64-bit output, so ``advance(_SHARED)`` skips exactly it)."""
+        rngs = self._rngs(n)
+        for rng in rngs:
+            rng.bit_generator.advance(_SHARED)
+        return rngs
+
+
+class _NodeDraws:
+    """Per-node uniform streams, read ahead in blocks: the reads start on the
+    shared ``_NodeStreams`` prefix, and only a run that reads past it builds
+    private generators that continue each stream. ``rng.random(k)`` equals k
+    ``rng.random()`` calls, so taking exactly the values the scalar per-node
+    step would draw keeps every stream byte-identical."""
+
+    def __init__(self, streams, n):
+        self.streams, self.rngs = streams, None
+        # A view: a refill builds a new buffer and never writes in place.
+        self.buffer = streams.prefix[:n]
         self.pos = np.zeros(n, dtype=int)
 
     def peek(self, k):
@@ -191,6 +221,8 @@ class _NodeDraws:
         them."""
         n, width = self.buffer.shape
         if k > width - self.pos.max():
+            if self.rngs is None:
+                self.rngs = self.streams.rngs(n)
             # Refill every row at once: the row widths of a 2-D buffer match.
             width = max(k, width)
             parts = []
@@ -204,7 +236,7 @@ class _NodeDraws:
         self.pos += used
 
 
-def run_adaptive(A, policy, params, seed, max_rounds):
+def run_adaptive(A, policy, params, seed, max_rounds, streams=None):
     """Iterate an adaptive per-node policy until every receiver is covered or
     the round cap is hit (truncation is an outcome, not an error).
 
@@ -218,8 +250,11 @@ def run_adaptive(A, policy, params, seed, max_rounds):
     The stop-when-all-covered guard uses global knowledge; it is a
     termination-detection device of the simulation, not of the protocol. Node v
     draws from its own stream, that of ``default_rng([seed, v])``, seeded for
-    all nodes in one numpy pass (``_NodeDraws``), so decisions are independent
-    of iteration order. No decision depends on feedback, so ``_first_success``
+    all nodes in one numpy pass, so decisions are independent of iteration
+    order. ``streams`` is a ``_NodeStreams`` of this seed with at least n rows,
+    whose prefix the run reads instead of drawing its own (``sweep`` shares
+    one per seed); without it the run builds one. No decision depends on
+    feedback, so ``_first_success``
     asks for whole blocks of rounds, and each block is decided for all nodes at
     once, consuming exactly the values a round-by-round loop would. The record
     keeps the rounds up to completion or the cap and drops any decided past
@@ -228,7 +263,12 @@ def run_adaptive(A, policy, params, seed, max_rounds):
     if max_rounds < 1:
         raise InstanceError("max_rounds must be >= 1")
     n = A.n
-    draws = _NodeDraws(seed, n)
+    if streams is None:
+        streams = _NodeStreams(seed, n)
+    elif streams.seed != seed or len(streams.states) < n:
+        raise InstanceError(f"node streams of seed {streams.seed} for {len(streams.states)} "
+                            f"nodes used by a run of seed {seed} on n={n}")
+    draws = _NodeDraws(streams, n)
     if policy == "decay":
         period = decay_period(max_in_degree(A.topo))
         on = np.zeros(n, dtype=bool)
@@ -320,6 +360,11 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     schedule. Each instance is characterized once, on its first randomized
     or deterministic run, and its greedy schedule is built once.
 
+    The runs go seed by seed, so that the decay and sinr runs of one seed
+    share one ``_NodeStreams`` for the largest n, built on the seed's first
+    adaptive run and dropped before the next seed's; the rows are then put
+    in the order above.
+
     Rounds is the completion round (last first-success slot) for every
     protocol, schedules included, so the metric is comparable with the
     adaptive baselines' stop-at-completion count; truncated or incomplete
@@ -330,29 +375,36 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     missing = [i for i, _, sinr in instances if sinr is None] if "sinr" in protocols else []
     if missing:
         raise InstanceError(f"sinr needs density and dilution for instance {missing[0]}")
+    n_max = max(A.n for _, A, _ in instances)
     chars, greedy = {}, {}
-    rows = []
-    for name in protocols:
-        for j, (instance_id, A, sinr) in enumerate(instances):
-            if name in ("randomized", "deterministic") and j not in chars:
-                chars[j] = characterize(A, c=c)
-            if name == "deterministic" and j not in greedy:
-                greedy[j] = deterministic_schedule(A, chars[j])
-            for seed in seeds[:1] if name == "deterministic" else seeds:
+    rows = {}
+    for s, seed in enumerate(seeds):
+        streams = None
+        for i, name in enumerate(protocols):
+            if name == "deterministic" and s:
+                continue
+            for j, (instance_id, A, sinr) in enumerate(instances):
+                if name in ("randomized", "deterministic") and j not in chars:
+                    chars[j] = characterize(A, c=c)
                 if name == "randomized":
                     params = RandomizedParams(
                         characterization=chars[j], seed=seed, m_override=m_override
                     )
                     record = run_schedule(A, randomized_schedule(params, A.n), name, seed)
                 elif name == "deterministic":
+                    if j not in greedy:
+                        greedy[j] = deterministic_schedule(A, chars[j])
                     record = run_schedule(A, greedy[j], name, seed)
                 else:
+                    if streams is None:
+                        streams = _NodeStreams(seed, n_max)
                     params = sinr if name == "sinr" else {}
-                    record = run_adaptive(A, name, params, seed, max_rounds)
+                    record = run_adaptive(A, name, params, seed, max_rounds, streams)
                 rounds = record.rounds if record.completed else max_rounds
                 bound = chars[j].slot_bound if name == "randomized" else None
-                rows.append(SweepRow(instance_id, name, seed, A.n, rounds, record.completed, bound))
-    return rows
+                rows[i, j, s] = SweepRow(instance_id, name, seed, A.n, rounds,
+                                         record.completed, bound)
+    return [rows[key] for key in sorted(rows)]
 
 
 CSV_HEADER = ["instance_id", "protocol", "seed", "n", "rounds", "completed"]

@@ -52,6 +52,11 @@ def randomized_phase_count(params, n):
     return params.characterization.phases
 
 
+# Largest phases * m * n of a randomized schedule: the draws take 8 bytes a
+# cell (2 GiB here). Office n = 10**4 needs about 5 * 10**7 cells.
+MAX_RANDOMIZED_CELLS = 2 ** 28
+
+
 def randomized_schedule(params, n):
     """Phase ladder of geometrically decreasing transmission probabilities.
 
@@ -59,11 +64,16 @@ def randomized_schedule(params, n):
     independently with probability b**-i. Draws come from the seeded
     generator in phase-major, slot-minor, transmitter-ascending order, so
     identical (params, n) reproduce identical schedules. The (phases, m, n)
-    draw mask becomes the schedule's (phases * m, n) mask as is.
+    draw mask becomes the schedule's (phases * m, n) mask as is. More than
+    ``MAX_RANDOMIZED_CELLS`` draws is an InstanceError, raised before any
+    is made.
     """
     char = params.characterization
     phases = randomized_phase_count(params, n)
     m = params.m_override if params.m_override is not None else char.m
+    if phases * m * n > MAX_RANDOMIZED_CELLS:
+        raise InstanceError(f"randomized schedule of phases={phases}, m={m}, n={n} needs "
+                            f"{phases * m * n} draws, over the limit of {MAX_RANDOMIZED_CELLS}")
     rng = np.random.default_rng(params.seed)
     u = rng.random((phases, m, n))
     p = char.b ** -np.arange(phases)

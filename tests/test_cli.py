@@ -343,6 +343,27 @@ def test_sweep_rejects_zero_m_override(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command, m", [
+    (["schedule", "--instance", "{office}", "--c", "1e4"], 5734393804),
+    (["schedule", "--instance", "{office}", "--m-override", "100000000000"], 10 ** 11),
+    (["sweep", "--scenario", "{scenario}", "--c", "1e4"], 5734393804),
+], ids=["schedule_c", "schedule_m_override", "sweep_c"])
+def test_randomized_schedule_over_capacity_is_validation_error(tmp_path, capsys, command, m):
+    # The limit is checked before any draw, so nothing large is allocated.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"offices": 2}))
+    paths = {"office": write_office(tmp_path), "scenario": str(scenario)}
+    out = tmp_path / "out.txt"
+    argv = [arg.format(**paths) for arg in command]
+    code = main([*argv, "--protocol", "randomized", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f", m={m}, n=6 needs " in err
+    assert f"draws, over the limit of {2 ** 28}" in err
+    assert "randomized schedule of phases=" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["schedule", "--protocol", "deterministic", "--seed", "-1"],
     ["schedule", "--protocol", "randomized", "--seed", "-1"],

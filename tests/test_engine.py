@@ -182,20 +182,42 @@ class TestRunAdaptive:
 
     def test_node_draws_follow_scalar_streams(self):
         rng = np.random.default_rng(0)
-        draws = engine._NodeDraws(7, 4)
-        taken = [[] for _ in range(4)]
-        # Rows that use all or none of a peek leave ragged rests, so later
-        # peeks, also shorter ones, must refill some rows and keep others.
-        for k in (3, 32, 1, 64, 0, 40, 5, 90, 7):
-            values = draws.peek(k)
-            assert values.shape == (4, k)
-            used = np.r_[k, 0, rng.integers(0, k + 1, size=2)]
+        # A store with as many rows as the run reads, and one with more.
+        for rows in (4, 9):
+            streams = engine._NodeStreams(7, rows)
+            prefix = streams.prefix.copy()
+            draws = engine._NodeDraws(streams, 4)
+            taken = [[] for _ in range(4)]
+            # Rows that use all or none of a peek leave ragged rests, so later
+            # peeks, also shorter ones, must refill some rows and keep others;
+            # row 0 reaches the end of the shared prefix inside the peek of 200.
+            for k in (3, 32, 1, 64, 0, 40, 5, 90, 7, 200, 1, 120, 300, 9):
+                values = draws.peek(k)
+                assert values.shape == (4, k)
+                used = np.r_[k, 0, rng.integers(0, k + 1, size=2)]
+                for v in range(4):
+                    taken[v] += values[v, :used[v]].tolist()
+                draws.advance(used)
+            assert len(taken[0]) > engine._SHARED
             for v in range(4):
-                taken[v] += values[v, :used[v]].tolist()
-            draws.advance(used)
-        for v in range(4):
-            scalar = np.random.default_rng([7, v + 1])
-            assert taken[v] == [scalar.random() for _ in taken[v]]
+                scalar = np.random.default_rng([7, v + 1])
+                assert taken[v] == [scalar.random() for _ in taken[v]]
+            # The run read past the prefix without writing into it.
+            assert not streams.prefix.flags.writeable
+            np.testing.assert_array_equal(streams.prefix, prefix)
+
+    def test_node_streams_continue_past_the_prefix(self):
+        streams = engine._NodeStreams(2 ** 40 + 3, 5)
+        for v, rng in enumerate(streams.rngs(3), start=1):
+            scalar = np.random.default_rng([2 ** 40 + 3, v]).random(engine._SHARED + 4)
+            assert streams.prefix[v - 1].tolist() == scalar[:engine._SHARED].tolist()
+            assert rng.random(4).tolist() == scalar[engine._SHARED:].tolist()
+
+    @pytest.mark.parametrize("seed, rows", [(4, 6), (3, 5)])
+    def test_mismatched_node_streams_rejected(self, seed, rows):
+        A = generate_office_layer(OfficeGridSpec(offices=2))  # n = 6
+        with pytest.raises(InstanceError, match="node streams of seed"):
+            run_adaptive(A, "decay", {}, 3, 100, engine._NodeStreams(seed, rows))
 
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7, 2 ** 96,
                                       2 ** 127 + 1])
@@ -376,6 +398,61 @@ class TestSweep:
         with pytest.raises(InstanceError, match="for instance b"):
             sweep(instances, ["decay", "sinr"], [0])
         assert len(sweep(instances, ["decay"], [0])) == 2
+
+    def test_shared_streams_match_unshared_runs(self, mutually_blocking_pair, monkeypatch):
+        # Instances of different n; the blocked pair is truncated at 600
+        # rounds and the isolated links (dilution = n) run past 224 rounds,
+        # so both read past the shared prefix.
+        n = 20
+        isolated = AffectanceMatrix(LayerTopology(n, tuple((v, v) for v in range(1, n + 1))))
+        spec = OfficeGridSpec(offices=4)
+        instances = [("office", generate_office_layer(spec), sinr_defaults(spec)),
+                     ("blocked", mutually_blocking_pair, {"density": 1, "dilution": 1}),
+                     ("isolated", isolated, {"density": n, "dilution": n})]
+        protocols, seeds = ["sinr", "decay", "sinr"], [5, 0, 12, 5]
+        built = []
+
+        class RecordingStreams(engine._NodeStreams):
+            def __init__(self, seed, n):
+                built.append((seed, n))
+                super().__init__(seed, n)
+
+        monkeypatch.setattr(engine, "_NodeStreams", RecordingStreams)
+        rows = sweep(instances, protocols, seeds, max_rounds=600)
+        monkeypatch.undo()
+        # One store per seed position, for the largest n.
+        assert built == [(seed, n) for seed in seeds]
+        expected = []
+        for name in protocols:
+            for instance_id, A, sinr in instances:
+                for seed in seeds:
+                    record = run_adaptive(A, name, sinr if name == "sinr" else {}, seed, 600)
+                    rounds = record.rounds if record.completed else 600
+                    expected.append(engine.SweepRow(instance_id, name, seed, A.n, rounds,
+                                                    record.completed))
+        assert rows == expected
+        assert max(row.rounds for row in rows if row.instance_id == "isolated") > 224
+        assert not any(row.completed for row in rows if row.instance_id == "blocked")
+
+    def test_one_node_stream_store_at_a_time(self):
+        # Only one seed's store is alive at a time, so more seeds add rows
+        # to the peak, not stores.
+        import tracemalloc
+
+        spec = OfficeGridSpec(offices=14)
+        instances = [("office", generate_office_layer(spec), sinr_defaults(spec))]
+
+        def peak(seeds):
+            sweep(instances, ["decay", "sinr"], list(range(seeds)))  # warm caches
+            tracemalloc.start()
+            try:
+                sweep(instances, ["decay", "sinr"], list(range(seeds)))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        store = 42 * engine._SHARED * 8
+        assert peak(40) - peak(4) < store
 
     def test_csv_output(self, tmp_path):
         rows = sweep([self.instance()], ["decay"], [1], 500)
