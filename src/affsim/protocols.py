@@ -53,7 +53,7 @@ def randomized_phase_count(params, n):
 
 
 # Largest phases * m * n of a randomized schedule: the draws take 8 bytes a
-# cell (2 GiB here). Office n = 10**4 needs about 5 * 10**7 cells.
+# cell (2 GiB at the limit). Office n = 10**4 needs about 5 * 10**7 cells.
 MAX_RANDOMIZED_CELLS = 2 ** 28
 
 
