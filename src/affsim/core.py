@@ -1,10 +1,11 @@
 """Additive-interference model core.
 
-Holds the bipartite layer topology, the per-(transmitter, link) interference
-weight matrix, the batched success kernel and the scalar success/selection
-predicates, instance characterization (derived scheduling constants), the
-unit-weight radio-network encoding, and a brute-force oracle of the
-per-receiver average affectance, used as test ground truth.
+Holds the bipartite layer topology, the interference weights (a receiver
+kernel or a dense per-(link, transmitter) array), the batched success rule
+and the scalar success/selection predicates, instance characterization
+(derived scheduling constants), the unit-weight radio-network encoding, and
+a brute-force oracle of the per-receiver average affectance, used as test
+ground truth.
 
 All indices in the public API are 1-based; internal numpy storage is 0-based.
 """
@@ -14,6 +15,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -136,6 +138,16 @@ def _kernel_scatter(n, entries):
     return _fill((n, n), (w - 1) * n + u - 1, table, _kernel_text)
 
 
+def _on_grid(weights):
+    """``weights`` rounded in place to multiples of 1 / GRID, then made
+    read-only."""
+    weights *= GRID
+    np.rint(weights, out=weights)
+    weights /= GRID
+    weights.flags.writeable = False
+    return weights
+
+
 def _expand(topo, G):
     """Row w - 1 of the kernel ``G`` for each link (v, w), column v zeroed."""
     dense = G[topo.receiver]
@@ -246,32 +258,39 @@ class LayerTopology:
 class AffectanceMatrix:
     """Interference weights a(u, (v, w)) in [0, 1], bound to one topology.
 
-    Stored as one read-only dense (L, n) float array: ``dense[i, u - 1]`` is
-    the weight of transmitter u on link i of ``topo`` (in sorted order).
-    Every instance is checked once, on that array: the shape
-    is (L, n), every value lies in [0, 1] (NaN does not), and each link
-    owner's own column is 0 (self-interference a(v, (v, w)) = 0, so a lone
-    transmitter always succeeds). The array takes 8 * L * n bytes.
+    An instance is held in one of two forms. A weight that depends on u and
+    w only, as in the office and radio-network generators, is an (n, n)
+    receiver kernel G with a(u, (v, w)) = ``G[w - 1, u - 1]`` for u != v:
+    ``from_kernel`` keeps it as the read-only, contiguous ``G.T`` (8 * n * n
+    bytes) and each link's own weight ``G[w - 1, v - 1]``. Any other
+    instance is one read-only dense (L, n) float array (8 * L * n bytes):
+    ``dense[i, u - 1]`` is the weight of transmitter u on link i of
+    ``topo`` (in sorted order). ``dense`` exists in both forms; a kernel
+    instance expands it on first use, for the scalar oracles, the entries
+    writer and the greedy's per-link rows, while ``link_totals`` reads the
+    kernel itself.
 
-    Once checked, each weight is rounded in place to the nearest multiple
+    The weights are checked once: every value lies in [0, 1] (NaN does
+    not), and each link owner's own column of a dense array is 0
+    (self-interference a(v, (v, w)) = 0, so a lone transmitter always
+    succeeds). Once checked, each weight is rounded to the nearest multiple
     of 2**-32. A sum of up to 2**21 such weights is exact in float64, so a
     link's total, and the test total < 1, come out the same in every
-    summation order (``np.dot``, BLAS products, partial sums), ties
-    included; the dense layout keeps n far below 2**21.
+    summation order (``np.dot``, BLAS products, partial sums, a receiver's
+    total less one link's own weight), ties included; an (n, n) kernel keeps
+    n far below 2**21.
 
     ``from_dense`` wraps an array that is already built, without copying
-    it. ``from_kernel`` expands an (n, n) receiver kernel G, the form of
-    every instance whose weight a(u, (v, w)) depends on u and w only (the
-    office and radio-network generators build theirs so), and ``kernel``
-    recovers G from a matrix of that form. The constructor takes
-    (u, v, w, value) entries (1-based, absent pairs are 0) and scatters
-    them into a zero array first: indices must be integral, u in 1..n,
-    (v, w) a link of the topology, and no (u, v, w) may repeat. Immutable
-    after construction.
+    it, and ``kernel`` recovers G from a matrix of either form when the
+    weights factor. The constructor takes (u, v, w, value) entries (1-based,
+    absent pairs are 0) and scatters them into a zero array first: indices
+    must be integral, u in 1..n, (v, w) a link of the topology, and no
+    (u, v, w) may repeat. Immutable after construction.
     """
 
     def __init__(self, topo, entries=()):
         self.topo = topo
+        self._GT = None
         self.dense = self._checked(self._scatter(entries))
 
     @classmethod
@@ -281,15 +300,16 @@ class AffectanceMatrix:
         is copied only if it is not a writeable float array."""
         A = cls.__new__(cls)
         A.topo = topo
+        A._GT = None
         A.dense = A._checked(np.require(dense, dtype=float, requirements="W").view())
         return A
 
     @classmethod
     def from_kernel(cls, topo, G):
         """Matrix with a(u, (v, w)) = ``G[w - 1, u - 1]`` for every link (v, w)
-        and u != v. G must be (n, n) with every value in [0, 1], including
-        the cells (u, w) where u is w's only transmitter, which no link
-        reads."""
+        and u != v, kept as the kernel; ``G`` itself is not modified. G must
+        be (n, n) with every value in [0, 1], including the cells (u, w)
+        where u is w's only transmitter, which no link reads."""
         G = np.asarray(G, dtype=float)
         shape = (topo.n, topo.n)
         if G.shape != shape:
@@ -298,15 +318,34 @@ class AffectanceMatrix:
         if bad is not None:
             w0, u0 = bad
             raise InstanceError(f"kernel a({u0 + 1},(*,{w0 + 1}))={G[bad]} outside [0,1]")
-        return cls.from_dense(topo, _expand(topo, G))
+        A = cls.__new__(cls)
+        A.topo = topo
+        # Rounding commutes with the expansion into dense rows.
+        A._GT = _on_grid(np.array(G.T, order="C"))
+        A._own = A._GT[topo.owner, topo.receiver]
+        A._own.flags.writeable = False
+        return A
+
+    @cached_property
+    def dense(self):
+        """The (L, n) array of a kernel instance, expanded on first use."""
+        dense = _expand(self.topo, self._GT.T)
+        dense.flags.writeable = False
+        return dense
 
     def kernel(self):
         """The (n, n) kernel that ``from_kernel`` expands to exactly this
-        matrix, or None if the weights do not factor so. Row w - 1 is the
-        column-wise maximum of the rows of the links into w."""
+        matrix, or None if the weights do not factor so. The cells (u, w)
+        where u is w's only transmitter, which no link reads, are 0."""
         topo = self.topo
-        G = np.maximum.reduceat(self.dense[topo._by_receiver], topo._start[:-1], axis=0)
-        return G if np.array_equal(_expand(topo, G), self.dense) else None
+        if self._GT is None:
+            # Row w - 1 is the column-wise maximum of the rows of the links into w.
+            G = np.maximum.reduceat(self.dense[topo._by_receiver], topo._start[:-1], axis=0)
+            return G if np.array_equal(_expand(topo, G), self.dense) else None
+        G = self._GT.T.copy()
+        single = topo.degree[topo.receiver] == 1
+        G[topo.receiver[single], topo.owner[single]] = 0.0
+        return G
 
     def _scatter(self, entries):
         table = _table(entries, 4, "affectance entries")
@@ -342,11 +381,7 @@ class AffectanceMatrix:
             raise InstanceError(
                 f"self-affectance a({v},({v},{w})) must be 0, got {own[bad]}"
             )
-        dense *= GRID
-        np.rint(dense, out=dense)
-        dense /= GRID
-        dense.flags.writeable = False
-        return dense
+        return _on_grid(dense)
 
     @property
     def n(self):
@@ -354,7 +389,25 @@ class AffectanceMatrix:
 
     def a(self, u, link):
         """Single entry lookup; absent pairs are 0."""
-        return float(self.dense[self.topo.link_row(link), u - 1])
+        row = self.topo.link_row(link)
+        if self._GT is None:
+            return float(self.dense[row, u - 1])
+        v, w = link
+        return 0.0 if u == v else float(self._GT[u - 1, w - 1])
+
+    def link_totals(self, transmit, rows=slice(None)):
+        """Summed affectance on the links ``rows`` (all by default) under a
+        bool (n,) or (slots, n) transmit mask, as an (L,) or (slots, L)
+        array; exact on the weight grid on every link whose owner transmits,
+        the only links the success rule reads. The kernel form gathers each
+        link's receiver total ``transmit @ G.T`` and subtracts the owner's
+        own weight in place, whether or not the owner transmits, so on a
+        link with a silent owner it is lower by that weight."""
+        if self._GT is None:
+            return transmit @ self.dense[rows].T
+        totals = (transmit @ self._GT)[..., self.topo.receiver[rows]]
+        totals -= self._own[rows]
+        return totals
 
     def entries(self):
         """Nonzero entries as (u, v, w, value), sorted."""
@@ -384,14 +437,13 @@ def total_affectance(A, transmitters, link):
     return float(np.dot(A.dense[row], _indicator(A.n, transmitters)))
 
 
-def link_success(weights, owners, transmit):
+def link_success(A, transmit, rows=slice(None)):
     """The success rule, batched: link i succeeds iff its owner transmits and
-    its summed affectance stays strictly below 1. ``weights`` is (L, c) over
-    c transmit columns (usually ``A.dense``), ``owners`` the column of each
-    link's owner, ``transmit`` a bool (c,) or (slots, c) mask; returns a
-    bool (L,) or (slots, L) mask. On the weight grid it agrees with the
-    scalar ``is_successful``, ties included."""
-    return transmit[..., owners] & (transmit @ weights.T < 1.0)
+    its summed affectance (``A.link_totals``) stays strictly below 1.
+    ``transmit`` is a bool (n,) or (slots, n) mask, ``rows`` the links to
+    judge (all by default); returns a bool (L,) or (slots, L) mask. On the
+    weight grid it agrees with the scalar ``is_successful``, ties included."""
+    return transmit[..., A.topo.owner[rows]] & (A.link_totals(transmit, rows) < 1.0)
 
 
 def is_successful(A, transmitters, link):
@@ -493,7 +545,7 @@ def max_avg_affectance_w(A, w):
     reduces to the largest per-link total; the exponential subset definition
     is kept as the brute-force oracle below.
     """
-    return float(A.dense[A.topo.link_rows(w)].sum(axis=1).max())
+    return float(A.link_totals(np.ones(A.n, dtype=bool), A.topo.link_rows(w)).max())
 
 
 def brute_force_max_avg_affectance(A, w):
@@ -553,7 +605,7 @@ def characterize(A, c=None):
     degree = A.topo.degree
     # max_avg_affectance_w of every receiver at once.
     abar_w = np.zeros(A.n)
-    np.maximum.at(abar_w, A.topo.receiver, A.dense.sum(axis=1))
+    np.maximum.at(abar_w, A.topo.receiver, A.link_totals(np.ones(A.n, dtype=bool)))
     abar = float(abar_w.max())
     if c is None:
         c = max(1.0 + EPS_C, float((abar_w / degree).max()) + EPS_C)

@@ -77,25 +77,26 @@ def _first_success(A, slots, cap):
     receivers only; a receiver's rows drop at its first success, and the
     loop ends when none is left. Grid totals do not depend on summation
     order and later slots cannot undo a first success, so the answer is
-    that of one pass over all ``cap`` slots. ``A.dense`` is read in place
-    until the first rows drop; only then is a smaller copy gathered.
+    that of one pass over all ``cap`` slots. Until the first rows drop,
+    every link is judged and ``link_totals`` gathers no rows.
     """
     receiver_of = A.topo.receiver
-    rows = np.arange(len(receiver_of))
-    weights, owners = A.dense, A.topo.owner
+    links = np.arange(len(receiver_of))
+    rows = slice(None)
     first = np.zeros(A.n, dtype=int)
     done, size = 0, _FIRST_BLOCK
-    while done < cap and len(rows):
+    # Every receiver has a link, so some rows are left until all are covered.
+    while done < cap and not first.all():
         stop = min(done + size, cap)
-        success = link_success(weights, owners, slots(done, stop))
+        success = link_success(A, slots(done, stop), rows)
         hit = success.any(axis=0)
         if hit.any():
+            live = links[rows]
             slot = np.full(A.n, stop - done)
-            np.minimum.at(slot, receiver_of[rows[hit]], success.argmax(axis=0)[hit])
+            np.minimum.at(slot, receiver_of[live[hit]], success.argmax(axis=0)[hit])
             covered = slot < stop - done
             first[covered] = done + slot[covered] + 1
-            rows = rows[~covered[receiver_of[rows]]]
-            weights, owners = A.dense[rows], A.topo.owner[rows]
+            rows = live[~covered[receiver_of[live]]]
         done, size = stop, min(2 * size, _MAX_BLOCK)
     covered = np.flatnonzero(first)
     return dict(zip((covered + 1).tolist(), first[covered].tolist()))

@@ -52,8 +52,9 @@ def randomized_phase_count(params, n):
     return params.characterization.phases
 
 
-# Largest phases * m * n of a randomized schedule: the draws take 8 bytes a
-# cell (2 GiB at the limit). Office n = 10**4 needs about 5 * 10**7 cells.
+# Largest phases * m * n of a randomized schedule: its mask takes a byte a
+# cell (256 MiB at the limit), and one phase's draws 8 bytes a cell of that
+# phase. Office n = 10**4 needs about 5 * 10**7 cells.
 MAX_RANDOMIZED_CELLS = 2 ** 28
 
 
@@ -64,9 +65,11 @@ def randomized_schedule(params, n):
     independently with probability b**-i. Draws come from the seeded
     generator in phase-major, slot-minor, transmitter-ascending order, so
     identical (params, n) reproduce identical schedules. The (phases, m, n)
-    draw mask becomes the schedule's (phases * m, n) mask as is. More than
-    ``MAX_RANDOMIZED_CELLS`` draws is an InstanceError, raised before any
-    is made.
+    mask is filled one phase at a time and becomes the schedule's
+    (phases * m, n) mask as is. Phase 0 has p = 1, which every draw is
+    below, so its m * n draws are skipped, not made. More than
+    ``MAX_RANDOMIZED_CELLS`` cells is an InstanceError, raised before any
+    draw is made.
     """
     char = params.characterization
     phases = randomized_phase_count(params, n)
@@ -75,9 +78,13 @@ def randomized_schedule(params, n):
         raise InstanceError(f"randomized schedule of phases={phases}, m={m}, n={n} needs "
                             f"{phases * m * n} draws, over the limit of {MAX_RANDOMIZED_CELLS}")
     rng = np.random.default_rng(params.seed)
-    u = rng.random((phases, m, n))
     p = char.b ** -np.arange(phases)
-    include = u < p[:, None, None]
+    include = np.empty((phases, m, n), dtype=bool)
+    include[0] = True
+    # A double takes one 64-bit output.
+    rng.bit_generator.advance(m * n)
+    for i in range(1, phases):
+        np.less(rng.random((m, n)), p[i], out=include[i])
     return Schedule.from_mask(include.reshape(phases * m, n))
 
 
@@ -259,7 +266,7 @@ def deterministic_schedule(A, char):
             cursors = {w: branch[0 if on else 1] for w, branch in branches.items()}
         slot = q == 1.0
         slots.append(slot)
-        success = link_success(A.dense, A.topo.owner, slot)
+        success = link_success(A, slot)
         selected = set((A.topo.receiver[success] + 1).tolist())
         for bucket in buckets.values():
             bucket -= selected

@@ -107,11 +107,11 @@ def generate_office_layer(spec):
 
     The weight depends on (u, w) only, and an office row has few distinct
     (distance, walls) pairs (2493 at n = 600), so ``office_affectance`` runs
-    once per pair into an (n, n) kernel that ``AffectanceMatrix.from_kernel``
-    expands. The values are bit-identical to one scalar call
-    per entry; the power stays in Python because numpy's differs from it in
-    the last bit on some entries. The matrix is one dense (L, n) array of
-    8 * L * n bytes, L = nodes_per_office * n.
+    once per pair into an (n, n) kernel, which ``AffectanceMatrix.from_kernel``
+    keeps: 8 * n * n bytes, where the dense (L, n) array, L = nodes_per_office
+    * n, would take nodes_per_office times more. The values are
+    bit-identical to one scalar call per entry; the power stays in Python
+    because numpy's differs from it in the last bit on some entries.
     """
     n, k = spec.n, spec.nodes_per_office
     # Each transmitter v links to the k receivers of its office, in sorted
@@ -232,7 +232,7 @@ def load_instance(path):
             raise InstanceError(f"{path}: missing field {key!r}")
     if ("affectance" in payload) == ("kernel" in payload):
         raise InstanceError(f"{path}: needs exactly one of the fields 'affectance' and 'kernel'")
-    # Each parsed list is freed once its array exists, before the dense one.
+    # Each parsed list is freed once its array exists, before the weights'.
     try:
         topo = LayerTopology.from_rows(payload.pop("n"), payload.pop("links"))
         if "kernel" in payload:

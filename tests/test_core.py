@@ -26,6 +26,8 @@ from affsim import (
     is_successful,
     load_instance,
     max_avg_affectance_w,
+    run_adaptive,
+    run_schedule,
     save_instance,
     schedule_from_text,
     schedule_to_text,
@@ -208,6 +210,59 @@ class TestAffectanceMatrix:
             assert sorted(A.topo.owner[rows] + 1) == sorted(A.topo.f(w))
 
 
+@st.composite
+def kernel_cases(st_draw, max_n=7):
+    """A random topology, an (n, n) kernel of multiples of 1/4 (so totals of
+    exactly 1 occur), nonzero also on cells no link reads, and a (slots, n)
+    mask that starts with the all-on slot."""
+    n = st_draw(st.integers(2, max_n))
+    links = []
+    for w in range(1, n + 1):
+        owners = st_draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
+        links += [(v, w) for v in owners]
+    cells = st_draw(st.lists(st.integers(0, 4), min_size=n * n, max_size=n * n))
+    rows = st_draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), max_size=6))
+    mask = np.array([[True] * n, *rows], dtype=bool)
+    return LayerTopology(n, links), np.array(cells).reshape(n, n) / 4, mask
+
+
+class TestKernelForm:
+    """A kernel instance and the dense array it expands to agree on every
+    output; the kernel form never builds the array for them."""
+
+    @settings(max_examples=60)
+    @example((LayerTopology(2, ((1, 1), (2, 1), (1, 2))),
+              np.array([[0.25, 1.0], [0.75, 0.5]]), np.ones((2, 2), dtype=bool)))
+    @given(kernel_cases())
+    def test_kernel_and_dense_forms_agree(self, case):
+        topo, G, mask = case
+        K = AffectanceMatrix.from_kernel(topo, G)
+        runs = {}
+        for name, A in (("kernel", K), ("dense", None)):
+            if A is None:
+                assert "dense" not in K.__dict__
+                A = AffectanceMatrix.from_dense(topo, K.dense.copy())
+            sched = Schedule.from_mask(mask)
+            runs[name] = (
+                link_success(A, mask).tolist(),
+                characterize(A),
+                A.kernel().tolist(),
+                [max_avg_affectance_w(A, w) for w in topo.receivers],
+                [A.a(u, link) for link in topo.links for u in topo.transmitters],
+                [(r.transmit.tolist(), r.first_success, r.completed) for r in (
+                    run_schedule(A, sched),
+                    run_adaptive(A, "decay", {}, 3, 200),
+                    run_adaptive(A, "sinr", {"density": 2, "dilution": 2}, 3, 200),
+                )],
+            )
+        assert runs["kernel"] == runs["dense"]
+        # kernel() zeroes only the cells no link reads.
+        single = topo.degree[topo.receiver] == 1
+        unread = np.zeros_like(G, dtype=bool)
+        unread[topo.receiver[single], topo.owner[single]] = True
+        assert np.array_equal(K.kernel(), np.where(unread, 0.0, G))
+
+
 class TestTotalAffectance:
     def test_empty_set(self):
         assert total_affectance(simple_pair(), set(), (1, 1)) == 0.0
@@ -291,6 +346,14 @@ class TestWeightGrid:
         assert A.a(2, (1, 1)) == round(0.1 * 2 ** 32) / 2 ** 32
         assert abs(A.a(2, (1, 1)) - 0.1) <= 2.0 ** -33
 
+    def test_from_kernel_rounds_a_copy(self):
+        topo = LayerTopology(2, ((1, 1), (2, 2)))
+        G = np.full((2, 2), 0.1)
+        A = AffectanceMatrix.from_kernel(topo, G)
+        assert np.all(G == 0.1)
+        assert A.a(2, (1, 1)) == round(0.1 * 2 ** 32) / 2 ** 32
+        assert on_grid(A.kernel()) and on_grid(A.dense)
+
     def test_save_load_bit_identical(self, tmp_path):
         for seed in range(5):
             A = generate_random_instance(6, seed)
@@ -327,14 +390,14 @@ class TestTies:
         assert not is_successful(A, everyone, (1, 1))
         assert not is_selected(A, everyone, 1)
         assert verify_selective(A, Schedule(11, [everyone])).uncovered == {1}
-        assert not link_success(A.dense, A.topo.owner, np.ones(11, dtype=bool))[0]
+        assert not link_success(A, np.ones(11, dtype=bool))[0]
 
     @settings(max_examples=60)
     @example(ten_tenths_case())
     @given(tie_cases())
     def test_kernel_matches_scalar_predicates(self, case):
         A, mask = case
-        success = link_success(A.dense, A.topo.owner, mask)
+        success = link_success(A, mask)
         for j, row in enumerate(mask):
             slot = set((np.flatnonzero(row) + 1).tolist())
             assert success[j].tolist() == [

@@ -454,6 +454,26 @@ class TestSweep:
         store = 42 * engine._SHARED * 8
         assert peak(40) - peak(4) < store
 
+    def test_rn_3000_sweeps_without_the_dense_array(self):
+        # RN 3000/32 has 49628 links: its dense array would take 1.19 GB,
+        # its kernel 72 MB.
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            A = generate_rn_instance(3000, 32, seed=0)
+            rows = sweep([("rn", A, {"density": 16, "dilution": 1})], ["decay", "sinr"], [0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "dense" not in A.__dict__
+        dense_bytes = 8 * len(A.topo.owner) * A.n
+        assert dense_bytes > 10 ** 9
+        assert peak < dense_bytes / 4
+        # The rounds the dense (L, n) form gives on the same instance.
+        assert [(row.protocol, row.rounds, row.completed) for row in rows] == [
+            ("decay", 65, True), ("sinr", 95, True)]
+
     def test_csv_output(self, tmp_path):
         rows = sweep([self.instance()], ["decay"], [1], 500)
         path = tmp_path / "out.csv"
@@ -473,7 +493,7 @@ class TestSweep:
 def full_mask_first_success(A, mask):
     """Reference: one ``link_success`` over the whole (slots, n) mask, then
     each receiver's earliest successful slot over its links."""
-    success = link_success(A.dense, A.topo.owner, mask)
+    success = link_success(A, mask)
     first = {}
     for row, w in enumerate((A.topo.receiver + 1).tolist()):
         hits = np.flatnonzero(success[:, row])

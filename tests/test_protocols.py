@@ -34,6 +34,7 @@ from affsim.protocols import (
     _relevant,
     _selected_mass,
     greedy_slot_budget,
+    randomized_phase_count,
 )
 
 from conftest import random_instances, selected_by_slot, ten_tenths_case, tie_cases
@@ -87,6 +88,44 @@ class TestRandomizedSchedule:
         params = RandomizedParams(fake_char(abar=0.0, c=2.0, m=9), seed=0,
                                   m_override=2)
         assert len(randomized_schedule(params, 4)) == 2
+
+    @pytest.mark.parametrize("seed", [0, 7, 123, 2 ** 40])
+    @pytest.mark.parametrize("abar, options", [
+        (4.0, {}),
+        (4.0, {"m_override": 3}),
+        (4.0, {"fallback_mode": True}),
+        (0.5, {}),  # one phase, at p = 1
+    ])
+    def test_phase_by_phase_draw_matches_one_shot(self, seed, abar, options):
+        params = RandomizedParams(fake_char(abar=abar, c=1.5, m=7), seed=seed, **options)
+        mask = randomized_schedule(params, 9).mask
+        assert mask.tobytes() == one_shot_draw(params, 9).tobytes()
+
+    def test_draw_holds_one_phase_of_values(self):
+        params = RandomizedParams(fake_char(abar=4.0, c=2.0, m=200), seed=3)
+        phases, m, n = randomized_phase_count(params, 100), 200, 100
+        tracemalloc.start()
+        try:
+            sched = randomized_schedule(params, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sched.mask.tobytes() == one_shot_draw(params, n).tobytes()
+        # The bool mask and one phase's float64 draws; drawing every phase
+        # at once would take 8 * phases * m * n bytes more.
+        assert phases == 11
+        assert peak < phases * m * n + 2 * 8 * m * n
+
+
+def one_shot_draw(params, n):
+    """Reference: the whole (phases, m, n) array of draws made at once, then
+    compared with each phase's p."""
+    char = params.characterization
+    phases = randomized_phase_count(params, n)
+    m = params.m_override if params.m_override is not None else char.m
+    draws = np.random.default_rng(params.seed).random((phases, m, n))
+    p = char.b ** -np.arange(phases)
+    return (draws < p[:, None, None]).reshape(phases * m, n)
 
 
 def prefix_views(A, w, choices):
@@ -197,7 +236,7 @@ class TestTies:
 
 def matmul_selection_probability(A, w, choices, p, k_exact=K_EXACT):
     """Reference: the earlier exact enumerator, one (2**k, k + 2) bit table
-    through ``link_success`` per call (relevant undecided columns, then an
+    through the success rule per call (relevant undecided columns, then an
     always-on column weighing the decided-on sum, then an always-off one)."""
     rows = A.topo.link_rows(w)
     dense, owners = A.dense[rows], A.topo.owner[rows]
@@ -219,7 +258,8 @@ def matmul_selection_probability(A, w, choices, p, k_exact=K_EXACT):
     transmit = np.zeros((1 << k, k + 2), dtype=bool)
     transmit[:, :k] = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
     transmit[:, k] = True
-    selected = link_success(weights, column[owners], transmit).any(axis=1)
+    success = transmit[:, column[owners]] & (transmit @ weights.T < 1.0)
+    selected = success.any(axis=1)
     ones = transmit[:, :k].sum(axis=1)
     probability = (p ** ones) * ((1.0 - p) ** (k - ones))
     return min(1.0, float(probability[selected].sum()))
@@ -245,7 +285,7 @@ def matmul_greedy(A, char):
             )
             choices += (e_true > e_false,)
         slots.append(choices)
-        success = link_success(A.dense, A.topo.owner, np.array(choices))
+        success = link_success(A, np.array(choices))
         for bucket in buckets.values():
             bucket -= set((A.topo.receiver[success] + 1).tolist())
         p /= char.b
