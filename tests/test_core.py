@@ -226,10 +226,23 @@ def kernel_cases(st_draw, max_n=7):
     return LayerTopology(n, links), np.array(cells).reshape(n, n) / 4, mask
 
 
-class TestKernelForm:
-    """A kernel instance and the dense array it expands to agree on every
-    output; the kernel form never builds the array for them."""
+def form_outputs(A, mask):
+    """Everything a run reads from the weights, on one matrix."""
+    return (
+        link_success(A, mask).tolist(),
+        characterize(A),
+        A.kernel().tolist(),
+        [max_avg_affectance_w(A, w) for w in A.topo.receivers],
+        [A.a(u, link) for link in A.topo.links for u in A.topo.transmitters],
+        [(r.transmit.tolist(), r.first_success, r.completed) for r in (
+            run_schedule(A, Schedule.from_mask(mask)),
+            run_adaptive(A, "decay", {}, 3, 200),
+            run_adaptive(A, "sinr", {"density": 2, "dilution": 2}, 3, 200),
+        )],
+    )
 
+
+class TestKernelForm:
     @settings(max_examples=60)
     @example((LayerTopology(2, ((1, 1), (2, 1), (1, 2))),
               np.array([[0.25, 1.0], [0.75, 0.5]]), np.ones((2, 2), dtype=bool)))
@@ -237,25 +250,9 @@ class TestKernelForm:
     def test_kernel_and_dense_forms_agree(self, case):
         topo, G, mask = case
         K = AffectanceMatrix.from_kernel(topo, G)
-        runs = {}
-        for name, A in (("kernel", K), ("dense", None)):
-            if A is None:
-                assert "dense" not in K.__dict__
-                A = AffectanceMatrix.from_dense(topo, K.dense.copy())
-            sched = Schedule.from_mask(mask)
-            runs[name] = (
-                link_success(A, mask).tolist(),
-                characterize(A),
-                A.kernel().tolist(),
-                [max_avg_affectance_w(A, w) for w in topo.receivers],
-                [A.a(u, link) for link in topo.links for u in topo.transmitters],
-                [(r.transmit.tolist(), r.first_success, r.completed) for r in (
-                    run_schedule(A, sched),
-                    run_adaptive(A, "decay", {}, 3, 200),
-                    run_adaptive(A, "sinr", {"density": 2, "dilution": 2}, 3, 200),
-                )],
-            )
-        assert runs["kernel"] == runs["dense"]
+        outputs = form_outputs(K, mask)
+        assert "dense" not in K.__dict__
+        assert form_outputs(AffectanceMatrix.from_dense(topo, K.dense.copy()), mask) == outputs
         # kernel() zeroes only the cells no link reads.
         single = topo.degree[topo.receiver] == 1
         unread = np.zeros_like(G, dtype=bool)

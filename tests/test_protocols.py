@@ -104,6 +104,7 @@ class TestRandomizedSchedule:
     def test_draw_holds_one_phase_of_values(self):
         params = RandomizedParams(fake_char(abar=4.0, c=2.0, m=200), seed=3)
         phases, m, n = randomized_phase_count(params, 100), 200, 100
+        randomized_schedule(params, n)  # warm numpy's lazy imports and caches
         tracemalloc.start()
         try:
             sched = randomized_schedule(params, n)
