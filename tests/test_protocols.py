@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -451,6 +452,25 @@ class TestPessimisticEstimator:
         assert len(sched) <= greedy_slot_budget(A.n, char)
 
 
+# Greedy schedules pinned by the SHA-256 of their mask: (instance, slots,
+# digest). Every office receiver is wide (scored by the estimator), every
+# receiver of RN 80/6 and of the random instance exact (an outcome table),
+# and RN 300/32 mixes both (193 exact, 107 wide). The random instance is
+# held as a dense array, the others as a kernel.
+GOLDEN_GREEDY = {
+    "office_n24": (lambda: office(8), 6,
+                   "42c14ced0d2184f45eb71f7501e2a066f2f36553933e013ebabec2efafeeb48c"),
+    "office_n42": (lambda: office(14), 6,
+                   "f5965ad01e64d3c9b023a86ef3de0249c24406ae33921d7a7b93e64d4674afeb"),
+    "rn_80_6": (lambda: generate_rn_instance(80, 6, 0), 7,
+                "b1dd1444a18bdb72038df38e14c04417ddf84c4b86023414cc6c19a4d2cdefff"),
+    "rn_300_32": (lambda: generate_rn_instance(300, 32, 0), 12,
+                  "2ae67c315d4782ce820561e57d517b87eaafccc573eb3543ed508bfa1963193c"),
+    "random_n12": (lambda: generate_random_instance(12, seed=3), 9,
+                   "a68b524824ac7602404292642217532f47da17b976bade56c884ea8ce9c38ca0"),
+}
+
+
 class TestDeterministicSchedule:
     def test_disjoint_links_single_slot(self, two_isolated_links):
         char = characterize(two_isolated_links)
@@ -474,6 +494,14 @@ class TestDeterministicSchedule:
         A = generate_random_instance(6, seed=4)
         char = characterize(A)
         assert deterministic_schedule(A, char) == deterministic_schedule(A, char)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_GREEDY))
+    def test_golden_schedules(self, name):
+        make, slots, digest = GOLDEN_GREEDY[name]
+        A = make()
+        sched = deterministic_schedule(A, characterize(A))
+        assert len(sched) == slots
+        assert hashlib.sha256(sched.mask.tobytes()).hexdigest() == digest
 
     def test_slot_budget_formula(self):
         char = fake_char(abar=4.0, c=2.0, m=1)
