@@ -1,7 +1,8 @@
 """Additive-interference model core.
 
-Holds the bipartite layer topology, the interference weights (a receiver
-kernel or a dense per-(link, transmitter) array), the batched success rule
+Holds the bipartite layer topology, the interference weights (one form per
+instance, a receiver kernel or a dense per-(link, transmitter) array, read
+per link through ``AffectanceMatrix.weights``), the batched success rule
 and the scalar success/selection predicates, instance characterization
 (derived scheduling constants), the unit-weight radio-network encoding, and
 a brute-force oracle of the per-receiver average affectance, used as test
@@ -15,12 +16,16 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 # Stored weights are multiples of 1 / GRID (see AffectanceMatrix).
 GRID = 2.0 ** 32
+
+# Largest float64 weight array an instance may need (a kernel or a dense
+# array, 2 GiB at the limit), checked before it is allocated. RN 3000/32 as
+# a dense (L, n) array takes about 1.5 * 10**8 cells.
+MAX_WEIGHT_CELLS = 2 ** 28
 
 # Tightening margin applied when the interference-to-degree ratio constant is
 # derived from the instance instead of supplied (the scheduling formulas need
@@ -104,10 +109,18 @@ def _kernel_text(row):
     return f"kernel entry ({u:.15g}, {w:.15g}, {value})"
 
 
+def _check_cells(shape):
+    """InstanceError if a float array of ``shape`` exceeds ``MAX_WEIGHT_CELLS``."""
+    if math.prod(shape) > MAX_WEIGHT_CELLS:
+        raise InstanceError(f"weights of shape {shape} need {math.prod(shape)} cells, "
+                            f"over the limit of {MAX_WEIGHT_CELLS}")
+
+
 def _fill(shape, cells, table, text):
     """Zero array of ``shape`` holding the last column of each ``table`` row
     at its flat index in ``cells``; a repeated cell is an InstanceError that
-    ``text`` formats."""
+    ``text`` formats, and so is a shape over ``MAX_WEIGHT_CELLS``."""
+    _check_cells(shape)
     order = np.argsort(cells, kind="stable")
     bad = _first(cells[order[1:]] == cells[order[:-1]])
     if bad is not None:
@@ -148,10 +161,10 @@ def _on_grid(weights):
     return weights
 
 
-def _expand(topo, G):
-    """Row w - 1 of the kernel ``G`` for each link (v, w), column v zeroed."""
-    dense = G[topo.receiver]
-    dense[np.arange(len(topo.owner)), topo.owner] = 0.0
+def _expand(topo, G, rows=slice(None)):
+    """Row w - 1 of the kernel ``G`` for each link (v, w) in ``rows``, column v zeroed."""
+    dense = G[topo.receiver[rows]]
+    dense[np.arange(len(dense)), topo.owner[rows]] = 0.0
     return dense
 
 
@@ -258,17 +271,18 @@ class LayerTopology:
 class AffectanceMatrix:
     """Interference weights a(u, (v, w)) in [0, 1], bound to one topology.
 
-    An instance is held in one of two forms. A weight that depends on u and
-    w only, as in the office and radio-network generators, is an (n, n)
-    receiver kernel G with a(u, (v, w)) = ``G[w - 1, u - 1]`` for u != v:
-    ``from_kernel`` keeps it as the read-only, contiguous ``G.T`` (8 * n * n
-    bytes) and each link's own weight ``G[w - 1, v - 1]``. Any other
-    instance is one read-only dense (L, n) float array (8 * L * n bytes):
-    ``dense[i, u - 1]`` is the weight of transmitter u on link i of
-    ``topo`` (in sorted order). ``dense`` exists in both forms; a kernel
-    instance expands it on first use, for the scalar oracles, the entries
-    writer and the greedy's per-link rows, while ``link_totals`` reads the
-    kernel itself.
+    One form per instance. A weight that depends on u and w only, as in
+    the office and radio-network generators, is an (n, n) receiver kernel G
+    with a(u, (v, w)) = ``G[w - 1, u - 1]`` for u != v: ``from_kernel``
+    keeps it as the read-only, contiguous ``G.T`` (8 * n * n bytes) and
+    each link's own weight ``G[w - 1, v - 1]``, and never builds the (L, n)
+    array. Any other instance is one read-only dense (L, n) float array
+    ``dense`` (8 * L * n bytes): ``dense[i, u - 1]`` is the weight of
+    transmitter u on link i of ``topo`` (in sorted order). The forms fork
+    only in ``link_totals``, ``weights`` and ``kernel``. ``weights(rows)``
+    is the one per-link read, of either form: the scalar oracles, ``a``,
+    ``entries`` and the greedy take their rows from it, and a kernel
+    instance builds just the rows asked for.
 
     The weights are checked once: every value lies in [0, 1] (NaN does
     not), and each link owner's own column of a dense array is 0
@@ -326,13 +340,6 @@ class AffectanceMatrix:
         A._own.flags.writeable = False
         return A
 
-    @cached_property
-    def dense(self):
-        """The (L, n) array of a kernel instance, expanded on first use."""
-        dense = _expand(self.topo, self._GT.T)
-        dense.flags.writeable = False
-        return dense
-
     def kernel(self):
         """The (n, n) kernel that ``from_kernel`` expands to exactly this
         matrix, or None if the weights do not factor so. The cells (u, w)
@@ -387,13 +394,18 @@ class AffectanceMatrix:
     def n(self):
         return self.topo.n
 
+    def weights(self, rows=slice(None)):
+        """Read-only (len(rows), n) array of the weights on the links
+        ``rows`` (all by default): ``[i, u - 1]`` is a(u, link rows[i]). A
+        kernel instance gathers those rows from the kernel on every call and
+        caches nothing."""
+        weights = self.dense[rows] if self._GT is None else _expand(self.topo, self._GT.T, rows)
+        weights.flags.writeable = False
+        return weights
+
     def a(self, u, link):
         """Single entry lookup; absent pairs are 0."""
-        row = self.topo.link_row(link)
-        if self._GT is None:
-            return float(self.dense[row, u - 1])
-        v, w = link
-        return 0.0 if u == v else float(self._GT[u - 1, w - 1])
+        return float(self.weights([self.topo.link_row(link)])[0, u - 1])
 
     def link_totals(self, transmit, rows=slice(None)):
         """Summed affectance on the links ``rows`` (all by default) under a
@@ -411,14 +423,15 @@ class AffectanceMatrix:
 
     def entries(self):
         """Nonzero entries as (u, v, w, value), sorted."""
-        rows, cols = np.nonzero(self.dense)
+        weights = self.weights()
+        rows, cols = np.nonzero(weights)
         u, v, w = cols + 1, self.topo.owner[rows] + 1, self.topo.receiver[rows] + 1
         order = np.lexsort((w, v, u))
         return list(zip(
             u[order].tolist(),
             v[order].tolist(),
             w[order].tolist(),
-            self.dense[rows[order], cols[order]].tolist(),
+            weights[rows[order], cols[order]].tolist(),
         ))
 
 
@@ -434,7 +447,7 @@ def _indicator(n, transmitters):
 def total_affectance(A, transmitters, link):
     """Summed interference of a transmitter set on one link."""
     row = A.topo.link_row(link)
-    return float(np.dot(A.dense[row], _indicator(A.n, transmitters)))
+    return float(np.dot(A.weights([row])[0], _indicator(A.n, transmitters)))
 
 
 def link_success(A, transmit, rows=slice(None)):

@@ -88,26 +88,24 @@ def randomized_schedule(params, n):
     return Schedule.from_mask(include.reshape(phases * m, n))
 
 
-def _relevant(A, w):
-    """The 0-based transmitters that own or weigh on a link into ``w``,
-    ascending."""
-    rows = A.topo.link_rows(w)
-    hit = A.dense[rows].any(axis=0)
-    hit[A.topo.owner[rows]] = True
+def _relevant(weights, owners):
+    """The 0-based transmitters that own or weigh on a receiver's links
+    (their ``weights`` rows and 0-based ``owners``), ascending."""
+    hit = weights.any(axis=0)
+    hit[owners] = True
     return np.flatnonzero(hit)
 
 
-def _outcome_table(A, w, relevant):
-    """Whether ``w`` is selected under each outcome of its ``relevant``
-    transmitters (``_relevant``): outcome j fires relevant[i] iff bit i of j
-    is set. Each link's totals are built by doubling, and a silent owner
-    blocks its link; grid sums are exact, so this agrees with
-    ``link_success``. A decided prefix of the transmitters is a strided
-    slice: ``[1::2]`` fixes the lowest bit on, ``[0::2]`` off.
+def _outcome_table(weights, owners, relevant):
+    """Whether a receiver, its links given as for ``_relevant``, is selected
+    under each outcome of its ``relevant`` transmitters: outcome j fires
+    relevant[i] iff bit i of j is set. Each link's totals are built by
+    doubling, and a silent owner blocks its link; grid sums are exact, so
+    this agrees with ``link_success``. A decided prefix of the transmitters
+    is a strided slice: ``[1::2]`` fixes the lowest bit on, ``[0::2]`` off.
     """
-    rows = A.topo.link_rows(w)
     selected = np.zeros(1 << len(relevant), dtype=bool)
-    for row, owner in zip(A.dense[rows], A.topo.owner[rows]):
+    for row, owner in zip(weights, owners):
         totals = np.zeros(len(selected))
         for i, u in enumerate(relevant):
             low = totals[: 1 << i]
@@ -220,10 +218,12 @@ def deterministic_schedule(A, char):
         probabilities.clear()
         for w in target:
             if w not in tables:
-                relevant = _relevant(A, w)
+                rows = A.topo.link_rows(w)
+                links = A.weights(rows), A.topo.owner[rows]
+                relevant = _relevant(*links)
                 tables[w] = None
                 if np.count_nonzero(relevant) <= K_EXACT:  # counted from transmitter 2
-                    tables[w] = (set(relevant.tolist()), _outcome_table(A, w, relevant))
+                    tables[w] = (set(relevant.tolist()), _outcome_table(*links, relevant))
         # Per exact target: the view of its table that agrees with the
         # slot's decisions so far, and the view's selection probability
         # (None until read).
@@ -234,7 +234,7 @@ def deterministic_schedule(A, char):
         if wide:
             rows = np.concatenate([A.topo.link_rows(w) for w in wide])
             owners, receivers = A.topo.owner[rows], A.topo.receiver[rows]
-            columns = A.dense[rows].T.copy()  # contiguous per transmitter
+            columns = A.weights(rows).T.copy()  # contiguous per transmitter
             totals = q @ columns
         for t in range(n):
             # Each exact target's cursor if t fires and if it stays silent. A

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AffectanceMatrix, InstanceError, LayerTopology, encode_radio_network
-from .core import _integer, _kernel_scatter, _table
+from .core import _check_cells, _integer, _kernel_scatter, _table
 
 # Entries below this are truncated to 0; distant offices then cost no storage
 # and perturb no success outcome by more than n * 1e-6.
@@ -79,22 +79,27 @@ def _node_positions(spec):
 def _office_kernel(spec):
     """(n, n) weight of transmitter u on any link into receiver w, at
     [w - 1, u - 1]: one ``office_affectance`` call per distinct (distance,
-    walls) pair, gathered back to every (u, w)."""
+    walls) pair, read back to every (u, w) from a table indexed by the
+    pair's code."""
     office = np.arange(spec.n) // spec.nodes_per_office
     xs = np.array(_node_positions(spec))
     distance = np.abs(xs[None, :] - xs[:, None]) + 1.0
     distances = np.unique(distance)
-    # Pair code walls * len(distances) + rank of the distance.
+    # Pair code walls * len(distances) + rank of the distance, below
+    # offices * len(distances).
     pair = np.abs(office[None, :] - office[:, None]) * len(distances)
     pair += np.searchsorted(distances, distance)
     del distance
-    pairs = np.unique(pair)
-    values = np.array([
+    present = np.zeros(spec.offices * len(distances), dtype=bool)
+    present[pair] = True
+    codes = np.flatnonzero(present)
+    table = np.zeros(len(present))
+    table[codes] = [
         office_affectance(spec, d, walls)
-        for d, walls in zip(distances[pairs % len(distances)].tolist(),
-                            (pairs // len(distances)).tolist())
-    ])
-    return values[np.searchsorted(pairs, pair)]
+        for d, walls in zip(distances[codes % len(distances)].tolist(),
+                            (codes // len(distances)).tolist())
+    ]
+    return table[pair]
 
 
 def generate_office_layer(spec):
@@ -111,9 +116,12 @@ def generate_office_layer(spec):
     keeps: 8 * n * n bytes, where the dense (L, n) array, L = nodes_per_office
     * n, would take nodes_per_office times more. The values are
     bit-identical to one scalar call per entry; the power stays in Python
-    because numpy's differs from it in the last bit on some entries.
+    because numpy's differs from it in the last bit on some entries. A
+    kernel of more than ``core.MAX_WEIGHT_CELLS`` cells is an InstanceError,
+    raised before anything is allocated.
     """
     n, k = spec.n, spec.nodes_per_office
+    _check_cells((n, n))
     # Each transmitter v links to the k receivers of its office, in sorted
     # (v, w) order.
     owner = np.repeat(np.arange(n), k)

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -424,3 +427,38 @@ def test_sweep_sinr_option_past_int64_is_validation_error(tmp_path, capsys, fiel
     assert code == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+# A subprocess address-space limit well below the 3 GiB an n = 20000 kernel
+# would take: without the cell limit numpy's allocation fails with a
+# traceback instead of paging the machine.
+ADDRESS_SPACE = 1_500_000 * 1024
+CAPPED_MAIN = (
+    "import resource, sys; "
+    f"resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE}, {ADDRESS_SPACE})); "
+    "from affsim.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize("kind", ["kernel", "affectance", "offices"])
+def test_oversized_input_is_validation_error(tmp_path, kind):
+    path = tmp_path / "input.json"
+    if kind == "offices":
+        # n = 21000: a 3.3 GiB kernel.
+        path.write_text(json.dumps({"offices": 7000}))
+        argv = ["generate", "--scenario", str(path), "--out", str(tmp_path / "out.json")]
+    else:
+        # n = 20000 self-links and no weights: a 3.0 GiB array in either form.
+        n = 20000
+        path.write_text(json.dumps({"n": n, "links": [[v, v] for v in range(1, n + 1)],
+                                    kind: []}))
+        argv = ["characterize", "--instance", str(path)]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ")
+    assert f"cells, over the limit of {2 ** 28}" in line

@@ -122,7 +122,7 @@ def scalar_adaptive(A, policy, params, seed, max_rounds):
             ]
         slots.append(tuple(v for v in range(1, n + 1) if fire[v - 1]))
         x = np.asarray(fire, dtype=float)
-        success = (x @ A.dense.T < 1.0) & (x[A.topo.owner] > 0)
+        success = (x @ A.weights().T < 1.0) & (x[A.topo.owner] > 0)
         for w in A.topo.receivers:
             if w not in first and success[A.topo.link_rows(w)].any():
                 first[w] = rnd
@@ -466,7 +466,7 @@ class TestSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert "dense" not in A.__dict__
+        assert not hasattr(A, "dense")
         dense_bytes = 8 * len(A.topo.owner) * A.n
         assert dense_bytes > 10 ** 9
         assert peak < dense_bytes / 4

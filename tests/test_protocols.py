@@ -135,8 +135,10 @@ def prefix_views(A, w, choices):
     the bools ``choices`` (transmitters 1, 2, ... in order), its odd (fired)
     or even (silent) half if that transmitter is relevant to ``w``. Yields
     the view of every prefix, the empty one first."""
-    relevant = _relevant(A, w)
-    view = _outcome_table(A, w, relevant)
+    rows = A.topo.link_rows(w)
+    links = A.weights(rows), A.topo.owner[rows]
+    relevant = _relevant(*links)
+    view = _outcome_table(*links, relevant)
     yield view
     for t, on in enumerate(choices):
         if t in relevant:
@@ -241,7 +243,7 @@ def matmul_selection_probability(A, w, choices, p, k_exact=K_EXACT):
     through the success rule per call (relevant undecided columns, then an
     always-on column weighing the decided-on sum, then an always-off one)."""
     rows = A.topo.link_rows(w)
-    dense, owners = A.dense[rows], A.topo.owner[rows]
+    dense, owners = A.weights(rows), A.topo.owner[rows]
     hit = dense.any(axis=0)
     hit[owners] = True
     relevant = np.flatnonzero(hit[len(choices) :]) + len(choices)
@@ -394,7 +396,7 @@ def estimate(A, w, q):
     """L_w(q) of one receiver, its link totals computed from scratch."""
     rows = A.topo.link_rows(w)
     return _pessimistic_estimates(A.topo.owner[rows], np.zeros(len(rows), dtype=np.intp),
-                                  q, A.dense[rows] @ q)[0]
+                                  q, A.weights(rows) @ q)[0]
 
 
 @st.composite
@@ -502,6 +504,22 @@ class TestDeterministicSchedule:
         sched = deterministic_schedule(A, characterize(A))
         assert len(sched) == slots
         assert hashlib.sha256(sched.mask.tobytes()).hexdigest() == digest
+
+    def test_kernel_instance_is_scheduled_and_verified_by_rows(self):
+        A = generate_rn_instance(300, 4, 0)
+        char = characterize(A)
+        tracemalloc.start()
+        try:
+            sched = deterministic_schedule(A, char)
+            report = verify_selective(A, sched)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.selective
+        assert not hasattr(A, "dense")
+        # The dense (L, n) array would take 1.78 MB; the greedy and the
+        # scalar oracle read one receiver's rows at a time (about 0.1 MB).
+        assert peak < 8 * len(A.topo.owner) * A.n / 4
 
     def test_slot_budget_formula(self):
         char = fake_char(abar=4.0, c=2.0, m=1)

@@ -138,8 +138,8 @@ class TestOfficeLayer:
         A = generate_office_layer(spec)
         B = scalar_office_layer(spec)
         assert A.topo.links == B.topo.links
-        assert np.array_equal(A.dense, B.dense)
-        assert not A.dense.flags.writeable
+        assert np.array_equal(A.weights(), B.weights())
+        assert not A.weights().flags.writeable
 
     def test_sinr_defaults(self):
         params = sinr_defaults(OfficeGridSpec(offices=2))
@@ -159,7 +159,7 @@ class TestRnInstance:
         a = generate_rn_instance(8, max_degree=4, seed=42)
         b = generate_rn_instance(8, max_degree=4, seed=42)
         assert a.topo == b.topo
-        assert np.array_equal(a.dense, b.dense)
+        assert np.array_equal(a.weights(), b.weights())
 
     def test_interference_bounded_by_degree(self):
         for seed in range(10):
@@ -175,14 +175,14 @@ class TestInstanceFiles:
         save_instance(A, path)
         B = load_instance(path)
         assert B.topo == A.topo
-        assert np.array_equal(B.dense, A.dense)
+        assert np.array_equal(B.weights(), A.weights())
 
     def test_round_trip_random(self, tmp_path):
         A = generate_random_instance(6, seed=3)
         path = tmp_path / "inst.json"
         save_instance(A, path)
         B = load_instance(path)
-        assert np.array_equal(B.dense, A.dense)
+        assert np.array_equal(B.weights(), A.weights())
 
     @pytest.mark.parametrize("name", FACTORING)
     def test_kernel_file_round_trip(self, tmp_path, name):
@@ -194,7 +194,7 @@ class TestInstanceFiles:
         assert B.topo == A.topo
         for array in ("owner", "receiver", "degree"):
             assert np.array_equal(getattr(B.topo, array), getattr(A.topo, array))
-        assert B.dense.tobytes() == A.dense.tobytes()
+        assert B.weights().tobytes() == A.weights().tobytes()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_non_factoring_instance_saved_as_entries(self, tmp_path, seed):
@@ -202,7 +202,7 @@ class TestInstanceFiles:
         path = tmp_path / "inst.json"
         save_instance(A, path)
         assert set(json.loads(path.read_text())) == {"n", "links", "affectance"}
-        assert load_instance(path).dense.tobytes() == A.dense.tobytes()
+        assert load_instance(path).weights().tobytes() == A.weights().tobytes()
 
     @pytest.mark.parametrize("name", FACTORING)
     def test_entries_file_of_factoring_instance_loads(self, tmp_path, name):
@@ -215,7 +215,7 @@ class TestInstanceFiles:
         }, indent=1))
         B = load_instance(path)
         assert B.topo == A.topo
-        assert B.dense.tobytes() == A.dense.tobytes()
+        assert B.weights().tobytes() == A.weights().tobytes()
 
     def test_kernel_value_on_an_unread_cell_has_no_effect(self, tmp_path):
         # Receiver 2's only transmitter is 1, so no link reads kernel cell (1, 2).
@@ -446,9 +446,9 @@ class TestScenarioFiles:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"offices": 3, "alpha": 1e308}))
         (spec,) = load_scenario(path)
-        dense = generate_office_layer(spec).dense
+        dense = generate_office_layer(spec).weights()
         # 1 within reach, and every weight past it underflows to 0.
-        expected = generate_office_layer(OfficeGridSpec(offices=3)).dense == 1.0
+        expected = generate_office_layer(OfficeGridSpec(offices=3)).weights() == 1.0
         np.testing.assert_array_equal(dense, expected.astype(float))
 
     def test_missing_offices_rejected(self, tmp_path):
