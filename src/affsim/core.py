@@ -22,9 +22,12 @@ import numpy as np
 # Stored weights are multiples of 1 / GRID (see AffectanceMatrix).
 GRID = 2.0 ** 32
 
-# Largest float64 weight array an instance may need (a kernel or a dense
-# array, 2 GiB at the limit), checked before it is allocated. RN 3000/32 as
-# a dense (L, n) array takes about 1.5 * 10**8 cells.
+# Most 8-byte cells that building an instance's weights may hold at once
+# (2 GiB at the limit), checked before anything is allocated: a dense file
+# holds its (L, n) array once, a kernel file or a radio-network encoding its
+# (n, n) kernel twice (``from_kernel`` keeps a transposed copy), and an
+# office scenario four kernels' worth. RN 3000/32 as a dense (L, n) array
+# takes about 1.5 * 10**8 cells.
 MAX_WEIGHT_CELLS = 2 ** 28
 
 # Tightening margin applied when the interference-to-degree ratio constant is
@@ -109,18 +112,19 @@ def _kernel_text(row):
     return f"kernel entry ({u:.15g}, {w:.15g}, {value})"
 
 
-def _check_cells(shape):
-    """InstanceError if a float array of ``shape`` exceeds ``MAX_WEIGHT_CELLS``."""
-    if math.prod(shape) > MAX_WEIGHT_CELLS:
-        raise InstanceError(f"weights of shape {shape} need {math.prod(shape)} cells, "
+def _check_cells(shape, arrays):
+    """InstanceError if ``arrays`` arrays of ``shape``, held at once, exceed
+    ``MAX_WEIGHT_CELLS`` cells."""
+    cells = arrays * math.prod(shape)
+    if cells > MAX_WEIGHT_CELLS:
+        raise InstanceError(f"weights of shape {shape} hold {cells} cells at once, "
                             f"over the limit of {MAX_WEIGHT_CELLS}")
 
 
 def _fill(shape, cells, table, text):
     """Zero array of ``shape`` holding the last column of each ``table`` row
     at its flat index in ``cells``; a repeated cell is an InstanceError that
-    ``text`` formats, and so is a shape over ``MAX_WEIGHT_CELLS``."""
-    _check_cells(shape)
+    ``text`` formats."""
     order = np.argsort(cells, kind="stable")
     bad = _first(cells[order[1:]] == cells[order[:-1]])
     if bad is not None:
@@ -142,6 +146,7 @@ def _kernel_scatter(n, entries):
     """(n, n) kernel from [u, w, value] entries, with ``G[w - 1, u - 1]`` the
     value (absent pairs are 0): indices must be integral, u and w in 1..n,
     and no (u, w) may repeat."""
+    _check_cells((n, n), 2)
     table = _table(entries, 3, "kernel entries")
     # Clipped to 0..n + 1, out-of-range indices stay out of range and cast safely.
     u, w = np.clip(_integral(table[:, :2], "kernel entry"), 0, n + 1).astype(int).T
@@ -355,8 +360,9 @@ class AffectanceMatrix:
         return G
 
     def _scatter(self, entries):
-        table = _table(entries, 4, "affectance entries")
         n = self.topo.n
+        _check_cells((len(self.topo.owner), n), 1)
+        table = _table(entries, 4, "affectance entries")
         # Clipped to 0..n + 1, out-of-range indices stay out of range and cast safely.
         u, v, w = np.clip(_integral(table[:, :3], "affectance entry"), 0, n + 1).astype(int).T
         bad = _first((u < 1) | (u > n))
@@ -645,6 +651,7 @@ def encode_radio_network(topo):
     """Unit-weight matrix under which a receiver is selected iff exactly one
     of its neighbors transmits (classic no-collision semantics): every
     neighbor u of w weighs 1 on each link (v, w) with u != v."""
+    _check_cells((topo.n, topo.n), 2)
     adjacency = np.zeros((topo.n, topo.n))
     adjacency[topo.receiver, topo.owner] = 1.0
     return AffectanceMatrix.from_kernel(topo, adjacency)

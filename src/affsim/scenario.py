@@ -79,27 +79,22 @@ def _node_positions(spec):
 def _office_kernel(spec):
     """(n, n) weight of transmitter u on any link into receiver w, at
     [w - 1, u - 1]: one ``office_affectance`` call per distinct (distance,
-    walls) pair, read back to every (u, w) from a table indexed by the
-    pair's code."""
+    walls) pair, gathered back to every (u, w)."""
     office = np.arange(spec.n) // spec.nodes_per_office
     xs = np.array(_node_positions(spec))
     distance = np.abs(xs[None, :] - xs[:, None]) + 1.0
     distances = np.unique(distance)
-    # Pair code walls * len(distances) + rank of the distance, below
-    # offices * len(distances).
+    # Pair code walls * len(distances) + rank of the distance.
     pair = np.abs(office[None, :] - office[:, None]) * len(distances)
     pair += np.searchsorted(distances, distance)
     del distance
-    present = np.zeros(spec.offices * len(distances), dtype=bool)
-    present[pair] = True
-    codes = np.flatnonzero(present)
-    table = np.zeros(len(present))
-    table[codes] = [
+    pairs = np.unique(pair)
+    values = np.array([
         office_affectance(spec, d, walls)
-        for d, walls in zip(distances[codes % len(distances)].tolist(),
-                            (codes // len(distances)).tolist())
-    ]
-    return table[pair]
+        for d, walls in zip(distances[pairs % len(distances)].tolist(),
+                            (pairs // len(distances)).tolist())
+    ])
+    return values[np.searchsorted(pairs, pair)]
 
 
 def generate_office_layer(spec):
@@ -116,12 +111,15 @@ def generate_office_layer(spec):
     keeps: 8 * n * n bytes, where the dense (L, n) array, L = nodes_per_office
     * n, would take nodes_per_office times more. The values are
     bit-identical to one scalar call per entry; the power stays in Python
-    because numpy's differs from it in the last bit on some entries. A
-    kernel of more than ``core.MAX_WEIGHT_CELLS`` cells is an InstanceError,
-    raised before anything is allocated.
+    because numpy's differs from it in the last bit on some entries.
+    Generation's traced peak is 3.0-3.1 times n * n 8-byte cells (n = 1500
+    and 3000: ``_office_kernel``'s distances, codes and gather, then the
+    kernel and ``from_kernel``'s transposed copy), so 4 * n * n cells over
+    ``core.MAX_WEIGHT_CELLS`` is an InstanceError, raised before anything
+    is allocated.
     """
     n, k = spec.n, spec.nodes_per_office
-    _check_cells((n, n))
+    _check_cells((n, n), 4)
     # Each transmitter v links to the k receivers of its office, in sorted
     # (v, w) order.
     owner = np.repeat(np.arange(n), k)

@@ -429,9 +429,9 @@ def test_sweep_sinr_option_past_int64_is_validation_error(tmp_path, capsys, fiel
     assert not (tmp_path / "x.csv").exists()
 
 
-# A subprocess address-space limit well below the 3 GiB an n = 20000 kernel
-# would take: without the cell limit numpy's allocation fails with a
-# traceback instead of paging the machine.
+# A subprocess address-space limit below what each input would allocate:
+# without the cell limit numpy's allocation fails with a traceback instead
+# of paging the machine.
 ADDRESS_SPACE = 1_500_000 * 1024
 CAPPED_MAIN = (
     "import resource, sys; "
@@ -440,17 +440,26 @@ CAPPED_MAIN = (
 )
 
 
-@pytest.mark.parametrize("kind", ["kernel", "affectance", "offices"])
-def test_oversized_input_is_validation_error(tmp_path, kind):
+@pytest.mark.parametrize("kind, size", [
+    # n = 20000 self-links and no weights: a 3.0 GiB array in either form.
+    ("kernel", 20000),
+    ("affectance", 20000),
+    # One 1.1 GiB kernel fits the old one-array check; its transposed copy
+    # does not fit the address space.
+    ("kernel", 12000),
+    # n = 21000: a 3.3 GiB kernel.
+    ("offices", 7000),
+    # n = 15000: one 1.7 GiB kernel fits the old one-array check, the four
+    # arrays generation holds at once do not.
+    ("offices", 5000),
+])
+def test_oversized_input_is_validation_error(tmp_path, kind, size):
     path = tmp_path / "input.json"
     if kind == "offices":
-        # n = 21000: a 3.3 GiB kernel.
-        path.write_text(json.dumps({"offices": 7000}))
+        path.write_text(json.dumps({"offices": size}))
         argv = ["generate", "--scenario", str(path), "--out", str(tmp_path / "out.json")]
     else:
-        # n = 20000 self-links and no weights: a 3.0 GiB array in either form.
-        n = 20000
-        path.write_text(json.dumps({"n": n, "links": [[v, v] for v in range(1, n + 1)],
+        path.write_text(json.dumps({"n": size, "links": [[v, v] for v in range(1, size + 1)],
                                     kind: []}))
         argv = ["characterize", "--instance", str(path)]
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -461,4 +470,4 @@ def test_oversized_input_is_validation_error(tmp_path, kind):
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ")
-    assert f"cells, over the limit of {2 ** 28}" in line
+    assert f"cells at once, over the limit of {2 ** 28}" in line

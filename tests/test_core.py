@@ -165,6 +165,7 @@ class TestAffectanceMatrix:
         dense = np.array([[0.0, 0.4], [0.0, 0.0], [0.4, 0.0]])
         A = AffectanceMatrix.from_dense(topo, dense)
         assert A.entries() == simple_pair().entries()
+        assert not A.dense.flags.writeable
         assert not A.weights().flags.writeable
 
     @pytest.mark.parametrize("make", [
@@ -504,6 +505,12 @@ class TestRadioNetworkEncoding:
         B = AffectanceMatrix(A.topo, entries)
         assert np.array_equal(A.weights(), B.weights())
         assert A.entries() == sorted(entries)
+
+    def test_oversized_encoding_is_instance_error(self):
+        # 12000^2 cells fit the limit once, not beside from_kernel's copy.
+        topo = LayerTopology(12000, tuple((v, v) for v in range(1, 12001)))
+        with pytest.raises(InstanceError, match="cells at once, over the limit"):
+            encode_radio_network(topo)
 
     def test_star_degree_identity(self, rn_star):
         char = characterize(rn_star)
