@@ -444,13 +444,13 @@ CAPPED_MAIN = (
     # n = 20000 self-links and no weights: a 3.0 GiB array in either form.
     ("kernel", 20000),
     ("affectance", 20000),
-    # One 1.1 GiB kernel fits the old one-array check; its transposed copy
-    # does not fit the address space.
+    # 1.4e8 cells: one kernel is under the cell limit, the kernel and
+    # from_kernel's transposed copy are not.
     ("kernel", 12000),
     # n = 21000: a 3.3 GiB kernel.
     ("offices", 7000),
-    # n = 15000: one 1.7 GiB kernel fits the old one-array check, the four
-    # arrays generation holds at once do not.
+    # n = 15000: one 2.3e8-cell kernel is under the cell limit, the three
+    # such arrays generation holds at once are not.
     ("offices", 5000),
 ])
 def test_oversized_input_is_validation_error(tmp_path, kind, size):
