@@ -456,9 +456,12 @@ class TestPessimisticEstimator:
 
 # Greedy schedules pinned by the SHA-256 of their mask: (instance, slots,
 # digest). Every office receiver is wide (scored by the estimator), every
-# receiver of RN 80/6 and of the random instance exact (an outcome table),
-# and RN 300/32 mixes both (193 exact, 107 wide). The random instance is
-# held as a dense array, the others as a kernel.
+# receiver of RN 80/6 and of the random instances exact (an outcome table),
+# and RN 300/32 mixes both (193 exact, 107 wide). The random instances are
+# held as a dense array, the others as a kernel. In tie_n7 a decision's two
+# branches score exactly the same, but summing their difference target by
+# target gives +2.8e-17, so a plain "fire if the gain is positive" would
+# change its schedule.
 GOLDEN_GREEDY = {
     "office_n24": (lambda: office(8), 6,
                    "42c14ced0d2184f45eb71f7501e2a066f2f36553933e013ebabec2efafeeb48c"),
@@ -470,7 +473,16 @@ GOLDEN_GREEDY = {
                   "2ae67c315d4782ce820561e57d517b87eaafccc573eb3543ed508bfa1963193c"),
     "random_n12": (lambda: generate_random_instance(12, seed=3), 9,
                    "a68b524824ac7602404292642217532f47da17b976bade56c884ea8ce9c38ca0"),
+    "tie_n7": (lambda: generate_random_instance(7, seed=17, link_prob=0.3, entry_prob=0.8), 28,
+               "4324cae1366da6ba0792a801808d9e6e32ad5d94a13c5f0385292865a3a0dbd5"),
+    "rn_1000_8": (lambda: generate_rn_instance(1000, 8, 0), 13,
+                  "561ab30af80d4179fa29f3d899d96c3123049428889ac684238196cbac7b4db1"),
 }
+
+# One SHA-256 over the greedy schedules of 200 small random instances, n =
+# 2..11, then seeds 0..9, then two (link, entry) densities: each mask's
+# bytes, then its slot count as 4 little-endian bytes.
+GOLDEN_RANDOM_SET = "c849d0c7dd256d9e168fafe306d0a33e5fe456062fbe147684c013d7dc7e09ff"
 
 
 class TestDeterministicSchedule:
@@ -504,6 +516,18 @@ class TestDeterministicSchedule:
         sched = deterministic_schedule(A, characterize(A))
         assert len(sched) == slots
         assert hashlib.sha256(sched.mask.tobytes()).hexdigest() == digest
+
+    def test_golden_random_set(self):
+        digest = hashlib.sha256()
+        for n in range(2, 12):
+            for seed in range(10):
+                for link_prob, entry_prob in ((0.3, 0.8), (0.7, 0.5)):
+                    A = generate_random_instance(n, seed=seed, link_prob=link_prob,
+                                                 entry_prob=entry_prob)
+                    mask = deterministic_schedule(A, characterize(A)).mask
+                    digest.update(mask.tobytes())
+                    digest.update(len(mask).to_bytes(4, "little"))
+        assert digest.hexdigest() == GOLDEN_RANDOM_SET
 
     def test_kernel_instance_is_scheduled_and_verified_by_rows(self):
         A = generate_rn_instance(300, 4, 0)
