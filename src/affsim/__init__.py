@@ -10,7 +10,6 @@ from .core import (
     Schedule,
     SelectivityReport,
     UnknownLinkError,
-    brute_force_max_avg_affectance,
     characterize,
     encode_radio_network,
     is_selected,

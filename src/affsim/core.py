@@ -4,9 +4,7 @@ Holds the bipartite layer topology, the interference weights (one form per
 instance, a receiver kernel or a dense per-(link, transmitter) array, read
 per link through ``AffectanceMatrix.weights``), the batched success rule
 and the scalar success/selection predicates, instance characterization
-(derived scheduling constants), the unit-weight radio-network encoding, and
-a brute-force oracle of the per-receiver average affectance, used as test
-ground truth.
+(derived scheduling constants) and the unit-weight radio-network encoding.
 
 All indices in the public API are 1-based; internal numpy storage is 0-based.
 """
@@ -561,25 +559,10 @@ def max_avg_affectance_w(A, w):
     """Worst per-receiver average interference over transmitter subsets.
 
     The maximum of the subset averages is attained at a single link, so this
-    reduces to the largest per-link total; the exponential subset definition
-    is kept as the brute-force oracle below.
+    reduces to the largest per-link total; the tests check it against the
+    exponential subset definition.
     """
     return float(A.link_totals(np.ones(A.n, dtype=bool), A.topo.link_rows(w)).max())
-
-
-def brute_force_max_avg_affectance(A, w):
-    """Oracle: enumerate all nonempty subsets F of the receiver's neighbors
-    and maximize the average per-link interference total. Exponential; test
-    ground truth only."""
-    members = sorted(A.topo.f(w))
-    totals = {
-        v: sum(A.a(u, (v, w)) for u in A.topo.transmitters) for v in members
-    }
-    best = 0.0
-    for size in range(1, len(members) + 1):
-        for subset in itertools.combinations(members, size):
-            best = max(best, sum(totals[v] for v in subset) / size)
-    return best
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Characterization, InstanceError, Schedule, link_success
+from .core import Characterization, InstanceError, Schedule, link_success, phase_count
 
 # Cap on the relevant undecided transmitters enumerated per receiver (2**K
 # outcomes). A greedy table may hold 2**(K + 1): transmitter 1 is decided
 # before the greedy reads it. Wider receivers use the pessimistic estimator.
 K_EXACT = 20
+# The greedy fires a transmitter only if that raises the slot's score by more
+# than this; a tie, or a rounding-level gain, stays silent.
+MIN_GAIN = 1e-12
 
 
 class ScheduleError(RuntimeError):
@@ -45,10 +48,7 @@ class RandomizedParams:
 
 def randomized_phase_count(params, n):
     if params.fallback_mode:
-        if n <= 1:
-            return 1
-        b = params.characterization.b
-        return math.ceil(math.log(2.0 * (n - 1)) / math.log(b)) + 1
+        return phase_count(n - 1, params.characterization.b)
     return params.characterization.phases
 
 
@@ -175,25 +175,29 @@ def greedy_slot_budget(n, char):
 def deterministic_schedule(A, char):
     """Conditional-expectation greedy schedule.
 
-    Per slot, transmitters are decided in ascending order by comparing a
-    score of the still-pending receivers in the current bucket when the
-    transmitter fires versus stays silent, with the remaining transmitters
-    randomized at the slot's probability; ties go to silent. The probability
-    starts at 1, divides by b each slot, and resets to 1 once it falls to
-    1/(2*b*abar). Receivers selected by the realized slot are retired from
-    every bucket, and the loop only exits once every receiver was selected.
+    Per slot, transmitters are decided in ascending order: t fires iff
+    firing rather than staying silent raises the score of the still-pending
+    receivers in the current bucket, with the remaining transmitters
+    randomized at the slot's probability, by more than ``MIN_GAIN``. The
+    probability starts at 1, divides by b each slot, and resets to 1 once
+    it falls to 1/(2*b*abar). Receivers selected by the realized slot are
+    retired from every bucket, and the loop only exits once every receiver
+    was selected.
 
     A receiver scores its selection probability while its relevant
     transmitters from transmitter 2 on (transmitter 1 is decided before the
     first read) fit ``K_EXACT``: its outcome table is built once, when it
-    first becomes a target, and dropped when it is retired, and a decision
-    reads the strided slice of the outcomes that agree with the slot's
-    decisions so far, only for the receivers the decided transmitter is
-    relevant to. A wider receiver scores Raghavan's pessimistic estimator
-    ``_pessimistic_estimates`` of the transmit probabilities q, over link
-    totals ``weights @ q`` that each decision updates by one column.
-    Both scores are multilinear in each undecided q_t, so the better branch
-    never scores below the slot's current score. The slot budget
+    first becomes a target, and dropped when it is retired. Each slot lists
+    such a target under the transmitters relevant to it, and t's decision
+    reads only the targets listed under t, each narrowed to the strided
+    slice of its outcomes that agrees with the decision. A wider receiver
+    scores Raghavan's pessimistic estimator ``_pessimistic_estimates`` of the
+    transmit probabilities q, over link totals ``weights @ q`` that each
+    decision updates by one column. Both scores are multilinear in each
+    undecided q_t, so the better branch never scores below the slot's
+    current score. A slot ends by asserting that each exact target's slice
+    is the one outcome saying whether the slot selects it, and that each
+    wide target's estimate is at most its selection. The slot budget
     (``ScheduleError``) stays as a safety net.
     """
     n = A.n
@@ -201,7 +205,7 @@ def deterministic_schedule(A, char):
     buckets = receiver_partition(A, char)
     reset_at = 1.0 / (2.0 * b * char.abar) if char.abar > 0 else math.inf
     budget = greedy_slot_budget(n, char)
-    tables = {}  # per receiver: (relevant set, outcome table), None if wide
+    tables = {}  # per receiver: (relevant list, outcome table), None if wide
     probabilities = {}  # outcome probabilities per k, at this slot's p
 
     slots = []
@@ -216,6 +220,10 @@ def deterministic_schedule(A, char):
             p, r = 1.0, 0
         target = sorted(buckets.get(r, ()))
         probabilities.clear()
+        # Per exact target: the view of its table that agrees with the slot's
+        # decisions so far, listed under each transmitter relevant to it.
+        views = {}
+        dependents = [[] for _ in range(n)]
         for w in target:
             if w not in tables:
                 rows = A.topo.link_rows(w)
@@ -223,11 +231,11 @@ def deterministic_schedule(A, char):
                 relevant = _relevant(*links)
                 tables[w] = None
                 if np.count_nonzero(relevant) <= K_EXACT:  # counted from transmitter 2
-                    tables[w] = (set(relevant.tolist()), _outcome_table(*links, relevant))
-        # Per exact target: the view of its table that agrees with the
-        # slot's decisions so far, and the view's selection probability
-        # (None until read).
-        cursors = {w: (tables[w][1], None) for w in target if tables[w] is not None}
+                    tables[w] = (relevant.tolist(), _outcome_table(*links, relevant))
+            if tables[w] is not None:
+                relevant, views[w] = tables[w]
+                for t in relevant:
+                    dependents[t].append(w)
         # Wide targets: their links, and each link's total sum_u a(u, link) q_u.
         wide = [w for w in target if tables[w] is None]
         q = np.full(n, p)
@@ -237,37 +245,33 @@ def deterministic_schedule(A, char):
             columns = A.weights(rows).T.copy()  # contiguous per transmitter
             totals = q @ columns
         for t in range(n):
-            # Each exact target's cursor if t fires and if it stays silent. A
-            # relevant t is the lowest undecided bit: odd outcomes fire it.
-            branches = {}
-            for w, (view, value) in cursors.items():
-                if t in tables[w][0]:
-                    branches[w] = [(half, _selected_mass(half, p, probabilities))
-                                   for half in (view[1::2], view[0::2])]
-                else:
-                    if value is None:
-                        value = _selected_mass(view, p, probabilities)
-                    branches[w] = [(view, value)] * 2
-            e_true, e_false = (sum(branch[i][1] for branch in branches.values())
-                               for i in (0, 1))
+            # t is the lowest undecided bit of its dependents' views: odd
+            # outcomes fire it.
+            gain = sum(_selected_mass(views[w][1::2], p, probabilities)
+                       - _selected_mass(views[w][0::2], p, probabilities)
+                       for w in dependents[t])
             if wide:
                 q[t] = 1.0
-                e_true += _pessimistic_estimates(
+                gain += _pessimistic_estimates(
                     owners, receivers, q, totals + (1.0 - p) * columns[t]).sum()
                 q[t] = 0.0
-                e_false += _pessimistic_estimates(
+                gain -= _pessimistic_estimates(
                     owners, receivers, q, totals - p * columns[t]).sum()
-            # Keeping the better branch can never fall below the mixture.
-            assert max(e_true, e_false) >= p * e_true + (1.0 - p) * e_false - 1e-9
-            on = e_true > e_false
+            on = gain > MIN_GAIN
             q[t] = on
             if wide:
                 totals += (q[t] - p) * columns[t]
-            cursors = {w: branch[0 if on else 1] for w, branch in branches.items()}
+            for w in dependents[t]:
+                views[w] = views[w][1::2] if on else views[w][0::2]
         slot = q == 1.0
         slots.append(slot)
-        success = link_success(A, slot)
-        selected = set((A.topo.receiver[success] + 1).tolist())
+        hit = np.zeros(n, dtype=bool)
+        hit[A.topo.receiver[link_success(A, slot)]] = True
+        assert all(len(view) == 1 and view[0] == hit[w - 1] for w, view in views.items())
+        if wide:
+            estimates = _pessimistic_estimates(owners, receivers, q, totals)
+            assert all(estimates[w - 1] <= hit[w - 1] + 1e-9 for w in wide)
+        selected = set((np.flatnonzero(hit) + 1).tolist())
         for bucket in buckets.values():
             bucket -= selected
         for w in selected:

@@ -1,8 +1,9 @@
 """Reference implementations that the tests check the simulator against.
 
-None of these run on a CLI or benchmark path: an exhaustive search for the
-shortest selective schedule, and the scalar per-node steps of the two
-adaptive baselines, whose block form is ``engine.run_adaptive``.
+None of these run on a CLI or benchmark path: the exponential subset
+definition of a receiver's maximum average affectance, an exhaustive search
+for the shortest selective schedule, and the scalar per-node steps of the
+two adaptive baselines, whose block form is ``engine.run_adaptive``.
 """
 from __future__ import annotations
 
@@ -17,6 +18,20 @@ class CapacityError(RuntimeError):
 
 
 BRUTE_FORCE_MAX_N = 10
+
+
+def brute_force_max_avg_affectance(A, w):
+    """Enumerate all nonempty subsets F of the receiver's neighbors and
+    maximize the average per-link interference total. Exponential."""
+    members = sorted(A.topo.f(w))
+    totals = {
+        v: sum(A.a(u, (v, w)) for u in A.topo.transmitters) for v in members
+    }
+    best = 0.0
+    for size in range(1, len(members) + 1):
+        for subset in itertools.combinations(members, size):
+            best = max(best, sum(totals[v] for v in subset) / size)
+    return best
 
 
 def brute_force_min_selective(A, max_slots):

@@ -12,7 +12,6 @@ from affsim import (
     LayerTopology,
     OfficeGridSpec,
     RandomizedParams,
-    brute_force_max_avg_affectance,
     characterize,
     deterministic_schedule,
     encode_radio_network,
@@ -30,6 +29,8 @@ from affsim import (
 )
 from affsim.cli import main as cli_main
 from affsim.protocols import greedy_slot_budget
+
+from oracles import brute_force_max_avg_affectance
 
 OFFICE_COUNTS = range(2, 15)  # n = 6, 9, ..., 42
 

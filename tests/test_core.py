@@ -16,7 +16,6 @@ from affsim import (
     OfficeGridSpec,
     Schedule,
     UnknownLinkError,
-    brute_force_max_avg_affectance,
     characterize,
     encode_radio_network,
     generate_office_layer,
@@ -43,7 +42,7 @@ from conftest import (
     ten_tenths_case,
     tie_cases,
 )
-from oracles import CapacityError, brute_force_min_selective
+from oracles import CapacityError, brute_force_max_avg_affectance, brute_force_min_selective
 
 
 def simple_pair():

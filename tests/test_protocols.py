@@ -30,6 +30,7 @@ from affsim.core import link_success
 from affsim import protocols
 from affsim.protocols import (
     K_EXACT,
+    MIN_GAIN,
     _outcome_table,
     _pessimistic_estimates,
     _relevant,
@@ -271,7 +272,8 @@ def matmul_selection_probability(A, w, choices, p, k_exact=K_EXACT):
 
 def matmul_greedy(A, char):
     """Reference: the exact greedy with every estimate a fresh
-    ``matmul_selection_probability`` call; returns the (slots, n) mask."""
+    ``matmul_selection_probability`` call, a transmitter firing iff that
+    gains more than ``MIN_GAIN``; returns the (slots, n) mask."""
     buckets = receiver_partition(A, char)
     reset_at = 1.0 / (2.0 * char.b * char.abar) if char.abar > 0 else math.inf
     slots, p, r = [], 0.0, 0
@@ -287,7 +289,7 @@ def matmul_greedy(A, char):
                     for w in target)
                 for on in (True, False)
             )
-            choices += (e_true > e_false,)
+            choices += (e_true - e_false > MIN_GAIN,)
         slots.append(choices)
         success = link_success(A, np.array(choices))
         for bucket in buckets.values():
