@@ -7,7 +7,6 @@ from .core import (
     ConstraintError,
     InstanceError,
     LayerTopology,
-    Schedule,
     SelectivityReport,
     UnknownLinkError,
     characterize,

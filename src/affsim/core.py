@@ -28,6 +28,11 @@ GRID = 2.0 ** 32
 # takes about 1.5 * 10**8 cells.
 MAX_WEIGHT_CELLS = 2 ** 28
 
+# Most cells of a schedule mask, randomized or parsed from text: a byte a
+# cell (256 MiB at the limit), and one randomized phase's draws 8 bytes a
+# cell of that phase. Office n = 10**4 needs about 5 * 10**7 cells.
+MAX_RANDOMIZED_CELLS = 2 ** 28
+
 # Tightening margin applied when the interference-to-degree ratio constant is
 # derived from the instance instead of supplied (the scheduling formulas need
 # it strictly above 1).
@@ -185,8 +190,11 @@ class LayerTopology:
     """
 
     def __init__(self, n, links=()):
-        if n < 1:
-            raise InstanceError("n must be a positive integer")
+        # Weights take n cells or more per link and a topology has n links
+        # or more, so no larger n fits MAX_WEIGHT_CELLS; the bound also keeps
+        # the link keys below in int64.
+        if not 1 <= n <= MAX_WEIGHT_CELLS:
+            raise InstanceError(f"n must be an integer in 1..{MAX_WEIGHT_CELLS}, got {n}")
         self.n = n
         links = np.asarray(links).reshape(-1, 2)
         bad = _first(((links < 1) | (links > n)).any(axis=1))
@@ -440,12 +448,24 @@ class AffectanceMatrix:
 
 
 def _indicator(n, transmitters):
+    """Float (n,) 0/1 vector of a set of 1-based transmitters; one outside
+    1..n is an InstanceError."""
     x = np.zeros(n)
     for v in transmitters:
         if not (1 <= v <= n):
             raise InstanceError(f"transmitter {v} out of range")
         x[v - 1] = 1.0
     return x
+
+
+def _succeeds(A, x, row):
+    """The scalar success rule on link ``row`` under the 0/1 vector ``x``:
+    one ``np.dot`` of the link's weights, independent of ``link_totals``."""
+    return bool(x[A.topo.owner[row]]) and float(np.dot(A.weights([row])[0], x)) < 1.0
+
+
+def _selects(A, x, w):
+    return any(_succeeds(A, x, row) for row in A.topo.link_rows(w))
 
 
 def total_affectance(A, transmitters, link):
@@ -467,65 +487,22 @@ def is_successful(A, transmitters, link):
     """True iff the link's owner transmits and the slot's summed interference
     on the link stays strictly below 1. The scalar oracle that tests and
     replays check ``link_success`` against."""
-    v, _ = link
-    tset = set(transmitters)
-    return v in tset and total_affectance(A, tset, link) < 1.0
+    return _succeeds(A, _indicator(A.n, transmitters), A.topo.link_row(link))
 
 
 def is_selected(A, transmitters, w):
     """True iff some link into ``w`` carries a successful transmission."""
-    tset = set(transmitters)
-    return any(
-        v in tset and is_successful(A, tset, (v, w)) for v in A.topo.f(w)
-    )
+    if w not in A.topo.receivers:
+        raise InstanceError(f"unknown receiver {w}")
+    return _selects(A, _indicator(A.n, transmitters), w)
 
 
-class Schedule:
-    """Ordered family of transmitter subsets, one per slot.
-
-    Stored as one read-only (slots, n) bool mask: ``mask[j, v - 1]`` is True
-    iff transmitter v fires in slot j + 1. The constructor takes an iterable
-    of 1-based transmitter sets and checks their range; ``from_mask`` wraps a
-    mask that is already built. ``slots`` derives the per-slot frozensets for
-    the text edge. Schedules compare by value.
-    """
-
-    def __init__(self, n, slots=()):
-        slots = list(slots)
-        mask = np.zeros((len(slots), n), dtype=bool)
-        for j, s in enumerate(slots):
-            for v in s:
-                if not (1 <= v <= n):
-                    raise InstanceError(f"slot member {v} out of range")
-                mask[j, v - 1] = True
-        self.n = n
-        self.mask = mask
-        mask.flags.writeable = False
-
-    @classmethod
-    def from_mask(cls, mask):
-        """Schedule over a (slots, n) bool mask, without copying it."""
-        if mask.ndim != 2 or mask.dtype != bool:
-            raise InstanceError("schedule mask must be a 2-d bool array")
-        sched = cls(mask.shape[1])
-        sched.mask = mask.view()
-        sched.mask.flags.writeable = False
-        return sched
-
-    @property
-    def slots(self):
-        return tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in self.mask)
-
-    def __len__(self):
-        return len(self.mask)
-
-    def __eq__(self, other):
-        if not isinstance(other, Schedule):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.mask, other.mask)
-
-    def __repr__(self):
-        return f"Schedule({self.n}, {[sorted(s) for s in self.slots]})"
+def _check_schedule(A, sched):
+    """InstanceError unless ``sched`` is a schedule for ``A``: a 2-d bool
+    array of width n, whose row j - 1 marks the transmitters of slot j."""
+    if not (isinstance(sched, np.ndarray) and sched.dtype == bool and sched.ndim == 2
+            and sched.shape[1] == A.n):
+        raise InstanceError(f"a schedule for n={A.n} must be a (slots, {A.n}) bool array")
 
 
 @dataclass(frozen=True)
@@ -540,15 +517,18 @@ class SelectivityReport:
 
 
 def verify_selective(A, sched):
-    """Check which receivers some slot of the schedule selects.
+    """Check which receivers some slot of the schedule, a (slots, n) bool
+    mask, selects, through the scalar success rule.
 
     ``first_slot`` maps each covered receiver to the 1-based index of the
     earliest selecting slot.
     """
+    _check_schedule(A, sched)
     first = {}
-    for j, slot in enumerate(sched.slots, start=1):
+    for j, row in enumerate(sched, start=1):
+        x = row.astype(float)
         for w in A.topo.receivers:
-            if w not in first and is_selected(A, slot, w):
+            if w not in first and _selects(A, x, w):
                 first[w] = j
     covered = frozenset(first)
     uncovered = frozenset(A.topo.receivers) - covered
@@ -641,25 +621,41 @@ def encode_radio_network(topo):
 
 
 def schedule_to_text(sched):
-    """One slot per line, ascending indices, after a sizes header."""
-    lines = [f"slots={len(sched)} n={sched.n}"]
-    for slot in sched.slots:
-        lines.append(" ".join(str(v) for v in sorted(slot)))
+    """A (slots, n) bool mask as text: a sizes header, then one slot per
+    line, its 1-based transmitters ascending."""
+    lines = [f"slots={len(sched)} n={sched.shape[1]}"]
+    lines += [" ".join(map(str, (np.flatnonzero(row) + 1).tolist())) for row in sched]
     return "\n".join(lines) + "\n"
 
 
 def schedule_from_text(text):
+    """The read-only (slots, n) bool mask that ``schedule_to_text`` wrote.
+    Malformed text, a slot member that is not an integer in 1..n, and a mask
+    of more than ``MAX_RANDOMIZED_CELLS`` cells are an InstanceError, the
+    last raised before anything is allocated."""
     lines = text.splitlines()
     if not lines:
         raise InstanceError("empty schedule text")
-    header = lines[0].split()
     try:
-        fields = dict(part.split("=") for part in header)
+        fields = dict(part.split("=") for part in lines[0].split())
         s, n = int(fields["slots"]), int(fields["n"])
+        if s < 0 or n < 1:
+            raise ValueError
     except (ValueError, KeyError):
         raise InstanceError(f"bad schedule header: {lines[0]!r}") from None
-    body = lines[1 : 1 + s]
+    if s * n > MAX_RANDOMIZED_CELLS:
+        raise InstanceError(f"schedule of {s} slots for n={n} holds {s * n} cells, "
+                            f"over the limit of {MAX_RANDOMIZED_CELLS}")
+    body = lines[1:]
     if len(body) != s:
         raise InstanceError(f"expected {s} slot lines, got {len(body)}")
-    slots = [frozenset(int(tok) for tok in line.split()) for line in body]
-    return Schedule(n, slots)
+    sched = np.zeros((s, n), dtype=bool)
+    for j, line in enumerate(body):
+        for token in line.split():
+            # Not all digits, or more digits than n: out of range.
+            v = int(token) if token.isdecimal() and len(token) <= len(str(n)) else 0
+            if not 1 <= v <= n:
+                raise InstanceError(f"slot {j + 1} member {token!r} is not in 1..{n}")
+            sched[j, v - 1] = True
+    sched.flags.writeable = False
+    return sched

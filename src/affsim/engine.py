@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InstanceError, Schedule, characterize, link_success, verify_selective
+from .core import InstanceError, _check_schedule, characterize, link_success, verify_selective
 from .protocols import (
     RandomizedParams,
     decay_period,
@@ -103,14 +103,12 @@ def _first_success(A, slots, cap):
 
 
 def run_schedule(A, sched, protocol="schedule", seed=None):
-    """Run a schedule: slots are evaluated in blocks only until every
-    receiver is covered, but the record keeps the whole schedule, for
-    auditability. There is no round cap."""
-    if sched.n != A.n:
-        raise InstanceError(f"schedule for n={sched.n} run on an instance with n={A.n}")
-    mask = sched.mask
-    first = _first_success(A, lambda start, stop: mask[start:stop], len(mask))
-    return RunRecord(protocol, seed, mask, first, len(first) == A.n)
+    """Run a schedule, a (slots, n) bool mask: slots are evaluated in blocks
+    only until every receiver is covered, but the record keeps the whole
+    mask as its ``transmit``, for auditability. There is no round cap."""
+    _check_schedule(A, sched)
+    first = _first_success(A, lambda start, stop: sched[start:stop], len(sched))
+    return RunRecord(protocol, seed, sched, first, len(first) == A.n)
 
 
 # The largest sinr density or dilution: numpy takes the dilution as an int64.
@@ -334,7 +332,7 @@ def replay_first_success(A, record):
     """Independent re-evaluation of a record's slots through the scalar
     selection predicate (``verify_selective``); must reproduce
     first_success exactly."""
-    return verify_selective(A, Schedule.from_mask(record.transmit)).first_slot
+    return verify_selective(A, record.transmit).first_slot
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Schedule-producing protocols and adaptive baseline policies.
 
 The randomized protocol and the conditional-expectation greedy emit whole
-schedules up front. The two baselines (decay-style backoff and the
+schedules up front, each a read-only (slots, n) bool mask whose row j - 1
+marks the transmitters of slot j. The two baselines (decay-style backoff and the
 congruence/thinning policy) decide during simulation: ``engine.run_adaptive``
 decides a whole block of rounds for all nodes at once, with decay's period
 from ``decay_period``.
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Characterization, InstanceError, Schedule, link_success, phase_count
+from .core import MAX_RANDOMIZED_CELLS, Characterization, InstanceError, link_success, phase_count
 
 # Cap on the relevant undecided transmitters enumerated per receiver (2**K
 # outcomes). A greedy table may hold 2**(K + 1): transmitter 1 is decided
@@ -52,12 +53,6 @@ def randomized_phase_count(params, n):
     return params.characterization.phases
 
 
-# Largest phases * m * n of a randomized schedule: its mask takes a byte a
-# cell (256 MiB at the limit), and one phase's draws 8 bytes a cell of that
-# phase. Office n = 10**4 needs about 5 * 10**7 cells.
-MAX_RANDOMIZED_CELLS = 2 ** 28
-
-
 def randomized_schedule(params, n):
     """Phase ladder of geometrically decreasing transmission probabilities.
 
@@ -65,8 +60,8 @@ def randomized_schedule(params, n):
     independently with probability b**-i. Draws come from the seeded
     generator in phase-major, slot-minor, transmitter-ascending order, so
     identical (params, n) reproduce identical schedules. The (phases, m, n)
-    mask is filled one phase at a time and becomes the schedule's
-    (phases * m, n) mask as is. Phase 0 has p = 1, which every draw is
+    mask is filled one phase at a time and is returned as the
+    (phases * m, n) schedule. Phase 0 has p = 1, which every draw is
     below, so its m * n draws are skipped, not made. More than
     ``MAX_RANDOMIZED_CELLS`` cells is an InstanceError, raised before any
     draw is made.
@@ -85,7 +80,9 @@ def randomized_schedule(params, n):
     rng.bit_generator.advance(m * n)
     for i in range(1, phases):
         np.less(rng.random((m, n)), p[i], out=include[i])
-    return Schedule.from_mask(include.reshape(phases * m, n))
+    sched = include.reshape(phases * m, n)
+    sched.flags.writeable = False
+    return sched
 
 
 def _relevant(weights, owners):
@@ -278,7 +275,9 @@ def deterministic_schedule(A, char):
             tables.pop(w, None)
         p /= b
         r += 1
-    return Schedule.from_mask(np.array(slots, dtype=bool).reshape(len(slots), n))
+    sched = np.array(slots, dtype=bool).reshape(len(slots), n)
+    sched.flags.writeable = False
+    return sched
 
 
 def decay_period(delta):

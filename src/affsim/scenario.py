@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +36,13 @@ class OfficeGridSpec:
 
     def __post_init__(self):
         # Each count must be an integral number (stored as an int), each
-        # length and exponent finite.
+        # length and exponent a finite float or an int that converts to one.
         for name in ("offices", "nodes_per_office"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         for name in ("reach", "wall_penalty", "alpha", "office_width"):
-            if not math.isfinite(getattr(self, name)):
-                raise InstanceError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
+                raise InstanceError(f"{name} must be finite, got {value!r}")
         if self.offices < 1 or self.nodes_per_office < 1:
             raise InstanceError("offices and nodes_per_office must be >= 1")
         if self.reach < 1 or self.wall_penalty < 0:

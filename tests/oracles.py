@@ -3,14 +3,27 @@
 None of these run on a CLI or benchmark path: the exponential subset
 definition of a receiver's maximum average affectance, an exhaustive search
 for the shortest selective schedule, and the scalar per-node steps of the
-two adaptive baselines, whose block form is ``engine.run_adaptive``.
+two adaptive baselines, whose block form is ``engine.run_adaptive``, and
+``schedule``, which writes a schedule mask from transmitter sets.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from affsim import InstanceError, Schedule, decay_period, is_selected
+import numpy as np
+
+from affsim import InstanceError, decay_period, is_selected
+
+
+def schedule(n, slots):
+    """The read-only (slots, n) bool schedule mask whose row j - 1 marks the
+    1-based transmitters of the j-th set of ``slots``."""
+    sched = np.zeros((len(slots), n), dtype=bool)
+    for row, slot in zip(sched, slots):
+        row[[v - 1 for v in slot]] = True
+    sched.flags.writeable = False
+    return sched
 
 
 class CapacityError(RuntimeError):
@@ -58,7 +71,7 @@ def brute_force_min_selective(A, max_slots):
                 if not pending:
                     break
             if not pending:
-                return Schedule(n, combo)
+                return schedule(n, combo)
     return None
 
 

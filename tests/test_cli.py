@@ -1,11 +1,17 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from affsim import OfficeGridSpec, encode_radio_network, generate_office_layer
 from affsim import LayerTopology, load_instance, save_instance, schedule_from_text
@@ -471,3 +477,128 @@ def test_oversized_input_is_validation_error(tmp_path, kind, size):
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ")
     assert f"cells at once, over the limit of {2 ** 28}" in line
+
+
+# Reads a schedule text on stdin under the same address-space limit.
+CAPPED_PARSE = (
+    "import resource, sys; "
+    f"resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE}, {ADDRESS_SPACE})); "
+    "from affsim import schedule_from_text; schedule_from_text(sys.stdin.read())"
+)
+
+
+@pytest.mark.parametrize("slots, n", [
+    # 4 TiB: without the cell limit numpy fails to allocate.
+    (2, 2 ** 41),
+    # One row over the limit: 256 MiB, which fits under the address-space limit.
+    (2 ** 14 + 1, 2 ** 14),
+])
+def test_oversized_schedule_text_is_instance_error(slots, n):
+    text = f"slots={slots} n={n}\n" + "1\n" * slots
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", CAPPED_PARSE], input=text, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == (
+        f"affsim.core.InstanceError: schedule of {slots} slots for n={n} holds "
+        f"{slots * n} cells, over the limit of {2 ** 28}")
+
+
+# Values a malformed file may hold where a count, an index, a weight or a
+# list belongs.
+ODD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from(["", "1", "x"]),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -1.0, 0.5, 1.5, 1e300]),
+    st.sampled_from([-1, 0, 2 ** 63, -(2 ** 64), 10 ** 400]),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.builds(lambda: [[1, [2]], []]),
+    st.dictionaries(st.sampled_from(["n", "w"]), st.integers(0, 3), max_size=1),
+)
+
+
+def corrupt(data, payload):
+    """Replace one value anywhere in a JSON payload by an odd value, or
+    repeat one list item (a duplicate index or entry)."""
+    node = payload
+    while node:
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+        elif isinstance(node, list) and data.draw(st.booleans()):
+            node.append(copy.deepcopy(child))
+            return
+        else:
+            node[key] = data.draw(ODD_VALUES)
+            return
+
+
+@st.composite
+def instance_payloads(draw, max_n=4):
+    """A valid small instance file, in either weight form, then corrupted."""
+    n = draw(st.integers(1, max_n))
+    index = st.integers(0, n + 1)  # 0 and n + 1 are out of range
+    links = [[v, v] for v in range(1, n + 1)]
+    links += draw(st.lists(st.lists(index, min_size=2, max_size=2), max_size=3))
+    form, width = draw(st.sampled_from([("affectance", 3), ("kernel", 2)]))
+    entries = draw(st.lists(st.builds(lambda cell, value: [*cell, value],
+                                      st.lists(index, min_size=width, max_size=width),
+                                      st.floats(0, 1)), max_size=4))
+    payload = {"n": n, "links": links, form: entries}
+    data = draw(st.data())
+    for _ in range(draw(st.integers(0, 3))):
+        corrupt(data, payload)
+    return payload
+
+
+@st.composite
+def scenario_payloads(draw):
+    """A valid small office scenario, then corrupted."""
+    payload = {"offices": draw(st.one_of(st.integers(1, 3),
+                                         st.lists(st.integers(1, 3), min_size=1, max_size=2)))}
+    for name, values in (("nodes_per_office", st.integers(1, 3)),
+                         ("reach", st.floats(1, 10)), ("wall_penalty", st.floats(0, 20)),
+                         ("alpha", st.floats(0.5, 4)), ("office_width", st.floats(1, 10))):
+        if draw(st.booleans()):
+            payload[name] = draw(values)
+    data = draw(st.data())
+    for _ in range(draw(st.integers(1, 2))):
+        corrupt(data, payload)
+    return payload
+
+
+def run_main(argv):
+    """Exit code and stderr lines of one in-process ``main`` call."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+@settings(max_examples=300)
+@example(("instance", {"n": 10 ** 400, "links": [[1, 1]], "affectance": []}, ["characterize"]))
+@example(("scenario", {"offices": 1, "office_width": 10 ** 400}, ["generate"]))
+@given(st.one_of(
+    st.tuples(st.just("instance"), instance_payloads(),
+              st.sampled_from([["characterize"],
+                               ["schedule", "--protocol", "randomized"],
+                               ["schedule", "--protocol", "deterministic"]])),
+    st.tuples(st.just("scenario"), scenario_payloads(), st.just(["generate"])),
+))
+def test_malformed_payload_exits_cleanly(case):
+    kind, payload, command = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        argv = [*command, f"--{kind}", path]
+        if command[0] != "characterize":
+            argv += ["--out", os.path.join(tmp, "out")]
+        code, err = run_main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert len(err) == 1 and err[0].startswith("error: "), err

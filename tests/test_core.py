@@ -14,7 +14,6 @@ from affsim import (
     InstanceError,
     LayerTopology,
     OfficeGridSpec,
-    Schedule,
     UnknownLinkError,
     characterize,
     encode_radio_network,
@@ -42,7 +41,12 @@ from conftest import (
     ten_tenths_case,
     tie_cases,
 )
-from oracles import CapacityError, brute_force_max_avg_affectance, brute_force_min_selective
+from oracles import (
+    CapacityError,
+    brute_force_max_avg_affectance,
+    brute_force_min_selective,
+    schedule,
+)
 
 
 def simple_pair():
@@ -235,7 +239,7 @@ def form_outputs(A, mask):
         [max_avg_affectance_w(A, w) for w in A.topo.receivers],
         [A.a(u, link) for link in A.topo.links for u in A.topo.transmitters],
         [(r.transmit.tolist(), r.first_success, r.completed) for r in (
-            run_schedule(A, Schedule.from_mask(mask)),
+            run_schedule(A, mask),
             run_adaptive(A, "decay", {}, 3, 200),
             run_adaptive(A, "sinr", {"density": 2, "dilution": 2}, 3, 200),
         )],
@@ -300,6 +304,16 @@ class TestIsSuccessful:
 
     def test_owner_must_transmit(self, two_isolated_links):
         assert not is_successful(two_isolated_links, {2}, (1, 1))
+
+
+@pytest.mark.parametrize("transmitters", [{99}, {0}, {1, 3}])
+@pytest.mark.parametrize("oracle, target", [
+    (total_affectance, (1, 1)), (is_successful, (1, 1)), (is_selected, 1),
+], ids=["total_affectance", "is_successful", "is_selected"])
+def test_scalar_oracles_reject_out_of_range_transmitters(two_isolated_links, oracle, target,
+                                                         transmitters):
+    with pytest.raises(InstanceError, match="out of range"):
+        oracle(two_isolated_links, transmitters, target)
 
 
 class TestIsSelected:
@@ -386,7 +400,7 @@ class TestTies:
         assert total_affectance(A, everyone, (1, 1)) > 1.0
         assert not is_successful(A, everyone, (1, 1))
         assert not is_selected(A, everyone, 1)
-        assert verify_selective(A, Schedule(11, [everyone])).uncovered == {1}
+        assert verify_selective(A, schedule(11, [everyone])).uncovered == {1}
         assert not link_success(A, np.ones(11, dtype=bool))[0]
 
     @settings(max_examples=60)
@@ -407,26 +421,26 @@ class TestTies:
         selected = selected_by_slot(A, mask)
         first = {w: int(np.argmax(selected[:, w - 1])) + 1
                  for w in A.topo.receivers if selected[:, w - 1].any()}
-        assert verify_selective(A, Schedule.from_mask(mask)).first_slot == first
+        assert verify_selective(A, mask).first_slot == first
 
 
 class TestVerifySelective:
     def test_two_singleton_slots(self, two_isolated_links):
         report = verify_selective(
-            two_isolated_links, Schedule(2, [{1}, {2}])
+            two_isolated_links, schedule(2, [{1}, {2}])
         )
         assert report.covered == {1, 2}
         assert report.first_slot == {1: 1, 2: 2}
 
     def test_empty_schedule(self, two_isolated_links):
-        report = verify_selective(two_isolated_links, Schedule(2, []))
+        report = verify_selective(two_isolated_links, schedule(2, []))
         assert report.uncovered == {1, 2}
         assert not report.selective
 
     def test_rn_star_needs_a_singleton(self, rn_star):
-        all_on = verify_selective(rn_star, Schedule(3, [{1, 2, 3}]))
+        all_on = verify_selective(rn_star, schedule(3, [{1, 2, 3}]))
         assert all_on.uncovered == {1}
-        fixed = verify_selective(rn_star, Schedule(3, [{1, 2, 3}, {1}]))
+        fixed = verify_selective(rn_star, schedule(3, [{1, 2, 3}, {1}]))
         assert fixed.selective
 
 
@@ -519,7 +533,7 @@ class TestRadioNetworkEncoding:
         topo = LayerTopology(3, ((1, 1), (2, 2), (3, 3)))
         A = encode_radio_network(topo)
         assert not A.weights().any()
-        assert verify_selective(A, Schedule(3, [{1, 2, 3}])).selective
+        assert verify_selective(A, schedule(3, [{1, 2, 3}])).selective
 
     def test_pair_unique_transmitter_semantics(self):
         topo = LayerTopology(2, ((1, 1), (2, 1), (1, 2)))
@@ -551,8 +565,7 @@ class TestBruteForceMinSelective:
     def test_rn_star_singleton(self, rn_star):
         sched = brute_force_min_selective(rn_star, 2)
         assert len(sched) == 1
-        (slot,) = sched.slots
-        assert len(slot & {1, 2, 3}) == 1
+        assert sched[0].sum() == 1
 
     def test_mutually_blocking_needs_two_slots(self, mutually_blocking_pair):
         sched = brute_force_min_selective(mutually_blocking_pair, 3)
@@ -568,31 +581,34 @@ class TestBruteForceMinSelective:
         assert brute_force_min_selective(mutually_blocking_pair, 1) is None
 
 
-class TestSchedule:
-    def test_mask_from_sets(self):
-        sched = Schedule(3, [{3, 1}, set()])
-        assert sched.mask.tolist() == [[True, False, True], [False, False, False]]
-        assert sched.slots == (frozenset({1, 3}), frozenset())
-
-    def test_from_mask_equals_set_constructor(self):
-        mask = np.array([[True, False, True], [False, True, False]])
-        assert Schedule.from_mask(mask) == Schedule(3, [{1, 3}, {2}])
-        assert Schedule.from_mask(mask) != Schedule(3, [{1, 3}])
-
-    def test_member_out_of_range_rejected(self):
-        with pytest.raises(InstanceError):
-            Schedule(2, [{1}, {3}])
-        with pytest.raises(InstanceError):
-            Schedule(2, [{0}])
-
-
 class TestScheduleText:
     def test_round_trip(self):
-        sched = Schedule(4, [{3, 1}, set(), {2, 4}])
+        sched = schedule(4, [{3, 1}, set(), {2, 4}])
         text = schedule_to_text(sched)
-        assert text.splitlines()[0] == "slots=3 n=4"
-        assert schedule_from_text(text) == sched
+        assert text == "slots=3 n=4\n1 3\n\n2 4\n"
+        parsed = schedule_from_text(text)
+        assert np.array_equal(parsed, sched)
+        assert parsed.dtype == bool and not parsed.flags.writeable
 
-    def test_bad_header(self):
+    @pytest.mark.parametrize("text", [
+        "",
+        "bogus\n1 2\n",
+        "slots=1\n1\n",
+        "slots=1 n=2=3\n1\n",
+        "slots=1 n=-1\n1\n",
+        "slots=1 n=0\n\n",
+        "slots=-1 n=2\n",
+        "slots=2 n=2\n1\n",
+        "slots=1 n=2\n1\n2\n",
+        "slots=1 n=2\nx\n",
+        "slots=1 n=2\n1.5\n",
+        "slots=2 n=2\n1\n3\n",
+        "slots=1 n=2\n0\n",
+        "slots=1 n=2\n-1\n",
+        "slots=1 n=2\n" + "1" * 5000 + "\n",
+    ], ids=["empty", "no_fields", "no_n", "bad_field", "negative_n", "zero_n",
+            "negative_slots", "missing_line", "extra_line", "word", "fraction", "member_above_n",
+            "member_zero", "negative_member", "huge_member"])
+    def test_malformed_text_is_instance_error(self, text):
         with pytest.raises(InstanceError):
-            schedule_from_text("bogus\n1 2\n")
+            schedule_from_text(text)

@@ -9,7 +9,6 @@ from affsim import (
     LayerTopology,
     OfficeGridSpec,
     RandomizedParams,
-    Schedule,
     characterize,
     deterministic_schedule,
     encode_radio_network,
@@ -32,25 +31,25 @@ from affsim.engine import max_in_degree
 from affsim.protocols import decay_period, randomized_phase_count
 
 from conftest import random_instances, selected_by_slot, ten_tenths_case, tie_cases
-from oracles import DecayState, decay_step, sinr_step
+from oracles import DecayState, decay_step, schedule, sinr_step
 
 
 class TestRunSchedule:
     def test_empty_schedule_incomplete(self, two_isolated_links):
-        record = run_schedule(two_isolated_links, Schedule(2, []))
+        record = run_schedule(two_isolated_links, schedule(2, []))
         assert not record.completed
         assert record.first_success == {}
         assert record.rounds is None
 
     def test_single_slot_single_link(self):
         topo = LayerTopology(1, ((1, 1),))
-        record = run_schedule(AffectanceMatrix(topo), Schedule(1, [{1}]))
+        record = run_schedule(AffectanceMatrix(topo), schedule(1, [{1}]))
         assert record.first_success == {1: 1}
         assert record.completed
         assert record.rounds == 1
 
     def test_full_schedule_always_evaluated(self, two_isolated_links):
-        record = run_schedule(two_isolated_links, Schedule(2, [{1, 2}, {1}]))
+        record = run_schedule(two_isolated_links, schedule(2, [{1, 2}, {1}]))
         assert record.slots_executed == 2
         assert record.rounds == 1
 
@@ -77,16 +76,24 @@ class TestRunSchedule:
         for seed in range(40):
             A = generate_random_instance(2 + seed % 11, seed=seed)
             mask = rng.random((int(rng.integers(1, 30)), A.n)) < rng.random()
-            record = run_schedule(A, Schedule.from_mask(mask))
+            record = run_schedule(A, mask)
             assert record.slots_executed == len(mask)
             assert replay_first_success(A, record) == record.first_success
 
-    def test_schedule_size_must_match_instance(self, two_isolated_links):
-        with pytest.raises(InstanceError):
-            run_schedule(two_isolated_links, Schedule(3, [{3}]))
+    @pytest.mark.parametrize("sched", [
+        schedule(5, [{5}]),
+        schedule(2, [{1}, {2}]),
+        np.ones((1, 3), dtype=int),
+        np.ones(3, dtype=bool),
+        [[True, True, True]],
+    ], ids=["wider", "narrower", "int_array", "one_dimensional", "list"])
+    @pytest.mark.parametrize("check", [run_schedule, verify_selective])
+    def test_schedule_must_be_a_mask_for_the_instance(self, rn_star, check, sched):
+        with pytest.raises(InstanceError, match=r"a \(slots, 3\) bool array"):
+            check(rn_star, sched)
 
     def test_randomized_slots_match_per_slot_draws(self):
-        # Reference: one frozenset per (phase, slot) row of the same draw.
+        # Reference: one (phase, slot) row per row of the same draw.
         for n, seed in [(2, 0), (5, 1), (9, 2), (42, 3)]:
             A = generate_random_instance(n, seed=seed)
             for fallback in (False, True):
@@ -95,12 +102,8 @@ class TestRunSchedule:
                 phases, m = randomized_phase_count(params, n), char.m
                 u = np.random.default_rng(seed).random((phases, m, n))
                 include = u < (char.b ** -np.arange(phases))[:, None, None]
-                expected = tuple(
-                    frozenset(int(v) + 1 for v in np.flatnonzero(include[i, j]))
-                    for i in range(phases)
-                    for j in range(m)
-                )
-                assert randomized_schedule(params, n).slots == expected
+                expected = include.reshape(phases * m, n)
+                assert np.array_equal(randomized_schedule(params, n), expected)
 
 
 def scalar_adaptive(A, policy, params, seed, max_rounds):
@@ -286,11 +289,11 @@ class TestTies:
         A, mask = case
         selected = selected_by_slot(A, mask)
         for j in range(len(mask)):
-            record = run_schedule(A, Schedule.from_mask(mask[j : j + 1]))
+            record = run_schedule(A, mask[j : j + 1])
             assert sorted(record.first_success) == (np.flatnonzero(selected[j]) + 1).tolist()
-        record = run_schedule(A, Schedule.from_mask(mask))
+        record = run_schedule(A, mask)
         assert replay_first_success(A, record) == record.first_success
-        assert verify_selective(A, Schedule.from_mask(mask)).first_slot == record.first_success
+        assert verify_selective(A, mask).first_slot == record.first_success
 
     @settings(max_examples=30)
     @example(ten_tenths_case())
@@ -374,7 +377,7 @@ class TestSweep:
 
         def recording_schedule(A, char):
             built.append(A.n)
-            return Schedule(A.n, [{v} for v in A.topo.transmitters])
+            return schedule(A.n, [{v} for v in A.topo.transmitters])
 
         monkeypatch.setattr(engine, "characterize", recording_characterize)
         monkeypatch.setattr(engine, "deterministic_schedule", recording_schedule)
@@ -531,7 +534,7 @@ class TestBlockLoop:
         for A in self.instances():
             for length in self.LENGTHS:
                 mask = rng.random((length, A.n)) < rng.random() * 0.4
-                record = run_schedule(A, Schedule.from_mask(mask))
+                record = run_schedule(A, mask)
                 assert record.first_success == full_mask_first_success(A, mask)
                 assert record.completed == (len(record.first_success) == A.n)
                 assert np.array_equal(record.transmit, mask)
@@ -541,7 +544,7 @@ class TestBlockLoop:
             for seed in range(3):
                 sched = randomized_schedule(RandomizedParams(characterize(A), seed), A.n)
                 record = run_schedule(A, sched)
-                assert record.first_success == full_mask_first_success(A, sched.mask)
+                assert record.first_success == full_mask_first_success(A, sched)
                 assert record.slots_executed == len(sched)
 
     @pytest.mark.parametrize("slots", [
@@ -550,7 +553,7 @@ class TestBlockLoop:
     def test_completion_at_block_edges(self, slots):
         A = isolated_links(len(slots))
         mask = one_slot_each(slots, 300)
-        record = run_schedule(A, Schedule.from_mask(mask))
+        record = run_schedule(A, mask)
         assert record.first_success == dict(enumerate(slots, start=1))
         assert record.rounds == max(slots)
         assert record.slots_executed == 300
@@ -598,7 +601,7 @@ class TestBlockLoop:
     def test_receiver_never_selected(self):
         A, _ = ten_tenths_case()
         mask = np.ones((100, A.n), dtype=bool)
-        record = run_schedule(A, Schedule.from_mask(mask))
+        record = run_schedule(A, mask)
         assert record.first_success == full_mask_first_success(A, mask)
         assert 1 not in record.first_success and not record.completed
         record = run_adaptive(A, "sinr", {"density": 1, "dilution": 1}, 0, 70)
