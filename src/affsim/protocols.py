@@ -2,10 +2,10 @@
 
 The randomized protocol and the conditional-expectation greedy emit whole
 schedules up front, each a read-only (slots, n) bool mask whose row j - 1
-marks the transmitters of slot j. The two baselines (decay-style backoff and the
-congruence/thinning policy) decide during simulation: ``engine.run_adaptive``
-decides a whole block of rounds for all nodes at once, with decay's period
-from ``decay_period``.
+marks the transmitters of slot j. The two baselines (decay-style backoff and
+the congruence/thinning policy) decide during simulation:
+``engine.run_adaptive`` decides a whole block of rounds for all nodes at
+once, with decay's period from ``decay_period``.
 """
 from __future__ import annotations
 
