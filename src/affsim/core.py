@@ -89,13 +89,30 @@ def _integral(table, what):
     return table
 
 
+# Integers of more digits than this are shortened in messages.
+_MESSAGE_DIGITS = 20
+
+
+def _value_text(value):
+    """``value`` for a message: an integer in decimal, shortened past
+    ``_MESSAGE_DIGITS`` digits to its first and last digits and its
+    digit count, anything else as its ``repr``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        return repr(value)
+    text = str(value)
+    digits = len(text.lstrip("-"))
+    if digits <= _MESSAGE_DIGITS:
+        return text
+    return f"{text[:len(text) - digits + 6]}...{text[-4:]} ({digits} digits)"
+
+
 def _integer(value, what):
     """``value`` as an int if it is an integral JSON number (an int, or a
     float such as 6.0); strings, booleans and anything else are an
     InstanceError."""
     integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
     if isinstance(value, bool) or not integral:
-        raise InstanceError(f"{what} must be an integer, got {value!r}")
+        raise InstanceError(f"{what} must be an integer, got {_value_text(value)}")
     return int(value)
 
 
@@ -120,8 +137,9 @@ def _check_cells(shape, arrays):
     ``MAX_WEIGHT_CELLS`` cells."""
     cells = arrays * math.prod(shape)
     if cells > MAX_WEIGHT_CELLS:
-        raise InstanceError(f"weights of shape {shape} hold {cells} cells at once, "
-                            f"over the limit of {MAX_WEIGHT_CELLS}")
+        shape = ", ".join(map(_value_text, shape))
+        raise InstanceError(f"weights of shape ({shape}) hold {_value_text(cells)} cells at "
+                            f"once, over the limit of {MAX_WEIGHT_CELLS}")
 
 
 def _fill(shape, cells, table, text):
@@ -194,7 +212,8 @@ class LayerTopology:
         # or more, so no larger n fits MAX_WEIGHT_CELLS; the bound also keeps
         # the link keys below in int64.
         if not 1 <= n <= MAX_WEIGHT_CELLS:
-            raise InstanceError(f"n must be an integer in 1..{MAX_WEIGHT_CELLS}, got {n}")
+            raise InstanceError(f"n must be an integer in 1..{MAX_WEIGHT_CELLS}, "
+                                f"got {_value_text(n)}")
         self.n = n
         links = np.asarray(links).reshape(-1, 2)
         bad = _first(((links < 1) | (links > n)).any(axis=1))

@@ -10,12 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InstanceError, _check_schedule, characterize, link_success, verify_selective
-from .protocols import (
-    RandomizedParams,
-    decay_period,
-    deterministic_schedule,
-    randomized_schedule,
-)
+from .protocols import RandomizedParams, RandomizedSlots, decay_period, deterministic_schedule
 
 MAX_ROUNDS_DEFAULT = 10 ** 6
 
@@ -68,23 +63,28 @@ _FIRST_BLOCK = 32
 _MAX_BLOCK = 1024
 
 
-def _first_success(A, slots, cap):
+def _first_success(A, slots, cap, start=0, known=None):
     """Earliest successful slot (1-based) of each receiver within the first
     ``cap`` slots; receivers never selected are absent.
 
     ``slots(start, stop)`` returns the bool mask of slots start + 1..stop.
-    Each block goes through ``link_success`` on the link rows of uncovered
-    receivers only; a receiver's rows drop at its first success, and the
-    loop ends when none is left. Grid totals do not depend on summation
-    order and later slots cannot undo a first success, so the answer is
-    that of one pass over all ``cap`` slots. Until the first rows drop,
-    every link is judged and ``link_totals`` gathers no rows.
+    The loop judges slots ``start`` + 1..``cap`` and adds their first
+    successes to ``known``, the answer for the slots before them (none by
+    default). Each block goes through ``link_success`` on the link rows of
+    uncovered receivers only; a receiver's rows drop at its first success,
+    and the loop ends when none is left. Grid totals do not depend on
+    summation order and later slots cannot undo a first success, so the
+    answer is that of one pass over all ``cap`` slots. Until the first rows
+    drop, every link is judged and ``link_totals`` gathers no rows.
     """
     receiver_of = A.topo.receiver
     links = np.arange(len(receiver_of))
     rows = slice(None)
     first = np.zeros(A.n, dtype=int)
-    done, size = 0, _FIRST_BLOCK
+    if known:
+        first[np.array(list(known)) - 1] = list(known.values())
+        rows = np.flatnonzero(first[receiver_of] == 0)
+    done, size = start, _FIRST_BLOCK
     # Every receiver has a link, so some rows are left until all are covered.
     while done < cap and not first.all():
         stop = min(done + size, cap)
@@ -109,6 +109,29 @@ def run_schedule(A, sched, protocol="schedule", seed=None):
     _check_schedule(A, sched)
     first = _first_success(A, lambda start, stop: sched[start:stop], len(sched))
     return RunRecord(protocol, seed, sched, first, len(first) == A.n)
+
+
+def _run_randomized(A, params):
+    """The run of ``randomized_schedule(params, A.n)``, with the first
+    successes ``run_schedule`` finds, drawn only as far as it is judged.
+    Phase 0 fires every transmitter in each of its m slots, so a receiver it
+    covers succeeds in slot 1 and slots 2..m select none: phase 0 is judged
+    by slot 1 alone, and block doubling restarts at slot m + 1 on the
+    receivers still uncovered. The record keeps the slots up to completion,
+    or the whole schedule if the run does not complete."""
+    source = RandomizedSlots(params, A.n)
+    blocks = []
+
+    def slots(start, stop):
+        blocks.append(source(start, stop))
+        return blocks[-1]
+
+    first = _first_success(A, slots, 1)
+    first = _first_success(A, slots, len(source), source.m, first)
+    completed = len(first) == A.n
+    rounds = max(first.values()) if completed else len(source)
+    transmit = np.concatenate([np.repeat(blocks[0], source.m, axis=0), *blocks[1:]])
+    return RunRecord("randomized", params.seed, transmit[:rounds], first, completed)
 
 
 # The largest sinr density or dilution: numpy takes the dilution as an int64.
@@ -389,7 +412,7 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
                     params = RandomizedParams(
                         characterization=chars[j], seed=seed, m_override=m_override
                     )
-                    record = run_schedule(A, randomized_schedule(params, A.n), name, seed)
+                    record = _run_randomized(A, params)
                 elif name == "deterministic":
                     if j not in greedy:
                         greedy[j] = deterministic_schedule(A, chars[j])

@@ -2,7 +2,9 @@
 
 The randomized protocol and the conditional-expectation greedy emit whole
 schedules up front, each a read-only (slots, n) bool mask whose row j - 1
-marks the transmitters of slot j. The two baselines (decay-style backoff and
+marks the transmitters of slot j; the randomized one is also a slot source,
+``RandomizedSlots``, that draws only the slots read from it, which is how
+``engine.sweep`` runs it. The two baselines (decay-style backoff and
 the congruence/thinning policy) decide during simulation:
 ``engine.run_adaptive`` decides a whole block of rounds for all nodes at
 once, with decay's period from ``decay_period``.
@@ -53,34 +55,65 @@ def randomized_phase_count(params, n):
     return params.characterization.phases
 
 
-def randomized_schedule(params, n):
-    """Phase ladder of geometrically decreasing transmission probabilities.
+class RandomizedSlots:
+    """The randomized schedule as a slot source, drawn only as far as it is
+    read: calling it with (start, stop) returns the bool mask of slots
+    start + 1..stop, and ``len`` gives the schedule's phases * m slots.
 
     Phase i (0-based) holds m slots; each slot includes each transmitter
     independently with probability b**-i. Draws come from the seeded
-    generator in phase-major, slot-minor, transmitter-ascending order, so
-    identical (params, n) reproduce identical schedules. The (phases, m, n)
-    mask is filled one phase at a time and is returned as the
-    (phases * m, n) schedule. Phase 0 has p = 1, which every draw is
-    below, so its m * n draws are skipped, not made. More than
-    ``MAX_RANDOMIZED_CELLS`` cells is an InstanceError, raised before any
-    draw is made.
+    generator in phase-major, slot-minor, transmitter-ascending order, one
+    double (one 64-bit output) per slot and transmitter, so a block of k
+    slots of phase i is ``rng.random((k, n)) < b**-i`` and takes exactly the
+    values of those rows of the whole draw. Phase 0 has p = 1, which every
+    draw is below: its slots are all-on and draw nothing, and the generator
+    is advanced past them, as past any slots skipped between calls, only
+    when a later slot is drawn. Drawn slots must be asked for in ascending
+    order. More than ``MAX_RANDOMIZED_CELLS`` cells is an InstanceError,
+    raised before any draw is made.
     """
-    char = params.characterization
-    phases = randomized_phase_count(params, n)
-    m = params.m_override if params.m_override is not None else char.m
-    if phases * m * n > MAX_RANDOMIZED_CELLS:
-        raise InstanceError(f"randomized schedule of phases={phases}, m={m}, n={n} needs "
-                            f"{phases * m * n} draws, over the limit of {MAX_RANDOMIZED_CELLS}")
-    rng = np.random.default_rng(params.seed)
-    p = char.b ** -np.arange(phases)
-    include = np.empty((phases, m, n), dtype=bool)
-    include[0] = True
-    # A double takes one 64-bit output.
-    rng.bit_generator.advance(m * n)
-    for i in range(1, phases):
-        np.less(rng.random((m, n)), p[i], out=include[i])
-    sched = include.reshape(phases * m, n)
+
+    def __init__(self, params, n):
+        char = params.characterization
+        phases = randomized_phase_count(params, n)
+        m = params.m_override if params.m_override is not None else char.m
+        if phases * m * n > MAX_RANDOMIZED_CELLS:
+            raise InstanceError(f"randomized schedule of phases={phases}, m={m}, n={n} needs "
+                                f"{phases * m * n} draws, over the limit of {MAX_RANDOMIZED_CELLS}")
+        self.m, self.n, self.phases = m, n, phases
+        self.rng = np.random.default_rng(params.seed)
+        self.p = char.b ** -np.arange(phases)
+        self.pos = 0  # the slot whose draws the generator is at
+
+    def __len__(self):
+        return self.phases * self.m
+
+    def __call__(self, start, stop):
+        mask = np.empty((stop - start, self.n), dtype=bool)
+        a = start
+        while a < stop:
+            i = a // self.m
+            b = min(stop, (i + 1) * self.m)
+            if i == 0:
+                mask[a - start:b - start] = True
+            else:
+                if a < self.pos:
+                    raise ValueError(f"slot {a + 1} asked for after slot {self.pos} was drawn")
+                self.rng.bit_generator.advance((a - self.pos) * self.n)
+                np.less(self.rng.random((b - a, self.n)), self.p[i],
+                        out=mask[a - start:b - start])
+                self.pos = b
+            a = b
+        return mask
+
+
+def randomized_schedule(params, n):
+    """Phase ladder of geometrically decreasing transmission probabilities:
+    the whole ``RandomizedSlots`` source of (params, n), read once, as a
+    read-only (phases * m, n) mask. Identical (params, n) reproduce
+    identical schedules."""
+    source = RandomizedSlots(params, n)
+    sched = source(0, len(source))
     sched.flags.writeable = False
     return sched
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AffectanceMatrix, InstanceError, LayerTopology, encode_radio_network
-from .core import _check_cells, _integer, _kernel_scatter, _table
+from .core import _check_cells, _integer, _kernel_scatter, _table, _value_text
 
 # Entries below this are truncated to 0; distant offices then cost no storage
 # and perturb no success outcome by more than n * 1e-6.
@@ -42,7 +42,7 @@ class OfficeGridSpec:
         for name in ("reach", "wall_penalty", "alpha", "office_width"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
-                raise InstanceError(f"{name} must be finite, got {value!r}")
+                raise InstanceError(f"{name} must be finite, got {_value_text(value)}")
         if self.offices < 1 or self.nodes_per_office < 1:
             raise InstanceError("offices and nodes_per_office must be >= 1")
         if self.reach < 1 or self.wall_penalty < 0:

@@ -479,6 +479,32 @@ def test_oversized_input_is_validation_error(tmp_path, kind, size):
     assert f"cells at once, over the limit of {2 ** 28}" in line
 
 
+@pytest.mark.parametrize("kind, payload, message", [
+    ("instance", {"n": 10 ** 400, "links": [[1, 1]], "affectance": []},
+     "n must be an integer in 1..268435456, got 100000...0000 (401 digits)"),
+    ("scenario", {"offices": 10 ** 400},
+     "weights of shape (300000...0000 (401 digits), 300000...0000 (401 digits)) hold "
+     "360000...0000 (802 digits) cells at once, over the limit of 268435456"),
+    ("scenario", {"offices": 1, "office_width": 10 ** 400},
+     "office_width must be finite, got 100000...0000 (401 digits)"),
+    # Integers of up to 20 digits are written out whole.
+    ("instance", {"n": 2 ** 64, "links": [[1, 1]], "affectance": []},
+     "n must be an integer in 1..268435456, got 18446744073709551616"),
+    ("scenario", {"offices": 10 ** 5},
+     "weights of shape (300000, 300000) hold 360000000000 cells at once, "
+     "over the limit of 268435456"),
+], ids=["n", "offices", "office_width", "n_20_digits", "offices_ordinary"])
+def test_integer_in_message_is_shortened_past_20_digits(tmp_path, kind, payload, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    command = ["characterize"] if kind == "instance" else ["generate", "--out", str(tmp_path / "o")]
+    code, err = run_main([*command, f"--{kind}", str(path)])
+    assert code == 1
+    (line,) = err
+    assert line.startswith("error: ") and line.endswith(message)
+    assert len(line) < 200
+
+
 # Reads a schedule text on stdin under the same address-space limit.
 CAPPED_PARSE = (
     "import resource, sys; "

@@ -28,7 +28,7 @@ from affsim import (
 from affsim import engine
 from affsim.core import link_success
 from affsim.engine import max_in_degree
-from affsim.protocols import decay_period, randomized_phase_count
+from affsim.protocols import RandomizedSlots, decay_period, randomized_phase_count
 
 from conftest import random_instances, selected_by_slot, ten_tenths_case, tie_cases
 from oracles import DecayState, decay_step, schedule, sinr_step
@@ -645,3 +645,96 @@ class TestBlockLoop:
                     assert record.completed
                     assert record.slots_executed == record.rounds
                     assert record.first_success == full_mask_first_success(A, record.transmit)
+
+
+class TestLazyRandomized:
+    """The sweep's randomized run, drawn only as far as it is judged and
+    phase 0 judged by slot 1, against ``run_schedule`` of the whole
+    ``randomized_schedule`` mask."""
+
+    def check(self, A, params):
+        record = engine._run_randomized(A, params)
+        full = run_schedule(A, randomized_schedule(params, A.n))
+        assert record.first_success == full.first_success
+        assert record.completed == full.completed
+        assert record.rounds == full.rounds
+        length = record.rounds if record.completed else len(full.transmit)
+        assert np.array_equal(record.transmit, full.transmit[:length])
+        assert (record.protocol, record.seed) == ("randomized", params.seed)
+        return record
+
+    def test_slot_one_covers_receivers(self):
+        at_slot_one = 0
+        for A in TestBlockLoop().instances():
+            for seed in range(3):
+                record = self.check(A, RandomizedParams(characterize(A), seed))
+                at_slot_one += 1 in record.first_success.values()
+        assert at_slot_one
+
+    def test_office_sizes_cover_nobody_in_phase_zero(self):
+        instances = [(f"office_n{3 * k}", generate_office_layer(OfficeGridSpec(offices=k)), None)
+                     for k in range(2, 15)]
+        matrices = {instance_id: A for instance_id, A, _ in instances}
+        for row in sweep(instances, ["randomized"], [0, 1, 2]):
+            A = matrices[row.instance_id]
+            char = characterize(A)
+            record = self.check(A, RandomizedParams(char, row.seed))
+            assert min(record.first_success.values()) > char.m
+            assert (row.rounds, row.completed) == (record.rounds, record.completed)
+
+    @pytest.mark.parametrize("m_override", [None, 1, 2, 7])
+    @pytest.mark.parametrize("fallback_mode", [False, True])
+    def test_options(self, m_override, fallback_mode):
+        instances = [generate_random_instance(2 + seed % 9, seed=seed) for seed in range(6)]
+        instances += [generate_office_layer(OfficeGridSpec(offices=k)) for k in (2, 5)]
+        instances.append(generate_rn_instance(40, 6, 0))
+        for A in instances:
+            char = characterize(A)
+            for seed in range(3):
+                self.check(A, RandomizedParams(char, seed, fallback_mode, m_override))
+
+    def test_one_phase(self):
+        A = isolated_links(5)
+        char = characterize(A)
+        assert char.phases == 1
+        record = self.check(A, RandomizedParams(char, 0))
+        assert record.rounds == 1 and record.slots_executed == 1
+        self.check(A, RandomizedParams(char, 0, fallback_mode=True))
+
+    @pytest.mark.parametrize("m_override", [1, 2])
+    def test_incomplete_run_keeps_whole_schedule(self, mutually_blocking_pair, m_override):
+        char = characterize(mutually_blocking_pair)
+        records = [self.check(mutually_blocking_pair, RandomizedParams(char, seed, False, m_override))
+                   for seed in range(10)]
+        incomplete = [r for r in records if not r.completed]
+        assert incomplete
+        assert all(r.slots_executed == char.phases * m_override for r in incomplete)
+
+    def test_draws_only_judged_slots(self, monkeypatch):
+        # Office n = 600, seed 0: phase 0 is asked for once, by slot 1, and
+        # the generator stops at the end of the completion block.
+        sources = []
+
+        class Recorded(RandomizedSlots):
+            def __init__(self, params, n):
+                super().__init__(params, n)
+                self.asked = []
+                sources.append(self)
+
+            def __call__(self, start, stop):
+                self.asked.append((start, stop))
+                return super().__call__(start, stop)
+
+        monkeypatch.setattr(engine, "RandomizedSlots", Recorded)
+        A = generate_office_layer(OfficeGridSpec(offices=200))
+        params = RandomizedParams(characterize(A), 0)
+        record = self.check(A, params)
+        (source,) = sources
+        m, asked = source.m, source.asked
+        assert asked[0] == (0, 1)
+        assert all(start >= m for start, _ in asked[1:])
+        assert [start for start, _ in asked[2:]] == [stop for _, stop in asked[1:-1]]
+        assert asked[-1][0] < record.rounds <= asked[-1][1]
+        rng = np.random.default_rng(0)
+        rng.bit_generator.advance(asked[-1][1] * A.n)
+        assert source.rng.bit_generator.state == rng.bit_generator.state

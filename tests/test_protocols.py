@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 from affsim import (
     AffectanceMatrix,
     Characterization,
+    InstanceError,
     LayerTopology,
     OfficeGridSpec,
     RandomizedParams,
@@ -31,6 +32,7 @@ from affsim import protocols
 from affsim.protocols import (
     K_EXACT,
     MIN_GAIN,
+    RandomizedSlots,
     _outcome_table,
     _pessimistic_estimates,
     _relevant,
@@ -118,6 +120,46 @@ class TestRandomizedSchedule:
         # at once would take 8 * phases * m * n bytes more.
         assert phases == 11
         assert peak < phases * m * n + 2 * 8 * m * n
+
+
+class TestRandomizedSlots:
+    OPTIONS = [(4.0, {}), (4.0, {"m_override": 3}), (4.0, {"fallback_mode": True}), (0.5, {})]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 40])
+    @pytest.mark.parametrize("abar, options", OPTIONS)
+    def test_read_to_end_is_the_schedule(self, seed, abar, options):
+        params = RandomizedParams(fake_char(abar=abar, c=1.5, m=7), seed=seed, **options)
+        source = RandomizedSlots(params, 9)
+        assert len(source) == len(randomized_schedule(params, 9))
+        assert source(0, len(source)).tobytes() == randomized_schedule(params, 9).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("abar, options", OPTIONS)
+    def test_blocks_and_gaps_take_the_schedule_rows(self, seed, abar, options):
+        # Blocks of any size that cross phase edges, with slots skipped
+        # between them, hold the whole draw's rows of those slots.
+        params = RandomizedParams(fake_char(abar=abar, c=1.5, m=7), seed=seed, **options)
+        sched = randomized_schedule(params, 9)
+        rng = np.random.default_rng(seed)
+        source, start = RandomizedSlots(params, 9), 0
+        while start < len(sched):
+            stop = min(len(sched), start + int(rng.integers(1, 12)))
+            assert source(start, stop).tobytes() == sched[start:stop].tobytes()
+            start = stop + int(rng.integers(0, 4))
+
+    def test_drawn_slots_are_not_drawn_again(self):
+        source = RandomizedSlots(RandomizedParams(fake_char(abar=4.0, c=1.5, m=7), seed=0), 9)
+        assert source(0, 7).all()
+        source(0, 3)  # phase 0 draws nothing
+        source(8, 10)
+        with pytest.raises(ValueError, match="slot 9 asked for after slot 10 was drawn"):
+            source(8, 9)
+
+    def test_capacity_checked_before_any_draw(self):
+        params = RandomizedParams(fake_char(abar=4.0, c=1.5, m=7), seed=0,
+                                  m_override=2 ** 28)
+        with pytest.raises(InstanceError, match=r"phases=\d+, m=268435456, n=9 needs "):
+            RandomizedSlots(params, 9)
 
 
 def one_shot_draw(params, n):
