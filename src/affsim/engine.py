@@ -21,8 +21,11 @@ class RunRecord:
 
     ``transmit`` is the (slots, n) bool mask of the executed slots: the whole
     schedule for ``run_schedule``, the rounds up to completion or the cap for
-    ``run_adaptive``. ``per_slot_transmitters`` derives the 1-based ascending
-    transmitter tuple of each slot from it on demand.
+    ``run_adaptive``, and for a sweep's randomized row the slots up to
+    completion (the whole schedule if it does not complete), of which
+    phase 0's slots 2..m were never drawn or judged, only copied from slot
+    1. ``per_slot_transmitters`` derives the 1-based ascending transmitter
+    tuple of each slot from it on demand.
     """
 
     protocol: str
@@ -380,7 +383,10 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     ``protocols`` holds names: randomized, deterministic, decay, sinr.
     ``c`` goes to ``characterize``, and ``m_override`` to the randomized
     schedule. Each instance is characterized once, on its first randomized
-    or deterministic run, and its greedy schedule is built once.
+    or deterministic run, and its greedy schedule is built once. A
+    randomized row builds no mask: ``_run_randomized`` draws only the slots
+    it judges and judges phase 0 by its first slot, with the first
+    successes of ``run_schedule`` on the whole ``randomized_schedule``.
 
     The runs go seed by seed, so that the decay and sinr runs of one seed
     share one ``_NodeStreams`` for the largest n, built on the seed's first
