@@ -157,7 +157,7 @@ def cmd_sweep(args):
         (instance_id, A, _sinr_options(args, instance_id, spec) if runs_sinr else None)
         for instance_id, A, spec in instances
     ]
-    seeds = list(range(args.seed_base, args.seed_base + args.seeds))
+    seeds = range(args.seed_base, args.seed_base + args.seeds)
     rows = sweep(instances, args.protocol, seeds, args.max_rounds,
                  c=args.c, m_override=args.m_override)
     write_csv(rows, args.out)

@@ -1,8 +1,8 @@
 """Additive-interference model core.
 
-Holds the bipartite layer topology, the interference weights (one form per
-instance, a receiver kernel or a dense per-(link, transmitter) array, read
-per link through ``AffectanceMatrix.weights``), the batched success rule
+Holds the bipartite layer topology, the interference weights (a receiver
+kernel's rows, shared by the links into a receiver, or one row per link,
+read per link through ``AffectanceMatrix.weights``), the batched success rule
 and the scalar success/selection predicates, instance characterization
 (derived scheduling constants) and the unit-weight radio-network encoding.
 
@@ -187,13 +187,6 @@ def _on_grid(weights):
     return weights
 
 
-def _expand(topo, G, rows=slice(None)):
-    """Row w - 1 of the kernel ``G`` for each link (v, w) in ``rows``, column v zeroed."""
-    dense = G[topo.receiver[rows]]
-    dense[np.arange(len(dense)), topo.owner[rows]] = 0.0
-    return dense
-
-
 class LayerTopology:
     """Bipartite transmitter/receiver layer with equal index spaces 1..n.
 
@@ -301,21 +294,21 @@ class LayerTopology:
 class AffectanceMatrix:
     """Interference weights a(u, (v, w)) in [0, 1], bound to one topology.
 
-    One form per instance. A weight that depends on u and w only, as in
-    the office and radio-network generators, is an (n, n) receiver kernel G
-    with a(u, (v, w)) = ``G[w - 1, u - 1]`` for u != v: ``from_kernel``
-    keeps it as the read-only, contiguous ``G.T`` (8 * n * n bytes) and
-    each link's own weight ``G[w - 1, v - 1]``, and never builds the (L, n)
-    array. Any other instance is one read-only dense (L, n) float array
-    ``dense`` (8 * L * n bytes): ``dense[i, u - 1]`` is the weight of
-    transmitter u on link i of ``topo`` (in sorted order). The forms fork
-    only in ``link_totals``, ``weights`` and ``kernel``. ``weights(rows)``
-    is the one per-link read, of either form: the scalar oracles, ``a``,
-    ``entries`` and the greedy take their rows from it, and a kernel
-    instance builds just the rows asked for.
+    One layout for every instance: read-only weight rows of n floats, held
+    transposed as an (n, R) array, the row that each link of ``topo`` (in
+    sorted order) reads, and each link's own weight, its owner's entry of
+    that row; a(u, (v, w)) for u != v is entry u - 1 of the link's row. A
+    weight that depends on u and w only, as in the office and radio-network
+    generators, is an (n, n) receiver kernel G with a(u, (v, w)) =
+    ``G[w - 1, u - 1]``: ``from_kernel`` keeps ``G.T`` (8 * n * n bytes),
+    the links into w share row w - 1, and the (L, n) array is never built.
+    Any other instance has one row per link (8 * L * n bytes) and own
+    weights 0. Only ``kernel`` tells the two apart. ``weights(rows)`` is
+    the one per-link read: the scalar oracles, ``a``, ``entries`` and the
+    greedy take their rows from it, and it builds just the rows asked for.
 
     The weights are checked once: every value lies in [0, 1] (NaN does
-    not), and each link owner's own column of a dense array is 0
+    not), and each link owner's own column of a per-link array is 0
     (self-interference a(v, (v, w)) = 0, so a lone transmitter always
     succeeds). Once checked, each weight is rounded to the nearest multiple
     of 2**-32. A sum of up to 2**21 such weights is exact in float64, so a
@@ -325,8 +318,8 @@ class AffectanceMatrix:
     n far below 2**21.
 
     ``from_dense`` wraps an array that is already built, without copying
-    it, and ``kernel`` recovers G from a matrix of either form when the
-    weights factor. The constructor takes (u, v, w, value) entries (1-based,
+    it, and ``kernel`` recovers G from any matrix whose weights factor, of
+    either layout. The constructor takes (u, v, w, value) entries (1-based,
     absent pairs are 0) and scatters them into a zero array first: indices
     must be integral, u in 1..n, (v, w) a link of the topology, and no
     (u, v, w) may repeat. Immutable after construction.
@@ -334,18 +327,23 @@ class AffectanceMatrix:
 
     def __init__(self, topo, entries=()):
         self.topo = topo
-        self._GT = None
-        self.dense = self._checked(self._scatter(entries))
+        self._hold_links(self._scatter(entries))
+
+    def _hold(self, rows_t, row):
+        """Hold the read-only (n, R) weight rows ``rows_t``; link i reads ``row[i]``."""
+        self._rows_t = rows_t
+        self._row = row
+        self._own = rows_t[self.topo.owner, row]
+        self._own.flags.writeable = False
 
     @classmethod
     def from_dense(cls, topo, dense):
-        """Matrix over an (L, n) float array, checked and rounded to the
-        weight grid in place: the matrix takes ownership of the array, which
-        is copied only if it is not a writeable float array."""
+        """Matrix over an (L, n) float array, row i link i's, checked and
+        rounded to the weight grid in place: the matrix takes ownership of
+        the array, which is copied only if it is not a writeable float array."""
         A = cls.__new__(cls)
         A.topo = topo
-        A._GT = None
-        A.dense = A._checked(np.require(dense, dtype=float, requirements="W").view())
+        A._hold_links(np.require(dense, dtype=float, requirements="W").view())
         return A
 
     @classmethod
@@ -364,10 +362,8 @@ class AffectanceMatrix:
             raise InstanceError(f"kernel a({u0 + 1},(*,{w0 + 1}))={G[bad]} outside [0,1]")
         A = cls.__new__(cls)
         A.topo = topo
-        # Rounding commutes with the expansion into dense rows.
-        A._GT = _on_grid(np.array(G.T, order="C"))
-        A._own = A._GT[topo.owner, topo.receiver]
-        A._own.flags.writeable = False
+        # Rounding commutes with the gather into per-link rows.
+        A._hold(_on_grid(np.array(G.T, order="C")), topo.receiver)
         return A
 
     def kernel(self):
@@ -375,14 +371,14 @@ class AffectanceMatrix:
         matrix, or None if the weights do not factor so. The cells (u, w)
         where u is w's only transmitter, which no link reads, are 0."""
         topo = self.topo
-        if self._GT is None:
-            # Row w - 1 is the column-wise maximum of the rows of the links into w.
-            G = np.maximum.reduceat(self.dense[topo._by_receiver], topo._start[:-1], axis=0)
-            return G if np.array_equal(_expand(topo, G), self.dense) else None
-        G = self._GT.T.copy()
-        single = topo.degree[topo.receiver] == 1
-        G[topo.receiver[single], topo.owner[single]] = 0.0
-        return G
+        if self._row is topo.receiver:
+            G = self._rows_t.T.copy()
+            single = topo.degree[topo.receiver] == 1
+            G[topo.receiver[single], topo.owner[single]] = 0.0
+            return G
+        # Row w - 1 is the column-wise maximum of the rows of the links into w.
+        G = np.maximum.reduceat(self._rows_t.T[topo._by_receiver], topo._start[:-1], axis=0)
+        return G if np.array_equal(self.from_kernel(topo, G).weights(), self._rows_t.T) else None
 
     def _scatter(self, entries):
         n = self.topo.n
@@ -399,9 +395,9 @@ class AffectanceMatrix:
             raise UnknownLinkError(f"unknown link in {_entry_text(table[bad])}")
         return _fill((len(self.topo.owner), n), rows * n + u - 1, table, _entry_text)
 
-    def _checked(self, dense):
-        """The array itself, once it passes the checks: rounded in place to
-        multiples of 1 / GRID, then made read-only."""
+    def _hold_links(self, dense):
+        """Hold the (L, n) array itself as one row per link, once it passes
+        the checks: rounded in place to multiples of 1 / GRID, read-only."""
         shape = (len(self.topo.owner), self.topo.n)
         if dense.shape != shape:
             raise InstanceError(f"affectance array of shape {dense.shape}, expected {shape}")
@@ -419,7 +415,7 @@ class AffectanceMatrix:
             raise InstanceError(
                 f"self-affectance a({v},({v},{w})) must be 0, got {own[bad]}"
             )
-        return _on_grid(dense)
+        self._hold(_on_grid(dense).T, np.arange(shape[0]))
 
     @property
     def n(self):
@@ -427,28 +423,28 @@ class AffectanceMatrix:
 
     def weights(self, rows=slice(None)):
         """Read-only (len(rows), n) array of the weights on the links
-        ``rows`` (all by default): ``[i, u - 1]`` is a(u, link rows[i]). A
-        kernel instance gathers those rows from the kernel on every call and
-        caches nothing."""
-        weights = self.dense[rows] if self._GT is None else _expand(self.topo, self._GT.T, rows)
+        ``rows`` (all by default): ``[i, u - 1]`` is a(u, link rows[i]),
+        gathered from the links' rows on each call, owners' columns zeroed."""
+        weights = self._rows_t.T[self._row[rows]]
+        weights[np.arange(len(weights)), self.topo.owner[rows]] = 0.0
         weights.flags.writeable = False
         return weights
 
     def a(self, u, link):
-        """Single entry lookup; absent pairs are 0."""
+        """Single entry lookup; absent pairs are 0, and u outside 1..n is an InstanceError."""
+        if not 1 <= u <= self.n:
+            raise InstanceError(f"transmitter {u} out of range")
         return float(self.weights([self.topo.link_row(link)])[0, u - 1])
 
     def link_totals(self, transmit, rows=slice(None)):
         """Summed affectance on the links ``rows`` (all by default) under a
         bool (n,) or (slots, n) transmit mask, as an (L,) or (slots, L)
         array; exact on the weight grid on every link whose owner transmits,
-        the only links the success rule reads. The kernel form gathers each
-        link's receiver total ``transmit @ G.T`` and subtracts the owner's
-        own weight in place, whether or not the owner transmits, so on a
-        link with a silent owner it is lower by that weight."""
-        if self._GT is None:
-            return transmit @ self.dense[rows].T
-        totals = (transmit @ self._GT)[..., self.topo.receiver[rows]]
+        the only links the success rule reads. Each link takes its row's
+        total less its own weight, whether or not the owner transmits, so on
+        a link with a silent owner it is lower by the own weight (0 on
+        per-link rows)."""
+        totals = (transmit @ self._rows_t)[..., self._row[rows]]
         totals -= self._own[rows]
         return totals
 
@@ -559,8 +555,10 @@ def max_avg_affectance_w(A, w):
 
     The maximum of the subset averages is attained at a single link, so this
     reduces to the largest per-link total; the tests check it against the
-    exponential subset definition.
+    exponential subset definition. An unknown receiver is an InstanceError.
     """
+    if w not in A.topo.receivers:
+        raise InstanceError(f"unknown receiver {w}")
     return float(A.link_totals(np.ones(A.n, dtype=bool), A.topo.link_rows(w)).max())
 
 

@@ -479,6 +479,20 @@ def test_oversized_input_is_validation_error(tmp_path, kind, size):
     assert f"cells at once, over the limit of {2 ** 28}" in line
 
 
+def test_sweep_does_not_list_its_seeds(tmp_path):
+    # A list of 10**10 seeds would take 80 GB; the sweep iterates a range.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"offices": 2}))
+    argv = ["sweep", "--scenario", str(path), "--protocol", "randomized", "--m-override", "0",
+            "--seeds", "10000000000", "--out", str(tmp_path / "out.csv")]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: m_override must be >= 1\n"
+
+
 @pytest.mark.parametrize("kind, payload, message", [
     ("instance", {"n": 10 ** 400, "links": [[1, 1]], "affectance": []},
      "n must be an integer in 1..268435456, got 100000...0000 (401 digits)"),

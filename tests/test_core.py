@@ -141,6 +141,15 @@ class TestAffectanceMatrix:
         A = simple_pair()
         assert A.a(2, (1, 2)) == 0.0
 
+    @pytest.mark.parametrize("u", [0, -1, 3])
+    @pytest.mark.parametrize("per_link", [True, False], ids=["per_link", "kernel"])
+    def test_a_rejects_transmitter_out_of_range(self, u, per_link):
+        A = simple_pair()
+        if not per_link:
+            A = AffectanceMatrix.from_kernel(A.topo, A.kernel())
+        with pytest.raises(InstanceError, match=f"^transmitter {u} out of range$"):
+            A.a(u, (1, 1))
+
     @pytest.mark.parametrize("entries", [
         [(2, 1, 1, 0.4), (2, 1, 1, 0.4)],
         [(2.5, 1, 1, 0.4)],
@@ -168,7 +177,6 @@ class TestAffectanceMatrix:
         dense = np.array([[0.0, 0.4], [0.0, 0.0], [0.4, 0.0]])
         A = AffectanceMatrix.from_dense(topo, dense)
         assert A.entries() == simple_pair().entries()
-        assert not A.dense.flags.writeable
         assert not A.weights().flags.writeable
 
     @pytest.mark.parametrize("make", [
@@ -232,7 +240,11 @@ def kernel_cases(st_draw, max_n=7):
 
 def form_outputs(A, mask):
     """Everything a run reads from the weights, on one matrix."""
+    # A random subset of the links, one of them twice, and no link.
+    rows = np.random.default_rng(0).permutation(len(A.topo.owner))[:3]
     return (
+        A.weights(np.append(rows, rows[0])).tolist(),
+        A.weights(rows[:0]).shape,
         link_success(A, mask).tolist(),
         characterize(A),
         A.kernel().tolist(),
@@ -255,7 +267,6 @@ class TestKernelForm:
         topo, G, mask = case
         K = AffectanceMatrix.from_kernel(topo, G)
         outputs = form_outputs(K, mask)
-        assert not hasattr(K, "dense")
         assert form_outputs(AffectanceMatrix.from_dense(topo, K.weights().copy()), mask) == outputs
         # kernel() zeroes only the cells no link reads.
         single = topo.degree[topo.receiver] == 1
@@ -385,12 +396,27 @@ class TestWeightGrid:
         topo = LayerTopology(2, ((1, 1), (2, 2)))
         dense = np.array([[0.0, 0.1], [0.0, 0.0]])
         A = AffectanceMatrix.from_dense(topo, dense)
-        assert np.shares_memory(A.weights(), dense)
         assert dense[0, 1] == A.a(2, (1, 1)) != 0.1
         frozen = np.array([[0.0, 0.1], [0.0, 0.0]])
         frozen.flags.writeable = False
         B = AffectanceMatrix.from_dense(topo, frozen)
         assert frozen[0, 1] == 0.1 and B.weights()[0, 1] == A.weights()[0, 1]
+
+    def test_from_dense_allocates_no_second_array(self):
+        # 600 links of n = 300, each owner's column 0: a 1.44 MB array.
+        n = 300
+        topo = LayerTopology(n, [(v, w) for w in range(1, n + 1) for v in (w, w % n + 1)])
+        dense = np.full((len(topo.owner), n), 0.1)
+        dense[np.arange(len(topo.owner)), topo.owner] = 0.0
+        tracemalloc.start()
+        try:
+            A = AffectanceMatrix.from_dense(topo, dense)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense.nbytes
+        assert dense[0, 1] == A.a(2, (1, 1)) != 0.1
+        assert not A.weights().flags.writeable
 
 
 class TestTies:
@@ -457,6 +483,11 @@ class TestMaxAvgAffectance:
 
     def test_rn_degree_identity(self, rn_star):
         assert max_avg_affectance_w(rn_star, 1) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("w", [0, -1, 3])
+    def test_unknown_receiver(self, w):
+        with pytest.raises(InstanceError, match=f"^unknown receiver {w}$"):
+            max_avg_affectance_w(simple_pair(), w)
 
     @settings(max_examples=40)
     @given(random_instances(max_n=7))

@@ -584,7 +584,6 @@ class TestDeterministicSchedule:
         finally:
             tracemalloc.stop()
         assert report.selective
-        assert not hasattr(A, "dense")
         # The dense (L, n) array would take 1.78 MB; the greedy and the
         # scalar oracle read one receiver's rows at a time (about 0.1 MB).
         assert peak < 8 * len(A.topo.owner) * A.n / 4
