@@ -338,9 +338,9 @@ class AffectanceMatrix:
 
     @classmethod
     def from_dense(cls, topo, dense):
-        """Matrix over an (L, n) float array, row i link i's, checked and
-        rounded to the weight grid in place: the matrix takes ownership of
-        the array, which is copied only if it is not a writeable float array."""
+        """Matrix over an (L, n) float array, row i the weights on link i,
+        checked and rounded to the weight grid in place: the matrix owns the
+        array, which is copied only if it is not a writeable float array."""
         A = cls.__new__(cls)
         A.topo = topo
         A._hold_links(np.require(dense, dtype=float, requirements="W").view())
@@ -554,12 +554,13 @@ def max_avg_affectance_w(A, w):
     """Worst per-receiver average interference over transmitter subsets.
 
     The maximum of the subset averages is attained at a single link, so this
-    reduces to the largest per-link total; the tests check it against the
-    exponential subset definition. An unknown receiver is an InstanceError.
+    reduces to the largest per-link total, read from w's rows only; the tests
+    check it against the exponential subset definition. An unknown receiver
+    is an InstanceError.
     """
     if w not in A.topo.receivers:
         raise InstanceError(f"unknown receiver {w}")
-    return float(A.link_totals(np.ones(A.n, dtype=bool), A.topo.link_rows(w)).max())
+    return float(A.weights(A.topo.link_rows(w)).sum(axis=1).max())
 
 
 @dataclass(frozen=True)

@@ -446,6 +446,14 @@ CAPPED_MAIN = (
 )
 
 
+def run_capped(argv):
+    """``affsim.cli.main(argv)`` in a subprocess limited to ADDRESS_SPACE."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", CAPPED_MAIN, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("kind, size", [
     # n = 20000 self-links and no weights: a 3.0 GiB array in either form.
     ("kernel", 20000),
@@ -468,10 +476,7 @@ def test_oversized_input_is_validation_error(tmp_path, kind, size):
         path.write_text(json.dumps({"n": size, "links": [[v, v] for v in range(1, size + 1)],
                                     kind: []}))
         argv = ["characterize", "--instance", str(path)]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_capped(argv)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
@@ -485,10 +490,7 @@ def test_sweep_does_not_list_its_seeds(tmp_path):
     path.write_text(json.dumps({"offices": 2}))
     argv = ["sweep", "--scenario", str(path), "--protocol", "randomized", "--m-override", "0",
             "--seeds", "10000000000", "--out", str(tmp_path / "out.csv")]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_capped(argv)
     assert proc.returncode == 1
     assert proc.stderr == "error: m_override must be >= 1\n"
 
