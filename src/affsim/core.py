@@ -24,7 +24,7 @@ GRID = 2.0 ** 32
 # (2 GiB at the limit), checked before anything is allocated: a dense file
 # holds its (L, n) array once, a kernel file or a radio-network encoding its
 # (n, n) kernel twice (``from_kernel`` keeps a transposed copy), and an
-# office scenario four kernels' worth. RN 3000/32 as a dense (L, n) array
+# office scenario three kernels' worth. RN 3000/32 as a dense (L, n) array
 # takes about 1.5 * 10**8 cells.
 MAX_WEIGHT_CELLS = 2 ** 28
 

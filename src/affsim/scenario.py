@@ -22,6 +22,14 @@ from .core import _check_cells, _integer, _kernel_scatter, _table, _value_text
 # and perturb no success outcome by more than n * 1e-6.
 SPARSITY_FLOOR = 1e-6
 
+# Receiver rows per band of ``_office_kernel``: each of a band's few
+# temporaries holds 256 * n cells, a small part of the (n, n) kernel.
+_BAND = 256
+
+# Kernels' worth of cells that ``generate_office_layer`` checks against
+# ``core.MAX_WEIGHT_CELLS``: the least integer above its traced peak.
+_OFFICE_KERNELS = 3
+
 
 @dataclass(frozen=True)
 class OfficeGridSpec:
@@ -36,13 +44,15 @@ class OfficeGridSpec:
 
     def __post_init__(self):
         # Each count must be an integral number (stored as an int), each
-        # length and exponent a finite float or an int that converts to one.
+        # length and exponent a finite float or an int that converts to one
+        # (stored as a float, so that products overflow to inf, not raise).
         for name in ("offices", "nodes_per_office"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         for name in ("reach", "wall_penalty", "alpha", "office_width"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
                 raise InstanceError(f"{name} must be finite, got {_value_text(value)}")
+            object.__setattr__(self, name, float(value))
         if self.offices < 1 or self.nodes_per_office < 1:
             raise InstanceError("offices and nodes_per_office must be >= 1")
         if self.reach < 1 or self.wall_penalty < 0:
@@ -81,23 +91,34 @@ def _node_positions(spec):
 
 def _office_kernel(spec):
     """(n, n) weight of transmitter u on any link into receiver w, at
-    [w - 1, u - 1]: one ``office_affectance`` call per distinct (distance,
-    walls) pair, gathered back to every (u, w)."""
-    office = np.arange(spec.n) // spec.nodes_per_office
+    [w - 1, u - 1]: one ``office_affectance`` call per distinct effective
+    distance, gathered back to every (u, w).
+
+    Built in bands of ``_BAND`` receiver rows, in two passes: the first
+    writes each band's effective distances into the kernel and merges their
+    distinct values, the second replaces them by their weights. numpy's
+    float64 subtract, add and multiply round as Python's do, so every cell
+    equals ``office_affectance`` of its own (distance, walls) pair."""
+    n = spec.n
+    office = np.arange(n) // spec.nodes_per_office
     xs = np.array(_node_positions(spec))
-    distance = np.abs(xs[None, :] - xs[:, None]) + 1.0
-    distances = np.unique(distance)
-    # Pair code walls * len(distances) + rank of the distance.
-    pair = np.abs(office[None, :] - office[:, None]) * len(distances)
-    pair += np.searchsorted(distances, distance)
-    del distance
-    pairs = np.unique(pair)
-    values = np.array([
-        office_affectance(spec, d, walls)
-        for d, walls in zip(distances[pairs % len(distances)].tolist(),
-                            (pairs // len(distances)).tolist())
-    ])
-    return values[np.searchsorted(pairs, pair)]
+    G = np.empty((n, n))
+    bands = [slice(start, start + _BAND) for start in range(0, n, _BAND)]
+    distinct = []
+    for rows in bands:
+        d_eff = G[rows]
+        np.subtract(xs[None, :], xs[rows, None], out=d_eff)
+        np.abs(d_eff, out=d_eff)
+        d_eff += 1.0
+        # A product past the float range is inf, as Python's is, silently.
+        with np.errstate(over="ignore"):
+            d_eff += spec.wall_penalty * np.abs(office[None, :] - office[rows, None])
+        distinct.append(np.unique(d_eff))
+    distinct = np.unique(np.concatenate(distinct))
+    values = np.array([office_affectance(spec, d, 0) for d in distinct.tolist()])
+    for rows in bands:
+        np.take(values, np.searchsorted(distinct, G[rows]), out=G[rows])
+    return G
 
 
 def generate_office_layer(spec):
@@ -108,21 +129,22 @@ def generate_office_layer(spec):
     between u and w (plus one grid row) and one wall per office of
     separation; a transmitter never interferes with its own links.
 
-    The weight depends on (u, w) only, and an office row has few distinct
-    (distance, walls) pairs (2493 at n = 600), so ``office_affectance`` runs
-    once per pair into an (n, n) kernel, which ``AffectanceMatrix.from_kernel``
+    The weight depends on (u, w) only, through the effective distance, and
+    an office row has few distinct ones (1829 at n = 600), so
+    ``office_affectance`` runs once per distinct value into an (n, n)
+    kernel, built in bands of receivers, which ``AffectanceMatrix.from_kernel``
     keeps: 8 * n * n bytes, where the dense (L, n) array, L = nodes_per_office
     * n, would take nodes_per_office times more. The values are
     bit-identical to one scalar call per entry; the power stays in Python
     because numpy's differs from it in the last bit on some entries.
-    Generation's traced peak is 3.0-3.1 times n * n 8-byte cells (n = 1500
-    and 3000: ``_office_kernel``'s distances, codes and gather, then the
-    kernel and ``from_kernel``'s transposed copy), so 4 * n * n cells over
-    ``core.MAX_WEIGHT_CELLS`` is an InstanceError, raised before anything
-    is allocated.
+    Generation's traced peak is 2.02-2.08 times n * n 8-byte cells (n = 3000
+    and 1500: the kernel and ``from_kernel``'s transposed copy, plus the
+    topology; a band's temporaries are freed before the copy), so
+    ``_OFFICE_KERNELS`` * n * n cells over ``core.MAX_WEIGHT_CELLS`` is an
+    InstanceError, raised before anything is allocated.
     """
     n, k = spec.n, spec.nodes_per_office
-    _check_cells((n, n), 4)
+    _check_cells((n, n), _OFFICE_KERNELS)
     # Each transmitter v links to the k receivers of its office, in sorted
     # (v, w) order.
     owner = np.repeat(np.arange(n), k)

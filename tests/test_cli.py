@@ -435,6 +435,19 @@ def test_sweep_sinr_option_past_int64_is_validation_error(tmp_path, capsys, fiel
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_integer_wall_penalty_generates_as_its_float(tmp_path):
+    # A 309-digit integer passes the finite check; stored as 1e308, its
+    # products with two or more walls overflow to inf instead of raising.
+    outs = []
+    for text in (str(10 ** 308), "1e308"):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(f'{{"offices": 3, "wall_penalty": {text}}}')
+        out = tmp_path / f"out{len(outs)}.json"
+        assert main(["generate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 # A subprocess address-space limit below what each input would allocate:
 # without the cell limit numpy's allocation fails with a traceback instead
 # of paging the machine.
@@ -463,8 +476,8 @@ def run_capped(argv):
     ("kernel", 12000),
     # n = 21000: a 3.3 GiB kernel.
     ("offices", 7000),
-    # n = 15000: one 2.3e8-cell kernel is under the cell limit, the three
-    # such arrays generation holds at once are not.
+    # n = 15000: one 2.3e8-cell kernel is under the cell limit, the kernel
+    # and from_kernel's transposed copy, which generation holds at once, are not.
     ("offices", 5000),
 ])
 def test_oversized_input_is_validation_error(tmp_path, kind, size):
@@ -500,14 +513,14 @@ def test_sweep_does_not_list_its_seeds(tmp_path):
      "n must be an integer in 1..268435456, got 100000...0000 (401 digits)"),
     ("scenario", {"offices": 10 ** 400},
      "weights of shape (300000...0000 (401 digits), 300000...0000 (401 digits)) hold "
-     "360000...0000 (802 digits) cells at once, over the limit of 268435456"),
+     "270000...0000 (802 digits) cells at once, over the limit of 268435456"),
     ("scenario", {"offices": 1, "office_width": 10 ** 400},
      "office_width must be finite, got 100000...0000 (401 digits)"),
     # Integers of up to 20 digits are written out whole.
     ("instance", {"n": 2 ** 64, "links": [[1, 1]], "affectance": []},
      "n must be an integer in 1..268435456, got 18446744073709551616"),
     ("scenario", {"offices": 10 ** 5},
-     "weights of shape (300000, 300000) hold 360000000000 cells at once, "
+     "weights of shape (300000, 300000) hold 270000000000 cells at once, "
      "over the limit of 268435456"),
 ], ids=["n", "offices", "office_width", "n_20_digits", "offices_ordinary"])
 def test_integer_in_message_is_shortened_past_20_digits(tmp_path, kind, payload, message):

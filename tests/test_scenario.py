@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from affsim import (
     sinr_defaults,
 )
 from affsim import AffectanceMatrix, LayerTopology
-from affsim.scenario import SPARSITY_FLOOR, load_scenario
+from affsim.scenario import _BAND, _OFFICE_KERNELS, SPARSITY_FLOOR, _office_kernel, load_scenario
 
 ROWS_OF_2 = "links must be a list of rows of 2 numbers"
 ROWS_OF_4 = "affectance entries must be a list of rows of 4 numbers"
@@ -51,6 +53,17 @@ def scalar_office_layer(spec):
                 if value > 0.0:
                     entries.append((u, v, w, value))
     return AffectanceMatrix(topo, entries)
+
+
+def scalar_office_kernel(spec):
+    """Reference kernel: one ``office_affectance`` call per cell [w - 1, u - 1],
+    and the set of (distance, walls) pairs it was called with."""
+    k, width = spec.nodes_per_office, spec.office_width
+    xs = [o * width + (j + 0.5) * width / k for o in range(spec.offices) for j in range(k)]
+    pairs = [[(abs(xu - xw) + 1.0, abs(u // k - w // k)) for u, xu in enumerate(xs)]
+             for w, xw in enumerate(xs)]
+    G = np.array([[office_affectance(spec, *pair) for pair in row] for row in pairs])
+    return G, {pair for row in pairs for pair in row}
 
 
 class TestOfficeAffectance:
@@ -140,6 +153,43 @@ class TestOfficeLayer:
         assert A.topo.links == B.topo.links
         assert np.array_equal(A.weights(), B.weights())
         assert not A.weights().flags.writeable
+
+    @pytest.mark.parametrize("spec", [
+        # A partial last band.
+        OfficeGridSpec(offices=100),
+        # Band edges cut through offices.
+        OfficeGridSpec(offices=40, nodes_per_office=7, alpha=1.5),
+        # d_eff = distance + walls: the pairs (2, 1) and (3, 0) share 3.
+        OfficeGridSpec(offices=100, wall_penalty=1.0, office_width=3.0),
+    ], ids=["partial_band", "band_cuts_office", "shared_d_eff"])
+    def test_kernel_bits_equal_scalar_calls_across_bands(self, spec):
+        assert spec.n > _BAND
+        G, pairs = scalar_office_kernel(spec)
+        assert np.array_equal(_office_kernel(spec).view(np.int64), G.view(np.int64))
+        # Some pairs share a d_eff, by rounding where the spec does not
+        # make them share it exactly.
+        assert len({d + spec.wall_penalty * walls for d, walls in pairs}) < len(pairs)
+
+    def test_integer_lengths_give_the_integer_arithmetic_kernel(self):
+        spec = OfficeGridSpec(offices=90, reach=5, wall_penalty=10)
+        assert type(spec.reach) is type(spec.wall_penalty) is float
+        # Python's int products and sums are exact at these sizes.
+        raw = SimpleNamespace(offices=90, nodes_per_office=3, reach=5, wall_penalty=10,
+                              alpha=2.0, office_width=5.0)
+        G, _ = scalar_office_kernel(raw)
+        assert np.array_equal(_office_kernel(spec).view(np.int64), G.view(np.int64))
+
+    def test_generation_peak_within_office_cell_check(self):
+        # The check counts _OFFICE_KERNELS kernels of n * n 8-byte cells;
+        # n = 1500 spans six bands.
+        spec = OfficeGridSpec(offices=500)
+        tracemalloc.start()
+        try:
+            generate_office_layer(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _OFFICE_KERNELS * 8 * spec.n ** 2
 
     def test_sinr_defaults(self):
         params = sinr_defaults(OfficeGridSpec(offices=2))
