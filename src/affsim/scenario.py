@@ -138,10 +138,11 @@ def generate_office_layer(spec):
     bit-identical to one scalar call per entry; the power stays in Python
     because numpy's differs from it in the last bit on some entries.
     Generation's traced peak is 2.02-2.08 times n * n 8-byte cells (n = 3000
-    and 1500: the kernel and ``from_kernel``'s transposed copy, plus the
-    topology; a band's temporaries are freed before the copy), so
-    ``_OFFICE_KERNELS`` * n * n cells over ``core.MAX_WEIGHT_CELLS`` is an
-    InstanceError, raised before anything is allocated.
+    and 1500: the kernel and ``from_kernel``'s transposed copy, plus under
+    2 MiB of topology and lazily imported modules; a band's temporaries are
+    freed before the copy), so ``_OFFICE_KERNELS`` * n * n cells over
+    ``core.MAX_WEIGHT_CELLS`` is an InstanceError, raised before anything
+    is allocated.
     """
     n, k = spec.n, spec.nodes_per_office
     _check_cells((n, n), _OFFICE_KERNELS)
