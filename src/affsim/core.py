@@ -23,8 +23,8 @@ GRID = 2.0 ** 32
 # Most 8-byte cells that building an instance's weights may hold at once
 # (2 GiB at the limit), checked before anything is allocated: a dense file
 # holds its (L, n) array once, a kernel file or a radio-network encoding its
-# (n, n) kernel twice (``from_kernel`` keeps a transposed copy), and an
-# office scenario three kernels' worth. RN 3000/32 as a dense (L, n) array
+# (n, n) kernel once (``from_kernel`` holds the array it is given), and an
+# office scenario two kernels' worth. RN 3000/32 as a dense (L, n) array
 # takes about 1.5 * 10**8 cells.
 MAX_WEIGHT_CELLS = 2 ** 28
 
@@ -167,7 +167,7 @@ def _kernel_scatter(n, entries):
     """(n, n) kernel from [u, w, value] entries, with ``G[w - 1, u - 1]`` the
     value (absent pairs are 0): indices must be integral, u and w in 1..n,
     and no (u, w) may repeat."""
-    _check_cells((n, n), 2)
+    _check_cells((n, n), 1)
     table = _table(entries, 3, "kernel entries")
     # Clipped to 0..n + 1, out-of-range indices stay out of range and cast safely.
     u, w = np.clip(_integral(table[:, :2], "kernel entry"), 0, n + 1).astype(int).T
@@ -175,16 +175,6 @@ def _kernel_scatter(n, entries):
     if bad is not None:
         raise InstanceError(f"index out of range in {_kernel_text(table[bad])}")
     return _fill((n, n), (w - 1) * n + u - 1, table, _kernel_text)
-
-
-def _on_grid(weights):
-    """``weights`` rounded in place to multiples of 1 / GRID, then made
-    read-only."""
-    weights *= GRID
-    np.rint(weights, out=weights)
-    weights /= GRID
-    weights.flags.writeable = False
-    return weights
 
 
 class LayerTopology:
@@ -294,14 +284,14 @@ class LayerTopology:
 class AffectanceMatrix:
     """Interference weights a(u, (v, w)) in [0, 1], bound to one topology.
 
-    One layout for every instance: read-only weight rows of n floats, held
-    transposed as an (n, R) array, the row that each link of ``topo`` (in
-    sorted order) reads, and each link's own weight, its owner's entry of
-    that row; a(u, (v, w)) for u != v is entry u - 1 of the link's row. A
-    weight that depends on u and w only, as in the office and radio-network
-    generators, is an (n, n) receiver kernel G with a(u, (v, w)) =
-    ``G[w - 1, u - 1]``: ``from_kernel`` keeps ``G.T`` (8 * n * n bytes),
-    the links into w share row w - 1, and the (L, n) array is never built.
+    One layout for every instance: read-only weight rows of n floats, an
+    (R, n) array, the row that each link of ``topo`` (in sorted order)
+    reads, and each link's own weight, its owner's entry of that row;
+    a(u, (v, w)) for u != v is entry u - 1 of the link's row. A weight that
+    depends on u and w only, as in the office and radio-network generators,
+    is an (n, n) receiver kernel G with a(u, (v, w)) = ``G[w - 1, u - 1]``:
+    ``from_kernel`` holds G itself (8 * n * n bytes), the links into w share
+    row w - 1, and the (L, n) array is never built.
     Any other instance has one row per link (8 * L * n bytes) and own
     weights 0. Only ``kernel`` tells the two apart. ``weights(rows)`` is
     the one per-link read: the scalar oracles, ``a``, ``entries`` and the
@@ -317,23 +307,31 @@ class AffectanceMatrix:
     total less one link's own weight), ties included; an (n, n) kernel keeps
     n far below 2**21.
 
-    ``from_dense`` wraps an array that is already built, without copying
-    it, and ``kernel`` recovers G from any matrix whose weights factor, of
-    either layout. The constructor takes (u, v, w, value) entries (1-based,
-    absent pairs are 0) and scatters them into a zero array first: indices
-    must be integral, u in 1..n, (v, w) a link of the topology, and no
-    (u, v, w) may repeat. Immutable after construction.
+    ``from_dense`` and ``from_kernel`` own the array they are given: they
+    check it, round it in place and make their view of it read-only,
+    copying it only if it is not a writeable float array. ``kernel``
+    recovers G from any matrix whose weights factor, of either layout. The
+    constructor takes (u, v, w, value) entries (1-based, absent pairs are 0)
+    and scatters them into a zero array first: indices must be integral, u
+    in 1..n, (v, w) a link of the topology, and no (u, v, w) may repeat.
+    Immutable after construction.
     """
 
     def __init__(self, topo, entries=()):
         self.topo = topo
         self._hold_links(self._scatter(entries))
 
-    def _hold(self, rows_t, row):
-        """Hold the read-only (n, R) weight rows ``rows_t``; link i reads ``row[i]``."""
-        self._rows_t = rows_t
+    def _hold(self, rows, row):
+        """Hold the checked (R, n) weight rows ``rows`` themselves, rounded in
+        place to multiples of 1 / GRID and made read-only; link i reads
+        ``rows[row[i]]``."""
+        rows *= GRID
+        np.rint(rows, out=rows)
+        rows /= GRID
+        rows.flags.writeable = False
+        self._rows = rows
         self._row = row
-        self._own = rows_t[self.topo.owner, row]
+        self._own = rows[row, self.topo.owner]
         self._own.flags.writeable = False
 
     @classmethod
@@ -349,10 +347,10 @@ class AffectanceMatrix:
     @classmethod
     def from_kernel(cls, topo, G):
         """Matrix with a(u, (v, w)) = ``G[w - 1, u - 1]`` for every link (v, w)
-        and u != v, kept as the kernel; ``G`` itself is not modified. G must
-        be (n, n) with every value in [0, 1], including the cells (u, w)
-        where u is w's only transmitter, which no link reads."""
-        G = np.asarray(G, dtype=float)
+        and u != v, kept as the kernel, owned as ``from_dense`` owns its
+        array. G must be (n, n) with every value in [0, 1], including the
+        cells (u, w) where u is w's only transmitter, which no link reads."""
+        G = np.require(G, dtype=float, requirements="W").view()
         shape = (topo.n, topo.n)
         if G.shape != shape:
             raise InstanceError(f"kernel of shape {G.shape}, expected {shape}")
@@ -363,7 +361,7 @@ class AffectanceMatrix:
         A = cls.__new__(cls)
         A.topo = topo
         # Rounding commutes with the gather into per-link rows.
-        A._hold(_on_grid(np.array(G.T, order="C")), topo.receiver)
+        A._hold(G, topo.receiver)
         return A
 
     def kernel(self):
@@ -372,13 +370,13 @@ class AffectanceMatrix:
         where u is w's only transmitter, which no link reads, are 0."""
         topo = self.topo
         if self._row is topo.receiver:
-            G = self._rows_t.T.copy()
+            G = self._rows.copy()
             single = topo.degree[topo.receiver] == 1
             G[topo.receiver[single], topo.owner[single]] = 0.0
             return G
         # Row w - 1 is the column-wise maximum of the rows of the links into w.
-        G = np.maximum.reduceat(self._rows_t.T[topo._by_receiver], topo._start[:-1], axis=0)
-        return G if np.array_equal(self.from_kernel(topo, G).weights(), self._rows_t.T) else None
+        G = np.maximum.reduceat(self._rows[topo._by_receiver], topo._start[:-1], axis=0)
+        return G if np.array_equal(self.from_kernel(topo, G).weights(), self._rows) else None
 
     def _scatter(self, entries):
         n = self.topo.n
@@ -397,7 +395,7 @@ class AffectanceMatrix:
 
     def _hold_links(self, dense):
         """Hold the (L, n) array itself as one row per link, once it passes
-        the checks: rounded in place to multiples of 1 / GRID, read-only."""
+        the checks."""
         shape = (len(self.topo.owner), self.topo.n)
         if dense.shape != shape:
             raise InstanceError(f"affectance array of shape {dense.shape}, expected {shape}")
@@ -415,7 +413,7 @@ class AffectanceMatrix:
             raise InstanceError(
                 f"self-affectance a({v},({v},{w})) must be 0, got {own[bad]}"
             )
-        self._hold(_on_grid(dense).T, np.arange(shape[0]))
+        self._hold(dense, np.arange(shape[0]))
 
     @property
     def n(self):
@@ -425,7 +423,7 @@ class AffectanceMatrix:
         """Read-only (len(rows), n) array of the weights on the links
         ``rows`` (all by default): ``[i, u - 1]`` is a(u, link rows[i]),
         gathered from the links' rows on each call, owners' columns zeroed."""
-        weights = self._rows_t.T[self._row[rows]]
+        weights = self._rows[self._row[rows]]
         weights[np.arange(len(weights)), self.topo.owner[rows]] = 0.0
         weights.flags.writeable = False
         return weights
@@ -444,7 +442,7 @@ class AffectanceMatrix:
         total less its own weight, whether or not the owner transmits, so on
         a link with a silent owner it is lower by the own weight (0 on
         per-link rows)."""
-        totals = (transmit @ self._rows_t)[..., self._row[rows]]
+        totals = (transmit @ self._rows.T)[..., self._row[rows]]
         totals -= self._own[rows]
         return totals
 
@@ -632,7 +630,7 @@ def encode_radio_network(topo):
     """Unit-weight matrix under which a receiver is selected iff exactly one
     of its neighbors transmits (classic no-collision semantics): every
     neighbor u of w weighs 1 on each link (v, w) with u != v."""
-    _check_cells((topo.n, topo.n), 2)
+    _check_cells((topo.n, topo.n), 1)
     adjacency = np.zeros((topo.n, topo.n))
     adjacency[topo.receiver, topo.owner] = 1.0
     return AffectanceMatrix.from_kernel(topo, adjacency)

@@ -400,6 +400,8 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     """
     if not instances or not protocols or not seeds:
         raise InstanceError("instances, protocols, and seeds must be non-empty")
+    if max_rounds < 1:
+        raise InstanceError("max_rounds must be >= 1")
     missing = [i for i, _, sinr in instances if sinr is None] if "sinr" in protocols else []
     if missing:
         raise InstanceError(f"sinr needs density and dilution for instance {missing[0]}")

@@ -28,7 +28,7 @@ _BAND = 256
 
 # Kernels' worth of cells that ``generate_office_layer`` checks against
 # ``core.MAX_WEIGHT_CELLS``: the least integer above its traced peak.
-_OFFICE_KERNELS = 3
+_OFFICE_KERNELS = 2
 
 
 @dataclass(frozen=True)
@@ -133,14 +133,13 @@ def generate_office_layer(spec):
     an office row has few distinct ones (1829 at n = 600), so
     ``office_affectance`` runs once per distinct value into an (n, n)
     kernel, built in bands of receivers, which ``AffectanceMatrix.from_kernel``
-    keeps: 8 * n * n bytes, where the dense (L, n) array, L = nodes_per_office
+    holds: 8 * n * n bytes, where the dense (L, n) array, L = nodes_per_office
     * n, would take nodes_per_office times more. The values are
     bit-identical to one scalar call per entry; the power stays in Python
     because numpy's differs from it in the last bit on some entries.
-    Generation's traced peak is 2.02-2.08 times n * n 8-byte cells (n = 3000
-    and 1500: the kernel and ``from_kernel``'s transposed copy, plus under
-    2 MiB of topology and lazily imported modules; a band's temporaries are
-    freed before the copy), so ``_OFFICE_KERNELS`` * n * n cells over
+    Generation's traced peak is 1.19-1.37 times n * n 8-byte cells (n = 3000
+    and 1500: the kernel plus one band's temporaries, the topology and
+    lazily imported modules), so ``_OFFICE_KERNELS`` * n * n cells over
     ``core.MAX_WEIGHT_CELLS`` is an InstanceError, raised before anything
     is allocated.
     """

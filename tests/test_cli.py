@@ -239,6 +239,19 @@ def test_sweep_truncation_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("protocol", ["randomized", "deterministic"])
+def test_sweep_rejects_max_rounds_below_one(tmp_path, protocol):
+    # Neither schedule protocol runs run_adaptive, whose own check this mirrors.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"offices": 14}))
+    code, err = run_main(["sweep", "--scenario", str(path), "--protocol", protocol,
+                          "--m-override", "1", "--max-rounds", "-5", "--seeds", "5",
+                          "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    assert err == ["error: max_rounds must be >= 1"]
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_sweep_without_protocol_rejected(tmp_path, capsys):
     instance = write_rn_star(tmp_path)
     code = main(["sweep", "--instance", instance, "--out", str(tmp_path / "x.csv")])
@@ -471,13 +484,12 @@ def run_capped(argv):
     # n = 20000 self-links and no weights: a 3.0 GiB array in either form.
     ("kernel", 20000),
     ("affectance", 20000),
-    # 1.4e8 cells: one kernel is under the cell limit, the kernel and
-    # from_kernel's transposed copy are not.
-    ("kernel", 12000),
+    # 16385^2 cells: the smallest kernel over the cell limit.
+    ("kernel", 16385),
     # n = 21000: a 3.3 GiB kernel.
     ("offices", 7000),
-    # n = 15000: one 2.3e8-cell kernel is under the cell limit, the kernel
-    # and from_kernel's transposed copy, which generation holds at once, are not.
+    # n = 15000: one 2.3e8-cell kernel is under the cell limit, the two
+    # kernels' worth that generation's check counts are not.
     ("offices", 5000),
 ])
 def test_oversized_input_is_validation_error(tmp_path, kind, size):
@@ -513,14 +525,14 @@ def test_sweep_does_not_list_its_seeds(tmp_path):
      "n must be an integer in 1..268435456, got 100000...0000 (401 digits)"),
     ("scenario", {"offices": 10 ** 400},
      "weights of shape (300000...0000 (401 digits), 300000...0000 (401 digits)) hold "
-     "270000...0000 (802 digits) cells at once, over the limit of 268435456"),
+     "180000...0000 (802 digits) cells at once, over the limit of 268435456"),
     ("scenario", {"offices": 1, "office_width": 10 ** 400},
      "office_width must be finite, got 100000...0000 (401 digits)"),
     # Integers of up to 20 digits are written out whole.
     ("instance", {"n": 2 ** 64, "links": [[1, 1]], "affectance": []},
      "n must be an integer in 1..268435456, got 18446744073709551616"),
     ("scenario", {"offices": 10 ** 5},
-     "weights of shape (300000, 300000) hold 270000000000 cells at once, "
+     "weights of shape (300000, 300000) hold 180000000000 cells at once, "
      "over the limit of 268435456"),
 ], ids=["n", "offices", "office_width", "n_20_digits", "offices_ordinary"])
 def test_integer_in_message_is_shortened_past_20_digits(tmp_path, kind, payload, message):

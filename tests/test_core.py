@@ -370,13 +370,22 @@ class TestWeightGrid:
         assert A.a(2, (1, 1)) == round(0.1 * 2 ** 32) / 2 ** 32
         assert abs(A.a(2, (1, 1)) - 0.1) <= 2.0 ** -33
 
-    def test_from_kernel_rounds_a_copy(self):
+    def test_from_kernel_rounds_its_own_array_in_place(self):
         topo = LayerTopology(2, ((1, 1), (2, 2)))
         G = np.full((2, 2), 0.1)
         A = AffectanceMatrix.from_kernel(topo, G)
-        assert np.all(G == 0.1)
-        assert A.a(2, (1, 1)) == round(0.1 * 2 ** 32) / 2 ** 32
+        assert np.all(G == A.a(2, (1, 1))) and A.a(2, (1, 1)) == round(0.1 * 2 ** 32) / 2 ** 32
         assert on_grid(A.kernel()) and on_grid(A.weights())
+        frozen = np.full((2, 2), 0.1)
+        frozen.flags.writeable = False
+        B = AffectanceMatrix.from_kernel(topo, frozen)
+        assert np.all(frozen == 0.1) and B.weights().tobytes() == A.weights().tobytes()
+        ints = np.array([[0, 1], [1, 0]])
+        C = AffectanceMatrix.from_kernel(topo, ints)
+        assert C.a(2, (1, 1)) == 1.0 and not np.shares_memory(C.kernel(), ints)
+        assert ints.tolist() == [[0, 1], [1, 0]]
+        kernel = A.kernel()
+        assert kernel.flags.writeable and not np.shares_memory(kernel, G)
 
     def test_save_load_bit_identical(self, tmp_path):
         for seed in range(5):
@@ -418,6 +427,21 @@ class TestWeightGrid:
             tracemalloc.stop()
         assert peak < dense.nbytes
         assert dense[0, 1] == A.a(2, (1, 1)) != 0.1
+        assert not A.weights().flags.writeable
+
+    def test_from_kernel_allocates_no_second_array(self):
+        # A (600, 600) kernel of 2.88 MB over 600 self-links.
+        n = 600
+        topo = LayerTopology(n, [(v, v) for v in range(1, n + 1)])
+        G = np.full((n, n), 0.1)
+        tracemalloc.start()
+        try:
+            A = AffectanceMatrix.from_kernel(topo, G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < G.nbytes / 10
+        assert G[0, 1] == A.a(2, (1, 1)) != 0.1
         assert not A.weights().flags.writeable
 
 
@@ -553,8 +577,8 @@ class TestRadioNetworkEncoding:
         assert A.entries() == sorted(entries)
 
     def test_oversized_encoding_is_instance_error(self):
-        # 12000^2 cells fit the limit once, not beside from_kernel's copy.
-        topo = LayerTopology(12000, tuple((v, v) for v in range(1, 12001)))
+        # 16385^2 cells: the smallest kernel over the limit.
+        topo = LayerTopology(16385, tuple((v, v) for v in range(1, 16386)))
         with pytest.raises(InstanceError, match="cells at once, over the limit"):
             encode_radio_network(topo)
 
