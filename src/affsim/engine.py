@@ -21,18 +21,18 @@ class RunRecord:
 
     ``transmit`` is the (slots, n) bool mask of the executed slots: the whole
     schedule for ``run_schedule``, the rounds up to completion or the cap for
-    ``run_adaptive``, and for a sweep's randomized row the slots up to
-    completion (the whole schedule if it does not complete), of which
-    phase 0's slots 2..m were never drawn or judged, only copied from slot
-    1. ``per_slot_transmitters`` derives the 1-based ascending transmitter
-    tuple of each slot from it on demand.
+    ``run_adaptive``. ``per_slot_transmitters`` derives the 1-based
+    ascending transmitter tuple of each slot from it on demand.
     """
 
     protocol: str
     seed: int | None
     transmit: np.ndarray
     first_success: dict
-    completed: bool
+
+    @property
+    def completed(self):
+        return len(self.first_success) == self.transmit.shape[1]
 
     @property
     def slots_executed(self):
@@ -45,9 +45,7 @@ class RunRecord:
     @property
     def rounds(self):
         """Completion round: the last first-success slot."""
-        if not self.completed:
-            return None
-        return max(self.first_success.values()) if self.first_success else 0
+        return max(self.first_success.values()) if self.completed else None
 
     def to_dict(self):
         return {
@@ -66,28 +64,22 @@ _FIRST_BLOCK = 32
 _MAX_BLOCK = 1024
 
 
-def _first_success(A, slots, cap, start=0, known=None):
+def _first_success(A, slots, cap):
     """Earliest successful slot (1-based) of each receiver within the first
     ``cap`` slots; receivers never selected are absent.
 
     ``slots(start, stop)`` returns the bool mask of slots start + 1..stop.
-    The loop judges slots ``start`` + 1..``cap`` and adds their first
-    successes to ``known``, the answer for the slots before them (none by
-    default). Each block goes through ``link_success`` on the link rows of
-    uncovered receivers only; a receiver's rows drop at its first success,
-    and the loop ends when none is left. Grid totals do not depend on
-    summation order and later slots cannot undo a first success, so the
-    answer is that of one pass over all ``cap`` slots. Until the first rows
-    drop, every link is judged and ``link_totals`` gathers no rows.
+    Each block goes through ``link_success`` on the link rows of uncovered
+    receivers only; a receiver's rows drop at its first success, and the
+    loop ends when none is left. Grid totals do not depend on summation
+    order and later slots cannot undo a first success, so the answer is
+    that of one pass over all ``cap`` slots.
     """
     receiver_of = A.topo.receiver
     links = np.arange(len(receiver_of))
     rows = slice(None)
     first = np.zeros(A.n, dtype=int)
-    if known:
-        first[np.array(list(known)) - 1] = list(known.values())
-        rows = np.flatnonzero(first[receiver_of] == 0)
-    done, size = start, _FIRST_BLOCK
+    done, size = 0, _FIRST_BLOCK
     # Every receiver has a link, so some rows are left until all are covered.
     while done < cap and not first.all():
         stop = min(done + size, cap)
@@ -111,30 +103,25 @@ def run_schedule(A, sched, protocol="schedule", seed=None):
     mask as its ``transmit``, for auditability. There is no round cap."""
     _check_schedule(A, sched)
     first = _first_success(A, lambda start, stop: sched[start:stop], len(sched))
-    return RunRecord(protocol, seed, sched, first, len(first) == A.n)
+    return RunRecord(protocol, seed, sched, first)
 
 
-def _run_randomized(A, params):
-    """The run of ``randomized_schedule(params, A.n)``, with the first
-    successes ``run_schedule`` finds, drawn only as far as it is judged.
-    Phase 0 fires every transmitter in each of its m slots, so a receiver it
-    covers succeeds in slot 1 and slots 2..m select none: phase 0 is judged
-    by slot 1 alone, and block doubling restarts at slot m + 1 on the
-    receivers still uncovered. The record keeps the slots up to completion,
-    or the whole schedule if the run does not complete."""
+def _randomized_first_success(A, params):
+    """The first successes of ``run_schedule`` on ``randomized_schedule(params,
+    A.n)``, drawing only the slots it judges. Phase 0 fires every
+    transmitter in each of its m slots, so a receiver it covers succeeds in
+    slot 1 and slots 2..m select none: the judged slots are slot 1, then
+    slots m + 1 onward, and judged slot j > 1 is schedule slot j + m - 1."""
     source = RandomizedSlots(params, A.n)
-    blocks = []
+    m = source.m
 
     def slots(start, stop):
-        blocks.append(source(start, stop))
-        return blocks[-1]
+        if start:
+            return source(start + m - 1, stop + m - 1)
+        return np.concatenate([source(0, 1), source(m, stop + m - 1)])
 
-    first = _first_success(A, slots, 1)
-    first = _first_success(A, slots, len(source), source.m, first)
-    completed = len(first) == A.n
-    rounds = max(first.values()) if completed else len(source)
-    transmit = np.concatenate([np.repeat(blocks[0], source.m, axis=0), *blocks[1:]])
-    return RunRecord("randomized", params.seed, transmit[:rounds], first, completed)
+    first = _first_success(A, slots, len(source) - m + 1)
+    return {w: slot + m - 1 if slot > 1 else 1 for w, slot in first.items()}
 
 
 # The largest sinr density or dilution: numpy takes the dilution as an int64.
@@ -349,9 +336,8 @@ def run_adaptive(A, policy, params, seed, max_rounds, streams=None):
         return decided[-1]
 
     first = _first_success(A, slots, max_rounds)
-    completed = len(first) == n
-    rounds = max(first.values()) if completed else max_rounds
-    return RunRecord(policy, seed, np.concatenate(decided)[:rounds], first, completed)
+    rounds = max(first.values()) if len(first) == n else max_rounds
+    return RunRecord(policy, seed, np.concatenate(decided)[:rounds], first)
 
 
 def replay_first_success(A, record):
@@ -376,7 +362,8 @@ class SweepRow:
 def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_override=None):
     """Cross product of runs, one row per (protocol, instance, seed), in
     that order, except that the greedy (``deterministic``), which draws
-    nothing, runs on the first seed only.
+    nothing, runs on the first seed only (a sweep of the greedy alone walks
+    no other seed).
 
     ``instances`` holds (instance_id, A, sinr), where ``sinr`` is the
     instance's {"density", "dilution"} (None when sinr is not run);
@@ -384,19 +371,20 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     ``c`` goes to ``characterize``, and ``m_override`` to the randomized
     schedule. Each instance is characterized once, on its first randomized
     or deterministic run, and its greedy schedule is built once. A
-    randomized row builds no mask: ``_run_randomized`` draws only the slots
-    it judges and judges phase 0 by its first slot, with the first
-    successes of ``run_schedule`` on the whole ``randomized_schedule``.
+    randomized row builds no mask: ``_randomized_first_success`` draws only
+    the slots it judges and judges phase 0 by its first slot, with the
+    first successes of ``run_schedule`` on the whole ``randomized_schedule``.
 
     The runs go seed by seed, so that the decay and sinr runs of one seed
     share one ``_NodeStreams`` for the largest n, built on the seed's first
     adaptive run and dropped before the next seed's; the rows are then put
     in the order above.
 
-    Rounds is the completion round (last first-success slot) for every
-    protocol, schedules included, so the metric is comparable with the
-    adaptive baselines' stop-at-completion count; truncated or incomplete
-    runs report max_rounds with completed=False.
+    Every row takes its outcome from the run's first successes: rounds is
+    the completion round (last first-success slot) for every protocol,
+    schedules included, so the metric is comparable with the adaptive
+    baselines' stop-at-completion count; truncated or incomplete runs
+    report max_rounds with completed=False.
     """
     if not instances or not protocols or not seeds:
         raise InstanceError("instances, protocols, and seeds must be non-empty")
@@ -405,6 +393,8 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     missing = [i for i, _, sinr in instances if sinr is None] if "sinr" in protocols else []
     if missing:
         raise InstanceError(f"sinr needs density and dilution for instance {missing[0]}")
+    if set(protocols) == {"deterministic"}:
+        seeds = seeds[:1]
     n_max = max(A.n for _, A, _ in instances)
     chars, greedy = {}, {}
     rows = {}
@@ -420,20 +410,20 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
                     params = RandomizedParams(
                         characterization=chars[j], seed=seed, m_override=m_override
                     )
-                    record = _run_randomized(A, params)
+                    first = _randomized_first_success(A, params)
                 elif name == "deterministic":
                     if j not in greedy:
                         greedy[j] = deterministic_schedule(A, chars[j])
-                    record = run_schedule(A, greedy[j], name, seed)
+                    first = run_schedule(A, greedy[j]).first_success
                 else:
                     if streams is None:
                         streams = _NodeStreams(seed, n_max)
                     params = sinr if name == "sinr" else {}
-                    record = run_adaptive(A, name, params, seed, max_rounds, streams)
-                rounds = record.rounds if record.completed else max_rounds
+                    first = run_adaptive(A, name, params, seed, max_rounds, streams).first_success
+                completed = len(first) == A.n
+                rounds = max(first.values()) if completed else max_rounds
                 bound = chars[j].slot_bound if name == "randomized" else None
-                rows[i, j, s] = SweepRow(instance_id, name, seed, A.n, rounds,
-                                         record.completed, bound)
+                rows[i, j, s] = SweepRow(instance_id, name, seed, A.n, rounds, completed, bound)
     return [rows[key] for key in sorted(rows)]
 
 

@@ -59,6 +59,16 @@ class OfficeGridSpec:
             raise InstanceError("reach must be >= 1 and wall_penalty >= 0")
         if self.alpha <= 0 or self.office_width <= 0:
             raise InstanceError("alpha and office_width must be positive")
+        # The last node's position, as ``_office_kernel`` computes it, is the
+        # largest. Counts past the float range are left to the cell check.
+        k, width = self.nodes_per_office, self.office_width
+        try:
+            last = (self.offices - 1) * width + (k - 1 + 0.5) * width / k
+        except OverflowError:
+            return
+        if last == math.inf:
+            raise InstanceError(f"node {_value_text(self.n)} lies past the float range "
+                                f"at office_width {_value_text(width)}")
 
     @property
     def n(self):
@@ -76,19 +86,6 @@ def office_affectance(spec, distance, walls):
     return value if value >= SPARSITY_FLOOR else 0.0
 
 
-def _node_positions(spec):
-    """Horizontal positions of the per-office nodes; transmitter and receiver
-    rows share x coordinates one grid row apart."""
-    xs = []
-    for office in range(spec.offices):
-        for j in range(spec.nodes_per_office):
-            xs.append(
-                office * spec.office_width
-                + (j + 0.5) * spec.office_width / spec.nodes_per_office
-            )
-    return xs
-
-
 def _office_kernel(spec):
     """(n, n) weight of transmitter u on any link into receiver w, at
     [w - 1, u - 1]: one ``office_affectance`` call per distinct effective
@@ -97,11 +94,13 @@ def _office_kernel(spec):
     Built in bands of ``_BAND`` receiver rows, in two passes: the first
     writes each band's effective distances into the kernel and merges their
     distinct values, the second replaces them by their weights. numpy's
-    float64 subtract, add and multiply round as Python's do, so every cell
-    equals ``office_affectance`` of its own (distance, walls) pair."""
-    n = spec.n
-    office = np.arange(n) // spec.nodes_per_office
-    xs = np.array(_node_positions(spec))
+    float64 arithmetic rounds as Python's does, so every node position
+    equals the scalar one and every cell equals ``office_affectance`` of its
+    own (distance, walls) pair."""
+    n, k, width = spec.n, spec.nodes_per_office, spec.office_width
+    office = np.arange(n) // k
+    # Transmitter and receiver rows share x coordinates one grid row apart.
+    xs = office * width + (np.arange(n) % k + 0.5) * width / k
     G = np.empty((n, n))
     bands = [slice(start, start + _BAND) for start in range(0, n, _BAND)]
     distinct = []

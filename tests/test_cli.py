@@ -520,6 +520,33 @@ def test_sweep_does_not_list_its_seeds(tmp_path):
     assert proc.stderr == "error: m_override must be >= 1\n"
 
 
+def test_deterministic_sweep_runs_one_seed(tmp_path):
+    # The greedy draws nothing, so 10**10 seeds give one row per instance.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"offices": [2, 3]}))
+    out = tmp_path / "out.csv"
+    proc = run_capped(["sweep", "--scenario", str(path), "--protocol", "deterministic",
+                       "--seeds", "10000000000", "--seed-base", "7", "--out", str(out)])
+    assert proc.returncode == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[:4] for row in rows] == [
+        ["office_n6", "deterministic", "7", "6"], ["office_n9", "deterministic", "7", "9"]]
+
+
+@pytest.mark.parametrize("offices, node", [(1, 3), (3, 9)])
+def test_office_positions_past_float_range_are_validation_error(tmp_path, offices, node):
+    # At office_width 1e308 the last node's position overflows to inf.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"offices": offices, "office_width": 1e308}))
+    out = tmp_path / "out.json"
+    proc = run_capped(["generate", "--scenario", str(path), "--out", str(out)])
+    assert proc.returncode == 1
+    assert "Warning" not in proc.stderr
+    assert proc.stderr == (f"error: {path}: node {node} lies past the float range "
+                           "at office_width 1e+308\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, payload, message", [
     ("instance", {"n": 10 ** 400, "links": [[1, 1]], "affectance": []},
      "n must be an integer in 1..268435456, got 100000...0000 (401 digits)"),

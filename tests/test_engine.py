@@ -329,6 +329,15 @@ class TestSweep:
         assert [(row.protocol, row.seed) for row in rows] == [("deterministic", 5)]
         assert rows[0].completed
 
+    @pytest.mark.parametrize("seeds", [range(3, 10 ** 10), [3, 3, 8]])
+    def test_deterministic_alone_runs_first_seed_only(self, seeds, monkeypatch):
+        built = []
+        monkeypatch.setattr(engine, "deterministic_schedule",
+                            lambda A, char: built.append(A.n) or deterministic_schedule(A, char))
+        rows = sweep([self.instance()], ["deterministic"], seeds, max_rounds=500)
+        assert [(row.protocol, row.seed) for row in rows] == [("deterministic", 3)]
+        assert built == [4]
+
     def test_seed_isolation(self):
         a = sweep([self.instance()], ["decay"], [1, 2], 500)
         b = sweep([self.instance()], ["decay"], [1, 9], 500)
@@ -597,6 +606,13 @@ class TestBlockLoop:
         assert sizes[:7] == [32, 64, 128, 256, 512, 1024, 1024]
         assert max(sizes) == engine._MAX_BLOCK == 1024
 
+    def test_empty_schedule_completes_nothing(self):
+        A = isolated_links(3)
+        record = run_schedule(A, np.zeros((0, A.n), dtype=bool))
+        assert record.first_success == {} and record.slots_executed == 0
+        assert not record.completed and record.rounds is None
+        assert record.to_dict()["completed"] is False
+
     def test_receiver_never_selected(self):
         A, _ = ten_tenths_case()
         mask = np.ones((100, A.n), dtype=bool)
@@ -647,20 +663,27 @@ class TestBlockLoop:
 
 
 class TestLazyRandomized:
-    """The sweep's randomized run, drawn only as far as it is judged and
-    phase 0 judged by slot 1, against ``run_schedule`` of the whole
-    ``randomized_schedule`` mask."""
+    """The sweep's randomized first successes, drawn only as far as they are
+    judged and phase 0 judged by slot 1, against ``run_schedule`` of the
+    whole ``randomized_schedule`` mask."""
 
     def check(self, A, params):
-        record = engine._run_randomized(A, params)
         full = run_schedule(A, randomized_schedule(params, A.n))
-        assert record.first_success == full.first_success
-        assert record.completed == full.completed
-        assert record.rounds == full.rounds
-        length = record.rounds if record.completed else len(full.transmit)
-        assert np.array_equal(record.transmit, full.transmit[:length])
-        assert (record.protocol, record.seed) == ("randomized", params.seed)
-        return record
+        assert engine._randomized_first_success(A, params) == full.first_success
+        return full
+
+    def check_rows(self, instances, seeds, max_rounds, m_override=None):
+        """Each randomized sweep row against ``run_schedule`` on the full
+        mask: its rounds if complete, else ``max_rounds``. Returns the rows."""
+        matrices = {instance_id: A for instance_id, A, _ in instances}
+        rows = sweep(instances, ["randomized"], seeds, max_rounds, m_override=m_override)
+        for row in rows:
+            A = matrices[row.instance_id]
+            full = self.check(A, RandomizedParams(characterize(A), row.seed,
+                                                  m_override=m_override))
+            assert row.completed == full.completed
+            assert row.rounds == (full.rounds if full.completed else max_rounds)
+        return rows
 
     def test_slot_one_covers_receivers(self):
         at_slot_one = 0
@@ -670,16 +693,17 @@ class TestLazyRandomized:
                 at_slot_one += 1 in record.first_success.values()
         assert at_slot_one
 
-    def test_office_sizes_cover_nobody_in_phase_zero(self):
+    @pytest.mark.parametrize("m_override", [None, 1])
+    def test_office_sizes_cover_nobody_in_phase_zero(self, m_override):
         instances = [(f"office_n{3 * k}", generate_office_layer(OfficeGridSpec(offices=k)), None)
                      for k in range(2, 15)]
-        matrices = {instance_id: A for instance_id, A, _ in instances}
-        for row in sweep(instances, ["randomized"], [0, 1, 2]):
-            A = matrices[row.instance_id]
+        rows = self.check_rows(instances, [0, 1, 2], 10 ** 6, m_override)
+        assert len(rows) == 39
+        for _, A, _ in instances:
             char = characterize(A)
-            record = self.check(A, RandomizedParams(char, row.seed))
-            assert min(record.first_success.values()) > char.m
-            assert (row.rounds, row.completed) == (record.rounds, record.completed)
+            for seed in range(3):
+                record = self.check(A, RandomizedParams(char, seed, m_override=m_override))
+                assert min(record.first_success.values()) > (m_override or char.m)
 
     @pytest.mark.parametrize("m_override", [None, 1, 2, 7])
     @pytest.mark.parametrize("fallback_mode", [False, True])
@@ -697,21 +721,27 @@ class TestLazyRandomized:
         char = characterize(A)
         assert char.phases == 1
         record = self.check(A, RandomizedParams(char, 0))
-        assert record.rounds == 1 and record.slots_executed == 1
+        assert record.rounds == 1
+        (row,) = self.check_rows([("isolated", A, None)], [0], 10 ** 6)
+        assert (row.rounds, row.completed) == (1, True)
         self.check(A, RandomizedParams(char, 0, fallback_mode=True))
 
     @pytest.mark.parametrize("m_override", [1, 2])
-    def test_incomplete_run_keeps_whole_schedule(self, mutually_blocking_pair, m_override):
+    def test_incomplete_run_reports_max_rounds(self, mutually_blocking_pair, m_override):
         char = characterize(mutually_blocking_pair)
         records = [self.check(mutually_blocking_pair, RandomizedParams(char, seed, False, m_override))
                    for seed in range(10)]
-        incomplete = [r for r in records if not r.completed]
+        incomplete = [seed for seed, r in enumerate(records) if not r.completed]
         assert incomplete
-        assert all(r.slots_executed == char.phases * m_override for r in incomplete)
+        rows = self.check_rows([("blocked", mutually_blocking_pair, None)], range(10), 777,
+                               m_override)
+        assert [row.seed for row in rows if not row.completed] == incomplete
+        assert all(row.rounds == 777 for row in rows if not row.completed)
 
     def test_draws_only_judged_slots(self, monkeypatch):
-        # Office n = 600, seed 0: phase 0 is asked for once, by slot 1, and
-        # the generator stops at the end of the completion block.
+        # Office n = 600, seed 0: phase 0 is asked for once, by slot 1, the
+        # first block goes on with the first phase-1 slots, and the generator
+        # stops at the end of the completion block.
         sources = []
 
         class Recorded(RandomizedSlots):
@@ -731,6 +761,7 @@ class TestLazyRandomized:
         (source,) = sources
         m, asked = source.m, source.asked
         assert asked[0] == (0, 1)
+        assert asked[1] == (m, m + engine._FIRST_BLOCK - 1)
         assert all(start >= m for start, _ in asked[1:])
         assert [start for start, _ in asked[2:]] == [stop for _, stop in asked[1:-1]]
         assert asked[-1][0] < record.rounds <= asked[-1][1]

@@ -146,6 +146,8 @@ class TestOfficeLayer:
         OfficeGridSpec(offices=7, alpha=1.5, nodes_per_office=4),
         OfficeGridSpec(offices=9, wall_penalty=0),
         OfficeGridSpec(offices=6, reach=2.5, alpha=3.3, office_width=3.0),
+        # Every position is finite, and near the top of the float range.
+        OfficeGridSpec(offices=3, office_width=1e307),
     ], ids=repr)
     def test_equals_scalar_generator(self, spec):
         A = generate_office_layer(spec)
