@@ -328,15 +328,8 @@ class TestSweep:
         rows = sweep([self.instance()], ["deterministic"], [5, 6], max_rounds=500)
         assert [(row.protocol, row.seed) for row in rows] == [("deterministic", 5)]
         assert rows[0].completed
-
-    @pytest.mark.parametrize("seeds", [range(3, 10 ** 10), [3, 3, 8]])
-    def test_deterministic_alone_runs_first_seed_only(self, seeds, monkeypatch):
-        built = []
-        monkeypatch.setattr(engine, "deterministic_schedule",
-                            lambda A, char: built.append(A.n) or deterministic_schedule(A, char))
-        rows = sweep([self.instance()], ["deterministic"], seeds, max_rounds=500)
-        assert [(row.protocol, row.seed) for row in rows] == [("deterministic", 3)]
-        assert built == [4]
+        # Alone, it walks no other seed: 10**10 of them take no time.
+        assert sweep([self.instance()], ["deterministic"], range(5, 10 ** 10), 500) == rows
 
     def test_seed_isolation(self):
         a = sweep([self.instance()], ["decay"], [1, 2], 500)
@@ -674,16 +667,18 @@ class TestLazyRandomized:
 
     def check_rows(self, instances, seeds, max_rounds, m_override=None):
         """Each randomized sweep row against ``run_schedule`` on the full
-        mask: its rounds if complete, else ``max_rounds``. Returns the rows."""
+        mask: its rounds if complete, else ``max_rounds``. Returns the
+        (row, full-mask record) pairs."""
+        chars = {instance_id: characterize(A) for instance_id, A, _ in instances}
         matrices = {instance_id: A for instance_id, A, _ in instances}
-        rows = sweep(instances, ["randomized"], seeds, max_rounds, m_override=m_override)
-        for row in rows:
-            A = matrices[row.instance_id]
-            full = self.check(A, RandomizedParams(characterize(A), row.seed,
-                                                  m_override=m_override))
+        pairs = []
+        for row in sweep(instances, ["randomized"], seeds, max_rounds, m_override=m_override):
+            params = RandomizedParams(chars[row.instance_id], row.seed, m_override=m_override)
+            full = self.check(matrices[row.instance_id], params)
             assert row.completed == full.completed
             assert row.rounds == (full.rounds if full.completed else max_rounds)
-        return rows
+            pairs.append((row, full))
+        return pairs
 
     def test_slot_one_covers_receivers(self):
         at_slot_one = 0
@@ -697,13 +692,11 @@ class TestLazyRandomized:
     def test_office_sizes_cover_nobody_in_phase_zero(self, m_override):
         instances = [(f"office_n{3 * k}", generate_office_layer(OfficeGridSpec(offices=k)), None)
                      for k in range(2, 15)]
-        rows = self.check_rows(instances, [0, 1, 2], 10 ** 6, m_override)
-        assert len(rows) == 39
-        for _, A, _ in instances:
-            char = characterize(A)
-            for seed in range(3):
-                record = self.check(A, RandomizedParams(char, seed, m_override=m_override))
-                assert min(record.first_success.values()) > (m_override or char.m)
+        pairs = self.check_rows(instances, [0, 1, 2], 10 ** 6, m_override)
+        assert len(pairs) == 39
+        chars = {instance_id: characterize(A) for instance_id, A, _ in instances}
+        for row, full in pairs:
+            assert min(full.first_success.values()) > (m_override or chars[row.instance_id].m)
 
     @pytest.mark.parametrize("m_override", [None, 1, 2, 7])
     @pytest.mark.parametrize("fallback_mode", [False, True])
@@ -722,21 +715,17 @@ class TestLazyRandomized:
         assert char.phases == 1
         record = self.check(A, RandomizedParams(char, 0))
         assert record.rounds == 1
-        (row,) = self.check_rows([("isolated", A, None)], [0], 10 ** 6)
+        ((row, _),) = self.check_rows([("isolated", A, None)], [0], 10 ** 6)
         assert (row.rounds, row.completed) == (1, True)
         self.check(A, RandomizedParams(char, 0, fallback_mode=True))
 
     @pytest.mark.parametrize("m_override", [1, 2])
     def test_incomplete_run_reports_max_rounds(self, mutually_blocking_pair, m_override):
-        char = characterize(mutually_blocking_pair)
-        records = [self.check(mutually_blocking_pair, RandomizedParams(char, seed, False, m_override))
-                   for seed in range(10)]
-        incomplete = [seed for seed, r in enumerate(records) if not r.completed]
+        pairs = self.check_rows([("blocked", mutually_blocking_pair, None)], range(10), 777,
+                                m_override)
+        incomplete = [row for row, full in pairs if not full.completed]
         assert incomplete
-        rows = self.check_rows([("blocked", mutually_blocking_pair, None)], range(10), 777,
-                               m_override)
-        assert [row.seed for row in rows if not row.completed] == incomplete
-        assert all(row.rounds == 777 for row in rows if not row.completed)
+        assert all((row.rounds, row.completed) == (777, False) for row in incomplete)
 
     def test_draws_only_judged_slots(self, monkeypatch):
         # Office n = 600, seed 0: phase 0 is asked for once, by slot 1, the
