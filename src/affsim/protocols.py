@@ -120,19 +120,35 @@ def randomized_schedule(params, n):
 
 def _relevant(weights, owners):
     """The 0-based transmitters that own or weigh on a receiver's links
-    (their ``weights`` rows and 0-based ``owners``), ascending."""
+    (their ``weights`` rows and 0-based ``owners``), and the deciding ones
+    among them, both ascending. A transmitter decides if it owns a link,
+    weighs 1 on a link, or weighs on a link whose weights below 1 sum to at
+    least 1. On any other link those light weights sum below 1 in every
+    outcome (grid sums are exact), so the link succeeds iff its owner fires
+    and no weight-1 transmitter does: the other transmitters cannot change
+    whether the receiver is selected."""
     hit = weights.any(axis=0)
     hit[owners] = True
-    return np.flatnonzero(hit)
+    weighing = hit.nonzero()[0]
+    if weights.sum() == np.count_nonzero(weights):  # every nonzero weight is 1
+        return weighing, weighing
+    light = weights < 1.0
+    deciding = ~light.all(axis=0)
+    deciding[owners] = True
+    dense = weights.sum(axis=1, where=light) >= 1.0
+    if dense.any():
+        deciding |= weights[dense].any(axis=0)
+    return weighing, deciding.nonzero()[0]
 
 
 def _outcome_table(weights, owners, relevant):
     """Whether a receiver, its links given as for ``_relevant``, is selected
-    under each outcome of its ``relevant`` transmitters: outcome j fires
-    relevant[i] iff bit i of j is set. Each link's totals are built by
-    doubling, and a silent owner blocks its link; grid sums are exact, so
-    this agrees with ``link_success``. A decided prefix of the transmitters
-    is a strided slice: ``[1::2]`` fixes the lowest bit on, ``[0::2]`` off.
+    under each outcome of the transmitters ``relevant``, which hold at least
+    its deciding ones: outcome j fires relevant[i] iff bit i of j is set.
+    Each link's totals are built by doubling, and a silent owner blocks its
+    link; grid sums are exact, so this agrees with ``link_success``. A
+    decided prefix of the transmitters is a strided slice: ``[1::2]`` fixes
+    the lowest bit on, ``[0::2]`` off.
     """
     selected = np.zeros(1 << len(relevant), dtype=bool)
     for row, owner in zip(weights, owners):
@@ -183,15 +199,18 @@ def _pessimistic_estimates(owners, receivers, q, totals):
 def receiver_partition(A, char):
     """Bucket each receiver by the phase whose transmission probability fits
     its interference level: bucket 0 up to 1/2, then half-open geometric
-    intervals (b**(r-1)/2, b**r/2]."""
+    intervals (b**(r-1)/2, b**r/2]. Bucket r >= 1 is the smallest r with
+    abar_w <= b**r / 2 in floats: ceil(log_b(2 * abar_w)), moved by the
+    step that rounding in the logarithm can cost."""
     b = char.b
     buckets = {}
     for w in A.topo.receivers:
         abar_w = char.abar_w[w - 1]
-        if abar_w <= 0.5:
-            r = 0
-        else:
-            r = 1
+        r = 0
+        if abar_w > 0.5:
+            r = max(1, math.ceil(math.log(2.0 * abar_w) / math.log(b)))
+            while r > 1 and abar_w <= (b ** (r - 1)) / 2.0:
+                r -= 1
             while abar_w > (b ** r) / 2.0:
                 r += 1
         buckets.setdefault(r, set()).add(w)
@@ -214,30 +233,39 @@ def deterministic_schedule(A, char):
     retired from every bucket, and the loop only exits once every receiver
     was selected.
 
-    A receiver scores its selection probability while its relevant
-    transmitters from transmitter 2 on (transmitter 1 is decided before the
-    first read) fit ``K_EXACT``: its outcome table is built once, when it
-    first becomes a target, and dropped when it is retired. Each slot lists
-    such a target under the transmitters relevant to it, and t's decision
-    reads only the targets listed under t, each narrowed to the strided
-    slice of its outcomes that agrees with the decision. A wider receiver
-    scores Raghavan's pessimistic estimator ``_pessimistic_estimates`` of the
-    transmit probabilities q, over link totals ``weights @ q`` that each
-    decision updates by one column. Both scores are multilinear in each
+    A receiver scores its selection probability while its weighing
+    transmitters (those that own or weigh on its links) from transmitter 2
+    on (transmitter 1 is decided before the first read) fit ``K_EXACT``:
+    its outcome table is built once, when it first becomes a target, over
+    its deciding transmitters only (see ``_relevant``; no outcome of the
+    others changes whether it is selected), and dropped when it is retired.
+    Each slot lists such a target under its deciding transmitters, and t's
+    decision reads only the targets listed under t, each narrowed to the
+    strided slice of its outcomes that agrees with the decision. A wider
+    receiver scores Raghavan's pessimistic estimator
+    ``_pessimistic_estimates`` of the transmit probabilities q, over link
+    totals ``weights @ q`` that each decision updates by one column. Both scores are multilinear in each
     undecided q_t, so the better branch never scores below the slot's
     current score. A slot ends by asserting that each exact target's slice
     is the one outcome saying whether the slot selects it, and that each
-    wide target's estimate is at most its selection. The slot budget
-    (``ScheduleError``) stays as a safety net.
+    wide target's estimate is at most its selection. A slot with no target
+    is silent. The slot budget (``ScheduleError``) stays as a safety net.
+    A cycle of phases slots for n transmitters over ``MAX_RANDOMIZED_CELLS``
+    cells is an InstanceError, raised before the first slot.
     """
     n = A.n
     b = char.b
+    if char.phases * n > MAX_RANDOMIZED_CELLS:
+        raise InstanceError(f"greedy schedule of phases={char.phases}, n={n} holds "
+                            f"{char.phases * n} cells per cycle, over the limit of "
+                            f"{MAX_RANDOMIZED_CELLS}")
     buckets = receiver_partition(A, char)
     reset_at = 1.0 / (2.0 * b * char.abar) if char.abar > 0 else math.inf
     budget = greedy_slot_budget(n, char)
-    tables = {}  # per receiver: (relevant list, outcome table), None if wide
+    tables = {}  # per receiver: (deciding list, outcome table), None if wide
     probabilities = {}  # outcome probabilities per k, at this slot's p
 
+    silent = np.zeros(n, dtype=bool)
     slots = []
     p, r = 0.0, 0
     while any(buckets.values()):
@@ -249,22 +277,27 @@ def deterministic_schedule(A, char):
         if p <= reset_at:
             p, r = 1.0, 0
         target = sorted(buckets.get(r, ()))
+        if not target:
+            slots.append(silent)
+            p /= b
+            r += 1
+            continue
         probabilities.clear()
         # Per exact target: the view of its table that agrees with the slot's
-        # decisions so far, listed under each transmitter relevant to it.
+        # decisions so far, listed under each of its deciding transmitters.
         views = {}
         dependents = [[] for _ in range(n)]
         for w in target:
             if w not in tables:
                 rows = A.topo.link_rows(w)
                 links = A.weights(rows), A.topo.owner[rows]
-                relevant = _relevant(*links)
+                weighing, deciding = _relevant(*links)
                 tables[w] = None
-                if np.count_nonzero(relevant) <= K_EXACT:  # counted from transmitter 2
-                    tables[w] = (relevant.tolist(), _outcome_table(*links, relevant))
+                if np.count_nonzero(weighing) <= K_EXACT:  # counted from transmitter 2
+                    tables[w] = (deciding.tolist(), _outcome_table(*links, deciding))
             if tables[w] is not None:
-                relevant, views[w] = tables[w]
-                for t in relevant:
+                deciding, views[w] = tables[w]
+                for t in deciding:
                     dependents[t].append(w)
         # Wide targets: their links, and each link's total sum_u a(u, link) q_u.
         wide = [w for w in target if tables[w] is None]

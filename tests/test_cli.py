@@ -387,6 +387,38 @@ def test_randomized_schedule_over_capacity_is_validation_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", [
+    ["schedule", "--instance", "{office}"],
+    ["sweep", "--scenario", "{scenario}"],
+], ids=["schedule", "sweep"])
+def test_greedy_schedule_over_capacity_is_validation_error(tmp_path, capsys, command):
+    # Office n = 6 at c = 2e7 has 62,328,495 phases: one greedy cycle would
+    # hold 6 times as many cells. The limit is checked before the first slot.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"offices": 2}))
+    paths = {"office": write_office(tmp_path), "scenario": str(scenario)}
+    out = tmp_path / "out.txt"
+    argv = [arg.format(**paths) for arg in command]
+    code = main([*argv, "--protocol", "deterministic", "--c", "2e7", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: greedy schedule of phases=62328495, n=6 holds 373970970 cells per cycle, "
+        f"over the limit of {2 ** 28}\n")
+    assert not out.exists()
+
+
+def test_greedy_schedule_under_a_large_c_keeps_its_silent_slots(tmp_path, capsys):
+    # At c = 1e4 every bucket but the last is empty; each empty bucket's slot
+    # is written as a silent slot.
+    out = tmp_path / "sched.txt"
+    code = main(["schedule", "--instance", write_office(tmp_path), "--protocol", "deterministic",
+                 "--c", "1e4", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == "slots=30036 covered=6/6\n"
+    sched = schedule_from_text(out.read_text())
+    assert sched.any(axis=1).sum() == 1
+
+
+@pytest.mark.parametrize("command", [
     ["schedule", "--protocol", "deterministic", "--seed", "-1"],
     ["schedule", "--protocol", "randomized", "--seed", "-1"],
     ["sweep", "--protocol", "randomized", "--seed-base", "-3"],

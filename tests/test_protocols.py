@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -174,13 +175,14 @@ def one_shot_draw(params, n):
 
 
 def prefix_views(A, w, choices):
-    """The greedy's read path: ``w``'s outcome table, then, after each of
-    the bools ``choices`` (transmitters 1, 2, ... in order), its odd (fired)
-    or even (silent) half if that transmitter is relevant to ``w``. Yields
-    the view of every prefix, the empty one first."""
+    """The greedy's read path over all of ``w``'s weighing transmitters:
+    ``w``'s outcome table, then, after each of the bools ``choices``
+    (transmitters 1, 2, ... in order), its odd (fired) or even (silent) half
+    if that transmitter is relevant to ``w``. Yields the view of every
+    prefix, the empty one first."""
     rows = A.topo.link_rows(w)
     links = A.weights(rows), A.topo.owner[rows]
-    relevant = _relevant(*links)
+    relevant, _ = _relevant(*links)
     view = _outcome_table(*links, relevant)
     yield view
     for t, on in enumerate(choices):
@@ -436,6 +438,90 @@ class TestOutcomeTable:
         assert peak < 2 ** 20
 
 
+@st.composite
+def receiver_links(st_draw, max_n=9):
+    """One receiver's links on the weight grid: (weights, owners), an
+    (L, n) array whose rows mix weights of 1 with lighter ones (eighths, so
+    that a link's light weights often sum to exactly 1, and random grid
+    values), each owner's own entry 0."""
+    n = st_draw(st.integers(1, max_n))
+    owners = np.array(st_draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 4),
+                                       unique=True)))
+    value = st.one_of(st.just(0.0), st.just(1.0), st.integers(1, 7).map(lambda k: k / 8),
+                      st.integers(1, 2 ** 32 - 1).map(lambda k: k / 2 ** 32))
+    weights = np.array(st_draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                                        min_size=len(owners), max_size=len(owners))))
+    weights[np.arange(len(owners)), owners] = 0.0
+    return weights, owners
+
+
+def light_sums(weights):
+    return np.where(weights < 1.0, weights, 0.0).sum(axis=1)
+
+
+# Link 0's light weights sum to exactly 1 (all four must be kept); link 1's
+# to 7/8, beside one weight of 1 (its light transmitters 5 and 6 drop).
+EXACT_ONE = (np.array([[0.0, 0.25, 0.25, 0.25, 0.25, 0.0, 0.0, 0.0],
+                       [0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.375, 1.0]]), np.array([0, 4]))
+
+
+class TestDecidingSet:
+    """An outcome table over a receiver's deciding transmitters is its table
+    over every weighing transmitter, constant along each dropped bit."""
+
+    @settings(max_examples=200)
+    @example(EXACT_ONE)
+    @given(receiver_links())
+    def test_table_broadcasts_to_the_weighing_table(self, links):
+        weighing, deciding = _relevant(*links)
+        full = _outcome_table(*links, weighing)
+        part = _outcome_table(*links, deciding)
+        bits = np.searchsorted(weighing, deciding)
+        assert np.array_equal(weighing[bits], deciding)
+        outcomes = np.arange(len(full))
+        narrowed = sum(((outcomes >> int(b)) & 1) << i for i, b in enumerate(bits))
+        assert np.array_equal(full, part[narrowed])
+
+    def test_light_sum_of_exactly_one_is_kept(self):
+        assert light_sums(EXACT_ONE[0]).tolist() == [1.0, 0.875]
+        weighing, deciding = _relevant(*EXACT_ONE)
+        assert weighing.tolist() == [0, 1, 2, 3, 4, 5, 6, 7]
+        assert deciding.tolist() == [0, 1, 2, 3, 4, 7]
+
+    @staticmethod
+    def table_sizes(A):
+        """(entries, weighing transmitters) of every table the greedy builds
+        for ``A``."""
+        sizes = []
+
+        def recording(weights, owners, deciding):
+            table = _outcome_table(weights, owners, deciding)
+            hit = weights.any(axis=0)
+            hit[owners] = True
+            sizes.append((len(table), int(hit.sum())))
+            return table
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocols, "_outcome_table", recording)
+            deterministic_schedule(A, characterize(A))
+        return sizes
+
+    def test_office_tables_span_the_office_mates(self):
+        # Office n = 18: each receiver's three links are owned by its office
+        # mates, which weigh 1 on each other's links; the 15 others weigh
+        # below 1 in sum (at most 0.82), so they cannot change the outcome.
+        sizes = self.table_sizes(office(6))
+        assert sizes
+        assert {entries for entries, _ in sizes} == {8}
+        assert {weighing for _, weighing in sizes} == {18}
+
+    def test_rn_tables_keep_every_weighing_transmitter(self):
+        # Every radio-network weight is 0 or 1: nothing is dropped.
+        sizes = self.table_sizes(generate_rn_instance(80, 6, 0))
+        assert len(sizes) == 43
+        assert all(entries == 1 << weighing for entries, weighing in sizes)
+
+
 def estimate(A, w, q):
     """L_w(q) of one receiver, its link totals computed from scratch."""
     rows = A.topo.link_rows(w)
@@ -611,6 +697,54 @@ class TestReceiverPartition:
                     assert char.b ** (r - 1) / 2 < abar_w <= char.b ** r / 2
         assert seen == set(A.topo.receivers)
         assert max(buckets) <= char.phases - 1
+
+    @staticmethod
+    def looped_bucket(abar_w, b):
+        """Reference: step r up from 1 until abar_w <= b**r / 2."""
+        if abar_w <= 0.5:
+            return 0
+        r = 1
+        while abar_w > (b ** r) / 2.0:
+            r += 1
+        return r
+
+    @settings(max_examples=200)
+    @example(abar_ws=[2.375160823110491], c=1e5, on_edge=[])
+    @example(abar_ws=[0.5, math.nextafter(0.5, 1.0), 1e-300], c=1.5, on_edge=[0.01, 0.5, 1.0])
+    @given(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=8),
+           st.floats(1.0001, 500.0),
+           st.lists(st.floats(0.0, 1.0), max_size=4))
+    def test_closed_form_matches_the_loop(self, abar_ws, c, on_edge):
+        # Each on_edge fraction picks an r up to the bucket of 50 and adds
+        # b**r / 2 and its two float neighbours.
+        b = 1.0 + 1.0 / (2.0 * c)
+        top = math.log(100.0) / math.log(b)
+        for fraction in on_edge:
+            edge = (b ** max(1, round(fraction * top))) / 2.0
+            abar_ws = [*abar_ws, math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+        topo = types.SimpleNamespace(receivers=range(1, len(abar_ws) + 1))
+        buckets = receiver_partition(types.SimpleNamespace(topo=topo),
+                                     types.SimpleNamespace(b=b, abar_w=tuple(abar_ws)))
+        expected = {}
+        for w, abar_w in enumerate(abar_ws, start=1):
+            expected.setdefault(self.looped_bucket(abar_w, b), set()).add(w)
+        assert buckets == expected
+
+    def test_greedy_over_capacity_raises_before_the_first_slot(self, two_isolated_links):
+        char = fake_char(abar=4.0, c=1e8, m=1)
+        assert char.phases * 2 > 2 ** 28
+        with pytest.raises(InstanceError, match=rf"phases={char.phases}, n=2 holds "
+                                               rf"{char.phases * 2} cells per cycle"):
+            deterministic_schedule(two_isolated_links, char)
+
+    def test_silent_slots_match_the_reference_greedy(self):
+        # At c = 1e3 office n = 6 has 3,118 phases, and nearly every slot of
+        # its greedy schedule targets an empty bucket.
+        A = office(2)
+        char = characterize(A, c=1e3)
+        sched = deterministic_schedule(A, char)
+        assert np.array_equal(sched, matmul_greedy(A, char))
+        assert not sched[1:-1].any()
 
 
 class TestDecay:
