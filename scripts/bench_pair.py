@@ -18,8 +18,9 @@ Writes ``BENCH_<label>.json`` into the change tree: the environment of each
 side (git sha, whether the tree had uncommitted changes, the SHA-256 of
 ``src/affsim/*.py`` as the benchmark computes it, Python, numpy, BLAS,
 nproc, CPU), and for every workload and end-to-end metric both sides'
-median and quartiles, the number of pairs in which the change was better
-(ties count for neither side) and every value in pair order; under
+median and quartiles (null quartiles when fewer than two pairs gave both
+results), the number of pairs in which the change was better (ties count
+for neither side) and every value in pair order; under
 ``"tier1"``, the same for the suite's wall seconds, with each run's passed
 and failed counts. Exit code 1 if any benchmark run failed; failing tests
 are only counted.
@@ -98,6 +99,10 @@ def git_state(tree):
 
 
 def summary(values):
+    """Median and quartiles; quartiles need two values, so with fewer they
+    are null, and so is the median of none."""
+    if len(values) < 2:
+        return {"median": values[0] if values else None, "q1": None, "q3": None}
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": median, "q1": q1, "q3": q3}
 

@@ -62,39 +62,60 @@ class RunRecord:
 # (which bounds a block's (slots, links) product on long runs).
 _FIRST_BLOCK = 32
 _MAX_BLOCK = 1024
+# Cells of a sweep batch's first block, _FIRST_BLOCK slots x seeds x links:
+# a sweep judges max(1, _BATCH_CELLS // (_FIRST_BLOCK * links)) seeds of an
+# (instance, protocol) pair at once, links counted on its largest instance.
+_BATCH_CELLS = 2 ** 16
 
 
-def _first_success(A, slots, cap):
-    """Earliest successful slot (1-based) of each receiver within the first
-    ``cap`` slots; receivers never selected are absent.
+def _first_success(A, slots, cap, runs=1):
+    """Earliest successful slot (1-based) of each receiver in each of
+    ``runs`` runs on A within the first ``cap`` slots, as a (runs, n) int
+    array; 0 marks a receiver the run never selects.
 
-    ``slots(start, stop)`` returns the bool mask of slots start + 1..stop.
-    Each block goes through ``link_success`` on the link rows of uncovered
-    receivers only; a receiver's rows drop at its first success, and the
-    loop ends when none is left. Grid totals do not depend on summation
-    order and later slots cannot undo a first success, so the answer is
-    that of one pass over all ``cap`` slots.
+    ``slots(start, stop)`` returns the (stop - start, runs, n) bool mask of
+    slots start + 1..stop of every run. Each block goes through one
+    ``link_success`` call, its runs stacked as (slots * runs) rows, on the
+    link rows of receivers that some run has not covered: a receiver's rows
+    drop once every run covers it, and the loop ends when none is left.
+    Grid totals do not depend on summation order, and later slots cannot
+    undo a first success, so each run's answer is that of one pass over its
+    own ``cap`` slots.
     """
+    n = A.n
     receiver_of = A.topo.receiver
     links = np.arange(len(receiver_of))
     rows = slice(None)
-    first = np.zeros(A.n, dtype=int)
+    first = np.zeros((runs, n), dtype=int)
     done, size = 0, _FIRST_BLOCK
     # Every receiver has a link, so some rows are left until all are covered.
     while done < cap and not first.all():
         stop = min(done + size, cap)
-        success = link_success(A, slots(done, stop), rows)
+        k = stop - done
+        success = link_success(A, slots(done, stop).reshape(k * runs, n), rows)
+        success = success.reshape(k, runs, -1)
         hit = success.any(axis=0)
         if hit.any():
             live = links[rows]
-            slot = np.full(A.n, stop - done)
-            np.minimum.at(slot, receiver_of[live[hit]], success.argmax(axis=0)[hit])
-            covered = slot < stop - done
-            first[covered] = done + slot[covered] + 1
-            rows = live[~covered[receiver_of[live]]]
+            run, link = hit.nonzero()
+            slot = np.full((runs, n), k)
+            np.minimum.at(slot, (run, receiver_of[live[link]]), success.argmax(axis=0)[run, link])
+            new = (slot < k) & (first == 0)
+            first[new] = done + slot[new] + 1
+            rows = live[~first.all(axis=0)[receiver_of[live]]]
         done, size = stop, min(2 * size, _MAX_BLOCK)
+    return first
+
+
+def _first_dict(first):
+    """A run's (n,) first successes as {receiver: slot}, covered ones only."""
     covered = np.flatnonzero(first)
     return dict(zip((covered + 1).tolist(), first[covered].tolist()))
+
+
+def _schedule_first_success(A, sched):
+    """(1, n) first successes of one run of the (slots, n) mask ``sched``."""
+    return _first_success(A, lambda start, stop: sched[start:stop, None], len(sched))
 
 
 def run_schedule(A, sched, protocol="schedule", seed=None):
@@ -102,26 +123,28 @@ def run_schedule(A, sched, protocol="schedule", seed=None):
     only until every receiver is covered, but the record keeps the whole
     mask as its ``transmit``, for auditability. There is no round cap."""
     _check_schedule(A, sched)
-    first = _first_success(A, lambda start, stop: sched[start:stop], len(sched))
-    return RunRecord(protocol, seed, sched, first)
+    return RunRecord(protocol, seed, sched, _first_dict(_schedule_first_success(A, sched)[0]))
 
 
 def _randomized_first_success(A, params):
-    """The first successes of ``run_schedule`` on ``randomized_schedule(params,
-    A.n)``, drawing only the slots it judges. Phase 0 fires every
-    transmitter in each of its m slots, so a receiver it covers succeeds in
-    slot 1 and slots 2..m select none: the judged slots are slot 1, then
-    slots m + 1 onward, and judged slot j > 1 is schedule slot j + m - 1."""
-    source = RandomizedSlots(params, A.n)
-    m = source.m
+    """The (len(params), n) first successes of ``run_schedule`` on
+    ``randomized_schedule(p, A.n)`` for each p of ``params``, which differ
+    in their seed only, drawing only the slots it judges: one
+    ``RandomizedSlots`` per seed, stacked. Phase 0 fires every transmitter
+    in each of its m slots, so a receiver it covers succeeds in slot 1 and
+    slots 2..m select none: the judged slots are slot 1, then slots m + 1
+    onward, and judged slot j > 1 is schedule slot j + m - 1."""
+    sources = [RandomizedSlots(p, A.n) for p in params]
+    m = sources[0].m
 
     def slots(start, stop):
         if start:
-            return source(start + m - 1, stop + m - 1)
-        return np.concatenate([source(0, 1), source(m, stop + m - 1)])
+            return np.stack([source(start + m - 1, stop + m - 1) for source in sources], axis=1)
+        return np.stack([np.concatenate([source(0, 1), source(m, stop + m - 1)])
+                         for source in sources], axis=1)
 
-    first = _first_success(A, slots, len(source) - m + 1)
-    return {w: slot + m - 1 if slot > 1 else 1 for w, slot in first.items()}
+    first = _first_success(A, slots, len(sources[0]) - m + 1, len(sources))
+    return np.where(first > 1, first + m - 1, first)
 
 
 # The largest sinr density or dilution: numpy takes the dilution as an int64.
@@ -216,36 +239,100 @@ class _NodeStreams:
 
 
 class _NodeDraws:
-    """Per-node uniform streams, read ahead in blocks: the reads start on the
-    shared ``_NodeStreams`` prefix, and only a run that reads past it builds
-    private generators that continue each stream. ``rng.random(k)`` equals k
-    ``rng.random()`` calls, so taking exactly the values the scalar per-node
-    step would draw keeps every stream byte-identical."""
+    """Per-node uniform streams of a batch of runs, read ahead in blocks: row
+    r * n + v - 1 is node v's stream in run r, that of ``streams[r]``. The
+    reads start on the stores' shared prefixes, stacked, and only a batch
+    that reads past them builds private generators that continue each
+    stream. ``rng.random(k)`` equals k ``rng.random()`` calls, so taking
+    exactly the values the scalar per-node step would draw keeps every
+    stream byte-identical."""
 
     def __init__(self, streams, n):
-        self.streams, self.rngs = streams, None
-        # A view: a refill builds a new buffer and never writes in place.
-        self.buffer = streams.prefix[:n]
-        self.pos = np.zeros(n, dtype=int)
+        self.streams, self.n, self.rngs = streams, n, None
+        # One store's rows are a view: a refill builds a new buffer and never
+        # writes in place.
+        prefixes = [store.prefix[:n] for store in streams]
+        self.buffer = prefixes[0] if len(prefixes) == 1 else np.concatenate(prefixes)
+        self.pos = np.zeros(len(self.buffer), dtype=int)
 
     def peek(self, k):
-        """(n, k) array of each node's next k values; ``advance`` consumes
-        them."""
-        n, width = self.buffer.shape
+        """(runs * n, k) array of each node's next k values; ``advance``
+        consumes them."""
+        rows, width = self.buffer.shape
         if k > width - self.pos.max():
             if self.rngs is None:
-                self.rngs = self.streams.rngs(n)
+                self.rngs = [rng for store in self.streams for rng in store.rngs(self.n)]
             # Refill every row at once: the row widths of a 2-D buffer match.
             width = max(k, width)
             parts = []
             for row, start, rng in zip(self.buffer, self.pos.tolist(), self.rngs):
                 parts += [row[start:], rng.random(width - len(row) + start)]
-            self.buffer = np.concatenate(parts).reshape(n, width)
-            self.pos = np.zeros(n, dtype=int)
+            self.buffer = np.concatenate(parts).reshape(rows, width)
+            self.pos = np.zeros(rows, dtype=int)
         return np.take_along_axis(self.buffer, self.pos[:, None] + np.arange(k), axis=1)
 
     def advance(self, used):
         self.pos += used
+
+
+def _adaptive_slots(A, policy, params, streams):
+    """Slot source of ``len(streams)`` runs of an adaptive policy on A, run r
+    drawing from the store ``streams[r]``: ``slots(start, stop)`` decides
+    rounds start + 1..stop of every run, as a (stop - start, runs, n) bool
+    mask. No decision depends on feedback, so the runs' nodes are decided
+    as runs * n independent nodes, a whole block of rounds at once."""
+    runs, n = len(streams), A.n
+    nodes = runs * n
+    draws = _NodeDraws(streams, n)
+    if policy == "decay":
+        period = decay_period(max_in_degree(A.topo))
+        on = np.zeros(nodes, dtype=bool)
+        index = np.arange(nodes)
+
+        def decide(start, stop):
+            # A node fires from each period start (round 1 mod period) and,
+            # drawing once per firing, stays on while it draws >= 0.5: its
+            # firings in a period are a run of rounds that use consecutive
+            # values, up to and including its first draw < 0.5.
+            k = stop - start
+            low = np.where(draws.peek(k) < 0.5, np.arange(k), k)
+            next_low = np.minimum.accumulate(low[:, ::-1], axis=1)[:, ::-1]
+            used = np.zeros(nodes, dtype=int)
+            fire = np.empty((k, nodes), dtype=bool)
+            a = start
+            while a < stop:
+                b = min(stop, a + period - a % period)
+                if a % period == 0:
+                    on[:] = True
+                high = next_low[index, used] - used
+                count = on * np.minimum(b - a, high + 1)
+                fire[a - start:b - start] = np.arange(b - a)[:, None] < count
+                on[:] &= high >= b - a
+                used += count
+                a = b
+            draws.advance(used)
+            return fire
+
+    elif policy == "sinr":
+        density = params["density"]
+        dilution = params["dilution"]
+        for name, value in (("density", density), ("dilution", dilution)):
+            if not 1 <= value <= _INT64_MAX:
+                raise InstanceError(f"sinr {name} must be in 1..2**63 - 1, got {value:.6g}")
+        residue = np.tile(np.arange(1, n + 1) % dilution, runs)
+
+        def decide(start, stop):
+            eligible = residue == (np.arange(start + 1, stop + 1) % dilution)[:, None]
+            # The j-th eligible round of a node uses its j-th next value.
+            index = np.maximum(np.cumsum(eligible, axis=0) - 1, 0)
+            values = np.take_along_axis(draws.peek(stop - start).T, index, axis=0)
+            draws.advance(eligible.sum(axis=0))
+            return eligible & (values < 1.0 / density)
+
+    else:
+        raise InstanceError(f"unknown adaptive policy {policy!r}")
+
+    return lambda start, stop: decide(start, stop).reshape(stop - start, runs, n)
 
 
 def run_adaptive(A, policy, params, seed, max_rounds, streams=None):
@@ -264,12 +351,12 @@ def run_adaptive(A, policy, params, seed, max_rounds, streams=None):
     draws from its own stream, that of ``default_rng([seed, v])``, seeded for
     all nodes in one numpy pass, so decisions are independent of iteration
     order. ``streams`` is a ``_NodeStreams`` of this seed with at least n rows,
-    whose prefix the run reads instead of drawing its own (``sweep`` shares
-    one per seed); without it the run builds one. No decision depends on
-    feedback, so ``_first_success``
-    asks for whole blocks of rounds, and each block is decided for all nodes at
-    once, consuming exactly the values a round-by-round loop would. The record
-    keeps the rounds up to completion or the cap and drops any decided past
+    whose prefix the run reads instead of drawing its own; without it the run
+    builds one. The run is a batch of one in the loop that ``sweep`` runs
+    its seeds through: ``_adaptive_slots`` decides whole blocks of rounds,
+    for all nodes at once, consuming exactly the values a round-by-round
+    loop would, and ``_first_success`` judges them. The record keeps the
+    rounds up to completion or the cap and drops any decided past
     completion.
     """
     if max_rounds < 1:
@@ -280,64 +367,16 @@ def run_adaptive(A, policy, params, seed, max_rounds, streams=None):
     elif streams.seed != seed or len(streams.states) < n:
         raise InstanceError(f"node streams of seed {streams.seed} for {len(streams.states)} "
                             f"nodes used by a run of seed {seed} on n={n}")
-    draws = _NodeDraws(streams, n)
-    if policy == "decay":
-        period = decay_period(max_in_degree(A.topo))
-        on = np.zeros(n, dtype=bool)
-        nodes = np.arange(n)
-
-        def decide(start, stop):
-            # A node fires from each period start (round 1 mod period) and,
-            # drawing once per firing, stays on while it draws >= 0.5: its
-            # firings in a period are a run of rounds that use consecutive
-            # values, up to and including its first draw < 0.5.
-            k = stop - start
-            low = np.where(draws.peek(k) < 0.5, np.arange(k), k)
-            next_low = np.minimum.accumulate(low[:, ::-1], axis=1)[:, ::-1]
-            used = np.zeros(n, dtype=int)
-            fire = np.empty((k, n), dtype=bool)
-            a = start
-            while a < stop:
-                b = min(stop, a + period - a % period)
-                if a % period == 0:
-                    on[:] = True
-                high = next_low[nodes, used] - used
-                count = on * np.minimum(b - a, high + 1)
-                fire[a - start:b - start] = np.arange(b - a)[:, None] < count
-                on[:] &= high >= b - a
-                used += count
-                a = b
-            draws.advance(used)
-            return fire
-
-    elif policy == "sinr":
-        density = params["density"]
-        dilution = params["dilution"]
-        for name, value in (("density", density), ("dilution", dilution)):
-            if not 1 <= value <= _INT64_MAX:
-                raise InstanceError(f"sinr {name} must be in 1..2**63 - 1, got {value:.6g}")
-        residue = np.arange(1, n + 1) % dilution
-
-        def decide(start, stop):
-            eligible = residue == (np.arange(start + 1, stop + 1) % dilution)[:, None]
-            # The j-th eligible round of a node uses its j-th next value.
-            index = np.maximum(np.cumsum(eligible, axis=0) - 1, 0)
-            values = np.take_along_axis(draws.peek(stop - start).T, index, axis=0)
-            draws.advance(eligible.sum(axis=0))
-            return eligible & (values < 1.0 / density)
-
-    else:
-        raise InstanceError(f"unknown adaptive policy {policy!r}")
-
+    decide = _adaptive_slots(A, policy, params, [streams])
     decided = []
 
     def slots(start, stop):
         decided.append(decide(start, stop))
         return decided[-1]
 
-    first = _first_success(A, slots, max_rounds)
+    first = _first_dict(_first_success(A, slots, max_rounds)[0])
     rounds = max(first.values()) if len(first) == n else max_rounds
-    return RunRecord(policy, seed, np.concatenate(decided)[:rounds], first)
+    return RunRecord(policy, seed, np.concatenate(decided)[:rounds, 0], first)
 
 
 def replay_first_success(A, record):
@@ -375,10 +414,14 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     the slots it judges and judges phase 0 by its first slot, with the
     first successes of ``run_schedule`` on the whole ``randomized_schedule``.
 
-    The runs go seed by seed, so that the decay and sinr runs of one seed
-    share one ``_NodeStreams`` for the largest n, built on the seed's first
-    adaptive run and dropped before the next seed's; the rows are then put
-    in the order above.
+    The seeds go in batches of max(1, _BATCH_CELLS // (_FIRST_BLOCK * L))
+    seeds, L the largest link count among the instances, and each
+    (instance, protocol) pair runs a batch's seeds through one
+    ``_first_success`` loop, as ``run_schedule`` and ``run_adaptive`` run
+    one. The decay and sinr runs of a batch share one ``_NodeStreams`` per
+    seed for the largest n, built on the batch's first adaptive run and
+    dropped before the next batch's; the rows are then put in the order
+    above.
 
     Every row takes its outcome from the run's first successes: rounds is
     the completion round (last first-success slot) for every protocol,
@@ -396,34 +439,40 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     if set(protocols) == {"deterministic"}:
         seeds = seeds[:1]
     n_max = max(A.n for _, A, _ in instances)
+    links = max(len(A.topo.owner) for _, A, _ in instances)
+    batch = max(1, _BATCH_CELLS // (_FIRST_BLOCK * links))
     chars, greedy = {}, {}
     rows = {}
-    for s, seed in enumerate(seeds):
-        streams = None
+    for b in range(0, len(seeds), batch):
+        batch_seeds = seeds[b:b + batch]
+        stores = None
         for i, name in enumerate(protocols):
-            if name == "deterministic" and s:
+            if name == "deterministic" and b:
                 continue
             for j, (instance_id, A, sinr) in enumerate(instances):
                 if name in ("randomized", "deterministic") and j not in chars:
                     chars[j] = characterize(A, c=c)
                 if name == "randomized":
-                    params = RandomizedParams(
-                        characterization=chars[j], seed=seed, m_override=m_override
-                    )
-                    first = _randomized_first_success(A, params)
+                    first = _randomized_first_success(A, [
+                        RandomizedParams(characterization=chars[j], seed=seed,
+                                         m_override=m_override)
+                        for seed in batch_seeds])
                 elif name == "deterministic":
                     if j not in greedy:
                         greedy[j] = deterministic_schedule(A, chars[j])
-                    first = run_schedule(A, greedy[j]).first_success
+                    first = _schedule_first_success(A, greedy[j])
                 else:
-                    if streams is None:
-                        streams = _NodeStreams(seed, n_max)
+                    if stores is None:
+                        stores = [_NodeStreams(seed, n_max) for seed in batch_seeds]
                     params = sinr if name == "sinr" else {}
-                    first = run_adaptive(A, name, params, seed, max_rounds, streams).first_success
-                completed = len(first) == A.n
-                rounds = max(first.values()) if completed else max_rounds
+                    first = _first_success(A, _adaptive_slots(A, name, params, stores),
+                                           max_rounds, len(stores))
                 bound = chars[j].slot_bound if name == "randomized" else None
-                rows[i, j, s] = SweepRow(instance_id, name, seed, A.n, rounds, completed, bound)
+                for r, run in enumerate(first):
+                    completed = bool(run.all())
+                    rounds = int(run.max()) if completed else max_rounds
+                    rows[i, j, b + r] = SweepRow(instance_id, name, batch_seeds[r], A.n, rounds,
+                                                 completed, bound)
     return [rows[key] for key in sorted(rows)]
 
 

@@ -221,6 +221,26 @@ def greedy_slot_budget(n, char):
     return 10 * (1 + math.ceil(math.log2(max(n, 1))) * char.phases)
 
 
+def _probability_cycle(b, reset_at, keys):
+    """The greedy's cycle of slot probabilities: slot r of a cycle has p
+    equal to 1 divided by b r times, in floats, and the cycle ends before
+    the first p <= ``reset_at``. Returns the cycle's length and {r: p} for
+    each r in ``keys`` inside it. ``np.divide.accumulate`` takes the
+    divisions in order, in chunks that double, each the correctly rounded
+    quotient that ``p /= b`` gives."""
+    keys = sorted(keys)
+    p_at, start, chunk, p = {}, 0, 64, 1.0
+    while True:
+        # p_(start + i) for i = 0..chunk.
+        sequence = np.divide.accumulate(np.r_[p, np.full(chunk, b)])
+        reset = np.flatnonzero(sequence[1:] <= reset_at)
+        stop = start + (reset[0] + 1 if reset.size else chunk)
+        p_at.update((r, float(sequence[r - start])) for r in keys if start <= r < stop)
+        if reset.size:
+            return stop, p_at
+        start, chunk, p = stop, min(2 * chunk, 1 << 16), sequence[-1]
+
+
 def deterministic_schedule(A, char):
     """Conditional-expectation greedy schedule.
 
@@ -249,7 +269,8 @@ def deterministic_schedule(A, char):
     current score. A slot ends by asserting that each exact target's slice
     is the one outcome saying whether the slot selects it, and that each
     wide target's estimate is at most its selection. A slot with no target
-    is silent. The slot budget (``ScheduleError``) stays as a safety net.
+    is silent, and a run of them, up to the next pending bucket or the
+    reset, is counted as one block of zero rows. The slot budget (``ScheduleError``) stays as a safety net.
     A cycle of phases slots for n transmitters over ``MAX_RANDOMIZED_CELLS``
     cells is an InstanceError, raised before the first slot.
     """
@@ -265,23 +286,25 @@ def deterministic_schedule(A, char):
     tables = {}  # per receiver: (deciding list, outcome table), None if wide
     probabilities = {}  # outcome probabilities per k, at this slot's p
 
-    silent = np.zeros(n, dtype=bool)
-    slots = []
-    p, r = 0.0, 0
+    cycle, p_at = _probability_cycle(b, reset_at, buckets)
+    fired = {}  # slot index -> transmit row, for slots with a target
+    slots, r = 0, 0
     while any(buckets.values()):
-        if len(slots) >= budget:
+        if slots >= budget:
             raise ScheduleError(
                 f"greedy exceeded {budget} slots with pending receivers "
                 f"{sorted(set().union(*buckets.values()))}; this signals a bug"
             )
-        if p <= reset_at:
-            p, r = 1.0, 0
         target = sorted(buckets.get(r, ()))
         if not target:
-            slots.append(silent)
-            p /= b
-            r += 1
+            # Empty buckets up to the next pending one or the cycle's end:
+            # one block of silent slots.
+            stop = min((key for key, bucket in buckets.items() if bucket and r < key < cycle),
+                       default=cycle)
+            slots += stop - r
+            r = stop % cycle
             continue
+        p = p_at[r]
         probabilities.clear()
         # Per exact target: the view of its table that agrees with the slot's
         # decisions so far, listed under each of its deciding transmitters.
@@ -327,7 +350,7 @@ def deterministic_schedule(A, char):
             for w in dependents[t]:
                 views[w] = views[w][1::2] if on else views[w][0::2]
         slot = q == 1.0
-        slots.append(slot)
+        fired[slots] = slot
         hit = np.zeros(n, dtype=bool)
         hit[A.topo.receiver[link_success(A, slot)]] = True
         assert all(len(view) == 1 and view[0] == hit[w - 1] for w, view in views.items())
@@ -339,9 +362,11 @@ def deterministic_schedule(A, char):
             bucket -= selected
         for w in selected:
             tables.pop(w, None)
-        p /= b
-        r += 1
-    sched = np.array(slots, dtype=bool).reshape(len(slots), n)
+        slots += 1
+        r = (r + 1) % cycle
+    sched = np.zeros((slots, n), dtype=bool)
+    for index, slot in fired.items():
+        sched[index] = slot
     sched.flags.writeable = False
     return sched
 

@@ -1,0 +1,62 @@
+"""scripts/bench_pair.py: the report it writes when benchmark runs fail."""
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pair.py"
+
+SPEC = {"run_seconds": 1, "workloads": [{"name": "office_sweep"}],
+        "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+
+
+@pytest.fixture
+def bench_pair():
+    spec = importlib.util.spec_from_file_location("bench_pair", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("good_pairs", [0, 1, 2])
+def test_report_is_written_whatever_the_pairs_with_results(bench_pair, tmp_path, monkeypatch,
+                                                           good_pairs):
+    # The parent gives a result in every pair, the change only in the first
+    # ``good_pairs``: every other change run counts as incorrect.
+    trees = {side: tmp_path / side for side in bench_pair.SIDES}
+    for tree in trees.values():
+        tree.mkdir()
+    (trees["change"] / "BENCHMARK.json").write_text(json.dumps(SPEC))
+
+    def run_once(tree, workload, seed, seconds):
+        pair = seed - 1
+        if tree == trees["parent"]:
+            return {}, {"correct": True, "metrics": {"wall_s": {"value": 2.0}}}
+        if pair < good_pairs:
+            return {}, {"correct": True, "metrics": {"wall_s": {"value": 1.0 + pair}}}
+        return {}, None
+
+    monkeypatch.setattr(bench_pair, "run_once", run_once)
+    monkeypatch.setattr(bench_pair, "run_tier1",
+                        lambda tree: {"wall_s": 1.0, "passed": 1, "failed": 0})
+    monkeypatch.setattr(bench_pair, "git_state",
+                        lambda tree: {"git_sha": None, "uncommitted_changes": None})
+    code = bench_pair.main(["--parent", str(trees["parent"]), "--change", str(trees["change"]),
+                            "--label", "t"])
+    assert code == 1
+    report = json.loads((trees["change"] / "BENCH_t.json").read_text())
+    assert report["incorrect_runs"] == bench_pair.PAIRS - good_pairs
+    wall = report["workloads"]["office_sweep"]["wall_s"]
+    assert wall["pairs"] == good_pairs
+    assert wall["values"] == {"parent": [2.0] * good_pairs,
+                              "change": [1.0 + i for i in range(good_pairs)]}
+    assert wall["change_better_pairs"] == min(good_pairs, 1)
+    if good_pairs < 2:
+        median = {0: None, 1: 1.0}[good_pairs]
+        assert wall["change"] == {"median": median, "q1": None, "q3": None}
+        assert wall["parent"]["q1"] is None and wall["parent"]["q3"] is None
+    else:
+        assert wall["change"]["median"] == 1.5
+        assert wall["change"]["q1"] is not None and wall["change"]["q3"] is not None
+    assert report["tier1"]["wall_s"]["pairs"] == bench_pair.PAIRS

@@ -183,31 +183,35 @@ class TestRunAdaptive:
                 self.assert_matches_scalar(A, policy, {} if degree else params, seed,
                                            max_rounds)
 
-    def test_node_draws_follow_scalar_streams(self):
+    @pytest.mark.parametrize("stores", [[(7, 4)], [(7, 9)], [(7, 4), (8, 9), (7, 5)]])
+    def test_node_draws_follow_scalar_streams(self, stores):
         rng = np.random.default_rng(0)
-        # A store with as many rows as the run reads, and one with more.
-        for rows in (4, 9):
-            streams = engine._NodeStreams(7, rows)
-            prefix = streams.prefix.copy()
-            draws = engine._NodeDraws(streams, 4)
-            taken = [[] for _ in range(4)]
-            # Rows that use all or none of a peek leave ragged rests, so later
-            # peeks, also shorter ones, must refill some rows and keep others;
-            # row 0 reaches the end of the shared prefix inside the peek of 200.
-            for k in (3, 32, 1, 64, 0, 40, 5, 90, 7, 200, 1, 120, 300, 9):
-                values = draws.peek(k)
-                assert values.shape == (4, k)
-                used = np.r_[k, 0, rng.integers(0, k + 1, size=2)]
-                for v in range(4):
-                    taken[v] += values[v, :used[v]].tolist()
-                draws.advance(used)
-            assert len(taken[0]) > engine._SHARED
+        # A store with as many rows as the run reads, one with more, and a
+        # batch of three runs, a seed repeated, whose nodes are stacked.
+        streams = [engine._NodeStreams(seed, rows) for seed, rows in stores]
+        prefixes = [store.prefix.copy() for store in streams]
+        draws = engine._NodeDraws(streams, 4)
+        nodes = 4 * len(streams)
+        taken = [[] for _ in range(nodes)]
+        # Rows that use all or none of a peek leave ragged rests, so later
+        # peeks, also shorter ones, must refill some rows and keep others;
+        # row 0 reaches the end of the shared prefix inside the peek of 200.
+        for k in (3, 32, 1, 64, 0, 40, 5, 90, 7, 200, 1, 120, 300, 9):
+            values = draws.peek(k)
+            assert values.shape == (nodes, k)
+            used = np.r_[k, 0, rng.integers(0, k + 1, size=nodes - 2)]
+            for v in range(nodes):
+                taken[v] += values[v, :used[v]].tolist()
+            draws.advance(used)
+        assert len(taken[0]) > engine._SHARED
+        for r, (seed, _) in enumerate(stores):
             for v in range(4):
-                scalar = np.random.default_rng([7, v + 1])
-                assert taken[v] == [scalar.random() for _ in taken[v]]
-            # The run read past the prefix without writing into it.
-            assert not streams.prefix.flags.writeable
-            np.testing.assert_array_equal(streams.prefix, prefix)
+                scalar = np.random.default_rng([seed, v + 1])
+                assert taken[4 * r + v] == [scalar.random() for _ in taken[4 * r + v]]
+        # The runs read past the prefixes without writing into them.
+        for store, prefix in zip(streams, prefixes):
+            assert not store.prefix.flags.writeable
+            np.testing.assert_array_equal(store.prefix, prefix)
 
     def test_node_streams_continue_past_the_prefix(self):
         streams = engine._NodeStreams(2 ** 40 + 3, 5)
@@ -404,17 +408,21 @@ class TestSweep:
             sweep(instances, ["decay", "sinr"], [0])
         assert len(sweep(instances, ["decay"], [0])) == 2
 
-    def test_shared_streams_match_unshared_runs(self, mutually_blocking_pair, monkeypatch):
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4])
+    def test_batched_sweep_matches_per_seed_runs(self, batch, mutually_blocking_pair,
+                                                 monkeypatch):
         # Instances of different n; the blocked pair is truncated at 600
         # rounds and the isolated links (dilution = n) run past 224 rounds,
-        # so both read past the shared prefix.
+        # so both read past the shared prefix. Batches of 1, 2, 3 and all 4
+        # seeds, a seed repeated.
         n = 20
-        isolated = AffectanceMatrix(LayerTopology(n, tuple((v, v) for v in range(1, n + 1))))
         spec = OfficeGridSpec(offices=4)
         instances = [("office", generate_office_layer(spec), sinr_defaults(spec)),
                      ("blocked", mutually_blocking_pair, {"density": 1, "dilution": 1}),
-                     ("isolated", isolated, {"density": n, "dilution": n})]
-        protocols, seeds = ["sinr", "decay", "sinr"], [5, 0, 12, 5]
+                     ("isolated", isolated_links(n), {"density": n, "dilution": n})]
+        protocols, seeds = ["sinr", "randomized", "decay", "deterministic", "sinr"], [5, 0, 12, 5]
+        links = max(len(A.topo.owner) for _, A, _ in instances)
+        monkeypatch.setattr(engine, "_BATCH_CELLS", batch * engine._FIRST_BLOCK * links)
         built = []
 
         class RecordingStreams(engine._NodeStreams):
@@ -430,22 +438,34 @@ class TestSweep:
         expected = []
         for name in protocols:
             for instance_id, A, sinr in instances:
-                for seed in seeds:
-                    record = run_adaptive(A, name, sinr if name == "sinr" else {}, seed, 600)
+                char = characterize(A)
+                for seed in seeds[:1] if name == "deterministic" else seeds:
+                    if name == "randomized":
+                        record = run_schedule(A, randomized_schedule(RandomizedParams(char, seed),
+                                                                     A.n))
+                    elif name == "deterministic":
+                        record = run_schedule(A, deterministic_schedule(A, char))
+                    else:
+                        record = run_adaptive(A, name, sinr if name == "sinr" else {}, seed, 600)
                     rounds = record.rounds if record.completed else 600
+                    bound = char.slot_bound if name == "randomized" else None
                     expected.append(engine.SweepRow(instance_id, name, seed, A.n, rounds,
-                                                    record.completed))
+                                                    record.completed, bound))
         assert rows == expected
-        assert max(row.rounds for row in rows if row.instance_id == "isolated") > 224
-        assert not any(row.completed for row in rows if row.instance_id == "blocked")
+        adaptive = [row for row in rows if row.protocol in ("decay", "sinr")]
+        assert max(row.rounds for row in adaptive if row.instance_id == "isolated") > 224
+        assert not any(row.completed for row in adaptive if row.instance_id == "blocked")
 
-    def test_one_node_stream_store_at_a_time(self):
-        # Only one seed's store is alive at a time, so more seeds add rows
+    def test_one_batch_of_stores_at_a_time(self):
+        # Only one batch's stores are alive at a time, so more seeds add rows
         # to the peak, not stores.
         import tracemalloc
 
         spec = OfficeGridSpec(offices=14)
-        instances = [("office", generate_office_layer(spec), sinr_defaults(spec))]
+        A = generate_office_layer(spec)
+        instances = [("office", A, sinr_defaults(spec))]
+        batch = engine._BATCH_CELLS // (engine._FIRST_BLOCK * len(A.topo.owner))
+        assert 1 < batch < 20
 
         def peak(seeds):
             sweep(instances, ["decay", "sinr"], list(range(seeds)))  # warm caches
@@ -457,7 +477,7 @@ class TestSweep:
                 tracemalloc.stop()
 
         store = 42 * engine._SHARED * 8
-        assert peak(40) - peak(4) < store
+        assert peak(40) - peak(batch) < store
 
     def test_rn_3000_sweeps_without_the_dense_array(self):
         # RN 3000/32 has 49628 links: its dense array would take 1.19 GB,
@@ -576,11 +596,12 @@ class TestBlockLoop:
 
         def slots(start, stop):
             asked.append((start, stop))
-            return mask[start:stop]
+            return mask[start:stop, None]
 
         first = engine._first_success(A, slots, cap)
         assert asked == blocks
-        assert first == full_mask_first_success(A, mask)
+        assert first.shape == (1, 2)
+        assert engine._first_dict(first[0]) == full_mask_first_success(A, mask)
 
     def test_blocks_stop_doubling_at_max_block(self):
         # A run that never completes asks for contiguous blocks whose size
@@ -590,14 +611,46 @@ class TestBlockLoop:
 
         def slots(start, stop):
             asked.append((start, stop))
-            return np.zeros((stop - start, 2), dtype=bool)
+            return np.zeros((stop - start, 1, 2), dtype=bool)
 
-        assert engine._first_success(A, slots, 5000) == {}
+        assert not engine._first_success(A, slots, 5000).any()
         assert [start for start, _ in asked[1:]] == [stop for _, stop in asked[:-1]]
         assert asked[-1][1] == 5000
         sizes = [stop - start for start, stop in asked]
         assert sizes[:7] == [32, 64, 128, 256, 512, 1024, 1024]
         assert max(sizes) == engine._MAX_BLOCK == 1024
+
+    def test_stacked_runs_match_each_run_alone(self):
+        # Runs of one instance stacked in one loop: each run's first
+        # successes are those of its own mask, whatever the other runs do.
+        rng = np.random.default_rng(2)
+        for A in self.instances():
+            for length in (1, 31, 97, 600):
+                masks = [rng.random((length, A.n)) < rng.random() * 0.4 for _ in range(4)]
+                masks.append(np.zeros((length, A.n), dtype=bool))  # never completes
+                stacked = np.stack(masks, axis=1)
+                first = engine._first_success(A, lambda start, stop: stacked[start:stop], length,
+                                              len(masks))
+                assert first.shape == (len(masks), A.n)
+                for run, mask in zip(first, masks):
+                    assert engine._first_dict(run) == full_mask_first_success(A, mask)
+
+    def test_stacked_rows_drop_once_every_run_covers_them(self, monkeypatch):
+        # Receiver 1 is covered in slot 1 of run 0 but only in slot 40 of run
+        # 1, receiver 2 in slot 2 of both: the first block judges every link,
+        # the second only receiver 1's, and the loop stops at its completion.
+        A = isolated_links(2)
+        stacked = np.stack([one_slot_each([1, 2], 100), one_slot_each([40, 2], 100)], axis=1)
+        judged = []
+
+        def recording_success(A, transmit, rows=slice(None)):
+            judged.append((len(transmit), rows if isinstance(rows, slice) else rows.tolist()))
+            return link_success(A, transmit, rows)
+
+        monkeypatch.setattr(engine, "link_success", recording_success)
+        first = engine._first_success(A, lambda start, stop: stacked[start:stop], 100, 2)
+        assert first.tolist() == [[1, 2], [40, 2]]
+        assert judged == [(32 * 2, slice(None)), (64 * 2, [0])]
 
     def test_empty_schedule_completes_nothing(self):
         A = isolated_links(3)
@@ -662,7 +715,9 @@ class TestLazyRandomized:
 
     def check(self, A, params):
         full = run_schedule(A, randomized_schedule(params, A.n))
-        assert engine._randomized_first_success(A, params) == full.first_success
+        first = engine._randomized_first_success(A, [params])
+        assert first.shape == (1, A.n)
+        assert engine._first_dict(first[0]) == full.first_success
         return full
 
     def check_rows(self, instances, seeds, max_rounds, m_override=None):
@@ -679,6 +734,21 @@ class TestLazyRandomized:
             assert row.rounds == (full.rounds if full.completed else max_rounds)
             pairs.append((row, full))
         return pairs
+
+    def test_stacked_seeds_match_each_seed_alone(self, mutually_blocking_pair):
+        instances = [generate_random_instance(2 + seed % 9, seed=seed) for seed in range(4)]
+        instances += [generate_office_layer(OfficeGridSpec(offices=5)), mutually_blocking_pair,
+                      generate_rn_instance(40, 6, 0)]
+        for A in instances:
+            char = characterize(A)
+            for m_override in (None, 1):
+                params = [RandomizedParams(char, seed, m_override=m_override)
+                          for seed in (3, 0, 3, 9)]
+                first = engine._randomized_first_success(A, params)
+                assert first.shape == (4, A.n)
+                for run, p in zip(first, params):
+                    full = run_schedule(A, randomized_schedule(p, A.n))
+                    assert engine._first_dict(run) == full.first_success
 
     def test_slot_one_covers_receivers(self):
         at_slot_one = 0

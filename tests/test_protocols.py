@@ -34,7 +34,9 @@ from affsim.protocols import (
     K_EXACT,
     MIN_GAIN,
     RandomizedSlots,
+    ScheduleError,
     _outcome_table,
+    _probability_cycle,
     _pessimistic_estimates,
     _relevant,
     _selected_mass,
@@ -699,6 +701,61 @@ class TestDeterministicSchedule:
         assert np.array_equal(sched, matmul_greedy(A, char))
         assert len(sched) == 3006
         assert not sched[:-1].any()
+
+
+    def test_silent_blocks_keep_the_loop_mask(self):
+        # At c = 1e5 office n = 6 has 311,645 phases. Its greedy schedule is
+        # 300,340 slots of empty buckets, then one slot that selects
+        # everyone: the mask a loop of one silent slot at a time built.
+        A = office(2)
+        sched = deterministic_schedule(A, characterize(A, c=1e5))
+        assert len(sched) == 300341
+        assert sched.any(axis=1).sum() == 1
+        assert hashlib.sha256(sched.tobytes()).hexdigest() == (
+            "e3c7eb3973646b47d636e760c41dd2eb360a45c614d6acbab875658ccf33e319")
+
+    def test_silent_blocks_allocate_only_the_mask(self):
+        # At c = 1e6: 3,003,387 slots, one of them not silent. A list of one
+        # row per slot peaked at 152 MB RSS; the blocks add nothing to the
+        # 18 MB mask.
+        A = office(2)
+        char = characterize(A, c=1e6)
+        tracemalloc.start()
+        try:
+            sched = deterministic_schedule(A, char)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sched) == 3003387
+        assert sched.any(axis=1).sum() == 1
+        assert peak < 1.2 * sched.nbytes
+
+    @pytest.mark.parametrize("c, abar", [(2.0, 4.0), (1.01, 30.0), (1e3, 1.7), (1e5, 8.0),
+                                         (3.0, 0.2)])
+    def test_probability_cycle_matches_repeated_division(self, c, abar):
+        b = 1.0 + 1.0 / (2.0 * c)
+        reset_at = 1.0 / (2.0 * b * abar)
+        p, sequence = 1.0, []
+        while True:
+            sequence.append(p)
+            p /= b
+            if p <= reset_at:
+                break
+        keys = {0, 1, 63, 64, 65, 191, 192, len(sequence) - 1, len(sequence), len(sequence) + 9}
+        cycle, p_at = _probability_cycle(b, reset_at, keys)
+        assert cycle == len(sequence)
+        assert p_at == {r: sequence[r] for r in keys if r < cycle}
+        assert _probability_cycle(b, math.inf, [0, 1]) == (1, {0: 1.0})
+
+    def test_unreachable_bucket_exceeds_the_budget(self):
+        # A characterization whose abar is below receiver 1's: its bucket, 24,
+        # lies past the cycle's 5 slots, so only silent blocks follow slot 1.
+        A = AffectanceMatrix(LayerTopology(2, ((1, 1), (2, 2))))
+        char = Characterization(abar_w=(100.0, 0.0), abar=1.0, c=2.0, b=1.25, d=0.99, m=1,
+                                phases=3)
+        with pytest.raises(ScheduleError, match=r"greedy exceeded 40 slots with pending "
+                                                r"receivers \[1\]"):
+            deterministic_schedule(A, char)
 
 
 class TestReceiverPartition:
