@@ -228,7 +228,6 @@ def _probability_cycle(b, reset_at, keys):
     each r in ``keys`` inside it. ``np.divide.accumulate`` takes the
     divisions in order, in chunks that double, each the correctly rounded
     quotient that ``p /= b`` gives."""
-    keys = sorted(keys)
     p_at, start, chunk, p = {}, 0, 64, 1.0
     while True:
         # p_(start + i) for i = 0..chunk.
