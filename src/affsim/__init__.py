@@ -12,11 +12,9 @@ from .core import (
     characterize,
     encode_radio_network,
     is_selected,
-    is_successful,
     max_avg_affectance_w,
     schedule_from_text,
     schedule_to_text,
-    total_affectance,
     verify_selective,
 )
 from .engine import (

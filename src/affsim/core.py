@@ -263,21 +263,8 @@ class LayerTopology:
         rows = self._keys.searchsorted(query)
         return rows, self._keys[rows] == query
 
-    def link_row(self, link):
-        """Row of one (v, w) link."""
-        v, w = link
-        if 1 <= v <= self.n and 1 <= w <= self.n:
-            row, found = self._find(v, w)
-            if found:
-                return int(row)
-        raise UnknownLinkError(f"unknown link {tuple(link)}")
-
     @property
     def receivers(self):
-        return range(1, self.n + 1)
-
-    @property
-    def transmitters(self):
         return range(1, self.n + 1)
 
 
@@ -294,7 +281,7 @@ class AffectanceMatrix:
     row w - 1, and the (L, n) array is never built.
     Any other instance has one row per link (8 * L * n bytes) and own
     weights 0. Only ``kernel`` tells the two apart. ``weights(rows)`` is
-    the one per-link read: the scalar oracles, ``a``, ``entries`` and the
+    the one per-link read: the scalar predicates, ``entries`` and the
     greedy take their rows from it, and it builds just the rows asked for.
 
     The weights are checked once: every value lies in [0, 1] (NaN does
@@ -428,12 +415,6 @@ class AffectanceMatrix:
         weights.flags.writeable = False
         return weights
 
-    def a(self, u, link):
-        """Single entry lookup; absent pairs are 0, and u outside 1..n is an InstanceError."""
-        if not 1 <= u <= self.n:
-            raise InstanceError(f"transmitter {u} out of range")
-        return float(self.weights([self.topo.link_row(link)])[0, u - 1])
-
     def link_totals(self, transmit, rows=slice(None)):
         """Summed affectance on the links ``rows`` (all by default) under a
         bool (n,) or (slots, n) transmit mask, as an (L,) or (slots, L)
@@ -481,26 +462,14 @@ def _selects(A, x, w):
     return any(_succeeds(A, x, row) for row in A.topo.link_rows(w))
 
 
-def total_affectance(A, transmitters, link):
-    """Summed interference of a transmitter set on one link."""
-    row = A.topo.link_row(link)
-    return float(np.dot(A.weights([row])[0], _indicator(A.n, transmitters)))
-
-
 def link_success(A, transmit, rows=slice(None)):
     """The success rule, batched: link i succeeds iff its owner transmits and
     its summed affectance (``A.link_totals``) stays strictly below 1.
     ``transmit`` is a bool (n,) or (slots, n) mask, ``rows`` the links to
     judge (all by default); returns a bool (L,) or (slots, L) mask. On the
-    weight grid it agrees with the scalar ``is_successful``, ties included."""
+    weight grid it agrees with the scalar rule of ``verify_selective``,
+    ties included."""
     return transmit[..., A.topo.owner[rows]] & (A.link_totals(transmit, rows) < 1.0)
-
-
-def is_successful(A, transmitters, link):
-    """True iff the link's owner transmits and the slot's summed interference
-    on the link stays strictly below 1. The scalar oracle that tests and
-    replays check ``link_success`` against."""
-    return _succeeds(A, _indicator(A.n, transmitters), A.topo.link_row(link))
 
 
 def is_selected(A, transmitters, w):
@@ -639,8 +608,11 @@ def encode_radio_network(topo):
 def schedule_to_text(sched):
     """A (slots, n) bool mask as text: a sizes header, then one slot per
     line, its 1-based transmitters ascending."""
-    lines = [f"slots={len(sched)} n={sched.shape[1]}"]
-    lines += [" ".join(map(str, (np.flatnonzero(row) + 1).tolist())) for row in sched]
+    lines = [f"slots={len(sched)} n={sched.shape[1]}"] + [""] * len(sched)
+    # Only the slots with a transmitter are written: a greedy mask can hold
+    # long runs of silent ones.
+    for j in np.flatnonzero(sched.any(axis=1)).tolist():
+        lines[j + 1] = " ".join(map(str, (np.flatnonzero(sched[j]) + 1).tolist()))
     return "\n".join(lines) + "\n"
 
 

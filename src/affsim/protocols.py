@@ -1,17 +1,19 @@
-"""Schedule-producing protocols and adaptive baseline policies.
+"""Every protocol's slot law and the randomness it draws from.
 
 The randomized protocol and the conditional-expectation greedy emit whole
 schedules up front, each a read-only (slots, n) bool mask whose row j - 1
 marks the transmitters of slot j; the randomized one is also a slot source,
 ``RandomizedSlots``, that draws only the slots read from it, which is how
-``engine.sweep`` runs it. The two baselines (decay-style backoff and
-the congruence/thinning policy) decide during simulation:
-``engine.run_adaptive`` decides a whole block of rounds for all nodes at
-once, with decay's period from ``decay_period``.
+``engine.sweep`` runs it. The two adaptive baselines (decay-style backoff
+and the congruence/thinning policy) have a slot source only,
+``_adaptive_slots``, which decides a whole block of rounds for all nodes at
+once from per-node streams (``_NodeStreams``). ``engine`` judges the slots
+that these sources emit.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,12 +51,6 @@ class RandomizedParams:
             raise InstanceError("m_override must be >= 1")
 
 
-def randomized_phase_count(params, n):
-    if params.fallback_mode:
-        return phase_count(n - 1, params.characterization.b)
-    return params.characterization.phases
-
-
 class RandomizedSlots:
     """The randomized schedule as a slot source, drawn only as far as it is
     read: calling it with (start, stop) returns the bool mask of slots
@@ -75,7 +71,7 @@ class RandomizedSlots:
 
     def __init__(self, params, n):
         char = params.characterization
-        phases = randomized_phase_count(params, n)
+        phases = phase_count(n - 1, char.b) if params.fallback_mode else char.phases
         m = params.m_override if params.m_override is not None else char.m
         if phases * m * n > MAX_RANDOMIZED_CELLS:
             raise InstanceError(f"randomized schedule of phases={phases}, m={m}, n={n} needs "
@@ -376,3 +372,195 @@ def decay_period(delta):
     if delta < 1:
         raise InstanceError("delta must be >= 1")
     return max(1, 2 * math.ceil(math.log2(delta)))
+
+
+# The largest sinr density or dilution: numpy takes the dilution as an int64.
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _chain(init, mult, hashes):
+    """(hashes + 1, 1) uint32 init * mult**k mod 2**32, k = 0..hashes."""
+    return np.array([init] + [mult] * hashes, np.uint32).cumprod(dtype=np.uint32)[:, None]
+
+
+def _hash(value, chain):
+    """Hash by each of the ``len(chain) - 1`` steps: XOR entry k, times entry k + 1."""
+    value = (value ^ chain[:-1]) * chain[1:]
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ value >> 16
+
+
+def _node_seed_states(seed, n):
+    """Row v - 1 is ``SeedSequence([seed, v]).generate_state(4, np.uint64)``,
+    for all v = 1..n at once; the entropy is seed's 32-bit words, then v."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise InstanceError(f"seed must be >= 0, got {seed}")
+    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.array(words + [0] * max(4 - len(words), 1), np.uint32)[:, None].repeat(n, 1)
+    entropy[len(words)] = np.arange(1, n + 1)
+    chain = _chain(_INIT_A, _MULT_A, 4 * len(entropy))
+    pool = _hash(entropy[:4], chain[:5])
+    for src in range(4):  # one step: mixing word src into the others leaves it alone
+        dst, k = [i for i in range(4) if i != src], 4 + 3 * src
+        pool[dst] = _mix(pool[dst], _hash(pool[src], chain[k:k + 4]))
+    for k, word in zip(range(16, len(chain), 4), entropy[4:]):
+        pool = _mix(pool, _hash(word, chain[k:k + 5]))
+    state = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _chain(_INIT_B, _MULT_B, 8))
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedState:
+    """Hands ``PCG64`` a precomputed state; registered as an ``ISeedSequence``
+    on first use, as importing numpy.random would slow every start."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+# Values of each node's stream that a store draws once for every run on its
+# seed: they cover the first three evaluation blocks (32 + 64 + 128 rounds).
+_SHARED = 256
+
+
+class _NodeStreams:
+    """The first ``_SHARED`` values of node v's stream, that of
+    ``default_rng([seed, v])``, for v = 1..n, as the read-only (n, _SHARED)
+    ``prefix``. A stream depends only on the seed and v, so every adaptive
+    run on this seed whose instance has at most n nodes can read it."""
+
+    def __init__(self, seed, n):
+        from numpy.random.bit_generator import ISeedSequence
+        ISeedSequence.register(_SeedState)
+        self.states = _node_seed_states(seed, n)
+        self.prefix = np.array([rng.random(_SHARED) for rng in self._rngs(len(self.states))])
+        self.prefix.flags.writeable = False
+
+    def _rngs(self, n):
+        return [np.random.Generator(np.random.PCG64(_SeedState(state)))
+                for state in self.states[:n]]
+
+    def rngs(self, n):
+        """Generators of nodes 1..n, each past its prefix (a double takes
+        one 64-bit output, so ``advance(_SHARED)`` skips exactly it)."""
+        rngs = self._rngs(n)
+        for rng in rngs:
+            rng.bit_generator.advance(_SHARED)
+        return rngs
+
+
+class _NodeDraws:
+    """Per-node uniform streams of a batch of runs, read ahead in blocks: row
+    r * n + v - 1 is node v's stream in run r, that of ``streams[r]``. The
+    reads start on the stores' shared prefixes, stacked, and only a batch
+    that reads past them builds private generators that continue each
+    stream. ``rng.random(k)`` equals k ``rng.random()`` calls, so taking
+    exactly the values the scalar per-node step would draw keeps every
+    stream byte-identical."""
+
+    def __init__(self, streams, n):
+        self.streams, self.n, self.rngs = streams, n, None
+        # One store's rows are a view: a refill builds a new buffer and never
+        # writes in place.
+        prefixes = [store.prefix[:n] for store in streams]
+        self.buffer = prefixes[0] if len(prefixes) == 1 else np.concatenate(prefixes)
+        self.pos = np.zeros(len(self.buffer), dtype=int)
+
+    def peek(self, k):
+        """(runs * n, k) array of each node's next k values; ``advance``
+        consumes them."""
+        rows, width = self.buffer.shape
+        if k > width - self.pos.max():
+            if self.rngs is None:
+                self.rngs = [rng for store in self.streams for rng in store.rngs(self.n)]
+            # Refill every row at once: the row widths of a 2-D buffer match.
+            width = max(k, width)
+            parts = []
+            for row, start, rng in zip(self.buffer, self.pos.tolist(), self.rngs):
+                parts += [row[start:], rng.random(width - len(row) + start)]
+            self.buffer = np.concatenate(parts).reshape(rows, width)
+            self.pos = np.zeros(rows, dtype=int)
+        return np.take_along_axis(self.buffer, self.pos[:, None] + np.arange(k), axis=1)
+
+    def advance(self, used):
+        self.pos += used
+
+
+def _adaptive_slots(A, policy, params, streams):
+    """Slot source of ``len(streams)`` runs of an adaptive policy on A, run r
+    drawing from the store ``streams[r]``: ``slots(start, stop)`` decides
+    rounds start + 1..stop of every run, as a (stop - start, runs, n) bool
+    mask.
+
+    Node v draws from its own stream, that of ``default_rng([seed, v])``.
+    Under ``decay`` a node fires from the start of each period, of
+    ``decay_period`` of the maximum in-degree rounds, and draws once per
+    firing: below 1/2 it falls silent until the next period. Under ``sinr``,
+    whose ``params`` hold ``density`` and ``dilution``, node v draws in each
+    round congruent to v modulo the dilution and fires if the draw is below
+    1/density. No decision depends on feedback, so the runs' nodes are
+    decided as runs * n independent nodes, a whole block of rounds at once,
+    taking exactly the values a round-by-round loop would."""
+    runs, n = len(streams), A.n
+    nodes = runs * n
+    draws = _NodeDraws(streams, n)
+    if policy == "decay":
+        period = decay_period(int(A.topo.degree.max()))
+        on = np.zeros(nodes, dtype=bool)
+        index = np.arange(nodes)
+
+        def decide(start, stop):
+            # A period starts at round 1 mod period. A node's firings in a
+            # period are a run of rounds that use consecutive values, up to
+            # and including its first draw < 0.5.
+            k = stop - start
+            low = np.where(draws.peek(k) < 0.5, np.arange(k), k)
+            next_low = np.minimum.accumulate(low[:, ::-1], axis=1)[:, ::-1]
+            used = np.zeros(nodes, dtype=int)
+            fire = np.empty((k, nodes), dtype=bool)
+            a = start
+            while a < stop:
+                b = min(stop, a + period - a % period)
+                if a % period == 0:
+                    on[:] = True
+                high = next_low[index, used] - used
+                count = on * np.minimum(b - a, high + 1)
+                fire[a - start:b - start] = np.arange(b - a)[:, None] < count
+                on[:] &= high >= b - a
+                used += count
+                a = b
+            draws.advance(used)
+            return fire
+
+    elif policy == "sinr":
+        density = params["density"]
+        dilution = params["dilution"]
+        for name, value in (("density", density), ("dilution", dilution)):
+            if not 1 <= value <= _INT64_MAX:
+                raise InstanceError(f"sinr {name} must be in 1..2**63 - 1, got {value:.6g}")
+        residue = np.tile(np.arange(1, n + 1) % dilution, runs)
+
+        def decide(start, stop):
+            eligible = residue == (np.arange(start + 1, stop + 1) % dilution)[:, None]
+            # The j-th eligible round of a node uses its j-th next value.
+            index = np.maximum(np.cumsum(eligible, axis=0) - 1, 0)
+            values = np.take_along_axis(draws.peek(stop - start).T, index, axis=0)
+            draws.advance(eligible.sum(axis=0))
+            return eligible & (values < 1.0 / density)
+
+    else:
+        raise InstanceError(f"unknown adaptive policy {policy!r}")
+
+    return lambda start, stop: decide(start, stop).reshape(stop - start, runs, n)

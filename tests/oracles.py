@@ -1,10 +1,11 @@
 """Reference implementations that the tests check the simulator against.
 
-None of these run on a CLI or benchmark path: the exponential subset
+None of these run on a CLI or benchmark path: scalar lookups of one link's
+row, one weight and one link's total and success, the exponential subset
 definition of a receiver's maximum average affectance, an exhaustive search
 for the shortest selective schedule, and the scalar per-node steps of the
-two adaptive baselines, whose block form is ``engine.run_adaptive``, and
-``schedule``, which writes a schedule mask from transmitter sets.
+two adaptive baselines, whose block form is ``protocols._adaptive_slots``,
+and ``schedule``, which writes a schedule mask from transmitter sets.
 """
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from affsim import InstanceError, decay_period, is_selected
+from affsim import InstanceError, UnknownLinkError, decay_period, is_selected
+from affsim.core import _indicator, _succeeds
 
 
 def schedule(n, slots):
@@ -24,6 +26,41 @@ def schedule(n, slots):
         row[[v - 1 for v in slot]] = True
     sched.flags.writeable = False
     return sched
+
+
+def transmitters(topo):
+    return range(1, topo.n + 1)
+
+
+def link_row(topo, link):
+    """Row of one (v, w) link of ``topo``; UnknownLinkError if it is none."""
+    v, w = link
+    if 1 <= v <= topo.n and 1 <= w <= topo.n:
+        row, found = topo._find(v, w)
+        if found:
+            return int(row)
+    raise UnknownLinkError(f"unknown link {tuple(link)}")
+
+
+def a(A, u, link):
+    """The weight a(u, link); absent pairs are 0, and u outside 1..n is an
+    InstanceError."""
+    if not 1 <= u <= A.n:
+        raise InstanceError(f"transmitter {u} out of range")
+    return float(A.weights([link_row(A.topo, link)])[0, u - 1])
+
+
+def total_affectance(A, slot, link):
+    """Summed interference of a transmitter set ``slot`` on one link."""
+    row = link_row(A.topo, link)
+    return float(np.dot(A.weights([row])[0], _indicator(A.n, slot)))
+
+
+def is_successful(A, slot, link):
+    """True iff the link's owner is in the transmitter set ``slot`` and the
+    slot's summed interference on the link stays strictly below 1: the
+    scalar rule that ``link_success`` is checked against."""
+    return _succeeds(A, _indicator(A.n, slot), link_row(A.topo, link))
 
 
 class CapacityError(RuntimeError):
@@ -38,7 +75,7 @@ def brute_force_max_avg_affectance(A, w):
     maximize the average per-link interference total. Exponential."""
     members = sorted(A.topo.f(w))
     totals = {
-        v: sum(A.a(u, (v, w)) for u in A.topo.transmitters) for v in members
+        v: sum(a(A, u, (v, w)) for u in transmitters(A.topo)) for v in members
     }
     best = 0.0
     for size in range(1, len(members) + 1):

@@ -1,4 +1,5 @@
-"""scripts/bench_pair.py: the report it writes when benchmark runs fail."""
+"""scripts/bench_pair.py: the report it writes when benchmark runs fail,
+and the line counts of each side's sources."""
 import importlib.util
 import json
 from pathlib import Path
@@ -25,8 +26,14 @@ def test_report_is_written_whatever_the_pairs_with_results(bench_pair, tmp_path,
     # The parent gives a result in every pair, the change only in the first
     # ``good_pairs``: every other change run counts as incorrect.
     trees = {side: tmp_path / side for side in bench_pair.SIDES}
-    for tree in trees.values():
-        tree.mkdir()
+    # Each side's src/affsim/*.py: 3 + 2 lines in the parent, 4 in the change;
+    # other files do not count.
+    for side, texts in (("parent", ["a\nb\nc\n", "d\ne\n"]), ("change", ["a\n\nb\nc\n"])):
+        package = trees[side] / "src" / "affsim"
+        package.mkdir(parents=True)
+        for i, text in enumerate(texts):
+            (package / f"m{i}.py").write_text(text)
+        (package / "notes.txt").write_text("x\n" * 50)
     (trees["change"] / "BENCHMARK.json").write_text(json.dumps(SPEC))
 
     def run_once(tree, workload, seed, seconds):
@@ -47,6 +54,8 @@ def test_report_is_written_whatever_the_pairs_with_results(bench_pair, tmp_path,
     assert code == 1
     report = json.loads((trees["change"] / "BENCH_t.json").read_text())
     assert report["incorrect_runs"] == bench_pair.PAIRS - good_pairs
+    assert report["environment"]["parent"]["src_lines"] == 5
+    assert report["environment"]["change"]["src_lines"] == 4
     wall = report["workloads"]["office_sweep"]["wall_s"]
     assert wall["pairs"] == good_pairs
     assert wall["values"] == {"parent": [2.0] * good_pairs,

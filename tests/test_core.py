@@ -21,7 +21,6 @@ from affsim import (
     generate_random_instance,
     generate_rn_instance,
     is_selected,
-    is_successful,
     load_instance,
     max_avg_affectance_w,
     run_adaptive,
@@ -29,7 +28,6 @@ from affsim import (
     save_instance,
     schedule_from_text,
     schedule_to_text,
-    total_affectance,
     verify_selective,
 )
 from affsim.core import failure_constant, link_success, phase_count
@@ -43,9 +41,14 @@ from conftest import (
 )
 from oracles import (
     CapacityError,
+    a,
     brute_force_max_avg_affectance,
     brute_force_min_selective,
+    is_successful,
+    link_row,
     schedule,
+    total_affectance,
+    transmitters,
 )
 
 
@@ -101,9 +104,9 @@ class TestTopology:
     def test_out_of_range_link_does_not_alias(self):
         # Under the key v * (n + 2) + w, (1, n + 3) would read as (2, 1).
         topo = LayerTopology(2, ((1, 1), (2, 1), (2, 2)))
-        assert topo.link_row((2, 1)) == 1
+        assert link_row(topo, (2, 1)) == 1
         with pytest.raises(UnknownLinkError, match=r"unknown link \(1, 5\)"):
-            topo.link_row((1, 5))
+            link_row(topo, (1, 5))
 
     @given(st.data())
     def test_arrays_match_scalar_walk(self, data):
@@ -117,7 +120,7 @@ class TestTopology:
         assert topo.degree.tolist() == [
             sum(1 for _, w2 in links if w2 == w) for w in range(1, n + 1)]
         for i, link in enumerate(links):
-            assert topo.link_row(link) == i
+            assert link_row(topo, link) == i
         for w in range(1, n + 1):
             assert topo.f(w) == {v for v, w2 in links if w2 == w}
         for array in (topo.owner, topo.receiver, topo.degree):
@@ -139,7 +142,7 @@ class TestAffectanceMatrix:
 
     def test_absent_entry_is_zero(self):
         A = simple_pair()
-        assert A.a(2, (1, 2)) == 0.0
+        assert a(A, 2, (1, 2)) == 0.0
 
     @pytest.mark.parametrize("u", [0, -1, 3])
     @pytest.mark.parametrize("per_link", [True, False], ids=["per_link", "kernel"])
@@ -148,7 +151,7 @@ class TestAffectanceMatrix:
         if not per_link:
             A = AffectanceMatrix.from_kernel(A.topo, A.kernel())
         with pytest.raises(InstanceError, match=f"^transmitter {u} out of range$"):
-            A.a(u, (1, 1))
+            a(A, u, (1, 1))
 
     @pytest.mark.parametrize("entries", [
         [(2, 1, 1, 0.4), (2, 1, 1, 0.4)],
@@ -192,9 +195,9 @@ class TestAffectanceMatrix:
         B = AffectanceMatrix.from_kernel(A.topo, G)
         assert B.weights().tobytes() == A.weights().tobytes()
         for v, w in A.topo.links:
-            for u in A.topo.transmitters:
+            for u in transmitters(A.topo):
                 if u != v:
-                    assert A.a(u, (v, w)) == G[w - 1, u - 1]
+                    assert a(A, u, (v, w)) == G[w - 1, u - 1]
 
     def test_from_kernel_checks_the_kernel(self):
         # Transmitter 1 is receiver 2's only one: no link reads cell (1, 2).
@@ -210,9 +213,9 @@ class TestAffectanceMatrix:
     @given(random_instances(max_n=7))
     def test_entries_and_rows_match_scalar_walk(self, A):
         expected = sorted(
-            (u, v, w, A.a(u, (v, w)))
-            for v, w in A.topo.links for u in A.topo.transmitters
-            if A.a(u, (v, w)) != 0.0
+            (u, v, w, a(A, u, (v, w)))
+            for v, w in A.topo.links for u in transmitters(A.topo)
+            if a(A, u, (v, w)) != 0.0
         )
         assert A.entries() == expected
         assert AffectanceMatrix(A.topo, expected).weights().tobytes() == A.weights().tobytes()
@@ -249,7 +252,7 @@ def form_outputs(A, mask):
         characterize(A),
         A.kernel().tolist(),
         [max_avg_affectance_w(A, w) for w in A.topo.receivers],
-        [A.a(u, link) for link in A.topo.links for u in A.topo.transmitters],
+        [a(A, u, link) for link in A.topo.links for u in transmitters(A.topo)],
         [(r.transmit.tolist(), r.first_success, r.completed) for r in (
             run_schedule(A, mask),
             run_adaptive(A, "decay", {}, 3, 200),
@@ -296,7 +299,7 @@ class TestTotalAffectance:
     @given(random_instances(), st.data())
     def test_disjoint_additivity_and_monotonicity(self, A, data):
         link = data.draw(st.sampled_from(A.topo.links))
-        everyone = list(A.topo.transmitters)
+        everyone = list(transmitters(A.topo))
         t1 = set(data.draw(st.sets(st.sampled_from(everyone))))
         t2 = set(data.draw(st.sets(st.sampled_from(everyone)))) - t1
         both = total_affectance(A, t1 | t2, link)
@@ -367,14 +370,14 @@ class TestWeightGrid:
 
     def test_rounds_to_nearest_grid_point(self):
         A = ten_tenths()
-        assert A.a(2, (1, 1)) == round(0.1 * 2 ** 32) / 2 ** 32
-        assert abs(A.a(2, (1, 1)) - 0.1) <= 2.0 ** -33
+        assert a(A, 2, (1, 1)) == round(0.1 * 2 ** 32) / 2 ** 32
+        assert abs(a(A, 2, (1, 1)) - 0.1) <= 2.0 ** -33
 
     def test_from_kernel_rounds_its_own_array_in_place(self):
         topo = LayerTopology(2, ((1, 1), (2, 2)))
         G = np.full((2, 2), 0.1)
         A = AffectanceMatrix.from_kernel(topo, G)
-        assert np.all(G == A.a(2, (1, 1))) and A.a(2, (1, 1)) == round(0.1 * 2 ** 32) / 2 ** 32
+        assert np.all(G == a(A, 2, (1, 1))) and a(A, 2, (1, 1)) == round(0.1 * 2 ** 32) / 2 ** 32
         assert on_grid(A.kernel()) and on_grid(A.weights())
         frozen = np.full((2, 2), 0.1)
         frozen.flags.writeable = False
@@ -382,7 +385,7 @@ class TestWeightGrid:
         assert np.all(frozen == 0.1) and B.weights().tobytes() == A.weights().tobytes()
         ints = np.array([[0, 1], [1, 0]])
         C = AffectanceMatrix.from_kernel(topo, ints)
-        assert C.a(2, (1, 1)) == 1.0 and not np.shares_memory(C.kernel(), ints)
+        assert a(C, 2, (1, 1)) == 1.0 and not np.shares_memory(C.kernel(), ints)
         assert ints.tolist() == [[0, 1], [1, 0]]
         kernel = A.kernel()
         assert kernel.flags.writeable and not np.shares_memory(kernel, G)
@@ -407,7 +410,7 @@ class TestWeightGrid:
         topo = LayerTopology(2, ((1, 1), (2, 2)))
         dense = np.array([[0.0, 0.1], [0.0, 0.0]])
         A = AffectanceMatrix.from_dense(topo, dense)
-        assert dense[0, 1] == A.a(2, (1, 1)) != 0.1
+        assert dense[0, 1] == a(A, 2, (1, 1)) != 0.1
         frozen = np.array([[0.0, 0.1], [0.0, 0.0]])
         frozen.flags.writeable = False
         B = AffectanceMatrix.from_dense(topo, frozen)
@@ -426,7 +429,7 @@ class TestWeightGrid:
         finally:
             tracemalloc.stop()
         assert peak < dense.nbytes
-        assert dense[0, 1] == A.a(2, (1, 1)) != 0.1
+        assert dense[0, 1] == a(A, 2, (1, 1)) != 0.1
         assert not A.weights().flags.writeable
 
     def test_from_kernel_allocates_no_second_array(self):
@@ -441,7 +444,7 @@ class TestWeightGrid:
         finally:
             tracemalloc.stop()
         assert peak < G.nbytes / 10
-        assert G[0, 1] == A.a(2, (1, 1)) != 0.1
+        assert G[0, 1] == a(A, 2, (1, 1)) != 0.1
         assert not A.weights().flags.writeable
 
 
@@ -467,7 +470,7 @@ class TestTies:
                 is_successful(A, slot, link) for link in A.topo.links]
             for link in A.topo.links:
                 total = total_affectance(A, slot, link)
-                terms = A.weights([A.topo.link_row(link)])[0] * row
+                terms = A.weights([link_row(A.topo, link)])[0] * row
                 # Exact: every summation order gives the same total.
                 assert total == math.fsum(terms) == sum(terms[::-1])
         selected = selected_by_slot(A, mask)
@@ -646,6 +649,17 @@ class TestScheduleText:
         parsed = schedule_from_text(text)
         assert np.array_equal(parsed, sched)
         assert parsed.dtype == bool and not parsed.flags.writeable
+        # Long runs of silent slots between busy ones, and no slot at all,
+        # against the text written one slot at a time.
+        sparse = np.zeros((3000, 4), dtype=bool)
+        sparse[[0, 1, 1500, 2999], [2, 0, 3, 1]] = True
+        sparse[1, 3] = True
+        for mask in (sched, sparse, np.zeros((0, 4), dtype=bool)):
+            per_slot = [f"slots={len(mask)} n=4"] + [
+                " ".join(str(v + 1) for v in np.flatnonzero(row)) for row in mask]
+            text = schedule_to_text(mask)
+            assert text == "\n".join(per_slot) + "\n"
+            assert np.array_equal(schedule_from_text(text), mask)
 
     @pytest.mark.parametrize("text", [
         "",

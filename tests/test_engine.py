@@ -25,13 +25,12 @@ from affsim import (
     verify_selective,
     write_csv,
 )
-from affsim import engine
+from affsim import engine, protocols
 from affsim.core import link_success
-from affsim.engine import max_in_degree
-from affsim.protocols import RandomizedSlots, decay_period, randomized_phase_count
+from affsim.protocols import RandomizedSlots, decay_period
 
 from conftest import random_instances, selected_by_slot, ten_tenths_case, tie_cases
-from oracles import DecayState, decay_step, schedule, sinr_step
+from oracles import DecayState, decay_step, schedule, sinr_step, transmitters
 
 
 class TestRunSchedule:
@@ -99,7 +98,7 @@ class TestRunSchedule:
             for fallback in (False, True):
                 params = RandomizedParams(characterize(A), seed, fallback_mode=fallback)
                 char = params.characterization
-                phases, m = randomized_phase_count(params, n), char.m
+                phases, m = RandomizedSlots(params, n).phases, char.m
                 u = np.random.default_rng(seed).random((phases, m, n))
                 include = u < (char.b ** -np.arange(phases))[:, None, None]
                 expected = include.reshape(phases * m, n)
@@ -112,7 +111,7 @@ def scalar_adaptive(A, policy, params, seed, max_rounds):
     n = A.n
     rngs = [np.random.default_rng([seed, v]) for v in range(1, n + 1)]
     states = [DecayState() for _ in range(n)]
-    delta = max_in_degree(A.topo)
+    delta = int(A.topo.degree.max())
     first, slots = {}, []
     while len(slots) < max_rounds and len(first) < n:
         rnd = len(slots) + 1
@@ -178,7 +177,7 @@ class TestRunAdaptive:
                 spec = OfficeGridSpec(offices=max(1, 30 // degree), nodes_per_office=degree,
                                       wall_penalty=0.0, alpha=3.0)
                 A = generate_office_layer(spec)
-                assert decay_period(max_in_degree(A.topo)) == {1: 1, 5: 6, 100: 14}[degree]
+                assert decay_period(int(A.topo.degree.max())) == {1: 1, 5: 6, 100: 14}[degree]
             for max_rounds in (20, 32, 96, 150):
                 self.assert_matches_scalar(A, policy, {} if degree else params, seed,
                                            max_rounds)
@@ -188,9 +187,9 @@ class TestRunAdaptive:
         rng = np.random.default_rng(0)
         # A store with as many rows as the run reads, one with more, and a
         # batch of three runs, a seed repeated, whose nodes are stacked.
-        streams = [engine._NodeStreams(seed, rows) for seed, rows in stores]
+        streams = [protocols._NodeStreams(seed, rows) for seed, rows in stores]
         prefixes = [store.prefix.copy() for store in streams]
-        draws = engine._NodeDraws(streams, 4)
+        draws = protocols._NodeDraws(streams, 4)
         nodes = 4 * len(streams)
         taken = [[] for _ in range(nodes)]
         # Rows that use all or none of a peek leave ragged rests, so later
@@ -203,7 +202,7 @@ class TestRunAdaptive:
             for v in range(nodes):
                 taken[v] += values[v, :used[v]].tolist()
             draws.advance(used)
-        assert len(taken[0]) > engine._SHARED
+        assert len(taken[0]) > protocols._SHARED
         for r, (seed, _) in enumerate(stores):
             for v in range(4):
                 scalar = np.random.default_rng([seed, v + 1])
@@ -214,17 +213,11 @@ class TestRunAdaptive:
             np.testing.assert_array_equal(store.prefix, prefix)
 
     def test_node_streams_continue_past_the_prefix(self):
-        streams = engine._NodeStreams(2 ** 40 + 3, 5)
+        streams = protocols._NodeStreams(2 ** 40 + 3, 5)
         for v, rng in enumerate(streams.rngs(3), start=1):
-            scalar = np.random.default_rng([2 ** 40 + 3, v]).random(engine._SHARED + 4)
-            assert streams.prefix[v - 1].tolist() == scalar[:engine._SHARED].tolist()
-            assert rng.random(4).tolist() == scalar[engine._SHARED:].tolist()
-
-    @pytest.mark.parametrize("seed, rows", [(4, 6), (3, 5)])
-    def test_mismatched_node_streams_rejected(self, seed, rows):
-        A = generate_office_layer(OfficeGridSpec(offices=2))  # n = 6
-        with pytest.raises(InstanceError, match="node streams of seed"):
-            run_adaptive(A, "decay", {}, 3, 100, engine._NodeStreams(seed, rows))
+            scalar = np.random.default_rng([2 ** 40 + 3, v]).random(protocols._SHARED + 4)
+            assert streams.prefix[v - 1].tolist() == scalar[:protocols._SHARED].tolist()
+            assert rng.random(4).tolist() == scalar[protocols._SHARED:].tolist()
 
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7, 2 ** 96,
                                       2 ** 127 + 1])
@@ -232,13 +225,13 @@ class TestRunAdaptive:
         # Seeds of one to four 32-bit words, and past the 4-word pool.
         expected = [np.random.SeedSequence([seed, v]).generate_state(4, np.uint64)
                     for v in range(1, 601)]
-        states = engine._node_seed_states(seed, 600)
+        states = protocols._node_seed_states(seed, 600)
         assert states.dtype == np.uint64
         np.testing.assert_array_equal(states, expected)
 
     def test_node_seed_states_reject_negative_seeds(self):
         with pytest.raises(InstanceError, match="seed must be >= 0"):
-            engine._node_seed_states(-1, 3)
+            protocols._node_seed_states(-1, 3)
 
     def test_large_seed_matches_scalar_steps(self):
         A = generate_rn_instance(60, 8, 0)
@@ -277,9 +270,6 @@ class TestRunAdaptive:
         a = run_adaptive(rn_star, "decay", {}, 0, 200)
         b = run_adaptive(rn_star, "decay", {}, 1, 200)
         assert a.per_slot_transmitters != b.per_slot_transmitters
-
-    def test_max_in_degree(self, rn_star):
-        assert max_in_degree(rn_star.topo) == 3
 
 
 class TestTies:
@@ -383,7 +373,7 @@ class TestSweep:
 
         def recording_schedule(A, char):
             built.append(A.n)
-            return schedule(A.n, [{v} for v in A.topo.transmitters])
+            return schedule(A.n, [{v} for v in transmitters(A.topo)])
 
         monkeypatch.setattr(engine, "characterize", recording_characterize)
         monkeypatch.setattr(engine, "deterministic_schedule", recording_schedule)
@@ -476,7 +466,7 @@ class TestSweep:
             finally:
                 tracemalloc.stop()
 
-        store = 42 * engine._SHARED * 8
+        store = 42 * protocols._SHARED * 8
         assert peak(40) - peak(batch) < store
 
     def test_rn_3000_sweeps_without_the_dense_array(self):

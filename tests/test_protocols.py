@@ -41,7 +41,6 @@ from affsim.protocols import (
     _relevant,
     _selected_mass,
     greedy_slot_budget,
-    randomized_phase_count,
 )
 
 from conftest import random_instances, selected_by_slot, ten_tenths_case, tie_cases
@@ -110,7 +109,7 @@ class TestRandomizedSchedule:
 
     def test_draw_holds_one_phase_of_values(self):
         params = RandomizedParams(fake_char(abar=4.0, c=2.0, m=200), seed=3)
-        phases, m, n = randomized_phase_count(params, 100), 200, 100
+        phases, m, n = RandomizedSlots(params, 100).phases, 200, 100
         randomized_schedule(params, n)  # warm numpy's lazy imports and caches
         tracemalloc.start()
         try:
@@ -169,7 +168,7 @@ def one_shot_draw(params, n):
     """Reference: the whole (phases, m, n) array of draws made at once, then
     compared with each phase's p."""
     char = params.characterization
-    phases = randomized_phase_count(params, n)
+    phases = RandomizedSlots(params, n).phases
     m = params.m_override if params.m_override is not None else char.m
     draws = np.random.default_rng(params.seed).random((phases, m, n))
     p = char.b ** -np.arange(phases)
