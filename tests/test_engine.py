@@ -271,6 +271,30 @@ class TestRunAdaptive:
         b = run_adaptive(rn_star, "decay", {}, 1, 200)
         assert a.per_slot_transmitters != b.per_slot_transmitters
 
+    def test_max_in_degree(self, rn_star):
+        # The hub hears three neighbors, so decay's period is decay_period(3)
+        # = 4 rounds: every node fires in the first round of each period and
+        # then, once silent, stays silent until the next one.
+        assert int(rn_star.topo.degree.max()) == 3
+        stores = [protocols._NodeStreams(seed, 3) for seed in range(20)]
+        fire = protocols._adaptive_slots(rn_star, "decay", {}, stores)(0, 40)
+        periods = fire.reshape(10, 4, -1).astype(int)
+        assert periods[:, 0].all()
+        assert (np.diff(periods, axis=1) <= 0).all()
+        assert not periods[:, 1:].all()
+
+    @pytest.mark.parametrize("policy, params", [("decay", {}),
+                                                ("sinr", {"density": 4, "dilution": 3})])
+    def test_larger_store_serves_smaller_runs(self, policy, params):
+        # sweep hands every instance the stores of its largest one; reading
+        # the first n rows, past the shared prefix too, decides the same run.
+        A = generate_rn_instance(12, 4, 0)
+        slots = [protocols._adaptive_slots(A, policy, params,
+                                           [protocols._NodeStreams(seed, rows)
+                                            for seed in (5, 2 ** 40 + 3)])(0, 1200)
+                 for rows in (12, 40)]
+        np.testing.assert_array_equal(slots[0], slots[1])
+
 
 class TestTies:
     """Instances whose link totals land exactly on 1: the batched runs agree
