@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -553,10 +553,26 @@ def failure_constant(b):
     return max(1.0 / (2.0 * b), 0.5 + (1.0 - 1.0 / (2.0 * b)) * math.exp(-(b - 1.0) / b))
 
 
+def phase_bucket(abar_w, b):
+    """The phase whose transmission probability b**-r fits the interference
+    level ``abar_w``: 0 up to 1/2, then half-open geometric intervals
+    (b**(r-1)/2, b**r/2], so r >= 1 is the smallest r with
+    abar_w <= b**r / 2 in floats: ceil(log_b(2 * abar_w)), moved by the step
+    that rounding in the logarithm can cost."""
+    if abar_w <= 0.5:
+        return 0
+    r = max(1, math.ceil(math.log(2.0 * abar_w) / math.log(b)))
+    while r > 1 and abar_w <= b ** (r - 1) / 2.0:
+        r -= 1
+    while abar_w > b ** r / 2.0:
+        r += 1
+    return r
+
+
 def phase_count(abar, b):
-    if abar <= 0.0:
-        return 1
-    return max(math.ceil(math.log(2.0 * abar) / math.log(b)), 0) + 1
+    """Phases of the ladder p = b**-r, r = 0, 1, ..., up to the bucket of
+    the largest interference level ``abar``."""
+    return phase_bucket(abar, b) + 1
 
 
 def characterize(A, c=None):

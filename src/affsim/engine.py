@@ -116,8 +116,12 @@ def _first_dict(first):
 
 
 def _schedule_first_success(A, sched):
-    """(1, n) first successes of one run of the (slots, n) mask ``sched``."""
-    return _first_success(A, lambda start, stop: sched[start:stop, None], len(sched))
+    """(1, n) first successes of one run of the (slots, n) mask ``sched``. A
+    slot with no transmitter selects no receiver, so only the busy slots
+    are judged; judged slot j is schedule slot ``busy[j - 1] + 1``."""
+    busy = np.flatnonzero(sched.any(axis=1))
+    first = _first_success(A, lambda start, stop: sched[busy[start:stop], None], len(busy))
+    return np.r_[0, busy + 1][first]
 
 
 def run_schedule(A, sched, protocol="schedule", seed=None):
@@ -208,10 +212,10 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     ``protocols`` holds names: randomized, deterministic, decay, sinr.
     ``c`` goes to ``characterize``, and ``m_override`` to the randomized
     schedule. Each instance is characterized once, on its first randomized
-    or deterministic run, and its greedy schedule is built once. A
-    randomized row builds no mask: ``_randomized_first_success`` draws only
-    the slots it judges and judges phase 0 by its first slot, with the
-    first successes of ``run_schedule`` on the whole ``randomized_schedule``.
+    or deterministic run. A randomized row builds no mask:
+    ``_randomized_first_success`` draws only the slots it judges and judges
+    phase 0 by its first slot, with the first successes of ``run_schedule``
+    on the whole ``randomized_schedule``.
 
     The seeds go in batches of max(1, _BATCH_CELLS // (_FIRST_BLOCK * L))
     seeds, L the largest link count among the instances, and each
@@ -240,7 +244,7 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     n_max = max(A.n for _, A, _ in instances)
     links = max(len(A.topo.owner) for _, A, _ in instances)
     batch = max(1, _BATCH_CELLS // (_FIRST_BLOCK * links))
-    chars, greedy = {}, {}
+    chars = {}
     rows = {}
     for b in range(0, len(seeds), batch):
         batch_seeds = seeds[b:b + batch]
@@ -257,9 +261,7 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
                                          m_override=m_override)
                         for seed in batch_seeds])
                 elif name == "deterministic":
-                    if j not in greedy:
-                        greedy[j] = deterministic_schedule(A, chars[j])
-                    first = _schedule_first_success(A, greedy[j])
+                    first = _schedule_first_success(A, deterministic_schedule(A, chars[j]))
                 else:
                     if stores is None:
                         stores = [_NodeStreams(seed, n_max) for seed in batch_seeds]

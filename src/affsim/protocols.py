@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_RANDOMIZED_CELLS, Characterization, InstanceError, link_success, phase_count
+from .core import (MAX_RANDOMIZED_CELLS, Characterization, InstanceError, link_success,
+                   phase_bucket, phase_count)
 
 # Cap on the relevant undecided transmitters enumerated per receiver (2**K
 # outcomes). A greedy table may hold 2**(K + 1): transmitter 1 is decided
@@ -78,7 +79,7 @@ class RandomizedSlots:
                                 f"{phases * m * n} draws, over the limit of {MAX_RANDOMIZED_CELLS}")
         self.m, self.n, self.phases = m, n, phases
         self.rng = np.random.default_rng(params.seed)
-        self.p = char.b ** -np.arange(phases)
+        self.b = char.b
         self.pos = 0  # the slot whose draws the generator is at
 
     def __len__(self):
@@ -89,17 +90,17 @@ class RandomizedSlots:
         a = start
         while a < stop:
             i = a // self.m
-            b = min(stop, (i + 1) * self.m)
+            end = min(stop, (i + 1) * self.m)
             if i == 0:
-                mask[a - start:b - start] = True
+                mask[a - start:end - start] = True
             else:
                 if a < self.pos:
                     raise ValueError(f"slot {a + 1} asked for after slot {self.pos} was drawn")
                 self.rng.bit_generator.advance((a - self.pos) * self.n)
-                np.less(self.rng.random((b - a, self.n)), self.p[i],
-                        out=mask[a - start:b - start])
-                self.pos = b
-            a = b
+                np.less(self.rng.random((end - a, self.n)), self.b ** -i,
+                        out=mask[a - start:end - start])
+                self.pos = end
+            a = end
         return mask
 
 
@@ -193,47 +194,16 @@ def _pessimistic_estimates(owners, receivers, q, totals):
 
 
 def receiver_partition(A, char):
-    """Bucket each receiver by the phase whose transmission probability fits
-    its interference level: bucket 0 up to 1/2, then half-open geometric
-    intervals (b**(r-1)/2, b**r/2]. Bucket r >= 1 is the smallest r with
-    abar_w <= b**r / 2 in floats: ceil(log_b(2 * abar_w)), moved by the
-    step that rounding in the logarithm can cost."""
-    b = char.b
+    """Receivers by ``phase_bucket`` of their interference level: bucket r
+    holds those that phase r of the ladder, at p = b**-r, fits."""
     buckets = {}
     for w in A.topo.receivers:
-        abar_w = char.abar_w[w - 1]
-        r = 0
-        if abar_w > 0.5:
-            r = max(1, math.ceil(math.log(2.0 * abar_w) / math.log(b)))
-            while r > 1 and abar_w <= (b ** (r - 1)) / 2.0:
-                r -= 1
-            while abar_w > (b ** r) / 2.0:
-                r += 1
-        buckets.setdefault(r, set()).add(w)
+        buckets.setdefault(phase_bucket(char.abar_w[w - 1], char.b), set()).add(w)
     return buckets
 
 
 def greedy_slot_budget(n, char):
     return 10 * (1 + math.ceil(math.log2(max(n, 1))) * char.phases)
-
-
-def _probability_cycle(b, reset_at, keys):
-    """The greedy's cycle of slot probabilities: slot r of a cycle has p
-    equal to 1 divided by b r times, in floats, and the cycle ends before
-    the first p <= ``reset_at``. Returns the cycle's length and {r: p} for
-    each r in ``keys`` inside it. ``np.divide.accumulate`` takes the
-    divisions in order, in chunks that double, each the correctly rounded
-    quotient that ``p /= b`` gives."""
-    p_at, start, chunk, p = {}, 0, 64, 1.0
-    while True:
-        # p_(start + i) for i = 0..chunk.
-        sequence = np.divide.accumulate(np.r_[p, np.full(chunk, b)])
-        reset = np.flatnonzero(sequence[1:] <= reset_at)
-        stop = start + (reset[0] + 1 if reset.size else chunk)
-        p_at.update((r, float(sequence[r - start])) for r in keys if start <= r < stop)
-        if reset.size:
-            return stop, p_at
-        start, chunk, p = stop, min(2 * chunk, 1 << 16), sequence[-1]
 
 
 def deterministic_schedule(A, char):
@@ -243,10 +213,11 @@ def deterministic_schedule(A, char):
     firing rather than staying silent raises the score of the still-pending
     receivers in the current bucket, with the remaining transmitters
     randomized at the slot's probability, by more than ``MIN_GAIN``. The
-    probability starts at 1, divides by b each slot, and resets to 1 once
-    it falls to 1/(2*b*abar). Receivers selected by the realized slot are
-    retired from every bucket, and the loop only exits once every receiver
-    was selected.
+    slots cycle through the ``char.phases`` phases of the randomized
+    protocol's ladder: slot r of a cycle targets bucket r of
+    ``receiver_partition`` at p = b**-r. Receivers selected by the realized
+    slot are retired from every bucket, and the loop only exits once every
+    receiver was selected.
 
     A receiver scores its selection probability while its weighing
     transmitters (those that own or weigh on its links) from transmitter 2
@@ -259,29 +230,27 @@ def deterministic_schedule(A, char):
     strided slice of its outcomes that agrees with the decision. A wider
     receiver scores Raghavan's pessimistic estimator
     ``_pessimistic_estimates`` of the transmit probabilities q, over link
-    totals ``weights @ q`` that each decision updates by one column. Both scores are multilinear in each
-    undecided q_t, so the better branch never scores below the slot's
-    current score. A slot ends by asserting that each exact target's slice
-    is the one outcome saying whether the slot selects it, and that each
-    wide target's estimate is at most its selection. A slot with no target
-    is silent, and a run of them, up to the next pending bucket or the
-    reset, is counted as one block of zero rows. The slot budget (``ScheduleError``) stays as a safety net.
-    A cycle of phases slots for n transmitters over ``MAX_RANDOMIZED_CELLS``
-    cells is an InstanceError, raised before the first slot.
+    totals ``weights @ q`` that each decision updates by one column. Both
+    scores are multilinear in each undecided q_t, so the better branch never
+    scores below the slot's current score. A slot ends by asserting that
+    each exact target's slice is the one outcome saying whether the slot
+    selects it, and that each wide target's estimate is at most its
+    selection. A slot with no target is silent, and a run of them, up to the
+    next pending bucket or the cycle's end, is counted as one block of zero
+    rows. The slot budget (``ScheduleError``) stays as a safety net. A cycle
+    of phases slots for n transmitters over ``MAX_RANDOMIZED_CELLS`` cells
+    is an InstanceError, raised before the first slot.
     """
     n = A.n
-    b = char.b
     if char.phases * n > MAX_RANDOMIZED_CELLS:
         raise InstanceError(f"greedy schedule of phases={char.phases}, n={n} holds "
                             f"{char.phases * n} cells per cycle, over the limit of "
                             f"{MAX_RANDOMIZED_CELLS}")
     buckets = receiver_partition(A, char)
-    reset_at = 1.0 / (2.0 * b * char.abar) if char.abar > 0 else math.inf
+    cycle = char.phases  # slot r of a cycle targets bucket r at p = b**-r
     budget = greedy_slot_budget(n, char)
     tables = {}  # per receiver: (deciding list, outcome table), None if wide
     probabilities = {}  # outcome probabilities per k, at this slot's p
-
-    cycle, p_at = _probability_cycle(b, reset_at, buckets)
     fired = {}  # slot index -> transmit row, for slots with a target
     slots, r = 0, 0
     while any(buckets.values()):
@@ -299,7 +268,7 @@ def deterministic_schedule(A, char):
             slots += stop - r
             r = stop % cycle
             continue
-        p = p_at[r]
+        p = char.b ** -r
         probabilities.clear()
         # Per exact target: the view of its table that agrees with the slot's
         # decisions so far, listed under each of its deciding transmitters.

@@ -96,3 +96,12 @@ def selected_by_slot(A, mask):
         [is_selected(A, set((np.flatnonzero(row) + 1).tolist()), w) for w in A.topo.receivers]
         for row in mask
     ], dtype=bool).reshape(len(mask), A.n)
+
+
+def ladder_edge():
+    """An instance and a c at which receiver 1's level, 0.77734375, lies
+    just past the edge b**7 / 2 of bucket 7: a bare logarithm puts it in
+    bucket 7, the float test abar_w <= b**r / 2 in bucket 8."""
+    topo = LayerTopology(3, ((1, 1), (2, 1), (3, 2), (3, 3)))
+    A = AffectanceMatrix(topo, [(3, 1, 1, 0.77734375), (3, 2, 1, 0.77734375)])
+    return A, 7.684196305688645

@@ -18,6 +18,8 @@ from affsim import LayerTopology, load_instance, save_instance, schedule_from_te
 from affsim import characterize, verify_selective
 from affsim.cli import main
 
+from conftest import ladder_edge
+
 
 def write_office(tmp_path, offices=2):
     path = tmp_path / "office.json"
@@ -99,6 +101,20 @@ def test_deterministic_schedule_past_exact_tables(tmp_path, capsys):
                  "--protocol", "deterministic", "--out", str(out)])
     assert code == 0
     assert "covered=24/24" in capsys.readouterr().out
+
+
+def test_ladder_edge_gets_its_top_phase(tmp_path, capsys):
+    # Receiver 1 lies in bucket 8, on a float edge that a bare logarithm
+    # puts in bucket 7: with 8 phases the greedy has no slot for it.
+    A, c = ladder_edge()
+    instance = tmp_path / "edge.json"
+    save_instance(A, instance)
+    assert main(["characterize", "--instance", str(instance), "--c", repr(c)]) == 0
+    assert "m=2452 phases=9 " in capsys.readouterr().out
+    code = main(["schedule", "--instance", str(instance), "--protocol", "deterministic",
+                 "--c", repr(c), "--out", str(tmp_path / "sched.txt")])
+    assert code == 0
+    assert capsys.readouterr().out == "slots=9 covered=3/3\n"
 
 
 def test_schedule_reports_uncovered_receivers(tmp_path, capsys):

@@ -11,7 +11,6 @@ from affsim import (
     RandomizedParams,
     characterize,
     deterministic_schedule,
-    encode_radio_network,
     generate_office_layer,
     generate_random_instance,
     generate_rn_instance,
@@ -78,6 +77,18 @@ class TestRunSchedule:
             record = run_schedule(A, mask)
             assert record.slots_executed == len(mask)
             assert replay_first_success(A, record) == record.first_success
+        # Silent slots are not judged: an all-silent mask, and busy slots
+        # between silent runs longer than an evaluation block, from slot
+        # 2001 on a lone transmitter every third slot, which selects its
+        # receivers.
+        silent = np.zeros((3000, A.n), dtype=bool)
+        runs = silent.copy()
+        runs[[0, 1100]] = rng.random((2, A.n)) < 0.5
+        runs[2000 + 3 * np.arange(A.n), np.arange(A.n)] = True
+        for mask in (silent, runs):
+            record = run_schedule(A, mask)
+            assert record.first_success == verify_selective(A, mask).first_slot
+        assert record.completed and record.rounds > 2000
 
     @pytest.mark.parametrize("sched", [
         schedule(5, [{5}]),
@@ -100,7 +111,8 @@ class TestRunSchedule:
                 char = params.characterization
                 phases, m = RandomizedSlots(params, n).phases, char.m
                 u = np.random.default_rng(seed).random((phases, m, n))
-                include = u < (char.b ** -np.arange(phases))[:, None, None]
+                p = np.array([char.b ** -i for i in range(phases)])
+                include = u < p[:, None, None]
                 expected = include.reshape(phases * m, n)
                 assert np.array_equal(randomized_schedule(params, n), expected)
 
@@ -387,8 +399,9 @@ class TestSweep:
         assert [row.rounds for row in rows] == [record.rounds for record in expected]
         assert [row.slot_bound for row in rows] == [char.slot_bound, None, None]
 
-    def test_deterministic_schedule_built_once_per_instance(self, monkeypatch):
-        # One characterization per instance serves randomized and the greedy.
+    def test_one_characterization_per_instance(self, monkeypatch):
+        # One characterization per instance serves randomized and the greedy;
+        # the greedy is built on each deterministic run, on the first seed.
         characterized, built = [], []
 
         def recording_characterize(A, c=None):
@@ -405,8 +418,10 @@ class TestSweep:
         rows = sweep(instances, ["deterministic", "randomized", "deterministic"],
                      [5, 6, 5], max_rounds=500)
         assert characterized == [4, 5]
-        assert built == [4, 5]
+        assert built == [4, 5, 4, 5]
         assert len(rows) == 2 + 2 * 3 + 2
+        greedy = [row for row in rows if row.protocol == "deterministic"]
+        assert greedy[:2] == greedy[2:]
 
     def test_empty_inputs_rejected(self):
         instance = self.instance()

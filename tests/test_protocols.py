@@ -28,7 +28,7 @@ from affsim import (
     run_schedule,
     verify_selective,
 )
-from affsim.core import link_success
+from affsim.core import link_success, phase_count
 from affsim import protocols
 from affsim.protocols import (
     K_EXACT,
@@ -36,14 +36,13 @@ from affsim.protocols import (
     RandomizedSlots,
     ScheduleError,
     _outcome_table,
-    _probability_cycle,
     _pessimistic_estimates,
     _relevant,
     _selected_mass,
     greedy_slot_budget,
 )
 
-from conftest import random_instances, selected_by_slot, ten_tenths_case, tie_cases
+from conftest import ladder_edge, random_instances, selected_by_slot, ten_tenths_case, tie_cases
 from oracles import CapacityError, DecayState, decay_step, sinr_step
 
 
@@ -171,7 +170,7 @@ def one_shot_draw(params, n):
     phases = RandomizedSlots(params, n).phases
     m = params.m_override if params.m_override is not None else char.m
     draws = np.random.default_rng(params.seed).random((phases, m, n))
-    p = char.b ** -np.arange(phases)
+    p = np.array([char.b ** -i for i in range(phases)])
     return (draws < p[:, None, None]).reshape(phases * m, n)
 
 
@@ -318,14 +317,14 @@ def matmul_selection_probability(A, w, choices, p, k_exact=K_EXACT):
 def matmul_greedy(A, char):
     """Reference: the exact greedy with every estimate a fresh
     ``matmul_selection_probability`` call, a transmitter firing iff that
-    gains more than ``MIN_GAIN``; returns the (slots, n) mask."""
+    gains more than ``MIN_GAIN``, slot r of each cycle of ``char.phases``
+    slots at p = b**-r; returns the (slots, n) mask."""
     buckets = receiver_partition(A, char)
-    reset_at = 1.0 / (2.0 * char.b * char.abar) if char.abar > 0 else math.inf
-    slots, p, r = [], 0.0, 0
+    slots = []
     while any(buckets.values()):
         assert len(slots) < greedy_slot_budget(A.n, char)
-        if p <= reset_at:
-            p, r = 1.0, 0
+        r = len(slots) % char.phases
+        p = char.b ** -r
         target = sorted(buckets.get(r, ()))
         choices = ()
         for _ in range(A.n):
@@ -339,8 +338,6 @@ def matmul_greedy(A, char):
         success = link_success(A, np.array(choices))
         for bucket in buckets.values():
             bucket -= set((A.topo.receiver[success] + 1).tolist())
-        p /= char.b
-        r += 1
     return np.array(slots, dtype=bool).reshape(len(slots), A.n)
 
 
@@ -729,26 +726,22 @@ class TestDeterministicSchedule:
         assert sched.any(axis=1).sum() == 1
         assert peak < 1.2 * sched.nbytes
 
-    @pytest.mark.parametrize("c, abar", [(2.0, 4.0), (1.01, 30.0), (1e3, 1.7), (1e5, 8.0),
-                                         (3.0, 0.2)])
-    def test_probability_cycle_matches_repeated_division(self, c, abar):
-        b = 1.0 + 1.0 / (2.0 * c)
-        reset_at = 1.0 / (2.0 * b * abar)
-        p, sequence = 1.0, []
-        while True:
-            sequence.append(p)
-            p /= b
-            if p <= reset_at:
-                break
-        keys = {0, 1, 63, 64, 65, 191, 192, len(sequence) - 1, len(sequence), len(sequence) + 9}
-        cycle, p_at = _probability_cycle(b, reset_at, keys)
-        assert cycle == len(sequence)
-        assert p_at == {r: sequence[r] for r in keys if r < cycle}
-        assert _probability_cycle(b, math.inf, [0, 1]) == (1, {0: 1.0})
+    def test_top_bucket_on_a_float_edge_gets_a_phase(self):
+        # Receiver 1's level lies on a float edge: a bare logarithm says
+        # bucket 7, the float test bucket 8. Unless the ladder has 9 phases,
+        # no cycle slot targets receiver 1 and the greedy runs past its budget.
+        A, c = ladder_edge()
+        char = characterize(A, c=c)
+        assert char.phases == 9
+        assert max(receiver_partition(A, char)) == 8
+        sched = deterministic_schedule(A, char)
+        assert len(sched) <= greedy_slot_budget(A.n, char)
+        assert verify_selective(A, sched).selective
+        assert np.array_equal(sched, matmul_greedy(A, char))
 
     def test_unreachable_bucket_exceeds_the_budget(self):
         # A characterization whose abar is below receiver 1's: its bucket, 24,
-        # lies past the cycle's 5 slots, so only silent blocks follow slot 1.
+        # lies past the cycle's 3 slots, so only silent blocks follow slot 1.
         A = AffectanceMatrix(LayerTopology(2, ((1, 1), (2, 2))))
         char = Characterization(abar_w=(100.0, 0.0), abar=1.0, c=2.0, b=1.25, d=0.99, m=1,
                                 phases=3)
@@ -806,6 +799,7 @@ class TestReceiverPartition:
         expected = {}
         for w, abar_w in enumerate(abar_ws, start=1):
             expected.setdefault(self.looped_bucket(abar_w, b), set()).add(w)
+            assert phase_count(abar_w, b) == self.looped_bucket(abar_w, b) + 1
         assert buckets == expected
 
 
