@@ -133,6 +133,46 @@ def test_schedule_reports_uncovered_receivers(tmp_path, capsys):
     ]
 
 
+# `affsim schedule --protocol randomized` on office n = 15, per (seed,
+# options): the SHA-256 of the schedule file and of stdout. Fixed seeds give
+# byte-identical schedules, from one version to the next.
+GOLDEN_RANDOMIZED_SCHEDULES = {
+    (0, ()): ("994b6a331936b0b963e3868a290960d6ee0570de5538dbbcac396f301cf00a90",
+              "7b10e6ff00fef5d9dba14efde0d6bd6a31bd36c65ba06595269d034a5d82f133"),
+    (0, ("--fallback",)): (
+        "9b78bfaf14c8a14c42001de4d85197644c365365b8d5c24e728df571a2957159",
+        "1b471f27ec275cf13ac6fd1aee1dca2e0b00adcd9b8b36a1c626af5ab9262235"),
+    (0, ("--m-override", "4")): (
+        "3014d17545af06fffeb33486339094f3846c5045d0cd515991ca1136e427f9ce",
+        "41269433936ab3033dbb39223096076e0383b66abd5f3d534d98264117ae45b2"),
+    (0, ("--fallback", "--m-override", "4")): (
+        "0591758ac4a29bb258107ad8ddf61440e1d4d1fe3a531de9e7bd47055f3cc134",
+        "4e48498dd86a61c1c5695e8ef52656e6020d9fd98aded4d4f83f00ce8ca39ccb"),
+    (3, ()): ("7cde7545b6a885b280da437db6a36a7750156eeefb090b449b9241f027c391ce",
+              "7b10e6ff00fef5d9dba14efde0d6bd6a31bd36c65ba06595269d034a5d82f133"),
+    (3, ("--fallback",)): (
+        "d3c832bae091db4a3ba8874b7df419fa09d1bf99474b5050b93baab4ad7ba468",
+        "1b471f27ec275cf13ac6fd1aee1dca2e0b00adcd9b8b36a1c626af5ab9262235"),
+    (3, ("--m-override", "4")): (
+        "e0e579a6c0ed96ea79e6309882483a275c170bfa9c40076d7c04e3f45ef403e9",
+        "41269433936ab3033dbb39223096076e0383b66abd5f3d534d98264117ae45b2"),
+    (3, ("--fallback", "--m-override", "4")): (
+        "2bee13ac0163af241ec5429c192947afefca639950dba45489ff3bb5026287bf",
+        "4e48498dd86a61c1c5695e8ef52656e6020d9fd98aded4d4f83f00ce8ca39ccb"),
+}
+
+
+@pytest.mark.parametrize("seed, options", sorted(GOLDEN_RANDOMIZED_SCHEDULES))
+def test_randomized_schedule_golden_outputs(tmp_path, capsys, seed, options):
+    out = tmp_path / "sched.txt"
+    code = main(["schedule", "--instance", write_office(tmp_path, offices=5),
+                 "--protocol", "randomized", "--seed", str(seed), *options, "--out", str(out)])
+    assert code == 0
+    schedule_digest, stdout_digest = GOLDEN_RANDOMIZED_SCHEDULES[seed, options]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == schedule_digest
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
+
+
 # Fixed sweeps with the SHA-256 of their CSV and of their summary on stdout:
 # fixed seeds give byte-identical sweep outputs, from one version to the next.
 GOLDEN_SWEEPS = {
