@@ -16,8 +16,8 @@ on ``PYTHONPATH``) in each tree, in the same alternating order.
 
 Writes ``BENCH_<label>.json`` into the change tree: the environment of each
 side (git sha, whether the tree had uncommitted changes, the lines of
-``src/affsim/*.py`` as ``wc -l`` counts them, so the net line change sits
-beside the timings, the SHA-256 of those files as the benchmark computes
+``src/affsim/*.py`` and of ``tests/*.py`` as ``wc -l`` counts them, so the
+net line changes sit beside the timings, the SHA-256 of those files as the benchmark computes
 it, Python, numpy, BLAS, nproc, CPU), and for every workload and end-to-end metric both sides'
 median and quartiles (null quartiles when fewer than two pairs gave both
 results), the number of pairs in which the change was better (ties count
@@ -99,9 +99,9 @@ def git_state(tree):
             "uncommitted_changes": None if status is None else bool(status)}
 
 
-def src_lines(tree):
-    """Newline count of the tree's ``src/affsim/*.py``, ``wc -l``'s total."""
-    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "affsim").glob("*.py"))
+def line_count(directory):
+    """Newline count of ``directory/*.py``, ``wc -l``'s total."""
+    return sum(path.read_bytes().count(b"\n") for path in directory.glob("*.py"))
 
 
 def summary(values):
@@ -153,7 +153,8 @@ def main(argv=None):
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    env = {side: {**git_state(tree), "src_lines": src_lines(tree)} for side, tree in trees.items()}
+    env = {side: {**git_state(tree), "src_lines": line_count(tree / "src" / "affsim"),
+                  "tests_lines": line_count(tree / "tests")} for side, tree in trees.items()}
     report = {"label": args.label, "seconds": seconds, "seed_base": args.seed_base,
               "pairs": PAIRS, "environment": env, "workloads": {}}
     incorrect = 0

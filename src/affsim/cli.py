@@ -7,9 +7,10 @@ budget or a sweep whose results include truncated runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
-from .core import InstanceError, characterize, schedule_to_text
+from .core import InstanceError, characterize, phase_count, schedule_to_text
 from .engine import MAX_ROUNDS_DEFAULT, run_schedule, summarize, sweep, write_csv
 from .protocols import (
     RandomizedParams,
@@ -53,9 +54,10 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--c", type=float, default=None)
-    p.add_argument("--m-override", type=int, default=None)
+    p.add_argument("--m-override", type=int, default=None,
+                   help="randomized: slots per phase, in place of m")
     p.add_argument("--fallback", action="store_true",
-                   help="size phases from n alone")
+                   help="randomized: phases sized from n alone (abar = n - 1)")
 
     p = sub.add_parser("sweep", help="run instances x protocols x seeds to CSV")
     p.add_argument("--instance", action="append", default=[],
@@ -70,7 +72,8 @@ def build_parser():
                         "schedules always run to their end")
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--c", type=float, default=None)
-    p.add_argument("--m-override", type=int, default=None)
+    p.add_argument("--m-override", type=int, default=None,
+                   help="randomized: slots per phase, in place of m")
     p.add_argument("--density", type=int, default=None)
     p.add_argument("--dilution", type=int, default=None)
     return parser
@@ -102,13 +105,9 @@ def cmd_schedule(args):
     A = load_instance(args.instance)
     char = characterize(A, c=args.c)
     if args.protocol == "randomized":
-        params = RandomizedParams(
-            characterization=char,
-            seed=args.seed,
-            fallback_mode=args.fallback,
-            m_override=args.m_override,
-        )
-        sched = randomized_schedule(params, A.n)
+        if args.fallback:
+            char = dataclasses.replace(char, phases=phase_count(A.n - 1, char.b))
+        sched = randomized_schedule(RandomizedParams(char, args.seed, args.m_override), A.n)
     else:
         sched = deterministic_schedule(A, char)
     with open(args.out, "w") as fh:

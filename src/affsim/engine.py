@@ -135,21 +135,15 @@ def run_schedule(A, sched, protocol="schedule", seed=None):
 def _randomized_first_success(A, params):
     """The (len(params), n) first successes of ``run_schedule`` on
     ``randomized_schedule(p, A.n)`` for each p of ``params``, which differ
-    in their seed only, drawing only the slots it judges: one
-    ``RandomizedSlots`` per seed, stacked. Phase 0 fires every transmitter
-    in each of its m slots, so a receiver it covers succeeds in slot 1 and
-    slots 2..m select none: the judged slots are slot 1, then slots m + 1
-    onward, and judged slot j > 1 is schedule slot j + m - 1."""
-    sources = [RandomizedSlots(p, A.n) for p in params]
-    m = sources[0].m
-
-    def slots(start, stop):
-        if start:
-            return np.stack([source(start + m - 1, stop + m - 1) for source in sources], axis=1)
-        return np.stack([np.concatenate([source(0, 1), source(m, stop + m - 1)])
-                         for source in sources], axis=1)
-
-    first = _first_success(A, slots, len(sources[0]) - m + 1, len(sources))
+    in their seed only, drawing from their one ``RandomizedSlots`` source
+    only the slots it judges. Phase 0 fires every transmitter in each of its
+    m slots, so a receiver it covers succeeds in slot 1 and slots 2..m
+    select none: the judged slots are slot 1, read as its equal slot m, then
+    slots m + 1 onward, and judged slot j > 1 is schedule slot j + m - 1."""
+    source = RandomizedSlots(params, A.n)
+    m = source.m
+    first = _first_success(A, lambda start, stop: source(start + m - 1, stop + m - 1),
+                           len(source) - m + 1, len(params))
     return np.where(first > 1, first + m - 1, first)
 
 
@@ -212,10 +206,10 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     ``protocols`` holds names: randomized, deterministic, decay, sinr.
     ``c`` goes to ``characterize``, and ``m_override`` to the randomized
     schedule. Each instance is characterized once, on its first randomized
-    or deterministic run. A randomized row builds no mask:
-    ``_randomized_first_success`` draws only the slots it judges and judges
-    phase 0 by its first slot, with the first successes of ``run_schedule``
-    on the whole ``randomized_schedule``.
+    or deterministic run. A randomized batch builds no mask: its seeds share
+    one ``RandomizedSlots`` source, which ``_randomized_first_success``
+    reads only as far as it judges, phase 0 by one slot, with the first
+    successes of ``run_schedule`` on each whole ``randomized_schedule``.
 
     The seeds go in batches of max(1, _BATCH_CELLS // (_FIRST_BLOCK * L))
     seeds, L the largest link count among the instances, and each

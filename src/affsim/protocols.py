@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (MAX_RANDOMIZED_CELLS, Characterization, InstanceError, link_success,
-                   phase_bucket, phase_count)
+                   phase_bucket)
 
 # Cap on the relevant undecided transmitters enumerated per receiver (2**K
 # outcomes). A greedy table may hold 2**(K + 1): transmitter 1 is decided
@@ -36,15 +36,12 @@ class ScheduleError(RuntimeError):
 
 @dataclass(frozen=True)
 class RandomizedParams:
-    """Inputs of the randomized schedule builder.
-
-    ``fallback_mode`` sizes the phase ladder from n alone (every receiver's
-    average interference is at most n-1) instead of the measured maximum.
-    """
+    """Inputs of the randomized schedule. The characterization alone sets the
+    ladder (``phases`` and ``b``), and m unless ``m_override`` does; another
+    ladder is another characterization, built with ``dataclasses.replace``."""
 
     characterization: Characterization
     seed: int
-    fallback_mode: bool = False
     m_override: int | None = None
 
     def __post_init__(self):
@@ -52,65 +49,75 @@ class RandomizedParams:
             raise InstanceError("m_override must be >= 1")
 
 
+def _check_seed(seed):
+    """``seed`` as an int: an InstanceError unless it is an integer >= 0."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise InstanceError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise InstanceError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 class RandomizedSlots:
-    """The randomized schedule as a slot source, drawn only as far as it is
-    read: calling it with (start, stop) returns the bool mask of slots
-    start + 1..stop, and ``len`` gives the schedule's phases * m slots.
+    """The randomized schedules of a batch of ``RandomizedParams`` that differ
+    only in seed, as one slot source drawn only as far as it is read:
+    calling it with (start, stop) returns the (stop - start, runs, n) bool
+    mask of slots start + 1..stop, and ``len`` gives a schedule's phases * m.
 
     Phase i (0-based) holds m slots; each slot includes each transmitter
-    independently with probability b**-i. Draws come from the seeded
+    independently with probability b**-i. Each run draws from its seed's
     generator in phase-major, slot-minor, transmitter-ascending order, one
     double (one 64-bit output) per slot and transmitter, so a block of k
-    slots of phase i is ``rng.random((k, n)) < b**-i`` and takes exactly the
-    values of those rows of the whole draw. Phase 0 has p = 1, which every
-    draw is below: its slots are all-on and draw nothing, and the generator
-    is advanced past them, as past any slots skipped between calls, only
-    when a later slot is drawn. Drawn slots must be asked for in ascending
-    order. More than ``MAX_RANDOMIZED_CELLS`` cells is an InstanceError,
-    raised before any draw is made.
+    slots of phase i, ``rng.random((k, n)) < b**-i`` written into the run's
+    slice, holds exactly those rows of the whole draw. Phase 0 has p = 1,
+    which every draw is below: its slots are all-on and draw nothing, and
+    the generators are advanced past them, as past any slots skipped between
+    calls, only when a later slot is drawn. Drawn slots must be asked for in
+    ascending order. More than ``MAX_RANDOMIZED_CELLS`` cells per run, or a
+    seed that is not an integer >= 0, is an InstanceError, raised before any
+    generator is built.
     """
 
     def __init__(self, params, n):
-        char = params.characterization
-        phases = phase_count(n - 1, char.b) if params.fallback_mode else char.phases
-        m = params.m_override if params.m_override is not None else char.m
-        if phases * m * n > MAX_RANDOMIZED_CELLS:
-            raise InstanceError(f"randomized schedule of phases={phases}, m={m}, n={n} needs "
-                                f"{phases * m * n} draws, over the limit of {MAX_RANDOMIZED_CELLS}")
-        self.m, self.n, self.phases = m, n, phases
-        self.rng = np.random.default_rng(params.seed)
-        self.b = char.b
-        self.pos = 0  # the slot whose draws the generator is at
+        char = params[0].characterization
+        self.n, self.phases, self.b = n, char.phases, char.b
+        self.m = params[0].m_override or char.m
+        if len(self) * n > MAX_RANDOMIZED_CELLS:
+            raise InstanceError(f"randomized schedule of phases={self.phases}, m={self.m}, n={n} "
+                                f"needs {len(self) * n} draws, over the limit of "
+                                f"{MAX_RANDOMIZED_CELLS}")
+        seeds = [_check_seed(p.seed) for p in params]
+        self.rngs = [np.random.default_rng(seed) for seed in seeds]
+        self.pos = 0  # the slot whose draws the generators are at
 
     def __len__(self):
         return self.phases * self.m
 
     def __call__(self, start, stop):
-        mask = np.empty((stop - start, self.n), dtype=bool)
-        a = start
+        mask = np.ones((stop - start, len(self.rngs), self.n), dtype=bool)
+        a = max(start, self.m)  # phase 0 is all-on and draws nothing
         while a < stop:
+            if a < self.pos:
+                raise ValueError(f"slot {a + 1} asked for after slot {self.pos} was drawn")
             i = a // self.m
             end = min(stop, (i + 1) * self.m)
-            if i == 0:
-                mask[a - start:end - start] = True
-            else:
-                if a < self.pos:
-                    raise ValueError(f"slot {a + 1} asked for after slot {self.pos} was drawn")
-                self.rng.bit_generator.advance((a - self.pos) * self.n)
-                np.less(self.rng.random((end - a, self.n)), self.b ** -i,
-                        out=mask[a - start:end - start])
-                self.pos = end
-            a = end
+            block = mask[a - start:end - start]
+            for run, rng in enumerate(self.rngs):
+                rng.bit_generator.advance((a - self.pos) * self.n)
+                np.less(rng.random((end - a, self.n)), self.b ** -i, out=block[:, run])
+            self.pos = a = end
         return mask
 
 
 def randomized_schedule(params, n):
     """Phase ladder of geometrically decreasing transmission probabilities:
-    the whole ``RandomizedSlots`` source of (params, n), read once, as a
-    read-only (phases * m, n) mask. Identical (params, n) reproduce
-    identical schedules."""
-    source = RandomizedSlots(params, n)
-    sched = source(0, len(source))
+    the ``RandomizedSlots`` source of the batch of one (params,), read once
+    to its end, as a read-only (phases * m, n) mask drawn in place. Identical
+    (params, n) reproduce identical schedules."""
+    source = RandomizedSlots([params], n)
+    sched = source(0, len(source))[:, 0]
     sched.flags.writeable = False
     return sched
 
@@ -371,9 +378,7 @@ def _mix(x, y):
 def _node_seed_states(seed, n):
     """Row v - 1 is ``SeedSequence([seed, v]).generate_state(4, np.uint64)``,
     for all v = 1..n at once; the entropy is seed's 32-bit words, then v."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise InstanceError(f"seed must be >= 0, got {seed}")
+    seed = _check_seed(seed)
     words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
     entropy = np.array(words + [0] * max(4 - len(words), 1), np.uint32)[:, None].repeat(n, 1)
     entropy[len(words)] = np.arange(1, n + 1)

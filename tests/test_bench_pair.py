@@ -1,5 +1,5 @@
 """scripts/bench_pair.py: the report it writes when benchmark runs fail,
-and the line counts of each side's sources."""
+and the line counts of each side's sources and tests."""
 import importlib.util
 import json
 from pathlib import Path
@@ -27,13 +27,18 @@ def test_report_is_written_whatever_the_pairs_with_results(bench_pair, tmp_path,
     # ``good_pairs``: every other change run counts as incorrect.
     trees = {side: tmp_path / side for side in bench_pair.SIDES}
     # Each side's src/affsim/*.py: 3 + 2 lines in the parent, 4 in the change;
-    # other files do not count.
-    for side, texts in (("parent", ["a\nb\nc\n", "d\ne\n"]), ("change", ["a\n\nb\nc\n"])):
-        package = trees[side] / "src" / "affsim"
-        package.mkdir(parents=True)
-        for i, text in enumerate(texts):
-            (package / f"m{i}.py").write_text(text)
-        (package / "notes.txt").write_text("x\n" * 50)
+    # its tests/*.py: 1 line in the parent, 2 + 3 in the change; other files,
+    # and subdirectories of tests, do not count.
+    for side, texts, tests in (("parent", ["a\nb\nc\n", "d\ne\n"], ["t\n"]),
+                               ("change", ["a\n\nb\nc\n"], ["t\nu\n", "v\n\nw\n"])):
+        for directory, files in ((trees[side] / "src" / "affsim", texts),
+                                 (trees[side] / "tests", tests)):
+            directory.mkdir(parents=True)
+            for i, text in enumerate(files):
+                (directory / f"m{i}.py").write_text(text)
+            (directory / "notes.txt").write_text("x\n" * 50)
+        (trees[side] / "tests" / "data").mkdir()
+        (trees[side] / "tests" / "data" / "nested.py").write_text("x\n" * 7)
     (trees["change"] / "BENCHMARK.json").write_text(json.dumps(SPEC))
 
     def run_once(tree, workload, seed, seconds):
@@ -56,6 +61,8 @@ def test_report_is_written_whatever_the_pairs_with_results(bench_pair, tmp_path,
     assert report["incorrect_runs"] == bench_pair.PAIRS - good_pairs
     assert report["environment"]["parent"]["src_lines"] == 5
     assert report["environment"]["change"]["src_lines"] == 4
+    assert report["environment"]["parent"]["tests_lines"] == 1
+    assert report["environment"]["change"]["tests_lines"] == 5
     wall = report["workloads"]["office_sweep"]["wall_s"]
     assert wall["pairs"] == good_pairs
     assert wall["values"] == {"parent": [2.0] * good_pairs,

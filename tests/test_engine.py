@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +27,7 @@ from affsim import (
     write_csv,
 )
 from affsim import engine, protocols
-from affsim.core import link_success
+from affsim.core import link_success, phase_count
 from affsim.protocols import RandomizedSlots, decay_period
 
 from conftest import random_instances, selected_by_slot, ten_tenths_case, tie_cases
@@ -106,10 +108,12 @@ class TestRunSchedule:
         # Reference: one (phase, slot) row per row of the same draw.
         for n, seed in [(2, 0), (5, 1), (9, 2), (42, 3)]:
             A = generate_random_instance(n, seed=seed)
-            for fallback in (False, True):
-                params = RandomizedParams(characterize(A), seed, fallback_mode=fallback)
-                char = params.characterization
-                phases, m = RandomizedSlots(params, n).phases, char.m
+            base = characterize(A)
+            # The ladder sized from n alone, as ``affsim schedule --fallback`` builds it.
+            fallback = dataclasses.replace(base, phases=phase_count(n - 1, base.b))
+            for char in (base, fallback):
+                params = RandomizedParams(char, seed)
+                phases, m = char.phases, char.m
                 u = np.random.default_rng(seed).random((phases, m, n))
                 p = np.array([char.b ** -i for i in range(phases)])
                 include = u < p[:, None, None]
@@ -306,6 +310,26 @@ class TestRunAdaptive:
                                             for seed in (5, 2 ** 40 + 3)])(0, 1200)
                  for rows in (12, 40)]
         np.testing.assert_array_equal(slots[0], slots[1])
+
+
+@pytest.mark.parametrize("seed, message", [(-1, "seed must be >= 0, got -1"),
+                                           (1.5, "seed must be an integer, got 1.5")],
+                         ids=["negative", "float"])
+def test_one_seed_rule_for_both_stochastic_sources(seed, message):
+    # The randomized source and the adaptive baselines' node streams check a
+    # seed by one rule, before any generator is built.
+    A = generate_random_instance(5, seed=0)
+    calls = [
+        lambda: randomized_schedule(RandomizedParams(characterize(A), seed), A.n),
+        lambda: sweep([("a", A, None)], ["randomized"], [seed]),
+        lambda: sweep([("a", A, None)], ["decay"], [seed]),
+        lambda: run_adaptive(A, "decay", {}, seed, 100),
+    ]
+    for call in calls:
+        with pytest.raises(InstanceError) as caught:
+            call()
+        assert type(caught.value) is InstanceError
+        assert str(caught.value) == message
 
 
 class TestTies:
@@ -798,15 +822,17 @@ class TestLazyRandomized:
             assert min(full.first_success.values()) > (m_override or chars[row.instance_id].m)
 
     @pytest.mark.parametrize("m_override", [None, 1, 2, 7])
-    @pytest.mark.parametrize("fallback_mode", [False, True])
-    def test_options(self, m_override, fallback_mode):
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_options(self, m_override, fallback):
         instances = [generate_random_instance(2 + seed % 9, seed=seed) for seed in range(6)]
         instances += [generate_office_layer(OfficeGridSpec(offices=k)) for k in (2, 5)]
         instances.append(generate_rn_instance(40, 6, 0))
         for A in instances:
             char = characterize(A)
+            if fallback:
+                char = dataclasses.replace(char, phases=phase_count(A.n - 1, char.b))
             for seed in range(3):
-                self.check(A, RandomizedParams(char, seed, fallback_mode, m_override))
+                self.check(A, RandomizedParams(char, seed, m_override))
 
     def test_one_phase(self):
         A = isolated_links(5)
@@ -816,7 +842,8 @@ class TestLazyRandomized:
         assert record.rounds == 1
         ((row, _),) = self.check_rows([("isolated", A, None)], [0], 10 ** 6)
         assert (row.rounds, row.completed) == (1, True)
-        self.check(A, RandomizedParams(char, 0, fallback_mode=True))
+        fallback = dataclasses.replace(char, phases=phase_count(A.n - 1, char.b))
+        self.check(A, RandomizedParams(fallback, 0))
 
     @pytest.mark.parametrize("m_override", [1, 2])
     def test_incomplete_run_reports_max_rounds(self, mutually_blocking_pair, m_override):
@@ -827,9 +854,10 @@ class TestLazyRandomized:
         assert all((row.rounds, row.completed) == (777, False) for row in incomplete)
 
     def test_draws_only_judged_slots(self, monkeypatch):
-        # Office n = 600, seed 0: phase 0 is asked for once, by slot 1, the
-        # first block goes on with the first phase-1 slots, and the generator
-        # stops at the end of the completion block.
+        # Office n = 600, seed 0: phase 0 is asked for once, by its last slot
+        # (all-on, as slot 1 is), the first block goes on with the first
+        # phase-1 slots, and the generator stops at the end of the
+        # completion block.
         sources = []
 
         class Recorded(RandomizedSlots):
@@ -848,11 +876,11 @@ class TestLazyRandomized:
         record = self.check(A, params)
         (source,) = sources
         m, asked = source.m, source.asked
-        assert asked[0] == (0, 1)
-        assert asked[1] == (m, m + engine._FIRST_BLOCK - 1)
+        assert asked[0] == (m - 1, m + engine._FIRST_BLOCK - 1)
         assert all(start >= m for start, _ in asked[1:])
-        assert [start for start, _ in asked[2:]] == [stop for _, stop in asked[1:-1]]
+        assert [start for start, _ in asked[1:]] == [stop for _, stop in asked[:-1]]
         assert asked[-1][0] < record.rounds <= asked[-1][1]
         rng = np.random.default_rng(0)
         rng.bit_generator.advance(asked[-1][1] * A.n)
-        assert source.rng.bit_generator.state == rng.bit_generator.state
+        (generator,) = source.rngs
+        assert generator.bit_generator.state == rng.bit_generator.state

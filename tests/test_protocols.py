@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -48,10 +49,18 @@ from oracles import CapacityError, DecayState, decay_step, sinr_step
 
 def fake_char(abar, c, m):
     b = 1.0 + 1.0 / (2.0 * c)
-    phases = max(math.ceil(math.log(2 * abar, b)), 0) + 1 if abar > 0 else 1
     return Characterization(
-        abar_w=(abar,), abar=abar, c=c, b=b, d=0.99, m=m, phases=phases
+        abar_w=(abar,), abar=abar, c=c, b=b, d=0.99, m=m, phases=phase_count(abar, b)
     )
+
+
+def randomized_params(abar, seed, n, fallback=False, m_override=None):
+    """RandomizedParams on ``fake_char(abar, c=1.5, m=7)``; ``fallback`` sizes
+    the ladder from n alone, as ``affsim schedule --fallback`` does."""
+    char = fake_char(abar=abar, c=1.5, m=7)
+    if fallback:
+        char = dataclasses.replace(char, phases=phase_count(n - 1, char.b))
+    return RandomizedParams(char, seed, m_override)
 
 
 class TestRandomizedSchedule:
@@ -69,9 +78,9 @@ class TestRandomizedSchedule:
         assert sched.all()
 
     def test_fallback_phase_count(self):
-        params = RandomizedParams(
-            fake_char(abar=4.0, c=2.0, m=2), seed=0, fallback_mode=True
-        )
+        # The ladder sized from n alone is a replaced characterization.
+        char = fake_char(abar=4.0, c=2.0, m=2)
+        params = RandomizedParams(dataclasses.replace(char, phases=phase_count(41, char.b)), 0)
         sched = randomized_schedule(params, 42)
         # ceil(log_1.25 82) = 20, plus the p=1 phase.
         assert len(sched) == 21 * 2
@@ -98,17 +107,17 @@ class TestRandomizedSchedule:
     @pytest.mark.parametrize("abar, options", [
         (4.0, {}),
         (4.0, {"m_override": 3}),
-        (4.0, {"fallback_mode": True}),
+        (4.0, {"fallback": True}),
         (0.5, {}),  # one phase, at p = 1
     ])
     def test_phase_by_phase_draw_matches_one_shot(self, seed, abar, options):
-        params = RandomizedParams(fake_char(abar=abar, c=1.5, m=7), seed=seed, **options)
+        params = randomized_params(abar, seed, 9, **options)
         mask = randomized_schedule(params, 9)
         assert mask.tobytes() == one_shot_draw(params, 9).tobytes()
 
     def test_draw_holds_one_phase_of_values(self):
         params = RandomizedParams(fake_char(abar=4.0, c=2.0, m=200), seed=3)
-        phases, m, n = RandomizedSlots(params, 100).phases, 200, 100
+        phases, m, n = params.characterization.phases, 200, 100
         randomized_schedule(params, n)  # warm numpy's lazy imports and caches
         tracemalloc.start()
         try:
@@ -124,32 +133,39 @@ class TestRandomizedSchedule:
 
 
 class TestRandomizedSlots:
-    OPTIONS = [(4.0, {}), (4.0, {"m_override": 3}), (4.0, {"fallback_mode": True}), (0.5, {})]
+    OPTIONS = [(4.0, {}), (4.0, {"m_override": 3}), (4.0, {"fallback": True}), (0.5, {})]
 
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 40])
     @pytest.mark.parametrize("abar, options", OPTIONS)
     def test_read_to_end_is_the_schedule(self, seed, abar, options):
-        params = RandomizedParams(fake_char(abar=abar, c=1.5, m=7), seed=seed, **options)
-        source = RandomizedSlots(params, 9)
-        assert len(source) == len(randomized_schedule(params, 9))
-        assert source(0, len(source)).tobytes() == randomized_schedule(params, 9).tobytes()
+        params = randomized_params(abar, seed, 9, **options)
+        source = RandomizedSlots([params], 9)
+        sched = randomized_schedule(params, 9)
+        assert len(source) == len(sched)
+        mask = source(0, len(source))
+        assert mask.shape == (len(sched), 1, 9)
+        assert mask[:, 0].tobytes() == sched.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("abar, options", OPTIONS)
     def test_blocks_and_gaps_take_the_schedule_rows(self, seed, abar, options):
         # Blocks of any size that cross phase edges, with slots skipped
-        # between them, hold the whole draw's rows of those slots.
-        params = RandomizedParams(fake_char(abar=abar, c=1.5, m=7), seed=seed, **options)
-        sched = randomized_schedule(params, 9)
-        rng = np.random.default_rng(seed)
-        source, start = RandomizedSlots(params, 9), 0
-        while start < len(sched):
-            stop = min(len(sched), start + int(rng.integers(1, 12)))
-            assert source(start, stop).tobytes() == sched[start:stop].tobytes()
-            start = stop + int(rng.integers(0, 4))
+        # between them, hold the whole draw's rows of those slots: in a
+        # batch of one, and in each run of a batch that repeats a seed.
+        for seeds in ([seed], [seed, 11, seed]):
+            batch = [randomized_params(abar, s, 9, **options) for s in seeds]
+            scheds = np.stack([randomized_schedule(params, 9) for params in batch], axis=1)
+            rng = np.random.default_rng(seed)
+            source, start = RandomizedSlots(batch, 9), 0
+            while start < len(scheds):
+                stop = min(len(scheds), start + int(rng.integers(1, 12)))
+                block = source(start, stop)
+                assert block.shape == (stop - start, len(seeds), 9)
+                assert block.tobytes() == scheds[start:stop].tobytes()
+                start = stop + int(rng.integers(0, 4))
 
     def test_drawn_slots_are_not_drawn_again(self):
-        source = RandomizedSlots(RandomizedParams(fake_char(abar=4.0, c=1.5, m=7), seed=0), 9)
+        source = RandomizedSlots([RandomizedParams(fake_char(abar=4.0, c=1.5, m=7), seed=0)], 9)
         assert source(0, 7).all()
         source(0, 3)  # phase 0 draws nothing
         source(8, 10)
@@ -160,14 +176,14 @@ class TestRandomizedSlots:
         params = RandomizedParams(fake_char(abar=4.0, c=1.5, m=7), seed=0,
                                   m_override=2 ** 28)
         with pytest.raises(InstanceError, match=r"phases=\d+, m=268435456, n=9 needs "):
-            RandomizedSlots(params, 9)
+            RandomizedSlots([params], 9)
 
 
 def one_shot_draw(params, n):
     """Reference: the whole (phases, m, n) array of draws made at once, then
     compared with each phase's p."""
     char = params.characterization
-    phases = RandomizedSlots(params, n).phases
+    phases = char.phases
     m = params.m_override if params.m_override is not None else char.m
     draws = np.random.default_rng(params.seed).random((phases, m, n))
     p = np.array([char.b ** -i for i in range(phases)])
