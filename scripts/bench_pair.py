@@ -17,8 +17,9 @@ on ``PYTHONPATH``) in each tree, in the same alternating order.
 Writes ``BENCH_<label>.json`` into the change tree: the environment of each
 side (git sha, whether the tree had uncommitted changes, the lines of
 ``src/affsim/*.py`` and of ``tests/*.py`` as ``wc -l`` counts them, so the
-net line changes sit beside the timings, the SHA-256 of those files as the benchmark computes
-it, Python, numpy, BLAS, nproc, CPU), and for every workload and end-to-end metric both sides'
+net line changes sit beside the timings, the SHA-256 of the ``src/affsim``
+files as the benchmark computes it, Python, numpy, BLAS, nproc, CPU), and
+for every workload and end-to-end metric both sides'
 median and quartiles (null quartiles when fewer than two pairs gave both
 results), the number of pairs in which the change was better (ties count
 for neither side) and every value in pair order; under

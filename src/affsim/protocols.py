@@ -83,7 +83,7 @@ class RandomizedSlots:
     def __init__(self, params, n):
         char = params[0].characterization
         self.n, self.phases, self.b = n, char.phases, char.b
-        self.m = params[0].m_override or char.m
+        self.m = char.m if params[0].m_override is None else params[0].m_override
         if len(self) * n > MAX_RANDOMIZED_CELLS:
             raise InstanceError(f"randomized schedule of phases={self.phases}, m={self.m}, n={n} "
                                 f"needs {len(self) * n} draws, over the limit of "
