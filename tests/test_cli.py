@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 
 from affsim import OfficeGridSpec, encode_radio_network, generate_office_layer
 from affsim import LayerTopology, load_instance, save_instance, schedule_from_text
-from affsim import characterize, verify_selective
+from affsim import characterize, generate_rn_instance, verify_selective
 from affsim.cli import main
 
 from conftest import ladder_edge
@@ -25,6 +26,12 @@ def write_office(tmp_path, offices=2):
     path = tmp_path / "office.json"
     save_instance(generate_office_layer(OfficeGridSpec(offices=offices)), path)
     return str(path)
+
+
+def write_rn_files(tmp_path):
+    """RN 40/40 (seed 1) and RN 30/6 (seed 3) kernel files."""
+    for name, args in (("rn40.json", (40, 40, 1)), ("rn30.json", (30, 6, 3))):
+        save_instance(generate_rn_instance(*args), tmp_path / name)
 
 
 def write_rn_star(tmp_path):
@@ -175,6 +182,9 @@ def test_randomized_schedule_golden_outputs(tmp_path, capsys, seed, options):
 
 # Fixed sweeps with the SHA-256 of their CSV and of their summary on stdout:
 # fixed seeds give byte-identical sweep outputs, from one version to the next.
+RN_BLOCK_EDGES = ["--instance", "rn40.json", "--instance", "rn30.json", "--protocol", "decay",
+                  "--protocol", "sinr", "--density", "64", "--dilution", "3", "--seeds", "6"]
+
 GOLDEN_SWEEPS = {
     # All four protocols, the greedy's single row under --seeds 3, and the
     # sinr defaults of each --scenario office size.
@@ -210,6 +220,15 @@ GOLDEN_SWEEPS = {
         "5de86f30aba8c7fe4ac79206ec1ced33ac8088281d54ef7be078c2eb9d57c106",
         "ef8dd574fa371cbf63f87aca300871a79a00740c21b86abf92449dee5728d98a",
     ),
+    # Decay and sinr on RN kernel files, in batches of two seeds, with runs
+    # that end past evaluation-block edges (rounds 64, 128 and 256) and a
+    # sinr run that reads past its nodes' shared stream prefixes.
+    "rn_block_edges": (
+        RN_BLOCK_EDGES,
+        0,
+        "bbb116ab7d5d45beea04b212310c3ce64ee2c5f0cd277dcfc667b5529a32fe02",
+        "40cc8891f6b3552e3ca99cc7bf4b7db9265e02f06aef00ac09cb1390cb67d2b2",
+    ),
 }
 
 
@@ -218,11 +237,30 @@ def test_sweep_golden_outputs(tmp_path, monkeypatch, capsys, name):
     argv, code, csv_digest, stdout_digest = GOLDEN_SWEEPS[name]
     monkeypatch.chdir(tmp_path)
     write_rn_star(tmp_path)
+    write_rn_files(tmp_path)
     write_office(tmp_path)
     Path("offices.json").write_text(json.dumps({"offices": [2, 3]}))
     assert main(["sweep", *argv, "--out", "sweep.csv"]) == code
     assert hashlib.sha256(Path("sweep.csv").read_bytes()).hexdigest() == csv_digest
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
+
+
+def test_rn_golden_crosses_block_edges(tmp_path, monkeypatch, capsys):
+    # The RN golden's runs end on both sides of the evaluation-block edges,
+    # and one sinr run reads more of its nodes' streams (one value per
+    # dilution = 3 rounds) than the 256 values that each store shares.
+    monkeypatch.chdir(tmp_path)
+    write_rn_files(tmp_path)
+    assert main(["sweep", *RN_BLOCK_EDGES, "--out", "sweep.csv"]) == 0
+    rows = list(csv.DictReader(Path("sweep.csv").open()))
+    rounds = {protocol: [int(row["rounds"]) for row in rows if row["protocol"] == protocol]
+              for protocol in ("decay", "sinr")}
+    assert len(rounds["decay"]) == len(rounds["sinr"]) == 12
+    assert min(rounds["decay"]) <= 32 and max(rounds["decay"]) > 64
+    assert any(64 < r <= 128 for r in rounds["sinr"])
+    assert any(128 < r <= 256 for r in rounds["sinr"])
+    assert any(256 < r <= 512 for r in rounds["sinr"])
+    assert max(rounds["sinr"]) > 256 * 3
 
 
 def test_sweep_row_count_and_determinism(tmp_path, capsys):
