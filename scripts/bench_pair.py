@@ -22,7 +22,12 @@ files as the benchmark computes it, Python, numpy, BLAS, nproc, CPU), and
 for every workload and end-to-end metric both sides'
 median and quartiles (null quartiles when fewer than two pairs gave both
 results), the number of pairs in which the change was better (ties count
-for neither side) and every value in pair order; under
+for neither side), every value in pair order and two verdicts:
+``gain_met`` (the change won at least ``GAIN_WINS`` pairs and its median
+beats the parent's by more than the parent's q3 - q1) and
+``within_bound`` (the change's median is worse than the parent's by at
+most the metric's ``bound`` times the parent's median; null without
+medians); under
 ``"tier1"``, the same for the suite's wall seconds, with each run's passed
 and failed counts. Exit code 1 if any benchmark run failed; failing tests
 are only counted.
@@ -40,8 +45,10 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
-# Alternating pairs per workload: a claimed gain is judged on ten pairs.
+# Alternating pairs per workload: a claimed gain is judged on ten pairs,
+# and must win at least GAIN_WINS of them.
 PAIRS = 10
+GAIN_WINS = 9
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -121,16 +128,32 @@ def paired(values, lower):
             "change_better_pairs": wins, "pairs": len(values["parent"]), "values": values}
 
 
+def verdicts(result, lower, bound):
+    """``gain_met`` and ``within_bound`` of one ``paired`` result, for a
+    metric where lower (or higher) is better and ``bound`` is the largest
+    allowed loss as a fraction of the parent's median."""
+    parent, change = result["parent"], result["change"]
+    if parent["median"] is None or change["median"] is None:
+        return {"gain_met": False, "within_bound": None}
+    gain = (parent["median"] - change["median"]) * (1 if lower else -1)
+    spread = None if parent["q1"] is None else parent["q3"] - parent["q1"]
+    return {"gain_met": (result["change_better_pairs"] >= GAIN_WINS and spread is not None
+                         and gain > spread),
+            "within_bound": -gain <= bound * abs(parent["median"])}
+
+
 def compare(spec, runs):
     """Per end-to-end metric of BENCHMARK.json: ``paired`` over the pairs in
-    which both runs gave a result."""
+    which both runs gave a result, and its ``verdicts``."""
     out = {}
     pairs = [p for p in runs if p["parent"] and p["change"]]
     for metric in spec["end_to_end"]:
-        name = metric["name"]
+        name, lower = metric["name"], metric["better"] == "lower"
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
+        result = paired(values, lower)
         out[name] = {"unit": metric["unit"], "better": metric["better"],
-                     "bound": metric["bound"], **paired(values, metric["better"] == "lower")}
+                     "bound": metric["bound"], **result,
+                     **verdicts(result, lower, metric["bound"])}
     return out
 
 

@@ -1,5 +1,6 @@
 """scripts/bench_pair.py: the report it writes when benchmark runs fail,
-and the line counts of each side's sources and tests."""
+the line counts of each side's sources and tests, and its gain and bound
+verdicts."""
 import importlib.util
 import json
 from pathlib import Path
@@ -76,3 +77,58 @@ def test_report_is_written_whatever_the_pairs_with_results(bench_pair, tmp_path,
         assert wall["change"]["median"] == 1.5
         assert wall["change"]["q1"] is not None and wall["change"]["q3"] is not None
     assert report["tier1"]["wall_s"]["pairs"] == bench_pair.PAIRS
+
+
+# Ten pairs of (parent, change) values per case; the parent's quartiles are
+# 1.9875 and 2.0125 (q3 - q1 = 0.025) in every case.
+PARENT = [1.95, 1.98, 1.99, 2.0, 2.0, 2.0, 2.0, 2.01, 2.02, 2.05]
+
+
+@pytest.mark.parametrize("better, change, gain_met, within_bound", [
+    # A clear gain: every pair won, medians 0.5 apart.
+    ("lower", [1.5] * 10, True, True),
+    ("higher", [2.5] * 10, True, True),
+    # Nine wins but a median gain inside the parent's spread.
+    ("lower", [v - 0.01 for v in PARENT[:9]] + [3.0], False, True),
+    # Eight wins, whatever the medians.
+    ("lower", [1.0] * 8 + [3.0] * 2, False, True),
+    # A tie: no pair won, no median moved.
+    ("lower", PARENT, False, True),
+    # A loss inside the bound of 0.25 (2.4 <= 2.5), and past it.
+    ("lower", [2.4] * 10, False, True),
+    ("lower", [2.6] * 10, False, False),
+    ("higher", [1.6] * 10, False, True),
+    ("higher", [1.4] * 10, False, False),
+], ids=["gain", "gain_higher", "gain_inside_spread", "eight_wins", "tie", "loss_in_bound",
+        "loss_past_bound", "loss_in_bound_higher", "loss_past_bound_higher"])
+def test_verdicts(bench_pair, tmp_path, monkeypatch, better, change, gain_met, within_bound):
+    spec = {**SPEC, "end_to_end": [{**SPEC["end_to_end"][0], "better": better}]}
+    trees = {side: tmp_path / side for side in bench_pair.SIDES}
+    for tree in trees.values():
+        (tree / "src" / "affsim").mkdir(parents=True)
+        (tree / "tests").mkdir()
+    (trees["change"] / "BENCHMARK.json").write_text(json.dumps(spec))
+    values = {"parent": PARENT, "change": change}
+
+    def run_once(tree, workload, seed, seconds):
+        side = "parent" if tree == trees["parent"] else "change"
+        return {}, {"correct": True, "metrics": {"wall_s": {"value": values[side][seed - 1]}}}
+
+    monkeypatch.setattr(bench_pair, "run_once", run_once)
+    monkeypatch.setattr(bench_pair, "run_tier1",
+                        lambda tree: {"wall_s": 1.0, "passed": 1, "failed": 0})
+    monkeypatch.setattr(bench_pair, "git_state",
+                        lambda tree: {"git_sha": None, "uncommitted_changes": None})
+    assert bench_pair.main(["--parent", str(trees["parent"]), "--change", str(trees["change"]),
+                            "--label", "t"]) == 0
+    wall = json.loads((trees["change"] / "BENCH_t.json").read_text())["workloads"]["office_sweep"]
+    wall = wall["wall_s"]
+    assert wall["parent"]["q3"] - wall["parent"]["q1"] == pytest.approx(0.025)
+    assert wall["gain_met"] is gain_met
+    assert wall["within_bound"] is within_bound
+
+
+def test_verdicts_without_results(bench_pair):
+    # No pair gave both results: no gain, and no bound verdict.
+    result = bench_pair.paired({"parent": [], "change": []}, True)
+    assert bench_pair.verdicts(result, True, 0.25) == {"gain_met": False, "within_bound": None}
