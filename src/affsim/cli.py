@@ -102,6 +102,8 @@ def cmd_generate(args):
 def cmd_schedule(args):
     if args.seed < 0:
         raise InstanceError(f"--seed must be >= 0, got {args.seed}")
+    if args.protocol == "deterministic" and (args.fallback or args.m_override is not None):
+        raise InstanceError("--fallback and --m-override apply to --protocol randomized only")
     A = load_instance(args.instance)
     char = characterize(A, c=args.c)
     if args.protocol == "randomized":

@@ -57,9 +57,9 @@ class ConstraintError(InstanceError):
 
 def _table(rows, width, what):
     """``rows`` as an (E, width) float array, not copied if it is one
-    already. Ragged rows, rows of another length and non-numeric values
-    (strings and booleans included, which numpy would convert) are an
-    InstanceError."""
+    already; lists or tuples of ``width`` numbers convert in one flat pass.
+    Ragged rows, rows of another length, non-numeric values (strings and
+    booleans included) and ints past the float range are an InstanceError."""
     message = f"{what} must be a list of rows of {width} numbers"
     if not isinstance(rows, np.ndarray):
         # One pass over the values in C collects their distinct types.
@@ -69,8 +69,11 @@ def _table(rows, width, what):
             raise InstanceError(message) from None
         if any(not issubclass(t, numbers.Real) or issubclass(t, bool) for t in types):
             raise InstanceError(message)
+    flat = (isinstance(rows, (list, tuple)) and set(map(type, rows)) <= {list, tuple}
+            and set(map(len, rows)) <= {width})
     try:
-        table = np.asarray(rows, dtype=float)
+        table = (np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width)
+                 .reshape(-1, width) if flat else np.asarray(rows, dtype=float))
     except (TypeError, ValueError, OverflowError):
         raise InstanceError(message) from None
     if table.shape == (0,):
@@ -423,9 +426,13 @@ class AffectanceMatrix:
         total less its own weight, whether or not the owner transmits, so on
         a link with a silent owner it is lower by the own weight (0 on
         per-link rows)."""
-        totals = (transmit @ self._rows.T)[..., self._row[rows]]
+        totals = self._row_totals(transmit, rows)
         totals -= self._own[rows]
         return totals
+
+    def _row_totals(self, transmit, rows):
+        """Each link's row total under ``transmit``, its own weight included."""
+        return (transmit @ self._rows.T)[..., self._row[rows]]
 
     def entries(self):
         """Nonzero entries as (u, v, w, value), sorted."""
@@ -466,10 +473,10 @@ def link_success(A, transmit, rows=slice(None)):
     """The success rule, batched: link i succeeds iff its owner transmits and
     its summed affectance (``A.link_totals``) stays strictly below 1.
     ``transmit`` is a bool (n,) or (slots, n) mask, ``rows`` the links to
-    judge (all by default); returns a bool (L,) or (slots, L) mask. On the
-    weight grid it agrees with the scalar rule of ``verify_selective``,
-    ties included."""
-    return transmit[..., A.topo.owner[rows]] & (A.link_totals(transmit, rows) < 1.0)
+    judge (all by default); returns a bool (L,) or (slots, L) mask. Testing
+    the row total (own weight in) against 1 + own weight is exact on the
+    weight grid, so it agrees with ``verify_selective``, ties included."""
+    return transmit[..., A.topo.owner[rows]] & (A._row_totals(transmit, rows) < 1.0 + A._own[rows])
 
 
 def is_selected(A, transmitters, w):

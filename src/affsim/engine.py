@@ -60,8 +60,8 @@ class RunRecord:
         }
 
 
-# Slots of the first evaluation block; later blocks double, up to _MAX_BLOCK
-# (which bounds a block's (slots, links) product on long runs).
+# Slots of the first evaluation block; each later one doubles the slots judged,
+# up to _MAX_BLOCK slots (which bounds a block's (slots, links) product).
 _FIRST_BLOCK = 32
 _MAX_BLOCK = 1024
 # Cells of a sweep batch's first block, _FIRST_BLOCK slots x seeds x links:
@@ -76,36 +76,35 @@ def _first_success(A, slots, cap, runs=1):
     array; 0 marks a receiver the run never selects.
 
     ``slots(start, stop)`` returns the (stop - start, runs, n) bool mask of
-    slots start + 1..stop of every run. Each block goes through one
-    ``link_success`` call, its runs stacked as (slots * runs) rows, on the
-    link rows of receivers that some run has not covered: a receiver's rows
-    drop once every run covers it, and the loop ends when none is left.
-    Grid totals do not depend on summation order, and later slots cannot
-    undo a first success, so each run's answer is that of one pass over its
-    own ``cap`` slots.
+    slots start + 1..stop of every run, in blocks of 32, 32, 64, ..., 1024
+    slots. Each block goes through one ``link_success`` call, its runs
+    stacked as (slots * runs) rows, on the link rows of receivers that some
+    run has not covered: a receiver's rows drop once every run covers it,
+    and the loop ends when none is left; one ``np.minimum.at`` keeps each
+    run's earliest success per receiver. Grid totals do not depend on
+    summation order, and later slots cannot undo a first success, so each
+    run's answer is that of one pass over its own ``cap`` slots.
     """
     n = A.n
     receiver_of = A.topo.receiver
-    links = np.arange(len(receiver_of))
-    rows = slice(None)
+    rows = np.arange(len(receiver_of))
     first = np.zeros((runs, n), dtype=int)
-    done, size = 0, _FIRST_BLOCK
+    done = 0
     # Every receiver has a link, so some rows are left until all are covered.
     while done < cap and not first.all():
-        stop = min(done + size, cap)
+        stop = min(max(2 * done, _FIRST_BLOCK), done + _MAX_BLOCK, cap)
         k = stop - done
         success = link_success(A, slots(done, stop).reshape(k * runs, n), rows)
-        success = success.reshape(k, runs, -1)
-        hit = success.any(axis=0)
-        if hit.any():
-            live = links[rows]
-            run, link = hit.nonzero()
-            slot = np.full((runs, n), k)
-            np.minimum.at(slot, (run, receiver_of[live[link]]), success.argmax(axis=0)[run, link])
-            new = (slot < k) & (first == 0)
-            first[new] = done + slot[new] + 1
-            rows = live[~first.all(axis=0)[receiver_of[live]]]
-        done, size = stop, min(2 * size, _MAX_BLOCK)
+        # Stacked row slot * runs + run, in slot-major order.
+        hit, link = np.divmod(np.flatnonzero(success), len(rows))
+        if hit.size:
+            slot, run = np.divmod(hit, runs)
+            earliest = np.full((runs, n), k)
+            np.minimum.at(earliest, (run, receiver_of[rows[link]]), slot)
+            new = (earliest < k) & (first == 0)
+            first[new] = done + earliest[new] + 1
+            rows = rows[~first.all(axis=0)[receiver_of[rows]]]
+        done = stop
     return first
 
 
@@ -157,9 +156,9 @@ def run_adaptive(A, policy, params, seed, max_rounds):
     The stop-when-all-covered guard uses global knowledge; it is a
     termination-detection device of the simulation, not of the protocol.
     The run is a batch of one in the loop that ``sweep`` runs its seeds
-    through: the slot source decides whole blocks of rounds and
-    ``_first_success`` judges them. The record keeps the rounds up to
-    completion or the cap and drops any decided past completion.
+    through: the slot source decides whole blocks of rounds (32, 32, 64,
+    ...) and ``_first_success`` judges them. The record keeps the rounds up
+    to completion or the cap and drops any decided past completion.
     """
     if max_rounds < 1:
         raise InstanceError("max_rounds must be >= 1")
@@ -204,12 +203,13 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     ``instances`` holds (instance_id, A, sinr), where ``sinr`` is the
     instance's {"density", "dilution"} (None when sinr is not run);
     ``protocols`` holds names: randomized, deterministic, decay, sinr.
-    ``c`` goes to ``characterize``, and ``m_override`` to the randomized
-    schedule. Each instance is characterized once, on its first randomized
-    or deterministic run. A randomized batch builds no mask: its seeds share
-    one ``RandomizedSlots`` source, which ``_randomized_first_success``
-    reads only as far as it judges, phase 0 by one slot, with the first
-    successes of ``run_schedule`` on each whole ``randomized_schedule``.
+    ``c`` goes to ``characterize``, and ``m_override``, which must be >= 1
+    whatever the protocols, to the randomized schedule. Each instance is
+    characterized once, on its first randomized or deterministic run. A
+    randomized batch builds no mask: its seeds share one ``RandomizedSlots``
+    source, which ``_randomized_first_success`` reads only as far as it
+    judges, phase 0 by one slot, with the first successes of
+    ``run_schedule`` on each whole ``randomized_schedule``.
 
     The seeds go in batches of max(1, _BATCH_CELLS // (_FIRST_BLOCK * L))
     seeds, L the largest link count among the instances, and each
@@ -230,6 +230,8 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
         raise InstanceError("instances, protocols, and seeds must be non-empty")
     if max_rounds < 1:
         raise InstanceError("max_rounds must be >= 1")
+    if m_override is not None and m_override < 1:
+        raise InstanceError("m_override must be >= 1")
     missing = [i for i, _, sinr in instances if sinr is None] if "sinr" in protocols else []
     if missing:
         raise InstanceError(f"sinr needs density and dilution for instance {missing[0]}")

@@ -17,6 +17,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (MAX_RANDOMIZED_CELLS, Characterization, InstanceError, link_success,
                    phase_bucket)
@@ -405,7 +406,7 @@ class _SeedState:
 
 
 # Values of each node's stream that a store draws once for every run on its
-# seed: they cover the first three evaluation blocks (32 + 64 + 128 rounds).
+# seed: they cover the first four evaluation blocks (32 + 32 + 64 + 128 rounds).
 _SHARED = 256
 
 
@@ -466,7 +467,7 @@ class _NodeDraws:
                 parts += [row[start:], rng.random(width - len(row) + start)]
             self.buffer = np.concatenate(parts).reshape(rows, width)
             self.pos = np.zeros(rows, dtype=int)
-        return np.take_along_axis(self.buffer, self.pos[:, None] + np.arange(k), axis=1)
+        return sliding_window_view(self.buffer, k, axis=1)[np.arange(rows), self.pos]
 
     def advance(self, used):
         self.pos += used
@@ -525,13 +526,15 @@ def _adaptive_slots(A, policy, params, streams):
             if not 1 <= value <= _INT64_MAX:
                 raise InstanceError(f"sinr {name} must be in 1..2**63 - 1, got {value:.6g}")
         residue = np.tile(np.arange(1, n + 1) % dilution, runs)
+        node = np.arange(nodes)
 
         def decide(start, stop):
-            eligible = residue == (np.arange(start + 1, stop + 1) % dilution)[:, None]
-            # The j-th eligible round of a node uses its j-th next value.
-            index = np.maximum(np.cumsum(eligible, axis=0) - 1, 0)
-            values = np.take_along_axis(draws.peek(stop - start).T, index, axis=0)
-            draws.advance(eligible.sum(axis=0))
+            rounds = np.arange(start + 1, stop + 1)[:, None]
+            eligible = residue == rounds % dilution
+            # Round r uses a node's j-th next value, j its rounds in start + 1..r - 1.
+            before = (start - residue) // dilution
+            values = draws.peek(stop - start)[node, (rounds - 1 - residue) // dilution - before]
+            draws.advance((stop - residue) // dilution - before)
             return eligible & (values < 1.0 / density)
 
     else:

@@ -459,6 +459,44 @@ def test_sweep_rejects_zero_m_override(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_characterize_rejects_int_past_float_range(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "links": [[1, 1], [2, 2]], "kernel": [[2, 1, 10 ** 400]]}))
+    code, err = run_main(["characterize", "--instance", str(path)])
+    assert code == 1
+    assert err == [f"error: {path}: kernel entries must be a list of rows of 3 numbers"]
+
+
+ONLY = "--fallback and --m-override apply to --protocol randomized only"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--protocol", "decay", "--m-override", "0"], "m_override must be >= 1"),
+    (["sweep", "--protocol", "sinr", "--protocol", "deterministic", "--m-override", "-3"],
+     "m_override must be >= 1"),
+    (["sweep", "--protocol", "randomized", "--m-override", "0"], "m_override must be >= 1"),
+    (["schedule", "--protocol", "randomized", "--m-override", "0"], "m_override must be >= 1"),
+    (["schedule", "--protocol", "deterministic", "--m-override", "0", "--fallback"], ONLY),
+    (["schedule", "--protocol", "deterministic", "--m-override", "0"], ONLY),
+    (["schedule", "--protocol", "deterministic", "--fallback"], ONLY),
+    (["schedule", "--protocol", "deterministic", "--m-override", "4"], ONLY),
+], ids=["sweep_decay", "sweep_sinr_greedy", "sweep_randomized", "schedule_randomized",
+        "schedule_greedy_both", "schedule_greedy_zero", "schedule_greedy_fallback",
+        "schedule_greedy_m_override"])
+def test_options_of_randomized_only_are_checked_for_every_protocol(tmp_path, argv, message):
+    # One error line and no output, whichever protocol the option would
+    # have been ignored by.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"offices": 2}))
+    source = (["--scenario", str(scenario), "--density", "3", "--dilution", "2"]
+              if argv[0] == "sweep" else ["--instance", write_office(tmp_path)])
+    out = tmp_path / "out.txt"
+    code, err = run_main([*argv, *source, "--out", str(out)])
+    assert code == 1
+    assert err == [f"error: {message}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, m", [
     (["schedule", "--instance", "{office}", "--c", "1e4"], 5734393804),
     (["schedule", "--instance", "{office}", "--m-override", "100000000000"], 10 ** 11),

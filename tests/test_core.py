@@ -30,7 +30,7 @@ from affsim import (
     schedule_to_text,
     verify_selective,
 )
-from affsim.core import failure_constant, link_success, phase_count
+from affsim.core import _table, failure_constant, link_success, phase_count
 
 from conftest import (
     random_instances,
@@ -446,6 +446,47 @@ class TestWeightGrid:
         assert peak < G.nbytes / 10
         assert G[0, 1] == a(A, 2, (1, 1)) != 0.1
         assert not A.weights().flags.writeable
+
+
+# Values that float conversion must round alike: ints up to 2**53 and past
+# it (ties to even), past 2**64 and up to the largest int that rounds to a
+# finite float, infinities, signed zeros and subnormals.
+TABLE_VALUES = st.one_of(
+    st.integers(-2 ** 53, 2 ** 53),
+    st.integers(2 ** 53 - 3, 2 ** 53 + 9),
+    st.integers(-2 ** 80, 2 ** 80),
+    st.integers(2 ** 1023, 2 ** 1024 - 2 ** 970 - 1),
+    st.floats(allow_nan=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308]),
+)
+
+
+@st.composite
+def tables(st_draw):
+    """A width and a list of rows of that many values, each row a list or a
+    tuple."""
+    width = st_draw(st.integers(1, 4))
+    rows = st_draw(st.lists(st.lists(TABLE_VALUES, min_size=width, max_size=width),
+                            max_size=8))
+    return width, [tuple(row) if st_draw(st.booleans()) else row for row in rows]
+
+
+@settings(max_examples=200)
+@example((3, []))
+@example((2, [[2 ** 53 + 1, -0.0], (10 ** 308, 5e-324)]))
+@given(tables())
+def test_table_converts_like_asarray(case):
+    width, rows = case
+    table = _table(rows, width, "rows")
+    expected = np.asarray(rows, dtype=float).reshape(-1, width)
+    assert table.shape == expected.shape == (len(rows), width)
+    assert table.dtype == np.float64
+    assert table.tobytes() == expected.tobytes()
+
+
+def test_table_of_array_rows_goes_through_asarray():
+    rows = [np.array([1, 2]), np.array([3.5, 2 ** 60])]
+    assert _table(rows, 2, "rows").tobytes() == np.asarray(rows, dtype=float).tobytes()
 
 
 class TestTies:

@@ -593,8 +593,9 @@ def one_slot_each(slots, length):
 
 
 class TestBlockLoop:
-    """The block loop (blocks of 32 slots, doubling, pending link rows only)
-    against one full-mask evaluation of the same slots."""
+    """The block loop (32 slots, then blocks as long as the slots already
+    judged, pending link rows only) against one full-mask evaluation of the
+    same slots."""
 
     LENGTHS = (0, 1, 5, 31, 32, 33, 95, 96, 97, 250, 600)
 
@@ -623,6 +624,7 @@ class TestBlockLoop:
 
     @pytest.mark.parametrize("slots", [
         [32], [96], [1, 32], [31, 32], [32, 33], [96, 97], [5, 96], [97, 224, 225],
+        [64], [64, 65], [128, 129], [256, 257], [5, 65, 129, 257],
     ])
     def test_completion_at_block_edges(self, slots):
         A = isolated_links(len(slots))
@@ -634,11 +636,14 @@ class TestBlockLoop:
 
     @pytest.mark.parametrize("last, cap, blocks", [
         (32, 1000, [(0, 32)]),
-        (33, 1000, [(0, 32), (32, 96)]),
-        (96, 1000, [(0, 32), (32, 96)]),
-        (97, 1000, [(0, 32), (32, 96), (96, 224)]),
-        (None, 100, [(0, 32), (32, 96), (96, 100)]),
+        (33, 1000, [(0, 32), (32, 64)]),
+        (96, 1000, [(0, 32), (32, 64), (64, 128)]),
+        (97, 1000, [(0, 32), (32, 64), (64, 128)]),
+        (None, 100, [(0, 32), (32, 64), (64, 100)]),
         (None, 20, [(0, 20)]),
+        (64, 1000, [(0, 32), (32, 64)]),
+        (65, 1000, [(0, 32), (32, 64), (64, 128)]),
+        (257, 1000, [(0, 32), (32, 64), (64, 128), (128, 256), (256, 512)]),
     ])
     def test_stops_at_completion(self, last, cap, blocks):
         # Receiver 2 succeeds in slot ``last`` (never if None), receiver 1
@@ -657,8 +662,9 @@ class TestBlockLoop:
         assert engine._first_dict(first[0]) == full_mask_first_success(A, mask)
 
     def test_blocks_stop_doubling_at_max_block(self):
-        # A run that never completes asks for contiguous blocks whose size
-        # stops growing at _MAX_BLOCK (long truncated runs stay bounded).
+        # A run that never completes asks for contiguous blocks, each as long
+        # as the slots before it after the first, whose size stops growing at
+        # _MAX_BLOCK (long truncated runs stay bounded).
         A = isolated_links(2)
         asked = []
 
@@ -670,7 +676,7 @@ class TestBlockLoop:
         assert [start for start, _ in asked[1:]] == [stop for _, stop in asked[:-1]]
         assert asked[-1][1] == 5000
         sizes = [stop - start for start, stop in asked]
-        assert sizes[:7] == [32, 64, 128, 256, 512, 1024, 1024]
+        assert sizes == [32, 32, 64, 128, 256, 512, 1024, 1024, 1024, 904]
         assert max(sizes) == engine._MAX_BLOCK == 1024
 
     def test_stacked_runs_match_each_run_alone(self):
@@ -691,19 +697,20 @@ class TestBlockLoop:
     def test_stacked_rows_drop_once_every_run_covers_them(self, monkeypatch):
         # Receiver 1 is covered in slot 1 of run 0 but only in slot 40 of run
         # 1, receiver 2 in slot 2 of both: the first block judges every link,
-        # the second only receiver 1's, and the loop stops at its completion.
+        # the second (slots 33..64) only receiver 1's, and the loop stops at
+        # its completion.
         A = isolated_links(2)
         stacked = np.stack([one_slot_each([1, 2], 100), one_slot_each([40, 2], 100)], axis=1)
         judged = []
 
         def recording_success(A, transmit, rows=slice(None)):
-            judged.append((len(transmit), rows if isinstance(rows, slice) else rows.tolist()))
+            judged.append((len(transmit), rows.tolist()))
             return link_success(A, transmit, rows)
 
         monkeypatch.setattr(engine, "link_success", recording_success)
         first = engine._first_success(A, lambda start, stop: stacked[start:stop], 100, 2)
         assert first.tolist() == [[1, 2], [40, 2]]
-        assert judged == [(32 * 2, slice(None)), (64 * 2, [0])]
+        assert judged == [(32 * 2, [0, 1]), (32 * 2, [0])]
 
     def test_empty_schedule_completes_nothing(self):
         A = isolated_links(3)

@@ -409,6 +409,37 @@ class TestInstanceFiles:
         with pytest.raises(InstanceError, match="bad.json"):
             load_instance(path)
 
+    @pytest.mark.parametrize("field, width", [("links", 2), ("affectance", 4), ("kernel", 3)])
+    @pytest.mark.parametrize("bad", [
+        lambda row: [row, row[:-1]],
+        # Ragged rows whose values would fill whole rows if read flat.
+        lambda row: [row + [1], row[:-1]],
+        lambda row: [row, 5],
+        lambda row: [row, "1" * len(row)],
+        lambda row: [row[:-1] + ["0.5"]],
+        lambda row: [[True] + row[1:]],
+        lambda row: [row[:-1] + [None]],
+        lambda row: [row[:-1] + [[1]]],
+        lambda row: [row[:-1] + [10 ** 400]],
+        lambda row: [[]],
+        lambda row: {},
+    ], ids=["ragged", "ragged_whole_rows", "scalar_row", "string_row", "string",
+            "bool", "null", "nested_list", "int_past_float_range", "empty_row", "empty_object"])
+    def test_malformed_table_names_the_path(self, tmp_path, field, width, bad):
+        # Each of the three tables, one bad row beside good ones; the other
+        # tables are valid.
+        good = {"links": [1, 1], "affectance": [2, 1, 1, 0.5], "kernel": [2, 1, 0.5]}
+        payload = {"n": 2, "links": [[1, 1], [2, 1], [1, 2]], "affectance": [[2, 1, 1, 0.5]]}
+        if field == "kernel":
+            payload["kernel"] = payload.pop("affectance")
+        payload[field] = bad(good[field])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        what = {"links": "links", "affectance": "affectance entries", "kernel": "kernel entries"}
+        message = f"bad.json: {what[field]} must be a list of rows of {width} numbers"
+        with pytest.raises(InstanceError, match=re.escape(message) + "$"):
+            load_instance(path)
+
     def test_non_integral_link_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(
