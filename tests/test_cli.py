@@ -180,11 +180,11 @@ def test_randomized_schedule_golden_outputs(tmp_path, capsys, seed, options):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
 
 
-# Fixed sweeps with the SHA-256 of their CSV and of their summary on stdout:
-# fixed seeds give byte-identical sweep outputs, from one version to the next.
 RN_BLOCK_EDGES = ["--instance", "rn40.json", "--instance", "rn30.json", "--protocol", "decay",
                   "--protocol", "sinr", "--density", "64", "--dilution", "3", "--seeds", "6"]
 
+# Fixed sweeps with the SHA-256 of their CSV and of their summary on stdout:
+# fixed seeds give byte-identical sweep outputs, from one version to the next.
 GOLDEN_SWEEPS = {
     # All four protocols, the greedy's single row under --seeds 3, and the
     # sinr defaults of each --scenario office size.
@@ -245,14 +245,14 @@ def test_sweep_golden_outputs(tmp_path, monkeypatch, capsys, name):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
 
 
-def test_rn_golden_crosses_block_edges(tmp_path, monkeypatch, capsys):
+def test_rn_golden_crosses_block_edges(tmp_path, monkeypatch):
     # The RN golden's runs end on both sides of the evaluation-block edges,
     # and one sinr run reads more of its nodes' streams (one value per
     # dilution = 3 rounds) than the 256 values that each store shares.
     monkeypatch.chdir(tmp_path)
     write_rn_files(tmp_path)
     assert main(["sweep", *RN_BLOCK_EDGES, "--out", "sweep.csv"]) == 0
-    rows = list(csv.DictReader(Path("sweep.csv").open()))
+    rows = list(csv.DictReader(Path("sweep.csv").read_text().splitlines()))
     rounds = {protocol: [int(row["rounds"]) for row in rows if row["protocol"] == protocol]
               for protocol in ("decay", "sinr")}
     assert len(rounds["decay"]) == len(rounds["sinr"]) == 12
@@ -474,13 +474,12 @@ ONLY = "--fallback and --m-override apply to --protocol randomized only"
     (["sweep", "--protocol", "decay", "--m-override", "0"], "m_override must be >= 1"),
     (["sweep", "--protocol", "sinr", "--protocol", "deterministic", "--m-override", "-3"],
      "m_override must be >= 1"),
-    (["sweep", "--protocol", "randomized", "--m-override", "0"], "m_override must be >= 1"),
     (["schedule", "--protocol", "randomized", "--m-override", "0"], "m_override must be >= 1"),
     (["schedule", "--protocol", "deterministic", "--m-override", "0", "--fallback"], ONLY),
     (["schedule", "--protocol", "deterministic", "--m-override", "0"], ONLY),
     (["schedule", "--protocol", "deterministic", "--fallback"], ONLY),
     (["schedule", "--protocol", "deterministic", "--m-override", "4"], ONLY),
-], ids=["sweep_decay", "sweep_sinr_greedy", "sweep_randomized", "schedule_randomized",
+], ids=["sweep_decay", "sweep_sinr_greedy", "schedule_randomized",
         "schedule_greedy_both", "schedule_greedy_zero", "schedule_greedy_fallback",
         "schedule_greedy_m_override"])
 def test_options_of_randomized_only_are_checked_for_every_protocol(tmp_path, argv, message):
