@@ -11,7 +11,7 @@ import dataclasses
 import sys
 
 from .core import InstanceError, characterize, phase_count, schedule_to_text
-from .engine import MAX_ROUNDS_DEFAULT, run_schedule, summarize, sweep, write_csv
+from .engine import MAX_ROUNDS_DEFAULT, _check_sweep, run_schedule, summarize, sweep, write_csv
 from .protocols import (
     RandomizedParams,
     ScheduleError,
@@ -133,32 +133,35 @@ def _sweep_instances(args):
     return instances
 
 
-def _sinr_options(args, instance_id, office_spec):
-    """sinr's options on one instance: --density and --dilution (both, each
-    >= 1), else the defaults of the instance's own office spec; an instance
-    file has none."""
+def _sinr_flags(args):
+    """sinr's options from --density and --dilution, checked before any
+    instance is built: both or neither, each >= 1; None when neither is
+    given, which needs every instance to be an office scenario's, whose
+    spec gives the defaults (an instance file has none)."""
     given = (args.density, args.dilution)
-    if given != (None, None):
-        if None in given or min(given) < 1:
-            raise InstanceError("sinr needs both --density and --dilution, each >= 1")
-        return {"density": args.density, "dilution": args.dilution}
-    if office_spec is None:
-        raise InstanceError(f"sinr needs --density and --dilution for instance file {instance_id}")
-    return sinr_defaults(office_spec)
+    if given == (None, None):
+        if args.instance:
+            raise InstanceError(
+                f"sinr needs --density and --dilution for instance file {args.instance[0]}")
+        return None
+    if None in given or min(given) < 1:
+        raise InstanceError("sinr needs both --density and --dilution, each >= 1")
+    return {"density": args.density, "dilution": args.dilution}
 
 
 def cmd_sweep(args):
     if args.seed_base < 0:
         raise InstanceError(f"--seed-base must be >= 0, got {args.seed_base}")
-    instances = _sweep_instances(args)
     if not args.protocol:
         raise InstanceError("sweep needs at least one --protocol")
-    runs_sinr = "sinr" in args.protocol
-    instances = [
-        (instance_id, A, _sinr_options(args, instance_id, spec) if runs_sinr else None)
-        for instance_id, A, spec in instances
-    ]
     seeds = range(args.seed_base, args.seed_base + args.seeds)
+    _check_sweep(args.protocol, seeds, args.max_rounds, args.m_override)
+    runs_sinr = "sinr" in args.protocol
+    flags = _sinr_flags(args) if runs_sinr else None
+    instances = [
+        (instance_id, A, (flags or sinr_defaults(spec)) if runs_sinr else None)
+        for instance_id, A, spec in _sweep_instances(args)
+    ]
     rows = sweep(instances, args.protocol, seeds, args.max_rounds,
                  c=args.c, m_override=args.m_override)
     write_csv(rows, args.out)

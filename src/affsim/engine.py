@@ -194,6 +194,18 @@ class SweepRow:
     slot_bound: int | None = None
 
 
+def _check_sweep(protocols, seeds, max_rounds, m_override):
+    """The checks of ``sweep``'s arguments that hold whatever the instances:
+    ``sweep`` makes them, and ``affsim sweep`` before it builds any
+    instance."""
+    if not protocols or not seeds:
+        raise InstanceError("instances, protocols, and seeds must be non-empty")
+    if max_rounds < 1:
+        raise InstanceError("max_rounds must be >= 1")
+    if m_override is not None and m_override < 1:
+        raise InstanceError("m_override must be >= 1")
+
+
 def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_override=None):
     """Cross product of runs, one row per (protocol, instance, seed), in
     that order, except that the greedy (``deterministic``), which draws
@@ -226,12 +238,9 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     baselines' stop-at-completion count; truncated or incomplete runs
     report max_rounds with completed=False.
     """
-    if not instances or not protocols or not seeds:
+    if not instances:
         raise InstanceError("instances, protocols, and seeds must be non-empty")
-    if max_rounds < 1:
-        raise InstanceError("max_rounds must be >= 1")
-    if m_override is not None and m_override < 1:
-        raise InstanceError("m_override must be >= 1")
+    _check_sweep(protocols, seeds, max_rounds, m_override)
     missing = [i for i, _, sinr in instances if sinr is None] if "sinr" in protocols else []
     if missing:
         raise InstanceError(f"sinr needs density and dilution for instance {missing[0]}")

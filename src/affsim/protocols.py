@@ -413,14 +413,17 @@ _SHARED = 256
 class _NodeStreams:
     """The first ``_SHARED`` values of node v's stream, that of
     ``default_rng([seed, v])``, for v = 1..n, as the read-only (n, _SHARED)
-    ``prefix``. A stream depends only on the seed and v, so every adaptive
-    run on this seed whose instance has at most n nodes can read it."""
+    ``prefix``, each row drawn in place into the preallocated array. A
+    stream depends only on the seed and v, so every adaptive run on this
+    seed whose instance has at most n nodes can read it."""
 
     def __init__(self, seed, n):
         from numpy.random.bit_generator import ISeedSequence
         ISeedSequence.register(_SeedState)
         self.states = _node_seed_states(seed, n)
-        self.prefix = np.array([rng.random(_SHARED) for rng in self._rngs(len(self.states))])
+        self.prefix = np.empty((n, _SHARED))
+        for row, rng in zip(self.prefix, self._rngs(n)):
+            rng.random(out=row)
         self.prefix.flags.writeable = False
 
     def _rngs(self, n):

@@ -91,32 +91,42 @@ def _office_kernel(spec):
     [w - 1, u - 1]: one ``office_affectance`` call per distinct effective
     distance, gathered back to every (u, w).
 
-    Built in bands of ``_BAND`` receiver rows, in two passes: the first
-    writes each band's effective distances into the kernel and merges their
-    distinct values, the second replaces them by their weights. numpy's
-    float64 arithmetic rounds as Python's does, so every node position
-    equals the scalar one and every cell equals ``office_affectance`` of its
-    own (distance, walls) pair."""
+    Built in bands of ``_BAND`` receiver rows, in two passes over the upper
+    triangle: the first writes each band's effective distances from its
+    first row's column on into the kernel and merges their distinct values,
+    the second replaces them by their weights and copies the band into its
+    mirror cells below the diagonal. |x_u - x_w| and |o_u - o_w| are exact
+    in either order, so G[w, u] equals G[u, w] bit for bit. numpy's float64
+    arithmetic rounds as Python's does, so every node position equals the
+    scalar one and every cell equals ``office_affectance`` of its own
+    (distance, walls) pair. Each d_eff is >= 1 or inf, never NaN, and such
+    floats sort as their bit patterns do, so the lookup searches int64 keys,
+    which is faster than searching floats."""
     n, k, width = spec.n, spec.nodes_per_office, spec.office_width
     office = np.arange(n) // k
     # Transmitter and receiver rows share x coordinates one grid row apart.
     xs = office * width + (np.arange(n) % k + 0.5) * width / k
     G = np.empty((n, n))
-    bands = [slice(start, start + _BAND) for start in range(0, n, _BAND)]
+    starts = range(0, n, _BAND)
     distinct = []
-    for rows in bands:
-        d_eff = G[rows]
-        np.subtract(xs[None, :], xs[rows, None], out=d_eff)
+    for start in starts:
+        rows, cols = slice(start, start + _BAND), slice(start, None)
+        d_eff = G[rows, cols]
+        np.subtract(xs[None, cols], xs[rows, None], out=d_eff)
         np.abs(d_eff, out=d_eff)
         d_eff += 1.0
         # A product past the float range is inf, as Python's is, silently.
         with np.errstate(over="ignore"):
-            d_eff += spec.wall_penalty * np.abs(office[None, :] - office[rows, None])
+            d_eff += spec.wall_penalty * np.abs(office[None, cols] - office[rows, None])
         distinct.append(np.unique(d_eff))
     distinct = np.unique(np.concatenate(distinct))
     values = np.array([office_affectance(spec, d, 0) for d in distinct.tolist()])
-    for rows in bands:
-        np.take(values, np.searchsorted(distinct, G[rows]), out=G[rows])
+    keys = distinct.view(np.int64)
+    for start in starts:
+        stop = start + _BAND
+        band = G[start:stop, start:]
+        np.take(values, np.searchsorted(keys, band.view(np.int64)), out=band)
+        G[stop:, start:stop] = G[start:stop, stop:].T
     return G
 
 
@@ -131,16 +141,19 @@ def generate_office_layer(spec):
     The weight depends on (u, w) only, through the effective distance, and
     an office row has few distinct ones (1829 at n = 600), so
     ``office_affectance`` runs once per distinct value into an (n, n)
-    kernel, built in bands of receivers, which ``AffectanceMatrix.from_kernel``
-    holds: 8 * n * n bytes, where the dense (L, n) array, L = nodes_per_office
-    * n, would take nodes_per_office times more. The values are
-    bit-identical to one scalar call per entry; the power stays in Python
-    because numpy's differs from it in the last bit on some entries.
-    Generation's traced peak is 1.19-1.37 times n * n 8-byte cells (n = 3000
-    and 1500: the kernel plus one band's temporaries, the topology and
-    lazily imported modules), so ``_OFFICE_KERNELS`` * n * n cells over
-    ``core.MAX_WEIGHT_CELLS`` is an InstanceError, raised before anything
-    is allocated.
+    kernel, built in bands of receivers over its upper triangle and
+    mirrored, which ``AffectanceMatrix.from_kernel`` holds: 8 * n * n bytes,
+    where the dense (L, n) array, L = nodes_per_office * n, would take
+    nodes_per_office times more. The values are bit-identical to one scalar
+    call per entry; the power stays in Python because numpy's differs from
+    it in the last bit on some entries. Most of the kernel's time goes to
+    looking each upper cell's key up, then to the distance pass and to
+    sorting each band's distances; the scalar calls and the mirror copy
+    take a few percent each. Generation's traced peak is 1.20-1.42 times
+    n * n 8-byte cells (n = 3000 and 1500: the kernel plus one band's
+    temporaries, the topology and lazily imported modules), so
+    ``_OFFICE_KERNELS`` * n * n cells over ``core.MAX_WEIGHT_CELLS`` is an
+    InstanceError, raised before anything is allocated.
     """
     n, k = spec.n, spec.nodes_per_office
     _check_cells((n, n), _OFFICE_KERNELS)

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from affsim import OfficeGridSpec, encode_radio_network, generate_office_layer
 from affsim import LayerTopology, load_instance, save_instance, schedule_from_text
 from affsim import characterize, generate_rn_instance, verify_selective
+from affsim import cli
 from affsim.cli import main
 
 from conftest import ladder_edge
@@ -493,6 +494,40 @@ def test_options_of_randomized_only_are_checked_for_every_protocol(tmp_path, arg
     code, err = run_main([*argv, *source, "--out", str(out)])
     assert code == 1
     assert err == [f"error: {message}"]
+    assert not out.exists()
+
+
+BOTH = "sinr needs both --density and --dilution, each >= 1"
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--seed-base", "-1"], "--seed-base must be >= 0, got -1"),
+    ([], "sweep needs at least one --protocol"),
+    (["--protocol", "decay", "--seeds", "0"], "instances, protocols, and seeds must be non-empty"),
+    (["--protocol", "randomized", "--max-rounds", "0"], "max_rounds must be >= 1"),
+    (["--protocol", "deterministic", "--m-override", "0"], "m_override must be >= 1"),
+    (["--protocol", "sinr", "--density", "3"], BOTH),
+    (["--protocol", "sinr", "--dilution", "3"], BOTH),
+    (["--protocol", "sinr", "--density", "0", "--dilution", "3"], BOTH),
+    (["--protocol", "decay", "--protocol", "sinr", "--density", "3", "--dilution", "-1"], BOTH),
+    (["--protocol", "sinr"], "sinr needs --density and --dilution for instance file {file}"),
+], ids=["seed_base", "protocol", "seeds", "max_rounds", "m_override", "density_alone",
+        "dilution_alone", "zero_density", "negative_dilution", "sinr_instance_file"])
+def test_sweep_checks_its_arguments_before_building_instances(tmp_path, monkeypatch, options,
+                                                                message):
+    def build(*args):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(cli, "generate_office_layer", build)
+    monkeypatch.setattr(cli, "load_instance", build)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"offices": 1000}))
+    file = write_rn_star(tmp_path)
+    out = tmp_path / "out.csv"
+    code, err = run_main(["sweep", "--scenario", str(scenario), "--instance", file, *options,
+                          "--out", str(out)])
+    assert code == 1
+    assert err == [f"error: {message.format(file=file)}"]
     assert not out.exists()
 
 

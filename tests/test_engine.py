@@ -234,6 +234,13 @@ class TestRunAdaptive:
             scalar = np.random.default_rng([2 ** 40 + 3, v]).random(protocols._SHARED + 4)
             assert streams.prefix[v - 1].tolist() == scalar[:protocols._SHARED].tolist()
             assert rng.random(4).tolist() == scalar[protocols._SHARED:].tolist()
+        # The prefix is filled in place, one row per node.
+        prefix = protocols._NodeStreams(2 ** 40 + 3, 600).prefix
+        assert prefix.shape == (600, protocols._SHARED) and prefix.dtype == np.float64
+        assert prefix.flags.c_contiguous and not prefix.flags.writeable
+        for v in (1, 300, 600):
+            scalar = np.random.default_rng([2 ** 40 + 3, v]).random(protocols._SHARED)
+            assert prefix[v - 1].tolist() == scalar.tolist()
 
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7, 2 ** 96,
                                       2 ** 127 + 1])

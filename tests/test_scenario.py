@@ -174,6 +174,17 @@ class TestOfficeLayer:
         # make them share it exactly.
         assert len({d + spec.wall_penalty * walls for d, walls in pairs}) < len(pairs)
 
+    @pytest.mark.parametrize("spec", [
+        # Six bands, the last of them partial.
+        OfficeGridSpec(offices=500),
+        # Band edges cut through offices.
+        OfficeGridSpec(offices=215, nodes_per_office=7),
+    ], ids=["partial_band", "band_cuts_office"])
+    def test_kernel_equals_its_transpose_across_bands(self, spec):
+        assert spec.n % _BAND and spec.n > 5 * _BAND
+        G = _office_kernel(spec)
+        assert np.array_equal(G.view(np.int64), G.T.view(np.int64))
+
     def test_integer_lengths_give_the_integer_arithmetic_kernel(self):
         spec = OfficeGridSpec(offices=90, reach=5, wall_penalty=10)
         assert type(spec.reach) is type(spec.wall_penalty) is float
