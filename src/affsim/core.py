@@ -418,19 +418,7 @@ class AffectanceMatrix:
         weights.flags.writeable = False
         return weights
 
-    def link_totals(self, transmit, rows=slice(None)):
-        """Summed affectance on the links ``rows`` (all by default) under a
-        bool (n,) or (slots, n) transmit mask, as an (L,) or (slots, L)
-        array; exact on the weight grid on every link whose owner transmits,
-        the only links the success rule reads. Each link takes its row's
-        total less its own weight, whether or not the owner transmits, so on
-        a link with a silent owner it is lower by the own weight (0 on
-        per-link rows)."""
-        totals = self._row_totals(transmit, rows)
-        totals -= self._own[rows]
-        return totals
-
-    def _row_totals(self, transmit, rows):
+    def _row_totals(self, transmit, rows=slice(None)):
         """Each link's row total under ``transmit``, its own weight included."""
         return (transmit @ self._rows.T)[..., self._row[rows]]
 
@@ -461,7 +449,7 @@ def _indicator(n, transmitters):
 
 def _succeeds(A, x, row):
     """The scalar success rule on link ``row`` under the 0/1 vector ``x``:
-    one ``np.dot`` of the link's weights, independent of ``link_totals``."""
+    one ``np.dot`` of the link's weights, independent of ``link_success``."""
     return bool(x[A.topo.owner[row]]) and float(np.dot(A.weights([row])[0], x)) < 1.0
 
 
@@ -471,7 +459,7 @@ def _selects(A, x, w):
 
 def link_success(A, transmit, rows=slice(None)):
     """The success rule, batched: link i succeeds iff its owner transmits and
-    its summed affectance (``A.link_totals``) stays strictly below 1.
+    its summed affectance (row total less own weight) stays below 1.
     ``transmit`` is a bool (n,) or (slots, n) mask, ``rows`` the links to
     judge (all by default); returns a bool (L,) or (slots, L) mask. Testing
     the row total (own weight in) against 1 + own weight is exact on the
@@ -593,9 +581,9 @@ def characterize(A, c=None):
     raises ConstraintError.
     """
     degree = A.topo.degree
-    # max_avg_affectance_w of every receiver at once.
+    # max_avg_affectance_w of every receiver: each link's row total, all on, less own weight.
     abar_w = np.zeros(A.n)
-    np.maximum.at(abar_w, A.topo.receiver, A.link_totals(np.ones(A.n, dtype=bool)))
+    np.maximum.at(abar_w, A.topo.receiver, A._row_totals(np.ones(A.n, dtype=bool)) - A._own)
     abar = float(abar_w.max())
     if c is None:
         c = max(1.0 + EPS_C, float((abar_w / degree).max()) + EPS_C)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InstanceError, _check_schedule, characterize, link_success, verify_selective
-from .protocols import (RandomizedParams, RandomizedSlots, _adaptive_slots, _NodeStreams,
+from .protocols import (RandomizedSlots, _adaptive_slots, _check_count, _NodeStreams,
                         deterministic_schedule)
 
 MAX_ROUNDS_DEFAULT = 10 ** 6
@@ -131,18 +131,18 @@ def run_schedule(A, sched, protocol="schedule", seed=None):
     return RunRecord(protocol, seed, sched, _first_dict(_schedule_first_success(A, sched)[0]))
 
 
-def _randomized_first_success(A, params):
-    """The (len(params), n) first successes of ``run_schedule`` on
-    ``randomized_schedule(p, A.n)`` for each p of ``params``, which differ
-    in their seed only, drawing from their one ``RandomizedSlots`` source
+def _randomized_first_success(A, char, seeds, m_override):
+    """The (len(seeds), n) first successes of ``run_schedule`` on
+    ``randomized_schedule(RandomizedParams(char, seed, m_override), A.n)``
+    for each of ``seeds``, drawing from their one ``RandomizedSlots`` source
     only the slots it judges. Phase 0 fires every transmitter in each of its
     m slots, so a receiver it covers succeeds in slot 1 and slots 2..m
     select none: the judged slots are slot 1, read as its equal slot m, then
     slots m + 1 onward, and judged slot j > 1 is schedule slot j + m - 1."""
-    source = RandomizedSlots(params, A.n)
+    source = RandomizedSlots(char, seeds, A.n, m_override)
     m = source.m
     first = _first_success(A, lambda start, stop: source(start + m - 1, stop + m - 1),
-                           len(source) - m + 1, len(params))
+                           len(source) - m + 1, len(seeds))
     return np.where(first > 1, first + m - 1, first)
 
 
@@ -160,8 +160,7 @@ def run_adaptive(A, policy, params, seed, max_rounds):
     ...) and ``_first_success`` judges them. The record keeps the rounds up
     to completion or the cap and drops any decided past completion.
     """
-    if max_rounds < 1:
-        raise InstanceError("max_rounds must be >= 1")
+    _check_count("max_rounds", max_rounds)
     n = A.n
     decide = _adaptive_slots(A, policy, params, [_NodeStreams(seed, n)])
     decided = []
@@ -200,10 +199,9 @@ def _check_sweep(protocols, seeds, max_rounds, m_override):
     instance."""
     if not protocols or not seeds:
         raise InstanceError("instances, protocols, and seeds must be non-empty")
-    if max_rounds < 1:
-        raise InstanceError("max_rounds must be >= 1")
-    if m_override is not None and m_override < 1:
-        raise InstanceError("m_override must be >= 1")
+    _check_count("max_rounds", max_rounds)
+    if m_override is not None:
+        _check_count("m_override", m_override)
 
 
 def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_override=None):
@@ -215,12 +213,13 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     ``instances`` holds (instance_id, A, sinr), where ``sinr`` is the
     instance's {"density", "dilution"} (None when sinr is not run);
     ``protocols`` holds names: randomized, deterministic, decay, sinr.
-    ``c`` goes to ``characterize``, and ``m_override``, which must be >= 1
-    whatever the protocols, to the randomized schedule. Each instance is
-    characterized once, on its first randomized or deterministic run. A
-    randomized batch builds no mask: its seeds share one ``RandomizedSlots``
-    source, which ``_randomized_first_success`` reads only as far as it
-    judges, phase 0 by one slot, with the first successes of
+    ``c`` goes to ``characterize``, and ``m_override`` to the randomized
+    schedule; it and ``max_rounds`` must be integers >= 1 whatever the
+    protocols. Each instance is characterized once, on its first randomized
+    or deterministic run. A randomized batch builds no mask: its seeds share
+    one ``RandomizedSlots`` source of the instance's characterization and
+    ``m_override``, which ``_randomized_first_success`` reads only as far
+    as it judges, phase 0 by one slot, with the first successes of
     ``run_schedule`` on each whole ``randomized_schedule``.
 
     The seeds go in batches of max(1, _BATCH_CELLS // (_FIRST_BLOCK * L))
@@ -261,10 +260,7 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
                 if name in ("randomized", "deterministic") and j not in chars:
                     chars[j] = characterize(A, c=c)
                 if name == "randomized":
-                    first = _randomized_first_success(A, [
-                        RandomizedParams(characterization=chars[j], seed=seed,
-                                         m_override=m_override)
-                        for seed in batch_seeds])
+                    first = _randomized_first_success(A, chars[j], batch_seeds, m_override)
                 elif name == "deterministic":
                     first = _schedule_first_success(A, deterministic_schedule(A, chars[j]))
                 else:

@@ -3,12 +3,12 @@
 The randomized protocol and the conditional-expectation greedy emit whole
 schedules up front, each a read-only (slots, n) bool mask whose row j - 1
 marks the transmitters of slot j; the randomized one is also a slot source,
-``RandomizedSlots``, that draws only the slots read from it, which is how
-``engine.sweep`` runs it. The two adaptive baselines (decay-style backoff
-and the congruence/thinning policy) have a slot source only,
-``_adaptive_slots``, which decides a whole block of rounds for all nodes at
-once from per-node streams (``_NodeStreams``). ``engine`` judges the slots
-that these sources emit.
+``RandomizedSlots``, of one characterization and a batch of seeds, that
+draws only the slots read from it, as ``engine.sweep`` runs it. The two
+adaptive baselines (decay-style backoff and the congruence/thinning policy)
+have a slot source only, ``_adaptive_slots``, which decides a whole block
+of rounds for all nodes at once from per-node streams (``_NodeStreams``).
+``engine`` judges the slots that these sources emit.
 """
 from __future__ import annotations
 
@@ -46,50 +46,59 @@ class RandomizedParams:
     m_override: int | None = None
 
     def __post_init__(self):
-        if self.m_override is not None and self.m_override < 1:
-            raise InstanceError("m_override must be >= 1")
+        if self.m_override is not None:
+            _check_count("m_override", self.m_override)
+
+
+def _check_integer(name, value):
+    """``value`` as an int: an InstanceError unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InstanceError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_count(name, value):
+    """An InstanceError unless ``value`` is an integer >= 1."""
+    if _check_integer(name, value) < 1:
+        raise InstanceError(f"{name} must be >= 1")
 
 
 def _check_seed(seed):
     """``seed`` as an int: an InstanceError unless it is an integer >= 0."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise InstanceError(f"seed must be an integer, got {seed!r}") from None
+    seed = _check_integer("seed", seed)
     if seed < 0:
         raise InstanceError(f"seed must be >= 0, got {seed}")
     return seed
 
 
 class RandomizedSlots:
-    """The randomized schedules of a batch of ``RandomizedParams`` that differ
-    only in seed, as one slot source drawn only as far as it is read:
-    calling it with (start, stop) returns the (stop - start, runs, n) bool
-    mask of slots start + 1..stop, and ``len`` gives a schedule's phases * m.
+    """The randomized schedules of ``characterization`` on each of ``seeds``,
+    as one slot source drawn only as far as it is read: calling it with
+    (start, stop) returns the (stop - start, runs, n) bool mask of slots
+    start + 1..stop, in any order, and ``len`` gives a schedule's phases *
+    m, m being ``characterization.m`` unless ``m_override`` is given.
 
     Phase i (0-based) holds m slots; each slot includes each transmitter
     independently with probability b**-i. Each run draws from its seed's
     generator in phase-major, slot-minor, transmitter-ascending order, one
     double (one 64-bit output) per slot and transmitter, so a block of k
-    slots of phase i, ``rng.random((k, n)) < b**-i`` written into the run's
-    slice, holds exactly those rows of the whole draw. Phase 0 has p = 1,
-    which every draw is below: its slots are all-on and draw nothing, and
-    the generators are advanced past them, as past any slots skipped between
-    calls, only when a later slot is drawn. Drawn slots must be asked for in
-    ascending order. More than ``MAX_RANDOMIZED_CELLS`` cells per run, or a
-    seed that is not an integer >= 0, is an InstanceError, raised before any
-    generator is built.
+    slots of phase i, ``rng.random((k, n)) < b**-i`` once ``advance`` (whose
+    steps may be negative) has moved the generator to the block's first
+    slot, holds exactly those rows of the whole draw. Phase 0 has p = 1,
+    which every draw is below: its slots are all-on and draw nothing. More
+    than ``MAX_RANDOMIZED_CELLS`` cells per run, or a seed that is not an
+    integer >= 0, is an InstanceError, raised before any generator is built.
     """
 
-    def __init__(self, params, n):
-        char = params[0].characterization
-        self.n, self.phases, self.b = n, char.phases, char.b
-        self.m = char.m if params[0].m_override is None else params[0].m_override
+    def __init__(self, characterization, seeds, n, m_override=None):
+        self.n, self.phases, self.b = n, characterization.phases, characterization.b
+        self.m = characterization.m if m_override is None else m_override
         if len(self) * n > MAX_RANDOMIZED_CELLS:
             raise InstanceError(f"randomized schedule of phases={self.phases}, m={self.m}, n={n} "
                                 f"needs {len(self) * n} draws, over the limit of "
                                 f"{MAX_RANDOMIZED_CELLS}")
-        seeds = [_check_seed(p.seed) for p in params]
+        seeds = [_check_seed(seed) for seed in seeds]
         self.rngs = [np.random.default_rng(seed) for seed in seeds]
         self.pos = 0  # the slot whose draws the generators are at
 
@@ -100,8 +109,6 @@ class RandomizedSlots:
         mask = np.ones((stop - start, len(self.rngs), self.n), dtype=bool)
         a = max(start, self.m)  # phase 0 is all-on and draws nothing
         while a < stop:
-            if a < self.pos:
-                raise ValueError(f"slot {a + 1} asked for after slot {self.pos} was drawn")
             i = a // self.m
             end = min(stop, (i + 1) * self.m)
             block = mask[a - start:end - start]
@@ -114,10 +121,10 @@ class RandomizedSlots:
 
 def randomized_schedule(params, n):
     """Phase ladder of geometrically decreasing transmission probabilities:
-    the ``RandomizedSlots`` source of the batch of one (params,), read once
-    to its end, as a read-only (phases * m, n) mask drawn in place. Identical
+    the ``RandomizedSlots`` source of the fields of ``params``, read once to
+    its end, as a read-only (phases * m, n) mask drawn in place. Identical
     (params, n) reproduce identical schedules."""
-    source = RandomizedSlots([params], n)
+    source = RandomizedSlots(params.characterization, [params.seed], n, params.m_override)
     sched = source(0, len(source))[:, 0]
     sched.flags.writeable = False
     return sched

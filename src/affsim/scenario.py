@@ -286,12 +286,12 @@ def load_instance(path):
 
 
 def load_scenario(path):
-    """Scenario spec file; ``offices`` may be a list, yielding one spec per
-    value (a size sweep). Each value must be an integral JSON number >= 1."""
+    """Scenario spec file; ``offices`` may be a nonempty list, yielding one
+    spec per value (a size sweep). Each value must be an integral JSON number >= 1."""
     payload = _load_json_object(path)
     offices = payload.pop("offices", None)
-    if offices is None:
-        raise InstanceError(f"{path}: scenario needs an 'offices' field")
+    if offices is None or offices == []:
+        raise InstanceError(f"{path}: scenario needs an 'offices' field with at least one value")
     values = offices if isinstance(offices, list) else [offices]
     try:
         return [OfficeGridSpec(offices=v, **payload) for v in values]

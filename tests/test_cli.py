@@ -450,6 +450,17 @@ def test_generate_rejects_bad_office_count(tmp_path, capsys, offices):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["generate", "--out", "inst.json"],
+                                     ["sweep", "--protocol", "decay", "--out", "x.csv"]])
+def test_empty_office_list_is_named(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    Path("empty.json").write_text(json.dumps({"offices": []}))
+    code, err = run_main([*command, "--scenario", "empty.json"])
+    assert code == 1
+    assert err == ["error: empty.json: scenario needs an 'offices' field with at least one value"]
+    assert not Path(command[-1]).exists()
+
+
 def test_sweep_rejects_zero_m_override(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"offices": 2}))

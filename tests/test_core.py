@@ -270,7 +270,7 @@ class TestKernelForm:
         topo, G, mask = case
         K = AffectanceMatrix.from_kernel(topo, G)
         outputs = form_outputs(K, mask)
-        # max_avg_affectance_w sums w's rows; characterize reads link_totals.
+        # max_avg_affectance_w sums w's rows; characterize takes row totals less own weights.
         assert outputs[5] == list(outputs[3].abar_w)
         assert form_outputs(AffectanceMatrix.from_dense(topo, K.weights().copy()), mask) == outputs
         # kernel() zeroes only the cells no link reads.

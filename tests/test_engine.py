@@ -339,6 +339,32 @@ def test_one_seed_rule_for_both_stochastic_sources(seed, message):
         assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("name, value", [("m_override", 2.0), ("m_override", 2.5),
+                                         ("max_rounds", 2.5), ("max_rounds", 10.5),
+                                         ("max_rounds", 10 ** 6 + 0.5)])
+def test_one_integer_rule_for_m_override_and_max_rounds(name, value):
+    # m_override and max_rounds are checked as seeds are, before any draw.
+    A = generate_random_instance(5, seed=0)
+    sinr = {"density": 4, "dilution": 2}
+    calls = {
+        "m_override": [
+            lambda: randomized_schedule(RandomizedParams(characterize(A), 0, m_override=value),
+                                        A.n),
+            lambda: sweep([("a", A, None)], ["randomized"], [0], m_override=value),
+        ],
+        "max_rounds": [
+            lambda: run_adaptive(A, "decay", {}, 0, value),
+            lambda: sweep([("a", A, sinr)], ["sinr"], [0], max_rounds=value),
+            lambda: sweep([("a", A, None)], ["decay"], [0], max_rounds=value),
+        ],
+    }[name]
+    for call in calls:
+        with pytest.raises(InstanceError) as caught:
+            call()
+        assert type(caught.value) is InstanceError
+        assert str(caught.value) == f"{name} must be an integer, got {value!r}"
+
+
 class TestTies:
     """Instances whose link totals land exactly on 1: the batched runs agree
     with the scalar predicate slot for slot."""
@@ -782,7 +808,8 @@ class TestLazyRandomized:
 
     def check(self, A, params):
         full = run_schedule(A, randomized_schedule(params, A.n))
-        first = engine._randomized_first_success(A, [params])
+        first = engine._randomized_first_success(A, params.characterization, [params.seed],
+                                                 params.m_override)
         assert first.shape == (1, A.n)
         assert engine._first_dict(first[0]) == full.first_success
         return full
@@ -809,11 +836,11 @@ class TestLazyRandomized:
         for A in instances:
             char = characterize(A)
             for m_override in (None, 1):
-                params = [RandomizedParams(char, seed, m_override=m_override)
-                          for seed in (3, 0, 3, 9)]
-                first = engine._randomized_first_success(A, params)
+                seeds = (3, 0, 3, 9)
+                first = engine._randomized_first_success(A, char, seeds, m_override)
                 assert first.shape == (4, A.n)
-                for run, p in zip(first, params):
+                for run, seed in zip(first, seeds):
+                    p = RandomizedParams(char, seed, m_override=m_override)
                     full = run_schedule(A, randomized_schedule(p, A.n))
                     assert engine._first_dict(run) == full.first_success
 
@@ -875,8 +902,8 @@ class TestLazyRandomized:
         sources = []
 
         class Recorded(RandomizedSlots):
-            def __init__(self, params, n):
-                super().__init__(params, n)
+            def __init__(self, *args):
+                super().__init__(*args)
                 self.asked = []
                 sources.append(self)
 

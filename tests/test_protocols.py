@@ -139,7 +139,7 @@ class TestRandomizedSlots:
     @pytest.mark.parametrize("abar, options", OPTIONS)
     def test_read_to_end_is_the_schedule(self, seed, abar, options):
         params = randomized_params(abar, seed, 9, **options)
-        source = RandomizedSlots([params], 9)
+        source = RandomizedSlots(params.characterization, [seed], 9, params.m_override)
         sched = randomized_schedule(params, 9)
         assert len(source) == len(sched)
         mask = source(0, len(source))
@@ -152,11 +152,12 @@ class TestRandomizedSlots:
         # Blocks of any size that cross phase edges, with slots skipped
         # between them, hold the whole draw's rows of those slots: in a
         # batch of one, and in each run of a batch that repeats a seed.
+        params = randomized_params(abar, seed, 9, **options)
         for seeds in ([seed], [seed, 11, seed]):
-            batch = [randomized_params(abar, s, 9, **options) for s in seeds]
-            scheds = np.stack([randomized_schedule(params, 9) for params in batch], axis=1)
+            scheds = batch_schedules(params, seeds)
             rng = np.random.default_rng(seed)
-            source, start = RandomizedSlots(batch, 9), 0
+            source = RandomizedSlots(params.characterization, seeds, 9, params.m_override)
+            start = 0
             while start < len(scheds):
                 stop = min(len(scheds), start + int(rng.integers(1, 12)))
                 block = source(start, stop)
@@ -164,19 +165,49 @@ class TestRandomizedSlots:
                 assert block.tobytes() == scheds[start:stop].tobytes()
                 start = stop + int(rng.integers(0, 4))
 
-    def test_drawn_slots_are_not_drawn_again(self):
-        source = RandomizedSlots([RandomizedParams(fake_char(abar=4.0, c=1.5, m=7), seed=0)], 9)
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("abar, options", OPTIONS)
+    @pytest.mark.parametrize("order", ["descending", "shuffled"])
+    def test_blocks_read_in_any_order_take_the_schedule_rows(self, seed, abar, options, order):
+        # Blocks that cross phase edges, asked for from the last one back or
+        # shuffled, one of them twice, hold the whole draw's rows of their
+        # slots in each run of a batch that repeats a seed.
+        params = randomized_params(abar, seed, 9, **options)
+        seeds = [seed, 11, seed]
+        scheds = batch_schedules(params, seeds)
+        rng = np.random.default_rng(seed)
+        edges = np.unique(np.r_[0, rng.integers(1, len(scheds), 6), len(scheds)])
+        blocks = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+        if order == "descending":
+            blocks.reverse()
+        else:
+            rng.shuffle(blocks)
+        blocks.insert(len(blocks) // 2 + 1, blocks[len(blocks) // 2])
+        source = RandomizedSlots(params.characterization, seeds, 9, params.m_override)
+        for start, stop in blocks:
+            assert source(start, stop).tobytes() == scheds[start:stop].tobytes()
+
+    def test_drawn_slots_are_drawn_again_alike(self):
+        params = RandomizedParams(fake_char(abar=4.0, c=1.5, m=7), seed=0)
+        source = RandomizedSlots(params.characterization, [0], 9)
         assert source(0, 7).all()
         source(0, 3)  # phase 0 draws nothing
-        source(8, 10)
-        with pytest.raises(ValueError, match="slot 9 asked for after slot 10 was drawn"):
-            source(8, 9)
+        row = source(8, 10)[0]
+        assert source(8, 9)[0].tobytes() == row.tobytes()
+        assert row.tobytes() == randomized_schedule(params, 9)[8].tobytes()
 
     def test_capacity_checked_before_any_draw(self):
         params = RandomizedParams(fake_char(abar=4.0, c=1.5, m=7), seed=0,
                                   m_override=2 ** 28)
         with pytest.raises(InstanceError, match=r"phases=\d+, m=268435456, n=9 needs "):
-            RandomizedSlots([params], 9)
+            RandomizedSlots(params.characterization, [0], 9, params.m_override)
+
+
+def batch_schedules(params, seeds):
+    """(slots, runs, n = 9) stack of ``randomized_schedule`` of ``params``
+    on each of ``seeds``."""
+    return np.stack([randomized_schedule(dataclasses.replace(params, seed=seed), 9)
+                     for seed in seeds], axis=1)
 
 
 def one_shot_draw(params, n):
