@@ -196,6 +196,13 @@ class TestRandomizedSlots:
         assert source(8, 9)[0].tobytes() == row.tobytes()
         assert row.tobytes() == randomized_schedule(params, 9)[8].tobytes()
 
+    def test_seeds_checked_before_any_generator(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(np.random, "default_rng", built.append)
+        with pytest.raises(InstanceError, match="seed must be >= 0, got -1"):
+            RandomizedSlots(fake_char(abar=4.0, c=1.5, m=7), [0, -1], 9)
+        assert built == []
+
     def test_capacity_checked_before_any_draw(self):
         params = RandomizedParams(fake_char(abar=4.0, c=1.5, m=7), seed=0,
                                   m_override=2 ** 28)
