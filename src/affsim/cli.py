@@ -152,6 +152,8 @@ def _sinr_flags(args):
 def cmd_sweep(args):
     if args.seed_base < 0:
         raise InstanceError(f"--seed-base must be >= 0, got {args.seed_base}")
+    if args.seeds < 1:
+        raise InstanceError(f"--seeds must be >= 1, got {args.seeds}")
     if not args.protocol:
         raise InstanceError("sweep needs at least one --protocol")
     seeds = range(args.seed_base, args.seed_base + args.seeds)

@@ -419,8 +419,19 @@ class AffectanceMatrix:
         return weights
 
     def _row_totals(self, transmit, rows=slice(None)):
-        """Each link's row total under ``transmit``, its own weight included."""
-        return (transmit @ self._rows.T)[..., self._row[rows]]
+        """Each link's row total under ``transmit``, its own weight included,
+        for the links ``rows``. If they read at most half of the held rows,
+        one product with a gathered copy of just those rows, where a link
+        reads column ``rank``, its row's place among the rows read; else one
+        product with every row, uncopied, since the copy then costs more
+        than the rows it skips. Grid totals are exact, so both agree."""
+        row = self._row[rows]
+        read = np.zeros(len(self._rows), dtype=bool)
+        read[row] = True
+        if 2 * np.count_nonzero(read) > len(read):
+            return (transmit @ self._rows.T)[..., row]
+        rank = np.cumsum(read) - 1
+        return (transmit @ self._rows[read].T)[..., rank[row]]
 
     def entries(self):
         """Nonzero entries as (u, v, w, value), sorted."""
@@ -461,9 +472,12 @@ def link_success(A, transmit, rows=slice(None)):
     """The success rule, batched: link i succeeds iff its owner transmits and
     its summed affectance (row total less own weight) stays below 1.
     ``transmit`` is a bool (n,) or (slots, n) mask, ``rows`` the links to
-    judge (all by default); returns a bool (L,) or (slots, L) mask. Testing
-    the row total (own weight in) against 1 + own weight is exact on the
-    weight grid, so it agrees with ``verify_selective``, ties included."""
+    judge (all by default); returns a bool (L,) or (slots, L) mask, equal
+    to those columns of the all-links mask. The product multiplies only
+    the weight rows that ``rows`` read, unless they read over half of them
+    (``_row_totals``). Testing the row total (own weight in) against 1 +
+    own weight is exact on the weight grid, so it agrees with
+    ``verify_selective``, ties included."""
     return transmit[..., A.topo.owner[rows]] & (A._row_totals(transmit, rows) < 1.0 + A._own[rows])
 
 

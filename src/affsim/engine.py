@@ -80,8 +80,9 @@ def _first_success(A, slots, cap, runs=1):
     slots. Each block goes through one ``link_success`` call, its runs
     stacked as (slots * runs) rows, on the link rows of receivers that some
     run has not covered: a receiver's rows drop once every run covers it,
-    and the loop ends when none is left; one ``np.minimum.at`` keeps each
-    run's earliest success per receiver. Grid totals do not depend on
+    so a late block multiplies only the weight rows that its pending links
+    read, and the loop ends when none is left; one ``np.minimum.at`` keeps
+    each run's earliest success per receiver. Grid totals do not depend on
     summation order, and later slots cannot undo a first success, so each
     run's answer is that of one pass over its own ``cap`` slots.
     """
@@ -197,8 +198,9 @@ def _check_sweep(protocols, seeds, max_rounds, m_override):
     """The checks of ``sweep``'s arguments that hold whatever the instances:
     ``sweep`` makes them, and ``affsim sweep`` before it builds any
     instance."""
-    if not protocols or not seeds:
-        raise InstanceError("instances, protocols, and seeds must be non-empty")
+    for name, values in (("protocols", protocols), ("seeds", seeds)):
+        if not values:
+            raise InstanceError(f"{name} must be non-empty")
     _check_count("max_rounds", max_rounds)
     if m_override is not None:
         _check_count("m_override", m_override)
@@ -238,7 +240,7 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     report max_rounds with completed=False.
     """
     if not instances:
-        raise InstanceError("instances, protocols, and seeds must be non-empty")
+        raise InstanceError("instances must be non-empty")
     _check_sweep(protocols, seeds, max_rounds, m_override)
     missing = [i for i, _, sinr in instances if sinr is None] if "sinr" in protocols else []
     if missing:

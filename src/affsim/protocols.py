@@ -51,11 +51,14 @@ class RandomizedParams:
 
 
 def _check_integer(name, value):
-    """``value`` as an int: an InstanceError unless it is an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InstanceError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int: an InstanceError unless it is an integer, a bool
+    not counting as one."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InstanceError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_count(name, value):

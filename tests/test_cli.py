@@ -514,7 +514,8 @@ BOTH = "sinr needs both --density and --dilution, each >= 1"
 @pytest.mark.parametrize("options, message", [
     (["--seed-base", "-1"], "--seed-base must be >= 0, got -1"),
     ([], "sweep needs at least one --protocol"),
-    (["--protocol", "decay", "--seeds", "0"], "instances, protocols, and seeds must be non-empty"),
+    (["--protocol", "decay", "--seeds", "0"], "--seeds must be >= 1, got 0"),
+    (["--protocol", "decay", "--seeds", "-3"], "--seeds must be >= 1, got -3"),
     (["--protocol", "randomized", "--max-rounds", "0"], "max_rounds must be >= 1"),
     (["--protocol", "deterministic", "--m-override", "0"], "m_override must be >= 1"),
     (["--protocol", "sinr", "--density", "3"], BOTH),
@@ -522,7 +523,7 @@ BOTH = "sinr needs both --density and --dilution, each >= 1"
     (["--protocol", "sinr", "--density", "0", "--dilution", "3"], BOTH),
     (["--protocol", "decay", "--protocol", "sinr", "--density", "3", "--dilution", "-1"], BOTH),
     (["--protocol", "sinr"], "sinr needs --density and --dilution for instance file {file}"),
-], ids=["seed_base", "protocol", "seeds", "max_rounds", "m_override", "density_alone",
+], ids=["seed_base", "protocol", "seeds", "negative_seeds", "max_rounds", "m_override", "density_alone",
         "dilution_alone", "zero_density", "negative_dilution", "sinr_instance_file"])
 def test_sweep_checks_its_arguments_before_building_instances(tmp_path, monkeypatch, options,
                                                                 message):

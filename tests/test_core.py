@@ -280,6 +280,51 @@ class TestKernelForm:
         assert np.array_equal(K.kernel(), np.where(unread, 0.0, G))
 
 
+def assert_subsets_match_all_links(A, mask, pick):
+    """``link_success`` on a subset of the links equals those columns of the
+    all-links result: no link, the single link ``pick`` (mod L), all links
+    but it, all links, and a shuffled subset, for the (slots, n) ``mask``
+    and for its first slot alone."""
+    links = len(A.topo.owner)
+    one = pick % links
+    everyone = np.arange(links)
+    shuffled = np.random.default_rng(pick).permutation(links)[:1 + pick % links]
+    full = link_success(A, mask)
+    for rows in (everyone[:0], np.array([one]), np.delete(everyone, one), everyone, shuffled):
+        assert np.array_equal(link_success(A, mask, rows), full[:, rows])
+        assert np.array_equal(link_success(A, mask[0], rows), full[0, rows])
+
+
+class TestLinkSubsets:
+    """A block that judges some links multiplies only the rows they read;
+    its successes are those of the all-links product, ties included."""
+
+    @settings(max_examples=60)
+    @given(kernel_cases(), st.integers(0, 2 ** 16))
+    def test_kernel_and_dense_forms(self, case, pick):
+        topo, G, mask = case
+        K = AffectanceMatrix.from_kernel(topo, G)
+        for A in (K, AffectanceMatrix.from_dense(topo, K.weights().copy())):
+            assert_subsets_match_all_links(A, mask, pick)
+
+    @settings(max_examples=60)
+    @example(ten_tenths_case(), 0)
+    @example(ten_tenths_case(), 1)
+    @given(tie_cases(), st.integers(0, 2 ** 16))
+    def test_grid_ties(self, case, pick):
+        A, mask = case
+        assert_subsets_match_all_links(A, mask, pick)
+
+    @pytest.mark.parametrize("A", [generate_office_layer(OfficeGridSpec(offices=4)),
+                                   generate_rn_instance(40, 6, 1),
+                                   generate_random_instance(12, seed=3)],
+                             ids=["office", "rn", "random"])
+    def test_generated_instances(self, A):
+        mask = np.random.default_rng(4).random((20, A.n)) < 0.3
+        for pick in range(5):
+            assert_subsets_match_all_links(A, mask, pick)
+
+
 class TestTotalAffectance:
     def test_empty_set(self):
         assert total_affectance(simple_pair(), set(), (1, 1)) == 0.0

@@ -320,8 +320,9 @@ class TestRunAdaptive:
 
 
 @pytest.mark.parametrize("seed, message", [(-1, "seed must be >= 0, got -1"),
-                                           (1.5, "seed must be an integer, got 1.5")],
-                         ids=["negative", "float"])
+                                           (1.5, "seed must be an integer, got 1.5"),
+                                           (True, "seed must be an integer, got True")],
+                         ids=["negative", "float", "bool"])
 def test_one_seed_rule_for_both_stochastic_sources(seed, message):
     # The randomized source and the adaptive baselines' node streams check a
     # seed by one rule, before any generator is built.
@@ -341,7 +342,8 @@ def test_one_seed_rule_for_both_stochastic_sources(seed, message):
 
 @pytest.mark.parametrize("name, value", [("m_override", 2.0), ("m_override", 2.5),
                                          ("max_rounds", 2.5), ("max_rounds", 10.5),
-                                         ("max_rounds", 10 ** 6 + 0.5)])
+                                         ("max_rounds", 10 ** 6 + 0.5), ("m_override", True),
+                                         ("max_rounds", True)])
 def test_one_integer_rule_for_m_override_and_max_rounds(name, value):
     # m_override and max_rounds are checked as seeds are, before any draw.
     A = generate_random_instance(5, seed=0)
@@ -482,10 +484,12 @@ class TestSweep:
 
     def test_empty_inputs_rejected(self):
         instance = self.instance()
-        for instances, protocols, seeds in [([], ["decay"], [1]), ([instance], [], [1]),
-                                            ([instance], ["decay"], [])]:
-            with pytest.raises(InstanceError, match="must be non-empty"):
+        for instances, protocols, seeds, name in [([], ["decay"], [1], "instances"),
+                                                  ([instance], [], [1], "protocols"),
+                                                  ([instance], ["decay"], [], "seeds")]:
+            with pytest.raises(InstanceError) as caught:
                 sweep(instances, protocols, seeds)
+            assert str(caught.value) == f"{name} must be non-empty"
 
     def test_sinr_without_options_names_the_instance(self):
         instances = [("a", generate_random_instance(3, seed=0), {"density": 2, "dilution": 2}),
@@ -744,6 +748,28 @@ class TestBlockLoop:
         first = engine._first_success(A, lambda start, stop: stacked[start:stop], 100, 2)
         assert first.tolist() == [[1, 2], [40, 2]]
         assert judged == [(32 * 2, [0, 1]), (32 * 2, [0])]
+
+    def test_per_link_rows_of_pending_receivers_only(self, monkeypatch):
+        # One weight row per link: once receivers are covered, later blocks
+        # judge fewer links, multiply only their rows, and find the same
+        # first successes as one product over the whole mask.
+        A = generate_random_instance(30, seed=5)
+        assert len(A._rows) == len(A.topo.owner)
+        judged = []
+
+        def recording_success(A, transmit, rows=slice(None)):
+            judged.append(len(rows))
+            return link_success(A, transmit, rows)
+
+        monkeypatch.setattr(engine, "link_success", recording_success)
+        # Each run fires the nodes alone, one every 20 slots, in its own order.
+        rng = np.random.default_rng(6)
+        masks = np.stack([one_slot_each(20 * rng.permutation(np.arange(1, A.n + 1)), 600)
+                          for _ in range(3)], axis=1)
+        first = engine._first_success(A, lambda start, stop: masks[start:stop], 600, 3)
+        assert judged[0] == len(A.topo.owner) > judged[-1] > 0
+        for run in range(3):
+            assert engine._first_dict(first[run]) == full_mask_first_success(A, masks[:, run])
 
     def test_empty_schedule_completes_nothing(self):
         A = isolated_links(3)

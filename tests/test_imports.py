@@ -1,6 +1,7 @@
-"""Every name that a module of the package or of the tests imports is read
-somewhere in that module: an AST scan, as the toolchain has no linter. The
-package's ``__init__.py`` imports to re-export and is exempt."""
+"""Every name that a module of the package, of the tests or of ``scripts/``
+imports is read somewhere in that module: an AST scan, as the toolchain has
+no linter. The package's ``__init__.py`` imports to re-export and is
+exempt."""
 import ast
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(path for path in [*(ROOT / "src" / "affsim").glob("*.py"),
-                                   *(ROOT / "tests").glob("*.py")]
+                                   *(ROOT / "tests").glob("*.py"),
+                                   *(ROOT / "scripts").glob("*.py")]
                  if path.name != "__init__.py")
 
 
