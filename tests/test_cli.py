@@ -523,8 +523,9 @@ BOTH = "sinr needs both --density and --dilution, each >= 1"
     (["--protocol", "sinr", "--density", "0", "--dilution", "3"], BOTH),
     (["--protocol", "decay", "--protocol", "sinr", "--density", "3", "--dilution", "-1"], BOTH),
     (["--protocol", "sinr"], "sinr needs --density and --dilution for instance file {file}"),
-], ids=["seed_base", "protocol", "seeds", "negative_seeds", "max_rounds", "m_override", "density_alone",
-        "dilution_alone", "zero_density", "negative_dilution", "sinr_instance_file"])
+], ids=["seed_base", "protocol", "seeds", "negative_seeds", "max_rounds", "m_override",
+        "density_alone", "dilution_alone", "zero_density", "negative_dilution",
+        "sinr_instance_file"])
 def test_sweep_checks_its_arguments_before_building_instances(tmp_path, monkeypatch, options,
                                                                 message):
     def build(*args):

@@ -315,15 +315,6 @@ class TestLinkSubsets:
         A, mask = case
         assert_subsets_match_all_links(A, mask, pick)
 
-    @pytest.mark.parametrize("A", [generate_office_layer(OfficeGridSpec(offices=4)),
-                                   generate_rn_instance(40, 6, 1),
-                                   generate_random_instance(12, seed=3)],
-                             ids=["office", "rn", "random"])
-    def test_generated_instances(self, A):
-        mask = np.random.default_rng(4).random((20, A.n)) < 0.3
-        for pick in range(5):
-            assert_subsets_match_all_links(A, mask, pick)
-
 
 class TestTotalAffectance:
     def test_empty_set(self):
