@@ -2,10 +2,12 @@
 """Alternating parent/change runs of the affsim benchmark.
 
     python3 scripts/bench_pair.py --parent ../affsim-parent --change . \\
-        --label block_eval --seed-base 700
+        --label block_eval --seed-base 700 [--workload rn_adaptive ...]
 
 Both trees are checkouts of this repository. For every workload named in
-the change's ``BENCHMARK.json``, pair i of ``PAIRS`` runs
+the change's ``BENCHMARK.json`` (or only those given by ``--workload``,
+in that file's order; an unknown name exits with code 2 before any run),
+pair i of ``PAIRS`` runs
 ``perfbench/run.py --seed <seed-base + i> --trace 0`` for that file's
 ``run_seconds`` once in each tree, parent first on even pairs and change
 first on odd ones, so a drift in machine speed falls on both sides. The last line a run prints is its
@@ -59,6 +61,8 @@ def parse_args(argv):
     parser.add_argument("--change", required=True, type=Path, help="changed checkout")
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
     parser.add_argument("--seed-base", type=int, default=1)
+    parser.add_argument("--workload", action="append", metavar="NAME",
+                        help="run only this workload (repeatable; default: every workload)")
     return parser.parse_args(argv)
 
 
@@ -177,12 +181,18 @@ def main(argv=None):
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
+    names = [w["name"] for w in spec["workloads"]]
+    unknown = sorted(set(args.workload or ()) - set(names))
+    if unknown:
+        print(f"unknown workload {', '.join(unknown)}; BENCHMARK.json has {', '.join(names)}",
+              file=sys.stderr)
+        return 2
     env = {side: {**git_state(tree), "src_lines": line_count(tree / "src" / "affsim"),
                   "tests_lines": line_count(tree / "tests")} for side, tree in trees.items()}
     report = {"label": args.label, "seconds": seconds, "seed_base": args.seed_base,
               "pairs": PAIRS, "environment": env, "workloads": {}}
     incorrect = 0
-    for workload in (w["name"] for w in spec["workloads"]):
+    for workload in (name for name in names if not args.workload or name in args.workload):
         runs = []
         for i in range(PAIRS):
             seed = args.seed_base + i

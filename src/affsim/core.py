@@ -424,14 +424,15 @@ class AffectanceMatrix:
         one product with a gathered copy of just those rows, where a link
         reads column ``rank``, its row's place among the rows read; else one
         product with every row, uncopied, since the copy then costs more
-        than the rows it skips. Grid totals are exact, so both agree."""
+        than the rows it skips. Grid totals are exact, so both agree. The
+        totals are gathered with ``np.take``, so they are C-ordered."""
         row = self._row[rows]
         read = np.zeros(len(self._rows), dtype=bool)
         read[row] = True
         if 2 * np.count_nonzero(read) > len(read):
-            return (transmit @ self._rows.T)[..., row]
+            return np.take(transmit @ self._rows.T, row, axis=-1)
         rank = np.cumsum(read) - 1
-        return (transmit @ self._rows[read].T)[..., rank[row]]
+        return np.take(transmit @ self._rows[read].T, rank[row], axis=-1)
 
     def entries(self):
         """Nonzero entries as (u, v, w, value), sorted."""
@@ -477,8 +478,11 @@ def link_success(A, transmit, rows=slice(None)):
     the weight rows that ``rows`` read, unless they read over half of them
     (``_row_totals``). Testing the row total (own weight in) against 1 +
     own weight is exact on the weight grid, so it agrees with
-    ``verify_selective``, ties included."""
-    return transmit[..., A.topo.owner[rows]] & (A._row_totals(transmit, rows) < 1.0 + A._own[rows])
+    ``verify_selective``, ties included. The mask is C-ordered: the owners'
+    columns are gathered with ``np.take`` and the test is and-ed in place."""
+    success = np.take(transmit, A.topo.owner[rows], axis=-1)
+    success &= A._row_totals(transmit, rows) < 1.0 + A._own[rows]
+    return success
 
 
 def is_selected(A, transmitters, w):

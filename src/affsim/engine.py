@@ -61,13 +61,18 @@ class RunRecord:
 
 
 # Slots of the first evaluation block; each later one doubles the slots judged,
-# up to _MAX_BLOCK slots (which bounds a block's (slots, links) product).
-_FIRST_BLOCK = 32
+# up to _MAX_BLOCK slots (which bounds a block's (slots, links) product). Most
+# receivers are covered within the first few slots, so a short first block
+# judges fewer link-slot cells than a longer one would.
+_FIRST_BLOCK = 16
 _MAX_BLOCK = 1024
 # Cells of a sweep batch's first block, _FIRST_BLOCK slots x seeds x links:
 # a sweep judges max(1, _BATCH_CELLS // (_FIRST_BLOCK * links)) seeds of an
 # (instance, protocol) pair at once, links counted on its largest instance.
-_BATCH_CELLS = 2 ** 16
+# At 2^15 a batch holds max(1, 2^11 // links) seeds; at 2^16 an office n = 600
+# sweep (1,800 links) would run two seeds per batch, and its traced peak in a
+# randomized/decay/sinr sweep of two seeds would rise from 1.7 to 5.5 MB.
+_BATCH_CELLS = 2 ** 15
 
 
 def _first_success(A, slots, cap, runs=1):
@@ -76,15 +81,17 @@ def _first_success(A, slots, cap, runs=1):
     array; 0 marks a receiver the run never selects.
 
     ``slots(start, stop)`` returns the (stop - start, runs, n) bool mask of
-    slots start + 1..stop of every run, in blocks of 32, 32, 64, ..., 1024
+    slots start + 1..stop of every run, in blocks of 16, 16, 32, ..., 1024
     slots. Each block goes through one ``link_success`` call, its runs
     stacked as (slots * runs) rows, on the link rows of receivers that some
     run has not covered: a receiver's rows drop once every run covers it,
     so a late block multiplies only the weight rows that its pending links
     read, and the loop ends when none is left; one ``np.minimum.at`` keeps
-    each run's earliest success per receiver. Grid totals do not depend on
-    summation order, and later slots cannot undo a first success, so each
-    run's answer is that of one pass over its own ``cap`` slots.
+    each run's earliest success per receiver, found by one
+    ``np.flatnonzero`` of the C-ordered mask, which copies nothing. Grid
+    totals do not depend on summation order, and later slots cannot undo a
+    first success, so each run's answer is that of one pass over its own
+    ``cap`` slots.
     """
     n = A.n
     receiver_of = A.topo.receiver
@@ -157,7 +164,7 @@ def run_adaptive(A, policy, params, seed, max_rounds):
     The stop-when-all-covered guard uses global knowledge; it is a
     termination-detection device of the simulation, not of the protocol.
     The run is a batch of one in the loop that ``sweep`` runs its seeds
-    through: the slot source decides whole blocks of rounds (32, 32, 64,
+    through: the slot source decides whole blocks of rounds (16, 16, 32,
     ...) and ``_first_success`` judges them. The record keeps the rounds up
     to completion or the cap and drops any decided past completion.
     """
@@ -225,13 +232,13 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     ``run_schedule`` on each whole ``randomized_schedule``.
 
     The seeds go in batches of max(1, _BATCH_CELLS // (_FIRST_BLOCK * L))
-    seeds, L the largest link count among the instances, and each
-    (instance, protocol) pair runs a batch's seeds through one
-    ``_first_success`` loop, as ``run_schedule`` and ``run_adaptive`` run
-    one. The decay and sinr runs of a batch share one ``_NodeStreams`` per
-    seed for the largest n, built on the batch's first adaptive run and
-    dropped before the next batch's; the rows are then put in the order
-    above.
+    = max(1, 2^11 // L) seeds, L the largest link count among the
+    instances, and each (instance, protocol) pair runs a batch's seeds
+    through one ``_first_success`` loop, as ``run_schedule`` and
+    ``run_adaptive`` run one. The decay and sinr runs of a batch share one
+    ``_NodeStreams`` per seed for the largest n, built on the batch's first
+    adaptive run and dropped before the next batch's; the rows are then put
+    in the order above.
 
     Every row takes its outcome from the run's first successes: rounds is
     the completion round (last first-success slot) for every protocol,

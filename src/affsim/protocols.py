@@ -416,7 +416,8 @@ class _SeedState:
 
 
 # Values of each node's stream that a store draws once for every run on its
-# seed: they cover the first four evaluation blocks (32 + 32 + 64 + 128 rounds).
+# seed: they cover the first five evaluation blocks (16 + 16 + 32 + 64 + 128
+# rounds).
 _SHARED = 256
 
 

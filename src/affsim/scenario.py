@@ -252,13 +252,18 @@ def save_instance(A, path):
 
 
 def _load_json_object(path):
-    """Top-level JSON object of a file; malformed JSON or any other top-level
-    value is an InstanceError."""
-    with open(path) as fh:
+    """Top-level JSON object of a UTF-8 file; bytes that are not UTF-8,
+    malformed JSON, nesting past Python's recursion limit or any other
+    top-level value is an InstanceError."""
+    with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InstanceError(f"{path}: malformed JSON at line {exc.lineno}") from exc
+        except UnicodeDecodeError as exc:
+            raise InstanceError(f"{path}: not UTF-8 text") from exc
+        except RecursionError:
+            raise InstanceError(f"{path}: JSON nested too deeply") from None
     if not isinstance(payload, dict):
         raise InstanceError(f"{path}: top level must be a JSON object")
     return payload

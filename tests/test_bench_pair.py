@@ -1,6 +1,6 @@
 """scripts/bench_pair.py: the report it writes when benchmark runs fail,
-the line counts of each side's sources and tests, and its gain and bound
-verdicts."""
+the line counts of each side's sources and tests, its gain and bound
+verdicts, and the workloads that ``--workload`` picks."""
 import importlib.util
 import json
 from pathlib import Path
@@ -132,3 +132,39 @@ def test_verdicts_without_results(bench_pair):
     # No pair gave both results: no gain, and no bound verdict.
     result = bench_pair.paired({"parent": [], "change": []}, True)
     assert bench_pair.verdicts(result, True, 0.25) == {"gain_met": False, "within_bound": None}
+
+
+@pytest.mark.parametrize("chosen, ran", [
+    ([], ["office_sweep", "greedy", "rn_adaptive"]),
+    (["rn_adaptive"], ["rn_adaptive"]),
+    # Given in any order, or twice: each runs once, in BENCHMARK.json's order.
+    (["rn_adaptive", "office_sweep", "rn_adaptive"], ["office_sweep", "rn_adaptive"]),
+    (["office_sweep", "nope"], None),
+], ids=["default", "one", "two", "unknown"])
+def test_workload_option_picks_the_workloads_run(bench_pair, tmp_path, monkeypatch, chosen, ran):
+    spec = {**SPEC, "workloads": [{"name": n} for n in ("office_sweep", "greedy", "rn_adaptive")]}
+    trees = {side: tmp_path / side for side in bench_pair.SIDES}
+    for tree in trees.values():
+        (tree / "src" / "affsim").mkdir(parents=True)
+        (tree / "tests").mkdir()
+    (trees["change"] / "BENCHMARK.json").write_text(json.dumps(spec))
+    asked = []
+
+    def run_once(tree, workload, seed, seconds):
+        asked.append(workload)
+        return {}, {"correct": True, "metrics": {"wall_s": {"value": 1.0}}}
+
+    monkeypatch.setattr(bench_pair, "run_once", run_once)
+    monkeypatch.setattr(bench_pair, "run_tier1",
+                        lambda tree: {"wall_s": 1.0, "passed": 1, "failed": 0})
+    monkeypatch.setattr(bench_pair, "git_state",
+                        lambda tree: {"git_sha": None, "uncommitted_changes": None})
+    argv = ["--parent", str(trees["parent"]), "--change", str(trees["change"]), "--label", "t"]
+    code = bench_pair.main(argv + [arg for name in chosen for arg in ("--workload", name)])
+    report = trees["change"] / "BENCH_t.json"
+    if ran is None:
+        assert code == 2 and not asked and not report.exists()
+        return
+    assert code == 0
+    assert asked == [name for name in ran for _ in range(2 * bench_pair.PAIRS)]
+    assert list(json.loads(report.read_text())["workloads"]) == ran

@@ -479,6 +479,28 @@ def test_characterize_rejects_int_past_float_range(tmp_path):
     assert err == [f"error: {path}: kernel entries must be a list of rows of 3 numbers"]
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe\x00x", "not UTF-8 text"),
+    (b"[" * 100000 + b"]" * 100000, "JSON nested too deeply"),
+], ids=["not_utf8", "nested_100000_deep"])
+@pytest.mark.parametrize("command", [
+    ["characterize", "--instance"],
+    ["schedule", "--protocol", "randomized", "--out", "out.txt", "--instance"],
+    ["sweep", "--protocol", "decay", "--out", "out.csv", "--instance"],
+    ["sweep", "--protocol", "decay", "--out", "out.csv", "--scenario"],
+    ["generate", "--out", "out.json", "--scenario"],
+], ids=["characterize", "schedule", "sweep_instance", "sweep_scenario", "generate"])
+def test_undecodable_json_is_validation_error(tmp_path, monkeypatch, content, message, command):
+    # Bytes that are not UTF-8, and nesting past the recursion limit, give
+    # one error line naming the file, not a traceback.
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_bytes(content)
+    code, err = run_main([*command, "bad.json"])
+    assert code == 1
+    assert err == [f"error: bad.json: {message}"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.json"]
+
+
 ONLY = "--fallback and --m-override apply to --protocol randomized only"
 
 

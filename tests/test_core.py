@@ -291,8 +291,10 @@ def assert_subsets_match_all_links(A, mask, pick):
     shuffled = np.random.default_rng(pick).permutation(links)[:1 + pick % links]
     full = link_success(A, mask)
     for rows in (everyone[:0], np.array([one]), np.delete(everyone, one), everyone, shuffled):
-        assert np.array_equal(link_success(A, mask, rows), full[:, rows])
-        assert np.array_equal(link_success(A, mask[0], rows), full[0, rows])
+        subset, slot = link_success(A, mask, rows), link_success(A, mask[0], rows)
+        assert subset.flags.c_contiguous and slot.flags.c_contiguous
+        assert np.array_equal(subset, full[:, rows])
+        assert np.array_equal(slot, full[0, rows])
 
 
 class TestLinkSubsets:
@@ -314,6 +316,18 @@ class TestLinkSubsets:
     def test_grid_ties(self, case, pick):
         A, mask = case
         assert_subsets_match_all_links(A, mask, pick)
+
+    @pytest.mark.parametrize("A", [generate_rn_instance(60, 8, 0), generate_random_instance(30, 5)],
+                             ids=["kernel", "per_link"])
+    def test_masks_are_c_ordered(self, A):
+        # The engine takes np.flatnonzero of each block's mask, which would
+        # copy an F-ordered one whole. Three links read few rows, all but
+        # one read most of them: both of _row_totals' products.
+        mask = np.random.default_rng(0).random((40, A.n)) < 0.3
+        links = np.arange(len(A.topo.owner))
+        for rows in (slice(None), links[:3], links[1:], links[::-1]):
+            assert link_success(A, mask, rows).flags.c_contiguous
+            assert link_success(A, mask[0], rows).flags.c_contiguous
 
 
 class TestTotalAffectance:

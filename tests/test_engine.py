@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -183,7 +184,8 @@ class TestRunAdaptive:
     ])
     def test_block_decisions_match_scalar_steps(self, policy, params):
         degree = params.get("in_degree")
-        # Caps that end inside, at and past the 32- and 64-round blocks.
+        # Caps that end at, inside and past the blocks that end at rounds
+        # 16, 32, 64 and 128.
         for seed in range(3):
             if degree is None:
                 A = generate_rn_instance(30, 6, seed)
@@ -194,7 +196,7 @@ class TestRunAdaptive:
                                       wall_penalty=0.0, alpha=3.0)
                 A = generate_office_layer(spec)
                 assert decay_period(int(A.topo.degree.max())) == {1: 1, 5: 6, 100: 14}[degree]
-            for max_rounds in (20, 32, 96, 150):
+            for max_rounds in (16, 20, 32, 96, 150):
                 self.assert_matches_scalar(A, policy, {} if degree else params, seed,
                                            max_rounds)
 
@@ -569,6 +571,29 @@ class TestSweep:
         store = 42 * protocols._SHARED * 8
         assert peak(40) - peak(batch) < store
 
+    @pytest.mark.parametrize("links", [126, 1800, 4931, 11191])
+    def test_batch_sizes_stay_2_16_over_32_links(self, links, monkeypatch):
+        # The link counts of office n = 42 and n = 600, RN 300/32 seed 0 and
+        # random n = 150 seed 0, on interference-free n x n layers: a sweep
+        # puts max(1, 2^16 // (32 L)) seeds in one _first_success loop;
+        # two seeds per batch at L = 1,800 would triple the sweep's peak.
+        n = math.isqrt(links - 1) + 1
+        pairs = [(v, v) for v in range(1, n + 1)]
+        pairs += [(v, w) for v in range(1, n + 1) for w in range(1, n + 1) if v != w]
+        A = AffectanceMatrix.from_kernel(LayerTopology(n, pairs[:links]), np.zeros((n, n)))
+        batch = max(1, 2 ** 16 // (32 * links))
+        runs = []
+        first_success = engine._first_success
+
+        def recording(A, slots, cap, stacked=1):
+            runs.append(stacked)
+            return first_success(A, slots, cap, stacked)
+
+        monkeypatch.setattr(engine, "_first_success", recording)
+        rows = sweep([("layer", A, None)], ["decay"], list(range(2 * batch + 1)))
+        assert runs == [batch, batch, 1]
+        assert len(rows) == 2 * batch + 1 and all(row.completed for row in rows)
+
     def test_rn_3000_sweeps_without_the_dense_array(self):
         # RN 3000/32 has 49628 links: its dense array would take 1.19 GB,
         # its kernel 72 MB.
@@ -630,11 +655,11 @@ def one_slot_each(slots, length):
 
 
 class TestBlockLoop:
-    """The block loop (32 slots, then blocks as long as the slots already
+    """The block loop (16 slots, then blocks as long as the slots already
     judged, pending link rows only) against one full-mask evaluation of the
     same slots."""
 
-    LENGTHS = (0, 1, 5, 31, 32, 33, 95, 96, 97, 250, 600)
+    LENGTHS = (0, 1, 5, 15, 16, 17, 31, 32, 33, 95, 96, 97, 250, 600)
 
     def instances(self):
         yield from (generate_random_instance(2 + seed % 13, seed=seed) for seed in range(12))
@@ -662,6 +687,7 @@ class TestBlockLoop:
     @pytest.mark.parametrize("slots", [
         [32], [96], [1, 32], [31, 32], [32, 33], [96, 97], [5, 96], [97, 224, 225],
         [64], [64, 65], [128, 129], [256, 257], [5, 65, 129, 257],
+        [16], [17], [15, 16, 17], [5, 17, 33],
     ])
     def test_completion_at_block_edges(self, slots):
         A = isolated_links(len(slots))
@@ -672,15 +698,18 @@ class TestBlockLoop:
         assert record.slots_executed == 300
 
     @pytest.mark.parametrize("last, cap, blocks", [
-        (32, 1000, [(0, 32)]),
-        (33, 1000, [(0, 32), (32, 64)]),
-        (96, 1000, [(0, 32), (32, 64), (64, 128)]),
-        (97, 1000, [(0, 32), (32, 64), (64, 128)]),
-        (None, 100, [(0, 32), (32, 64), (64, 100)]),
-        (None, 20, [(0, 20)]),
-        (64, 1000, [(0, 32), (32, 64)]),
-        (65, 1000, [(0, 32), (32, 64), (64, 128)]),
-        (257, 1000, [(0, 32), (32, 64), (64, 128), (128, 256), (256, 512)]),
+        (32, 1000, [(0, 16), (16, 32)]),
+        (33, 1000, [(0, 16), (16, 32), (32, 64)]),
+        (96, 1000, [(0, 16), (16, 32), (32, 64), (64, 128)]),
+        (97, 1000, [(0, 16), (16, 32), (32, 64), (64, 128)]),
+        (None, 100, [(0, 16), (16, 32), (32, 64), (64, 100)]),
+        (None, 20, [(0, 16), (16, 20)]),
+        (64, 1000, [(0, 16), (16, 32), (32, 64)]),
+        (65, 1000, [(0, 16), (16, 32), (32, 64), (64, 128)]),
+        (257, 1000, [(0, 16), (16, 32), (32, 64), (64, 128), (128, 256), (256, 512)]),
+        (16, 1000, [(0, 16)]),
+        (17, 1000, [(0, 16), (16, 32)]),
+        (None, 16, [(0, 16)]),
     ])
     def test_stops_at_completion(self, last, cap, blocks):
         # Receiver 2 succeeds in slot ``last`` (never if None), receiver 1
@@ -713,7 +742,7 @@ class TestBlockLoop:
         assert [start for start, _ in asked[1:]] == [stop for _, stop in asked[:-1]]
         assert asked[-1][1] == 5000
         sizes = [stop - start for start, stop in asked]
-        assert sizes == [32, 32, 64, 128, 256, 512, 1024, 1024, 1024, 904]
+        assert sizes == [16, 16, 32, 64, 128, 256, 512, 1024, 1024, 1024, 904]
         assert max(sizes) == engine._MAX_BLOCK == 1024
 
     def test_stacked_runs_match_each_run_alone(self):
@@ -734,8 +763,8 @@ class TestBlockLoop:
     def test_stacked_rows_drop_once_every_run_covers_them(self, monkeypatch):
         # Receiver 1 is covered in slot 1 of run 0 but only in slot 40 of run
         # 1, receiver 2 in slot 2 of both: the first block judges every link,
-        # the second (slots 33..64) only receiver 1's, and the loop stops at
-        # its completion.
+        # the second (slots 17..32) and third (33..64) only receiver 1's, and
+        # the loop stops at its completion.
         A = isolated_links(2)
         stacked = np.stack([one_slot_each([1, 2], 100), one_slot_each([40, 2], 100)], axis=1)
         judged = []
@@ -747,7 +776,7 @@ class TestBlockLoop:
         monkeypatch.setattr(engine, "link_success", recording_success)
         first = engine._first_success(A, lambda start, stop: stacked[start:stop], 100, 2)
         assert first.tolist() == [[1, 2], [40, 2]]
-        assert judged == [(32 * 2, [0, 1]), (32 * 2, [0])]
+        assert judged == [(16 * 2, [0, 1]), (16 * 2, [0]), (32 * 2, [0])]
 
     def test_per_link_rows_of_pending_receivers_only(self, monkeypatch):
         # One weight row per link: once receivers are covered, later blocks
@@ -788,7 +817,7 @@ class TestBlockLoop:
         assert 1 not in record.first_success and not record.completed
         assert record.transmit.shape == (70, A.n)
 
-    @pytest.mark.parametrize("max_rounds", [1, 5, 31, 32, 33, 100])
+    @pytest.mark.parametrize("max_rounds", [1, 5, 16, 17, 31, 32, 33, 100])
     def test_truncated_run_keeps_every_round(self, mutually_blocking_pair, max_rounds):
         params = {"density": 1, "dilution": 1}
         record = run_adaptive(mutually_blocking_pair, "sinr", params, 0, max_rounds)
@@ -796,7 +825,7 @@ class TestBlockLoop:
         assert record.transmit.shape == (max_rounds, 2)
         assert record.first_success == {}
 
-    @pytest.mark.parametrize("max_rounds", [1, 5, 31])
+    @pytest.mark.parametrize("max_rounds", [1, 5, 15, 16, 31])
     def test_adaptive_cap_below_one_block(self, max_rounds):
         for seed in range(5):
             A = generate_rn_instance(60, 8, seed)
@@ -807,7 +836,7 @@ class TestBlockLoop:
                 assert record.first_success == first
                 assert record.slots_executed <= max_rounds
 
-    @pytest.mark.parametrize("n", [31, 32, 33, 96, 97])
+    @pytest.mark.parametrize("n", [16, 17, 31, 32, 33, 96, 97])
     def test_adaptive_completion_at_block_edges(self, n):
         # Density 1, dilution n: node v fires alone in round v.
         record = run_adaptive(isolated_links(n), "sinr", {"density": 1, "dilution": n}, 0, 500)
