@@ -69,9 +69,8 @@ _MAX_BLOCK = 1024
 # Cells of a sweep batch's first block, _FIRST_BLOCK slots x seeds x links:
 # a sweep judges max(1, _BATCH_CELLS // (_FIRST_BLOCK * links)) seeds of an
 # (instance, protocol) pair at once, links counted on its largest instance.
-# At 2^15 a batch holds max(1, 2^11 // links) seeds; at 2^16 an office n = 600
-# sweep (1,800 links) would run two seeds per batch, and its traced peak in a
-# randomized/decay/sinr sweep of two seeds would rise from 1.7 to 5.5 MB.
+# At 2^15 a batch holds max(1, 2^11 // links) seeds: one at office n = 600
+# (1,800 links), where two would triple a sweep's traced peak (5.5 against 1.7 MB).
 _BATCH_CELLS = 2 ** 15
 
 
