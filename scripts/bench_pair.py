@@ -24,12 +24,14 @@ files as the benchmark computes it, Python, numpy, BLAS, nproc, CPU), and
 for every workload and end-to-end metric both sides'
 median and quartiles (null quartiles when fewer than two pairs gave both
 results), the number of pairs in which the change was better (ties count
-for neither side), every value in pair order and two verdicts:
+for neither side), every value in pair order and three verdicts:
 ``gain_met`` (the change won at least ``GAIN_WINS`` pairs and its median
-beats the parent's by more than the parent's q3 - q1) and
-``within_bound`` (the change's median is worse than the parent's by at
-most the metric's ``bound`` times the parent's median; null without
-medians); under
+beats the parent's by more than the parent's q3 - q1), ``within_bound``
+(the change's median is worse than the parent's by at most the metric's
+``bound`` times the parent's median) and ``resolved`` (the wider of the
+two sides' q3 - q1 is at most that same allowance, or every change value
+beats every parent value; a spread wider than the bound leaves
+``within_bound`` unresolved); the last two are null without medians; under
 ``"tier1"``, the same for the suite's wall seconds, with each run's passed
 and failed counts. Exit code 1 if any benchmark run failed; failing tests
 are only counted.
@@ -133,17 +135,25 @@ def paired(values, lower):
 
 
 def verdicts(result, lower, bound):
-    """``gain_met`` and ``within_bound`` of one ``paired`` result, for a
-    metric where lower (or higher) is better and ``bound`` is the largest
-    allowed loss as a fraction of the parent's median."""
+    """``gain_met``, ``within_bound`` and ``resolved`` of one ``paired``
+    result, for a metric where lower (or higher) is better and ``bound`` is
+    the largest allowed loss as a fraction of the parent's median. Both
+    sides have quartiles, or neither has; without them the spread is
+    unknown, so only a change that dominates is resolved."""
     parent, change = result["parent"], result["change"]
     if parent["median"] is None or change["median"] is None:
-        return {"gain_met": False, "within_bound": None}
-    gain = (parent["median"] - change["median"]) * (1 if lower else -1)
+        return {"gain_met": False, "within_bound": None, "resolved": None}
+    sign = 1 if lower else -1
+    gain = (parent["median"] - change["median"]) * sign
+    allowed = bound * abs(parent["median"])
     spread = None if parent["q1"] is None else parent["q3"] - parent["q1"]
+    values = result["values"]
+    dominates = max(sign * v for v in values["change"]) < min(sign * v for v in values["parent"])
     return {"gain_met": (result["change_better_pairs"] >= GAIN_WINS and spread is not None
                          and gain > spread),
-            "within_bound": -gain <= bound * abs(parent["median"])}
+            "within_bound": -gain <= allowed,
+            "resolved": dominates or (spread is not None
+                                      and max(spread, change["q3"] - change["q1"]) <= allowed)}
 
 
 def compare(spec, runs):

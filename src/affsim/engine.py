@@ -162,14 +162,14 @@ def run_adaptive(A, policy, params, seed, max_rounds):
 
     The stop-when-all-covered guard uses global knowledge; it is a
     termination-detection device of the simulation, not of the protocol.
-    The run is a batch of one in the loop that ``sweep`` runs its seeds
-    through: the slot source decides whole blocks of rounds (16, 16, 32,
-    ...) and ``_first_success`` judges them. The record keeps the rounds up
-    to completion or the cap and drops any decided past completion.
+    The run is a batch of one, on a store of its seed, in the loop that
+    ``sweep`` runs its seeds through: the slot source decides blocks of
+    rounds (16, 16, 32, ...) and ``_first_success`` judges them. The record
+    keeps the rounds up to completion or the cap, and drops later ones.
     """
     _check_count("max_rounds", max_rounds)
     n = A.n
-    decide = _adaptive_slots(A, policy, params, [_NodeStreams(seed, n)])
+    decide = _adaptive_slots(A, policy, params, _NodeStreams([seed], n))
     decided = []
 
     def slots(start, stop):
@@ -205,7 +205,7 @@ def _check_sweep(protocols, seeds, max_rounds, m_override):
     ``sweep`` makes them, and ``affsim sweep`` before it builds any
     instance."""
     for name, values in (("protocols", protocols), ("seeds", seeds)):
-        if not values:
+        if len(values) == 0:
             raise InstanceError(f"{name} must be non-empty")
     _check_count("max_rounds", max_rounds)
     if m_override is not None:
@@ -235,9 +235,9 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     instances, and each (instance, protocol) pair runs a batch's seeds
     through one ``_first_success`` loop, as ``run_schedule`` and
     ``run_adaptive`` run one. The decay and sinr runs of a batch share one
-    ``_NodeStreams`` per seed for the largest n, built on the batch's first
-    adaptive run and dropped before the next batch's; the rows are then put
-    in the order above.
+    ``_NodeStreams`` store of its seeds for the largest n, built on the
+    batch's first adaptive run and dropped before the next batch's; the
+    rows are then put in the order above.
 
     Every row takes its outcome from the run's first successes: rounds is
     the completion round (last first-success slot) for every protocol,
@@ -260,7 +260,7 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     rows = {}
     for b in range(0, len(seeds), batch):
         batch_seeds = seeds[b:b + batch]
-        stores = None
+        store = None
         for i, name in enumerate(protocols):
             if name == "deterministic" and b:
                 continue
@@ -272,11 +272,10 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
                 elif name == "deterministic":
                     first = _schedule_first_success(A, deterministic_schedule(A, chars[j]))
                 else:
-                    if stores is None:
-                        stores = [_NodeStreams(seed, n_max) for seed in batch_seeds]
-                    params = sinr if name == "sinr" else {}
-                    first = _first_success(A, _adaptive_slots(A, name, params, stores),
-                                           max_rounds, len(stores))
+                    if store is None:
+                        store = _NodeStreams(batch_seeds, n_max)
+                    first = _first_success(A, _adaptive_slots(A, name, sinr, store), max_rounds,
+                                           len(batch_seeds))
                 bound = chars[j].slot_bound if name == "randomized" else None
                 for r, run in enumerate(first):
                     completed = bool(run.all())

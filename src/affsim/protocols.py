@@ -415,35 +415,36 @@ class _SeedState:
         return self.state
 
 
-# Values of each node's stream that a store draws once for every run on its
-# seed: they cover the first five evaluation blocks (16 + 16 + 32 + 64 + 128
+# Values of each node's stream that a store draws once for every run of its
+# batch: they cover the first five evaluation blocks (16 + 16 + 32 + 64 + 128
 # rounds).
 _SHARED = 256
 
 
 class _NodeStreams:
-    """The first ``_SHARED`` values of node v's stream, that of
-    ``default_rng([seed, v])``, for v = 1..n, as the read-only (n, _SHARED)
-    ``prefix``, each row drawn in place into the preallocated array. A
-    stream depends only on the seed and v, so every adaptive run on this
-    seed whose instance has at most n nodes can read it."""
+    """The first ``_SHARED`` values of node v's stream in run r, that of
+    ``default_rng([seeds[r], v])``, for v = 1..n, as the read-only (runs, n,
+    _SHARED) ``prefix``, each row drawn in place. Each seed is checked once,
+    before any generator is built. A stream depends only on its seed and v,
+    so every run of the batch on at most n nodes can read its run's rows."""
 
-    def __init__(self, seed, n):
+    def __init__(self, seeds, n):
         from numpy.random.bit_generator import ISeedSequence
         ISeedSequence.register(_SeedState)
-        self.states = _node_seed_states(seed, n)
-        self.prefix = np.empty((n, _SHARED))
-        for row, rng in zip(self.prefix, self._rngs(n)):
+        self.states = np.stack([_node_seed_states(seed, n) for seed in seeds])
+        self.prefix = np.empty((len(self.states), n, _SHARED))
+        for row, rng in zip(self.prefix.reshape(-1, _SHARED), self._rngs(n)):
             rng.random(out=row)
         self.prefix.flags.writeable = False
 
     def _rngs(self, n):
         return [np.random.Generator(np.random.PCG64(_SeedState(state)))
-                for state in self.states[:n]]
+                for state in self.states[:, :n].reshape(-1, 4)]
 
     def rngs(self, n):
-        """Generators of nodes 1..n, each past its prefix (a double takes
-        one 64-bit output, so ``advance(_SHARED)`` skips exactly it)."""
+        """Generators of nodes 1..n of every run, run-major, each past its
+        prefix (a double takes one 64-bit output, so ``advance(_SHARED)``
+        skips exactly it)."""
         rngs = self._rngs(n)
         for rng in rngs:
             rng.bit_generator.advance(_SHARED)
@@ -452,57 +453,56 @@ class _NodeStreams:
 
 class _NodeDraws:
     """Per-node uniform streams of a batch of runs, read ahead in blocks: row
-    r * n + v - 1 is node v's stream in run r, that of ``streams[r]``. The
-    reads start on the stores' shared prefixes, stacked, and only a batch
-    that reads past them builds private generators that continue each
-    stream. ``rng.random(k)`` equals k ``rng.random()`` calls, so taking
-    exactly the values the scalar per-node step would draw keeps every
-    stream byte-identical."""
+    r * n + v - 1 is node v's stream in run r of the store ``streams``. The
+    reads start on the store's prefix, read in place as its (runs, n)
+    leading rows, and only a batch that reads past it builds the store's
+    generators, which continue each stream. ``rng.random(k)`` equals k
+    ``rng.random()`` calls, so taking exactly the values the scalar per-node
+    step would draw keeps every stream byte-identical."""
 
     def __init__(self, streams, n):
-        self.streams, self.n, self.rngs = streams, n, None
-        # One store's rows are a view: a refill builds a new buffer and never
-        # writes in place.
-        prefixes = [store.prefix[:n] for store in streams]
-        self.buffer = prefixes[0] if len(prefixes) == 1 else np.concatenate(prefixes)
-        self.pos = np.zeros(len(self.buffer), dtype=int)
+        self.streams, self.rngs = streams, None
+        # A view: a refill builds a new buffer and never writes in place.
+        self.buffer = streams.prefix[:, :n]
+        self.run, self.node = np.divmod(np.arange(len(self.buffer) * n), n)
+        self.pos = np.zeros(len(self.run), dtype=int)
 
     def peek(self, k):
         """(runs * n, k) array of each node's next k values; ``advance``
         consumes them."""
-        rows, width = self.buffer.shape
+        runs, n, width = self.buffer.shape
         if k > width - self.pos.max():
             if self.rngs is None:
-                self.rngs = [rng for store in self.streams for rng in store.rngs(self.n)]
-            # Refill every row at once: the row widths of a 2-D buffer match.
-            width = max(k, width)
+                self.rngs = self.streams.rngs(n)
+            # Refill every row at once: the row widths of the buffer match.
+            rows, width = self.buffer.reshape(runs * n, width), max(k, width)
             parts = []
-            for row, start, rng in zip(self.buffer, self.pos.tolist(), self.rngs):
+            for row, start, rng in zip(rows, self.pos.tolist(), self.rngs):
                 parts += [row[start:], rng.random(width - len(row) + start)]
-            self.buffer = np.concatenate(parts).reshape(rows, width)
-            self.pos = np.zeros(rows, dtype=int)
-        return sliding_window_view(self.buffer, k, axis=1)[np.arange(rows), self.pos]
+            self.buffer = np.concatenate(parts).reshape(runs, n, width)
+            self.pos[:] = 0
+        return sliding_window_view(self.buffer, k, axis=2)[self.run, self.node, self.pos]
 
     def advance(self, used):
         self.pos += used
 
 
 def _adaptive_slots(A, policy, params, streams):
-    """Slot source of ``len(streams)`` runs of an adaptive policy on A, run r
-    drawing from the store ``streams[r]``: ``slots(start, stop)`` decides
-    rounds start + 1..stop of every run, as a (stop - start, runs, n) bool
-    mask.
+    """Slot source of the runs of an adaptive policy on A, one per seed of
+    the ``_NodeStreams`` store ``streams`` of n >= A.n: ``slots(start,
+    stop)`` decides rounds start + 1..stop of every run, as a
+    (stop - start, runs, n) bool mask.
 
     Node v draws from its own stream, that of ``default_rng([seed, v])``.
-    Under ``decay`` a node fires from the start of each period, of
-    ``decay_period`` of the maximum in-degree rounds, and draws once per
-    firing: below 1/2 it falls silent until the next period. Under ``sinr``,
-    whose ``params`` hold ``density`` and ``dilution``, node v draws in each
-    round congruent to v modulo the dilution and fires if the draw is below
-    1/density. No decision depends on feedback, so the runs' nodes are
-    decided as runs * n independent nodes, a whole block of rounds at once,
-    taking exactly the values a round-by-round loop would."""
-    runs, n = len(streams), A.n
+    Under ``decay``, which reads no ``params``, a node fires from the start
+    of each period, of ``decay_period`` of the maximum in-degree rounds, and
+    draws once per firing: below 1/2 it falls silent until the next period.
+    Under ``sinr``, whose ``params`` hold ``density`` and ``dilution``, node
+    v draws in each round congruent to v modulo the dilution and fires if
+    the draw is below 1/density. No decision depends on feedback, so the
+    runs' nodes are decided as runs * n independent nodes, a whole block of
+    rounds at once, taking exactly the values a round-by-round loop would."""
+    runs, n = len(streams.prefix), A.n
     nodes = runs * n
     draws = _NodeDraws(streams, n)
     if policy == "decay":

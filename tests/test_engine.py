@@ -200,15 +200,16 @@ class TestRunAdaptive:
                 self.assert_matches_scalar(A, policy, {} if degree else params, seed,
                                            max_rounds)
 
-    @pytest.mark.parametrize("stores", [[(7, 4)], [(7, 9)], [(7, 4), (8, 9), (7, 5)]])
-    def test_node_draws_follow_scalar_streams(self, stores):
+    @pytest.mark.parametrize("seeds, rows", [([7], 4), ([7], 9), ([7, 8, 7], 9)])
+    def test_node_draws_follow_scalar_streams(self, seeds, rows):
         rng = np.random.default_rng(0)
         # A store with as many rows as the run reads, one with more, and a
-        # batch of three runs, a seed repeated, whose nodes are stacked.
-        streams = [protocols._NodeStreams(seed, rows) for seed, rows in stores]
-        prefixes = [store.prefix.copy() for store in streams]
+        # batch of three runs, a seed repeated, whose nodes are stacked and
+        # read in place from a store with more rows than the runs read.
+        streams = protocols._NodeStreams(seeds, rows)
+        prefix = streams.prefix.copy()
         draws = protocols._NodeDraws(streams, 4)
-        nodes = 4 * len(streams)
+        nodes = 4 * len(seeds)
         taken = [[] for _ in range(nodes)]
         # Rows that use all or none of a peek leave ragged rests, so later
         # peeks, also shorter ones, must refill some rows and keep others;
@@ -221,28 +222,33 @@ class TestRunAdaptive:
                 taken[v] += values[v, :used[v]].tolist()
             draws.advance(used)
         assert len(taken[0]) > protocols._SHARED
-        for r, (seed, _) in enumerate(stores):
+        for r, seed in enumerate(seeds):
             for v in range(4):
                 scalar = np.random.default_rng([seed, v + 1])
                 assert taken[4 * r + v] == [scalar.random() for _ in taken[4 * r + v]]
-        # The runs read past the prefixes without writing into them.
-        for store, prefix in zip(streams, prefixes):
-            assert not store.prefix.flags.writeable
-            np.testing.assert_array_equal(store.prefix, prefix)
+        # The runs read past the prefix without writing into it.
+        assert not streams.prefix.flags.writeable
+        np.testing.assert_array_equal(streams.prefix, prefix)
 
     def test_node_streams_continue_past_the_prefix(self):
-        streams = protocols._NodeStreams(2 ** 40 + 3, 5)
-        for v, rng in enumerate(streams.rngs(3), start=1):
-            scalar = np.random.default_rng([2 ** 40 + 3, v]).random(protocols._SHARED + 4)
-            assert streams.prefix[v - 1].tolist() == scalar[:protocols._SHARED].tolist()
+        # Two runs' generators of their first 3 of 5 nodes, in run-major order.
+        seeds = [2 ** 40 + 3, 5]
+        streams = protocols._NodeStreams(seeds, 5)
+        rngs = streams.rngs(3)
+        assert len(rngs) == 6
+        for i, rng in enumerate(rngs):
+            r, v = divmod(i, 3)
+            scalar = np.random.default_rng([seeds[r], v + 1]).random(protocols._SHARED + 4)
+            assert streams.prefix[r, v].tolist() == scalar[:protocols._SHARED].tolist()
             assert rng.random(4).tolist() == scalar[protocols._SHARED:].tolist()
-        # The prefix is filled in place, one row per node.
-        prefix = protocols._NodeStreams(2 ** 40 + 3, 600).prefix
-        assert prefix.shape == (600, protocols._SHARED) and prefix.dtype == np.float64
+        # The prefix is filled in place, one row per run and node.
+        prefix = protocols._NodeStreams([2 ** 40 + 3, 0], 600).prefix
+        assert prefix.shape == (2, 600, protocols._SHARED) and prefix.dtype == np.float64
         assert prefix.flags.c_contiguous and not prefix.flags.writeable
-        for v in (1, 300, 600):
-            scalar = np.random.default_rng([2 ** 40 + 3, v]).random(protocols._SHARED)
-            assert prefix[v - 1].tolist() == scalar.tolist()
+        for r, seed in enumerate([2 ** 40 + 3, 0]):
+            for v in (1, 300, 600):
+                scalar = np.random.default_rng([seed, v]).random(protocols._SHARED)
+                assert prefix[r, v - 1].tolist() == scalar.tolist()
 
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7, 2 ** 96,
                                       2 ** 127 + 1])
@@ -301,8 +307,8 @@ class TestRunAdaptive:
         # = 4 rounds: every node fires in the first round of each period and
         # then, once silent, stays silent until the next one.
         assert int(rn_star.topo.degree.max()) == 3
-        stores = [protocols._NodeStreams(seed, 3) for seed in range(20)]
-        fire = protocols._adaptive_slots(rn_star, "decay", {}, stores)(0, 40)
+        store = protocols._NodeStreams(range(20), 3)
+        fire = protocols._adaptive_slots(rn_star, "decay", {}, store)(0, 40)
         periods = fire.reshape(10, 4, -1).astype(int)
         assert periods[:, 0].all()
         assert (np.diff(periods, axis=1) <= 0).all()
@@ -311,12 +317,12 @@ class TestRunAdaptive:
     @pytest.mark.parametrize("policy, params", [("decay", {}),
                                                 ("sinr", {"density": 4, "dilution": 3})])
     def test_larger_store_serves_smaller_runs(self, policy, params):
-        # sweep hands every instance the stores of its largest one; reading
-        # the first n rows, past the shared prefix too, decides the same run.
+        # sweep hands every instance the store of its largest one; reading
+        # the first n rows of each run, past the shared prefix too, decides
+        # the same runs.
         A = generate_rn_instance(12, 4, 0)
         slots = [protocols._adaptive_slots(A, policy, params,
-                                           [protocols._NodeStreams(seed, rows)
-                                            for seed in (5, 2 ** 40 + 3)])(0, 1200)
+                                           protocols._NodeStreams([5, 2 ** 40 + 3], rows))(0, 1200)
                  for rows in (12, 40)]
         np.testing.assert_array_equal(slots[0], slots[1])
 
@@ -488,10 +494,23 @@ class TestSweep:
         instance = self.instance()
         for instances, protocols, seeds, name in [([], ["decay"], [1], "instances"),
                                                   ([instance], [], [1], "protocols"),
-                                                  ([instance], ["decay"], [], "seeds")]:
+                                                  ([instance], ["decay"], [], "seeds"),
+                                                  ([instance], ["decay"], np.array([], int),
+                                                   "seeds")]:
             with pytest.raises(InstanceError) as caught:
                 sweep(instances, protocols, seeds)
             assert str(caught.value) == f"{name} must be non-empty"
+
+    def test_numpy_seed_arrays_give_the_rows_of_lists(self):
+        # Arrays of one seed and of several are non-empty by their length;
+        # their truth value is false or ambiguous.
+        sinr = {"density": 2, "dilution": 2}
+        instances = [("a", generate_random_instance(4, seed=0), sinr)]
+        protocols = ["randomized", "deterministic", "decay", "sinr"]
+        for seeds in ([0], [0, 1, 2]):
+            rows = sweep(instances, protocols, np.array(seeds), 500)
+            assert rows == sweep(instances, protocols, seeds, 500)
+            assert len(rows) == 1 + 3 * len(seeds)
 
     def test_sinr_without_options_names_the_instance(self):
         instances = [("a", generate_random_instance(3, seed=0), {"density": 2, "dilution": 2}),
@@ -518,15 +537,15 @@ class TestSweep:
         built = []
 
         class RecordingStreams(engine._NodeStreams):
-            def __init__(self, seed, n):
-                built.append((seed, n))
-                super().__init__(seed, n)
+            def __init__(self, seeds, n):
+                built.append((list(seeds), n))
+                super().__init__(seeds, n)
 
         monkeypatch.setattr(engine, "_NodeStreams", RecordingStreams)
         rows = sweep(instances, protocols, seeds, max_rounds=600)
         monkeypatch.undo()
-        # One store per seed position, for the largest n.
-        assert built == [(seed, n) for seed in seeds]
+        # One store per batch of seeds, for the largest n.
+        assert built == [(seeds[b:b + batch], n) for b in range(0, len(seeds), batch)]
         expected = []
         for name in protocols:
             for instance_id, A, sinr in instances:
@@ -549,7 +568,7 @@ class TestSweep:
         assert not any(row.completed for row in adaptive if row.instance_id == "blocked")
 
     def test_one_batch_of_stores_at_a_time(self):
-        # Only one batch's stores are alive at a time, so more seeds add rows
+        # Only one batch's store is alive at a time, so more seeds add rows
         # to the peak, not stores.
         import tracemalloc
 
