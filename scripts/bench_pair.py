@@ -29,9 +29,10 @@ for neither side), every value in pair order and three verdicts:
 beats the parent's by more than the parent's q3 - q1), ``within_bound``
 (the change's median is worse than the parent's by at most the metric's
 ``bound`` times the parent's median) and ``resolved`` (the wider of the
-two sides' q3 - q1 is at most that same allowance, or every change value
-beats every parent value; a spread wider than the bound leaves
-``within_bound`` unresolved); the last two are null without medians; under
+two sides' q3 - q1 is at most that same allowance, every change value
+beats every parent value, or every pair ties; a spread wider than the
+bound leaves ``within_bound`` unresolved, unless the inputs alone spread
+values that each pair shares); the last two are null without medians; under
 ``"tier1"``, the same for the suite's wall seconds, with each run's passed
 and failed counts. Exit code 1 if any benchmark run failed; failing tests
 are only counted.
@@ -139,7 +140,8 @@ def verdicts(result, lower, bound):
     result, for a metric where lower (or higher) is better and ``bound`` is
     the largest allowed loss as a fraction of the parent's median. Both
     sides have quartiles, or neither has; without them the spread is
-    unknown, so only a change that dominates is resolved."""
+    unknown, so only a change that dominates, or ties every pair, is
+    resolved."""
     parent, change = result["parent"], result["change"]
     if parent["median"] is None or change["median"] is None:
         return {"gain_met": False, "within_bound": None, "resolved": None}
@@ -149,11 +151,12 @@ def verdicts(result, lower, bound):
     spread = None if parent["q1"] is None else parent["q3"] - parent["q1"]
     values = result["values"]
     dominates = max(sign * v for v in values["change"]) < min(sign * v for v in values["parent"])
+    tied = values["change"] == values["parent"]
     return {"gain_met": (result["change_better_pairs"] >= GAIN_WINS and spread is not None
                          and gain > spread),
             "within_bound": -gain <= allowed,
-            "resolved": dominates or (spread is not None
-                                      and max(spread, change["q3"] - change["q1"]) <= allowed)}
+            "resolved": dominates or tied or (
+                spread is not None and max(spread, change["q3"] - change["q1"]) <= allowed)}
 
 
 def compare(spec, runs):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,14 +110,29 @@ def _value_text(value):
     return f"{text[:len(text) - digits + 6]}...{text[-4:]} ({digits} digits)"
 
 
-def _integer(value, what):
-    """``value`` as an int if it is an integral JSON number (an int, or a
-    float such as 6.0); strings, booleans and anything else are an
-    InstanceError."""
-    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral:
+def _integer(value, what, low=None, high=None):
+    """The one integer rule: ``operator.index(value)``, once ``value`` is an
+    integer (a bool is not one) of at least ``low`` and, if ``high`` is
+    given, at most ``high``; anything else is an InstanceError whose
+    message names ``what`` and shows ``value`` as ``_value_text`` does."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool):
         raise InstanceError(f"{what} must be an integer, got {_value_text(value)}")
-    return int(value)
+    if high is not None and not low <= number <= high:
+        raise InstanceError(f"{what} must be an integer in {low}..{high}, got {_value_text(value)}")
+    if low is not None and number < low:
+        raise InstanceError(f"{what} must be >= {low}, got {_value_text(value)}")
+    return number
+
+
+def _json_integer(value, what, low=None):
+    """``_integer`` of a parsed JSON number, an integral float such as 6.0
+    counting as its int."""
+    return _integer(int(value) if isinstance(value, float) and value.is_integer() else value,
+                    what, low)
 
 
 def _first(mask):
@@ -183,7 +199,8 @@ def _kernel_scatter(n, entries):
 class LayerTopology:
     """Bipartite transmitter/receiver layer with equal index spaces 1..n.
 
-    Built from 1-based (v, w) pairs in any order (a sequence or an (L, 2)
+    Built from an integer ``n`` in 1..``MAX_WEIGHT_CELLS`` (``_integer``)
+    and 1-based (v, w) pairs in any order (a sequence or an (L, 2)
     array of integral values); an InstanceError names the first link, in
     input order and as given, out of 1..n or listed twice, else the first
     receiver with no link. Link i is the i-th in sorted (v, w) order.
@@ -197,10 +214,7 @@ class LayerTopology:
         # Weights take n cells or more per link and a topology has n links
         # or more, so no larger n fits MAX_WEIGHT_CELLS; the bound also keeps
         # the link keys below in int64.
-        if not 1 <= n <= MAX_WEIGHT_CELLS:
-            raise InstanceError(f"n must be an integer in 1..{MAX_WEIGHT_CELLS}, "
-                                f"got {_value_text(n)}")
-        self.n = n
+        self.n = n = _integer(n, "n", 1, MAX_WEIGHT_CELLS)
         links = np.asarray(links).reshape(-1, 2)
         bad = _first(((links < 1) | (links > n)).any(axis=1))
         # Only a repeat before the first out-of-range link counts. Keys
@@ -235,8 +249,7 @@ class LayerTopology:
     def from_rows(cls, n, rows):
         """Topology from parsed JSON: ``n`` an integral JSON number, ``rows`` a
         list of [v, w] pairs of integral numbers."""
-        size = _integer(n, "n")
-        return cls(size, _integral(_table(rows, 2, "links"), "link"))
+        return cls(_json_integer(n, "n"), _integral(_table(rows, 2, "links"), "link"))
 
     def __eq__(self, other):
         if not isinstance(other, LayerTopology):

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InstanceError, _check_schedule, characterize, link_success, verify_selective
-from .protocols import (RandomizedSlots, _adaptive_slots, _check_count, _NodeStreams,
-                        deterministic_schedule)
+from .core import (InstanceError, _check_schedule, _integer, characterize, link_success,
+                   verify_selective)
+from .protocols import RandomizedSlots, _adaptive_slots, _NodeStreams, deterministic_schedule
 
 MAX_ROUNDS_DEFAULT = 10 ** 6
 
@@ -66,12 +66,11 @@ class RunRecord:
 # judges fewer link-slot cells than a longer one would.
 _FIRST_BLOCK = 16
 _MAX_BLOCK = 1024
-# Cells of a sweep batch's first block, _FIRST_BLOCK slots x seeds x links:
-# a sweep judges max(1, _BATCH_CELLS // (_FIRST_BLOCK * links)) seeds of an
-# (instance, protocol) pair at once, links counted on its largest instance.
-# At 2^15 a batch holds max(1, 2^11 // links) seeds: one at office n = 600
-# (1,800 links), where two would triple a sweep's traced peak (5.5 against 1.7 MB).
-_BATCH_CELLS = 2 ** 15
+# Seeds x links of a sweep batch: a sweep judges max(1, _BATCH_LINKS // links)
+# seeds of an (instance, protocol) pair at once, links counted on its largest
+# instance. That is one seed at office n = 600 (1,800 links), where two would
+# triple a sweep's traced peak (5.5 against 1.7 MB).
+_BATCH_LINKS = 2 ** 11
 
 
 def _first_success(A, slots, cap, runs=1):
@@ -166,8 +165,10 @@ def run_adaptive(A, policy, params, seed, max_rounds):
     ``sweep`` runs its seeds through: the slot source decides blocks of
     rounds (16, 16, 32, ...) and ``_first_success`` judges them. The record
     keeps the rounds up to completion or the cap, and drops later ones.
+    ``max_rounds`` must be an integer >= 1 and ``seed`` one >= 0, as
+    ``core._integer`` checks them.
     """
-    _check_count("max_rounds", max_rounds)
+    max_rounds = _integer(max_rounds, "max_rounds", 1)
     n = A.n
     decide = _adaptive_slots(A, policy, params, _NodeStreams([seed], n))
     decided = []
@@ -207,9 +208,9 @@ def _check_sweep(protocols, seeds, max_rounds, m_override):
     for name, values in (("protocols", protocols), ("seeds", seeds)):
         if len(values) == 0:
             raise InstanceError(f"{name} must be non-empty")
-    _check_count("max_rounds", max_rounds)
+    _integer(max_rounds, "max_rounds", 1)
     if m_override is not None:
-        _check_count("m_override", m_override)
+        _integer(m_override, "m_override", 1)
 
 
 def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_override=None):
@@ -223,18 +224,21 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     ``protocols`` holds names: randomized, deterministic, decay, sinr.
     ``c`` goes to ``characterize``, and ``m_override`` to the randomized
     schedule; it and ``max_rounds`` must be integers >= 1 whatever the
-    protocols. Each instance is characterized once, on its first randomized
-    or deterministic run. A randomized batch builds no mask: its seeds share
-    one ``RandomizedSlots`` source of the instance's characterization and
-    ``m_override``, which ``_randomized_first_success`` reads only as far
-    as it judges, phase 0 by one slot, with the first successes of
-    ``run_schedule`` on each whole ``randomized_schedule``.
+    protocols. The seeds must be integers >= 0; each batch checks its own
+    as it starts (the list is never walked as a whole), so a sweep of the
+    greedy alone checks the one seed it writes. ``core._integer`` makes
+    every one of these checks. Each instance is characterized once, on its
+    first randomized or deterministic run. A randomized batch builds no
+    mask: its seeds share one ``RandomizedSlots`` source of the instance's
+    characterization and ``m_override``, which ``_randomized_first_success``
+    reads only as far as it judges, phase 0 by one slot, with the first
+    successes of ``run_schedule`` on each whole ``randomized_schedule``.
 
-    The seeds go in batches of max(1, _BATCH_CELLS // (_FIRST_BLOCK * L))
-    = max(1, 2^11 // L) seeds, L the largest link count among the
-    instances, and each (instance, protocol) pair runs a batch's seeds
-    through one ``_first_success`` loop, as ``run_schedule`` and
-    ``run_adaptive`` run one. The decay and sinr runs of a batch share one
+    The seeds go in batches of max(1, _BATCH_LINKS // L) = max(1, 2^11 // L)
+    seeds, L the largest link count among the instances, and each
+    (instance, protocol) pair runs a batch's seeds through one
+    ``_first_success`` loop, as ``run_schedule`` and ``run_adaptive`` run
+    one. The decay and sinr runs of a batch share one
     ``_NodeStreams`` store of its seeds for the largest n, built on the
     batch's first adaptive run and dropped before the next batch's; the
     rows are then put in the order above.
@@ -255,11 +259,11 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
         seeds = seeds[:1]
     n_max = max(A.n for _, A, _ in instances)
     links = max(len(A.topo.owner) for _, A, _ in instances)
-    batch = max(1, _BATCH_CELLS // (_FIRST_BLOCK * links))
+    batch = max(1, _BATCH_LINKS // links)
     chars = {}
     rows = {}
     for b in range(0, len(seeds), batch):
-        batch_seeds = seeds[b:b + batch]
+        batch_seeds = [_integer(seed, "seed", 0) for seed in seeds[b:b + batch]]
         store = None
         for i, name in enumerate(protocols):
             if name == "deterministic" and b:

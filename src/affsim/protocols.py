@@ -13,14 +13,13 @@ of rounds for all nodes at once from per-node streams (``_NodeStreams``).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (MAX_RANDOMIZED_CELLS, Characterization, InstanceError, link_success,
-                   phase_bucket)
+from .core import (MAX_RANDOMIZED_CELLS, Characterization, InstanceError, _integer,
+                   link_success, phase_bucket)
 
 # Cap on the relevant undecided transmitters enumerated per receiver (2**K
 # outcomes). A greedy table may hold 2**(K + 1): transmitter 1 is decided
@@ -39,40 +38,12 @@ class ScheduleError(RuntimeError):
 class RandomizedParams:
     """Inputs of the randomized schedule. The characterization alone sets the
     ladder (``phases`` and ``b``), and m unless ``m_override`` does; another
-    ladder is another characterization, built with ``dataclasses.replace``."""
+    ladder is another characterization, built with ``dataclasses.replace``.
+    ``RandomizedSlots`` checks the seed and ``m_override``."""
 
     characterization: Characterization
     seed: int
     m_override: int | None = None
-
-    def __post_init__(self):
-        if self.m_override is not None:
-            _check_count("m_override", self.m_override)
-
-
-def _check_integer(name, value):
-    """``value`` as an int: an InstanceError unless it is an integer, a bool
-    not counting as one."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise InstanceError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_count(name, value):
-    """An InstanceError unless ``value`` is an integer >= 1."""
-    if _check_integer(name, value) < 1:
-        raise InstanceError(f"{name} must be >= 1")
-
-
-def _check_seed(seed):
-    """``seed`` as an int: an InstanceError unless it is an integer >= 0."""
-    seed = _check_integer("seed", seed)
-    if seed < 0:
-        raise InstanceError(f"seed must be >= 0, got {seed}")
-    return seed
 
 
 class RandomizedSlots:
@@ -89,19 +60,22 @@ class RandomizedSlots:
     slots of phase i, ``rng.random((k, n)) < b**-i`` once ``advance`` (whose
     steps may be negative) has moved the generator to the block's first
     slot, holds exactly those rows of the whole draw. Phase 0 has p = 1,
-    which every draw is below: its slots are all-on and draw nothing. More
-    than ``MAX_RANDOMIZED_CELLS`` cells per run, or a seed that is not an
-    integer >= 0, is an InstanceError, raised before any generator is built.
+    which every draw is below: its slots are all-on and draw nothing. An
+    ``m_override`` that is not an integer >= 1, more than
+    ``MAX_RANDOMIZED_CELLS`` cells per run, or a seed that is not an integer
+    >= 0 (``core._integer`` checks both) is an InstanceError, raised before
+    any generator is built.
     """
 
     def __init__(self, characterization, seeds, n, m_override=None):
         self.n, self.phases, self.b = n, characterization.phases, characterization.b
-        self.m = characterization.m if m_override is None else m_override
+        self.m = (characterization.m if m_override is None
+                  else _integer(m_override, "m_override", 1))
         if len(self) * n > MAX_RANDOMIZED_CELLS:
             raise InstanceError(f"randomized schedule of phases={self.phases}, m={self.m}, n={n} "
                                 f"needs {len(self) * n} draws, over the limit of "
                                 f"{MAX_RANDOMIZED_CELLS}")
-        seeds = [_check_seed(seed) for seed in seeds]
+        seeds = [_integer(seed, "seed", 0) for seed in seeds]
         self.rngs = [np.random.default_rng(seed) for seed in seeds]
         self.pos = 0  # the slot whose draws the generators are at
 
@@ -355,10 +329,9 @@ def deterministic_schedule(A, char):
 
 def decay_period(delta):
     """Backoff period 2*ceil(log2 delta), floored at 1 so delta=1 still
-    yields a nonempty cycle."""
-    if delta < 1:
-        raise InstanceError("delta must be >= 1")
-    return max(1, 2 * math.ceil(math.log2(delta)))
+    yields a nonempty cycle; ``delta`` must be an integer >= 1
+    (``core._integer``)."""
+    return max(1, 2 * math.ceil(math.log2(_integer(delta, "delta", 1))))
 
 
 # The largest sinr density or dilution: numpy takes the dilution as an int64.
@@ -389,7 +362,7 @@ def _mix(x, y):
 def _node_seed_states(seed, n):
     """Row v - 1 is ``SeedSequence([seed, v]).generate_state(4, np.uint64)``,
     for all v = 1..n at once; the entropy is seed's 32-bit words, then v."""
-    seed = _check_seed(seed)
+    seed = _integer(seed, "seed", 0)
     words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
     entropy = np.array(words + [0] * max(4 - len(words), 1), np.uint32)[:, None].repeat(n, 1)
     entropy[len(words)] = np.arange(1, n + 1)
@@ -497,11 +470,12 @@ def _adaptive_slots(A, policy, params, streams):
     Under ``decay``, which reads no ``params``, a node fires from the start
     of each period, of ``decay_period`` of the maximum in-degree rounds, and
     draws once per firing: below 1/2 it falls silent until the next period.
-    Under ``sinr``, whose ``params`` hold ``density`` and ``dilution``, node
-    v draws in each round congruent to v modulo the dilution and fires if
-    the draw is below 1/density. No decision depends on feedback, so the
-    runs' nodes are decided as runs * n independent nodes, a whole block of
-    rounds at once, taking exactly the values a round-by-round loop would."""
+    Under ``sinr``, whose ``params`` hold ``density`` and ``dilution``, each
+    an integer in 1..2**63 - 1 (``core._integer``), node v draws in each
+    round congruent to v modulo the dilution and fires if the draw is below
+    1/density. No decision depends on feedback, so the runs' nodes are
+    decided as runs * n independent nodes, a whole block of rounds at once,
+    taking exactly the values a round-by-round loop would."""
     runs, n = len(streams.prefix), A.n
     nodes = runs * n
     draws = _NodeDraws(streams, n)
@@ -534,11 +508,8 @@ def _adaptive_slots(A, policy, params, streams):
             return fire
 
     elif policy == "sinr":
-        density = params["density"]
-        dilution = params["dilution"]
-        for name, value in (("density", density), ("dilution", dilution)):
-            if not 1 <= value <= _INT64_MAX:
-                raise InstanceError(f"sinr {name} must be in 1..2**63 - 1, got {value:.6g}")
+        density, dilution = (_integer(params[name], f"sinr {name}", 1, _INT64_MAX)
+                             for name in ("density", "dilution"))
         residue = np.tile(np.arange(1, n + 1) % dilution, runs)
         node = np.arange(nodes)
 

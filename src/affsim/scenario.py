@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AffectanceMatrix, InstanceError, LayerTopology, encode_radio_network
-from .core import _check_cells, _integer, _kernel_scatter, _table, _value_text
+from .core import _check_cells, _integer, _json_integer, _kernel_scatter, _table, _value_text
 
 # Entries below this are truncated to 0; distant offices then cost no storage
 # and perturb no success outcome by more than n * 1e-6.
@@ -43,18 +43,17 @@ class OfficeGridSpec:
     office_width: float = 5.0
 
     def __post_init__(self):
-        # Each count must be an integral number (stored as an int), each
-        # length and exponent a finite float or an int that converts to one
-        # (stored as a float, so that products overflow to inf, not raise).
+        # Each count must be an integral number of at least 1 (stored as an
+        # int), each length and exponent a finite float or an int that
+        # converts to one (stored as a float, so that products overflow to
+        # inf, not raise).
         for name in ("offices", "nodes_per_office"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+            object.__setattr__(self, name, _json_integer(getattr(self, name), name, 1))
         for name in ("reach", "wall_penalty", "alpha", "office_width"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
                 raise InstanceError(f"{name} must be finite, got {_value_text(value)}")
             object.__setattr__(self, name, float(value))
-        if self.offices < 1 or self.nodes_per_office < 1:
-            raise InstanceError("offices and nodes_per_office must be >= 1")
         if self.reach < 1 or self.wall_penalty < 0:
             raise InstanceError("reach must be >= 1 and wall_penalty >= 0")
         if self.alpha <= 0 or self.office_width <= 0:
@@ -176,9 +175,9 @@ def sinr_defaults(spec):
 
 def generate_rn_instance(n, max_degree, seed):
     """Random bipartite layer with unit-weight no-collision semantics: each
-    receiver draws a uniform neighborhood size in 1..max_degree."""
-    if not (1 <= max_degree <= n):
-        raise InstanceError("need 1 <= max_degree <= n")
+    receiver draws a uniform neighborhood size in 1..max_degree, an integer
+    in 1..n (``core._integer``)."""
+    max_degree = _integer(max_degree, "max_degree", 1, n)
     rng = np.random.default_rng(seed)
     links = []
     for w in range(1, n + 1):

@@ -84,33 +84,38 @@ def test_report_is_written_whatever_the_pairs_with_results(bench_pair, tmp_path,
 PARENT = [1.95, 1.98, 1.99, 2.0, 2.0, 2.0, 2.0, 2.01, 2.02, 2.05]
 
 
-@pytest.mark.parametrize("better, change, gain_met, within_bound, resolved", [
+@pytest.mark.parametrize("better, bound, change, gain_met, within_bound, resolved", [
     # A clear gain: every pair won, medians 0.5 apart.
-    ("lower", [1.5] * 10, True, True, True),
-    ("higher", [2.5] * 10, True, True, True),
+    ("lower", 0.25, [1.5] * 10, True, True, True),
+    ("higher", 0.25, [2.5] * 10, True, True, True),
     # Nine wins but a median gain inside the parent's spread.
-    ("lower", [v - 0.01 for v in PARENT[:9]] + [3.0], False, True, True),
+    ("lower", 0.25, [v - 0.01 for v in PARENT[:9]] + [3.0], False, True, True),
     # Eight wins, whatever the medians.
-    ("lower", [1.0] * 8 + [3.0] * 2, False, True, True),
+    ("lower", 0.25, [1.0] * 8 + [3.0] * 2, False, True, True),
     # A tie: no pair won, no median moved.
-    ("lower", PARENT, False, True, True),
+    ("lower", 0.25, PARENT, False, True, True),
     # A loss inside the bound of 0.25 (2.4 <= 2.5), and past it.
-    ("lower", [2.4] * 10, False, True, True),
-    ("lower", [2.6] * 10, False, False, True),
-    ("higher", [1.6] * 10, False, True, True),
-    ("higher", [1.4] * 10, False, False, True),
+    ("lower", 0.25, [2.4] * 10, False, True, True),
+    ("lower", 0.25, [2.6] * 10, False, False, True),
+    ("higher", 0.25, [1.6] * 10, False, True, True),
+    ("higher", 0.25, [1.4] * 10, False, False, True),
     # Spreads against the bound's 0.25 * 2.0 = 0.5: a narrow change that
     # loses some pairs; a wide one (q3 - q1 = 2.0) whose median is within
     # the bound, unresolved; as wide, but below every parent value.
-    ("lower", [v + 0.1 for v in PARENT], False, True, True),
-    ("lower", [1.0, 3.0] * 5, False, True, False),
-    ("lower", [0.5, 1.5] * 5, True, True, True),
+    ("lower", 0.25, [v + 0.1 for v in PARENT], False, True, True),
+    ("lower", 0.25, [1.0, 3.0] * 5, False, True, False),
+    ("lower", 0.25, [0.5, 1.5] * 5, True, True, True),
+    # At a bound of 0.01 the allowance is 0.02, below the parent's 0.025:
+    # values that every pair shares are resolved however the inputs spread
+    # them; move one pair and the same spread is unresolved.
+    ("lower", 0.01, PARENT, False, True, True),
+    ("lower", 0.01, PARENT[:9] + [2.06], False, True, False),
 ], ids=["gain", "gain_higher", "gain_inside_spread", "eight_wins", "tie", "loss_in_bound",
         "loss_past_bound", "loss_in_bound_higher", "loss_past_bound_higher", "narrow", "wide",
-        "wide_dominating"])
-def test_verdicts(bench_pair, tmp_path, monkeypatch, better, change, gain_met, within_bound,
-                  resolved):
-    spec = {**SPEC, "end_to_end": [{**SPEC["end_to_end"][0], "better": better}]}
+        "wide_dominating", "tie_wide", "wide_one_pair_moved"])
+def test_verdicts(bench_pair, tmp_path, monkeypatch, better, bound, change, gain_met,
+                  within_bound, resolved):
+    spec = {**SPEC, "end_to_end": [{**SPEC["end_to_end"][0], "better": better, "bound": bound}]}
     trees = {side: tmp_path / side for side in bench_pair.SIDES}
     for tree in trees.values():
         (tree / "src" / "affsim").mkdir(parents=True)
@@ -142,9 +147,9 @@ def test_verdicts_without_results(bench_pair):
     result = bench_pair.paired({"parent": [], "change": []}, True)
     assert bench_pair.verdicts(result, True, 0.25) == {"gain_met": False, "within_bound": None,
                                                        "resolved": None}
-    # One pair has medians but no quartiles: only a change that dominates
-    # is resolved.
-    for change, resolved in ((2.0, False), (1.0, True)):
+    # One pair has medians but no quartiles: only a change that dominates,
+    # or ties, is resolved.
+    for change, resolved in ((2.5, False), (2.0, True), (1.0, True)):
         result = bench_pair.paired({"parent": [2.0], "change": [change]}, True)
         assert bench_pair.verdicts(result, True, 0.25)["resolved"] is resolved
 

@@ -343,7 +343,7 @@ def test_sweep_rejects_max_rounds_below_one(tmp_path, protocol):
                           "--m-override", "1", "--max-rounds", "-5", "--seeds", "5",
                           "--out", str(tmp_path / "out.csv")])
     assert code == 1
-    assert err == ["error: max_rounds must be >= 1"]
+    assert err == ["error: max_rounds must be >= 1, got -5"]
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -505,10 +505,11 @@ ONLY = "--fallback and --m-override apply to --protocol randomized only"
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["sweep", "--protocol", "decay", "--m-override", "0"], "m_override must be >= 1"),
+    (["sweep", "--protocol", "decay", "--m-override", "0"], "m_override must be >= 1, got 0"),
     (["sweep", "--protocol", "sinr", "--protocol", "deterministic", "--m-override", "-3"],
-     "m_override must be >= 1"),
-    (["schedule", "--protocol", "randomized", "--m-override", "0"], "m_override must be >= 1"),
+     "m_override must be >= 1, got -3"),
+    (["schedule", "--protocol", "randomized", "--m-override", "0"],
+     "m_override must be >= 1, got 0"),
     (["schedule", "--protocol", "deterministic", "--m-override", "0", "--fallback"], ONLY),
     (["schedule", "--protocol", "deterministic", "--m-override", "0"], ONLY),
     (["schedule", "--protocol", "deterministic", "--fallback"], ONLY),
@@ -538,8 +539,8 @@ BOTH = "sinr needs both --density and --dilution, each >= 1"
     ([], "sweep needs at least one --protocol"),
     (["--protocol", "decay", "--seeds", "0"], "--seeds must be >= 1, got 0"),
     (["--protocol", "decay", "--seeds", "-3"], "--seeds must be >= 1, got -3"),
-    (["--protocol", "randomized", "--max-rounds", "0"], "max_rounds must be >= 1"),
-    (["--protocol", "deterministic", "--m-override", "0"], "m_override must be >= 1"),
+    (["--protocol", "randomized", "--max-rounds", "0"], "max_rounds must be >= 1, got 0"),
+    (["--protocol", "deterministic", "--m-override", "0"], "m_override must be >= 1, got 0"),
     (["--protocol", "sinr", "--density", "3"], BOTH),
     (["--protocol", "sinr", "--dilution", "3"], BOTH),
     (["--protocol", "sinr", "--density", "0", "--dilution", "3"], BOTH),
@@ -662,14 +663,24 @@ def test_sweep_directory_path_is_validation_error(tmp_path, capsys, target):
     assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
 
 
+INT64 = "an integer in 1..9223372036854775807"
+
+
 @pytest.mark.parametrize("fields, options, message", [
     ({}, ["--density", "1", "--dilution", "99999999999999999999"],
-     "sinr dilution must be in 1..2**63 - 1, got 1e+20"),
+     f"sinr dilution must be {INT64}, got 99999999999999999999"),
     ({}, ["--density", "99999999999999999999", "--dilution", "1"],
-     "sinr density must be in 1..2**63 - 1, got 1e+20"),
-    ({"office_width": 1e-300}, [], "sinr dilution must be in 1..2**63 - 1, got 2e+301"),
+     f"sinr density must be {INT64}, got 99999999999999999999"),
+    # 400 digits: no float conversion of the value, so no OverflowError.
+    ({}, ["--density", "1" + "0" * 400, "--dilution", "2"],
+     f"sinr density must be {INT64}, got 100000...0000 (401 digits)"),
+    ({}, ["--density", "2", "--dilution", "1" + "0" * 400],
+     f"sinr dilution must be {INT64}, got 100000...0000 (401 digits)"),
+    ({"office_width": 1e-300}, [],
+     f"sinr dilution must be {INT64}, got 199999...8544 (302 digits)"),
     ({"reach": 1e308}, [], "sinr dilution (2 * reach + wall_penalty) / office_width overflows"),
-], ids=["dilution_option", "density_option", "tiny_office_width", "huge_reach"])
+], ids=["dilution_option", "density_option", "density_400_digits", "dilution_400_digits",
+        "tiny_office_width", "huge_reach"])
 def test_sweep_sinr_option_past_int64_is_validation_error(tmp_path, capsys, fields, options,
                                                           message):
     scenario = tmp_path / "scenario.json"
@@ -677,7 +688,7 @@ def test_sweep_sinr_option_past_int64_is_validation_error(tmp_path, capsys, fiel
     code = main(["sweep", "--scenario", str(scenario), "--protocol", "sinr", *options,
                  "--out", str(tmp_path / "x.csv")])
     assert code == 1
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -750,7 +761,7 @@ def test_sweep_does_not_list_its_seeds(tmp_path):
             "--seeds", "10000000000", "--out", str(tmp_path / "out.csv")]
     proc = run_capped(argv)
     assert proc.returncode == 1
-    assert proc.stderr == "error: m_override must be >= 1\n"
+    assert proc.stderr == "error: m_override must be >= 1, got 0\n"
 
 
 def test_deterministic_sweep_runs_one_seed(tmp_path):

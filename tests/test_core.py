@@ -64,6 +64,14 @@ class TestTopology:
         with pytest.raises(InstanceError):
             LayerTopology(2, ((1, 1),))
 
+    @pytest.mark.parametrize("n, message", [
+        (2.5, "n must be an integer, got 2.5"),
+        (True, "n must be an integer, got True"),
+    ], ids=["non_integral", "boolean"])
+    def test_n_is_an_integer_in_range(self, n, message):
+        with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+            LayerTopology(n, ((1, 1), (2, 2)))
+
     def test_out_of_range_link_rejected(self):
         with pytest.raises(InstanceError):
             LayerTopology(2, ((1, 3), (1, 2), (1, 1)))

@@ -340,6 +340,8 @@ def test_one_seed_rule_for_both_stochastic_sources(seed, message):
         lambda: sweep([("a", A, None)], ["randomized"], [seed]),
         lambda: sweep([("a", A, None)], ["decay"], [seed]),
         lambda: run_adaptive(A, "decay", {}, seed, 100),
+        # The greedy draws nothing, but its row writes the seed.
+        lambda: sweep([("a", A, None)], ["deterministic"], [seed, 1]),
     ]
     for call in calls:
         with pytest.raises(InstanceError) as caught:
@@ -348,31 +350,55 @@ def test_one_seed_rule_for_both_stochastic_sources(seed, message):
         assert str(caught.value) == message
 
 
-@pytest.mark.parametrize("name, value", [("m_override", 2.0), ("m_override", 2.5),
-                                         ("max_rounds", 2.5), ("max_rounds", 10.5),
-                                         ("max_rounds", 10 ** 6 + 0.5), ("m_override", True),
-                                         ("max_rounds", True)])
-def test_one_integer_rule_for_m_override_and_max_rounds(name, value):
-    # m_override and max_rounds are checked as seeds are, before any draw.
+INT64 = "an integer in 1..9223372036854775807"
+INTEGER_CASES = [
+    *[(name, value, f"{name} must be an integer, got {value!r}")
+      for name, value in [("m_override", 2.0), ("m_override", 2.5), ("max_rounds", 2.5),
+                          ("max_rounds", 10.5), ("max_rounds", 10 ** 6 + 0.5),
+                          ("m_override", True), ("max_rounds", True)]],
+    ("m_override", 0, "m_override must be >= 1, got 0"),
+    ("m_override", -1, "m_override must be >= 1, got -1"),
+    ("max_rounds", 0, "max_rounds must be >= 1, got 0"),
+    *[(name, value, f"sinr {name} must be {message}")
+      for name in ("density", "dilution")
+      for value, message in [(2.5, "an integer, got 2.5"), (2.0, "an integer, got 2.0"),
+                             (True, "an integer, got True"), (0, f"{INT64}, got 0"),
+                             (10 ** 400, f"{INT64}, got 100000...0000 (401 digits)")]],
+]
+
+
+@pytest.mark.parametrize("name, value, message", INTEGER_CASES,
+                         ids=[f"{name}-{value!s:.10}" for name, value, _ in INTEGER_CASES])
+def test_one_integer_rule_for_m_override_and_max_rounds(name, value, message):
+    # m_override, max_rounds and sinr's options are checked as seeds are,
+    # before any draw, on every path that reads them.
     A = generate_random_instance(5, seed=0)
     sinr = {"density": 4, "dilution": 2}
+    options = {**sinr, name: value}
+    sinr_calls = [
+        lambda: run_adaptive(A, "sinr", options, 0, 100),
+        lambda: sweep([("a", A, options)], ["sinr"], [0], max_rounds=100),
+    ]
     calls = {
         "m_override": [
             lambda: randomized_schedule(RandomizedParams(characterize(A), 0, m_override=value),
                                         A.n),
             lambda: sweep([("a", A, None)], ["randomized"], [0], m_override=value),
+            lambda: engine._randomized_first_success(A, characterize(A), [0], value),
         ],
         "max_rounds": [
             lambda: run_adaptive(A, "decay", {}, 0, value),
             lambda: sweep([("a", A, sinr)], ["sinr"], [0], max_rounds=value),
             lambda: sweep([("a", A, None)], ["decay"], [0], max_rounds=value),
         ],
+        "density": sinr_calls,
+        "dilution": sinr_calls,
     }[name]
     for call in calls:
         with pytest.raises(InstanceError) as caught:
             call()
         assert type(caught.value) is InstanceError
-        assert str(caught.value) == f"{name} must be an integer, got {value!r}"
+        assert str(caught.value) == message
 
 
 class TestTies:
@@ -533,7 +559,7 @@ class TestSweep:
                      ("isolated", isolated_links(n), {"density": n, "dilution": n})]
         protocols, seeds = ["sinr", "randomized", "decay", "deterministic", "sinr"], [5, 0, 12, 5]
         links = max(len(A.topo.owner) for _, A, _ in instances)
-        monkeypatch.setattr(engine, "_BATCH_CELLS", batch * engine._FIRST_BLOCK * links)
+        monkeypatch.setattr(engine, "_BATCH_LINKS", batch * links)
         built = []
 
         class RecordingStreams(engine._NodeStreams):
@@ -575,7 +601,7 @@ class TestSweep:
         spec = OfficeGridSpec(offices=14)
         A = generate_office_layer(spec)
         instances = [("office", A, sinr_defaults(spec))]
-        batch = engine._BATCH_CELLS // (engine._FIRST_BLOCK * len(A.topo.owner))
+        batch = engine._BATCH_LINKS // len(A.topo.owner)
         assert 1 < batch < 20
 
         def peak(seeds):

@@ -1,8 +1,9 @@
 """Every name that a module of the package, of the tests or of ``scripts/``
-imports is read somewhere in that module, and every private name the
-package defines is read by some module of the package: AST scans, as the
-toolchain has no linter. The package's ``__init__.py`` imports to
-re-export and is exempt from the first."""
+imports is read somewhere in that module, every private name the package
+defines is read by some module of the package, and the package checks
+integers by one rule: AST scans, as the toolchain has no linter. The
+package's ``__init__.py`` imports to re-export and is exempt from the
+first."""
 import ast
 from pathlib import Path
 
@@ -56,6 +57,52 @@ def unread_private_names(sources):
                 read.add(node.attr)
     return sorted(name for name in defined - read
                   if name.startswith("_") and not name.startswith("__"))
+
+
+def integer_rules(sources):
+    """The scopes (``module``, ``module.function``, ``module.Class.method``
+    and so on) of ``sources``, a dict of module name to text, that read
+    ``operator.index`` or hold a string, docstrings aside, with "must be an
+    integer" in it, sorted."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant):
+                continue  # a docstring
+            index = (isinstance(child, ast.Attribute) and child.attr == "index"
+                     and isinstance(child.value, ast.Name) and child.value.id == "operator"
+                     or isinstance(child, ast.ImportFrom) and child.module == "operator"
+                     and any(alias.name == "index" for alias in child.names))
+            message = (isinstance(child, ast.Constant) and isinstance(child.value, str)
+                       and "must be an integer" in child.value)
+            if index or message:
+                found.add(scope)
+            visit(child, scope)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return sorted(found)
+
+
+def test_scan_finds_a_second_integer_rule():
+    sources = {
+        "a": 'import operator\ndef _one(v):\n    """v must be an integer."""\n'
+             '    return operator.index(v)\n'
+             'class K:\n    def check(self, v):\n        def inner():\n'
+             '            raise ValueError(f"{v} must be an integer, got {v!r}")\n',
+        "b": "from operator import index\nTEXT = 'seeds must be an integer'\n"
+             "def f(values):\n    return list(map(operator.index, values))\n",
+    }
+    assert integer_rules(sources) == ["a.K.check.inner", "a._one", "b", "b.f"]
+
+
+def test_one_integer_rule():
+    # Every integer the package checks goes through core._integer.
+    assert integer_rules({path.stem: path.read_text() for path in PACKAGE}) == ["core._integer"]
 
 
 def test_scan_finds_an_unread_private_name():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 import types
 
@@ -869,6 +870,15 @@ class TestDecay:
         period = decay_period(4)
         fired = [decay_step(state, 4, rng) for _ in range(20 * period)]
         assert all(fired[k] for k in range(0, len(fired), period))
+
+    @pytest.mark.parametrize("delta, message", [
+        (True, "delta must be an integer, got True"),
+        (2.5, "delta must be an integer, got 2.5"),
+        (0, "delta must be >= 1, got 0"),
+    ], ids=["boolean", "non_integral", "zero"])
+    def test_period_needs_an_integer_delta(self, delta, message):
+        with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+            decay_period(delta)
 
     def test_period_values(self):
         assert decay_period(1) == 1

@@ -211,11 +211,21 @@ class TestOfficeLayer:
         assert params == {"density": 3, "dilution": 4}
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(InstanceError):
+        with pytest.raises(InstanceError, match="^offices must be >= 1, got 0$"):
             OfficeGridSpec(offices=0)
 
 
 class TestRnInstance:
+    @pytest.mark.parametrize("max_degree, message", [
+        (2.5, "max_degree must be an integer, got 2.5"),
+        (True, "max_degree must be an integer, got True"),
+        (0, "max_degree must be an integer in 1..6, got 0"),
+        (7, "max_degree must be an integer in 1..6, got 7"),
+    ], ids=["non_integral", "boolean", "zero", "above_n"])
+    def test_max_degree_is_an_integer_in_1_to_n(self, max_degree, message):
+        with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+            generate_rn_instance(6, max_degree, 0)
+
     def test_degree_one_has_zero_interference(self):
         A = generate_rn_instance(6, max_degree=1, seed=0)
         assert characterize(A).abar == 0.0
@@ -521,9 +531,11 @@ class TestScenarioFiles:
     @pytest.mark.parametrize("field, value, message", [
         ("nodes_per_office", 2.5, "nodes_per_office must be an integer, got 2.5"),
         ("nodes_per_office", True, "nodes_per_office must be an integer, got True"),
+        ("nodes_per_office", 0, "nodes_per_office must be >= 1, got 0"),
         ("reach", math.nan, "reach must be finite, got nan"),
         ("wall_penalty", math.inf, "wall_penalty must be finite, got inf"),
-    ], ids=["non_integral_nodes", "boolean_nodes", "nan_reach", "infinite_wall_penalty"])
+    ], ids=["non_integral_nodes", "boolean_nodes", "zero_nodes", "nan_reach",
+            "infinite_wall_penalty"])
     def test_bad_field_names_the_path(self, tmp_path, field, value, message):
         path = tmp_path / "scenario.json"
         # json.dumps writes NaN and Infinity, as Python's json reads them.
