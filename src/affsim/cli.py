@@ -11,7 +11,7 @@ import dataclasses
 import sys
 
 from .core import InstanceError, characterize, phase_count, schedule_to_text
-from .engine import MAX_ROUNDS_DEFAULT, _check_sweep, run_schedule, summarize, sweep, write_csv
+from .engine import MAX_ROUNDS_DEFAULT, run_schedule, summarize, sweep, write_csv
 from .protocols import (
     RandomizedParams,
     ScheduleError,
@@ -122,15 +122,19 @@ def cmd_schedule(args):
 
 
 def _sweep_instances(args):
-    """(instance_id, matrix, office spec or None) for every --instance file,
-    then every office size of --scenario."""
-    instances = [(path, load_instance(path), None) for path in args.instance]
-    if args.scenario:
-        for spec in load_scenario(args.scenario):
-            instances.append((f"office_n{spec.n}", generate_office_layer(spec), spec))
-    if not instances:
+    """Yield (instance_id, matrix, sinr options) for every --instance file,
+    then every office size of --scenario, once sinr's flags (when sinr
+    runs) and the presence of some instance are checked. The options are
+    None unless sinr runs, else the flags or the spec's ``sinr_defaults``."""
+    runs_sinr = "sinr" in args.protocol
+    flags = _sinr_flags(args) if runs_sinr else None
+    if not (args.instance or args.scenario):
         raise InstanceError("sweep needs --instance or --scenario")
-    return instances
+    for path in args.instance:
+        yield path, load_instance(path), flags
+    for spec in load_scenario(args.scenario) if args.scenario else []:
+        yield (f"office_n{spec.n}", generate_office_layer(spec),
+               flags or (sinr_defaults(spec) if runs_sinr else None))
 
 
 def _sinr_flags(args):
@@ -156,15 +160,8 @@ def cmd_sweep(args):
         raise InstanceError(f"--seeds must be >= 1, got {args.seeds}")
     if not args.protocol:
         raise InstanceError("sweep needs at least one --protocol")
-    seeds = range(args.seed_base, args.seed_base + args.seeds)
-    _check_sweep(args.protocol, seeds, args.max_rounds, args.m_override)
-    runs_sinr = "sinr" in args.protocol
-    flags = _sinr_flags(args) if runs_sinr else None
-    instances = [
-        (instance_id, A, (flags or sinr_defaults(spec)) if runs_sinr else None)
-        for instance_id, A, spec in _sweep_instances(args)
-    ]
-    rows = sweep(instances, args.protocol, seeds, args.max_rounds,
+    rows = sweep(_sweep_instances(args), args.protocol,
+                 range(args.seed_base, args.seed_base + args.seeds), args.max_rounds,
                  c=args.c, m_override=args.m_override)
     write_csv(rows, args.out)
     stats = summarize(rows)

@@ -462,11 +462,11 @@ class AffectanceMatrix:
 
 
 def _indicator(n, transmitters):
-    """Float (n,) 0/1 vector of a set of 1-based transmitters; one outside
-    1..n is an InstanceError."""
+    """Float (n,) 0/1 vector of a set of 1-based transmitters; one that is
+    not an integer (``_integer``) or is outside 1..n is an InstanceError."""
     x = np.zeros(n)
     for v in transmitters:
-        if not (1 <= v <= n):
+        if not 1 <= _integer(v, "transmitter") <= n:
             raise InstanceError(f"transmitter {v} out of range")
         x[v - 1] = 1.0
     return x
@@ -499,7 +499,7 @@ def link_success(A, transmit, rows=slice(None)):
 
 
 def is_selected(A, transmitters, w):
-    """True iff some link into ``w`` carries a successful transmission."""
+    """True iff some link into ``w`` succeeds when ``transmitters``, integers in 1..n, fire."""
     if w not in A.topo.receivers:
         raise InstanceError(f"unknown receiver {w}")
     return _selects(A, _indicator(A.n, transmitters), w)

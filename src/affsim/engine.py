@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import csv
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -191,6 +191,9 @@ def replay_first_success(A, record):
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep run; ``first`` is its read-only (n,) first successes in
+    schedule slots, 0 = never covered, left out of == and repr."""
+
     instance_id: str
     protocol: str
     seed: int
@@ -199,18 +202,7 @@ class SweepRow:
     completed: bool
     # The characterization's slot_bound, on randomized rows only.
     slot_bound: int | None = None
-
-
-def _check_sweep(protocols, seeds, max_rounds, m_override):
-    """The checks of ``sweep``'s arguments that hold whatever the instances:
-    ``sweep`` makes them, and ``affsim sweep`` before it builds any
-    instance."""
-    for name, values in (("protocols", protocols), ("seeds", seeds)):
-        if len(values) == 0:
-            raise InstanceError(f"{name} must be non-empty")
-    _integer(max_rounds, "max_rounds", 1)
-    if m_override is not None:
-        _integer(m_override, "m_override", 1)
+    first: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_override=None):
@@ -219,8 +211,9 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     nothing, runs on the first seed only (a sweep of the greedy alone walks
     no other seed).
 
-    ``instances`` holds (instance_id, A, sinr), where ``sinr`` is the
-    instance's {"density", "dilution"} (None when sinr is not run);
+    ``instances`` is any iterable of (instance_id, A, sinr), ``sinr`` the
+    instance's {"density", "dilution"} (None when sinr is not run), read
+    into a list once the checks that need no instance pass.
     ``protocols`` holds names: randomized, deterministic, decay, sinr.
     ``c`` goes to ``characterize``, and ``m_override`` to the randomized
     schedule; it and ``max_rounds`` must be integers >= 1 whatever the
@@ -247,19 +240,24 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     the completion round (last first-success slot) for every protocol,
     schedules included, so the metric is comparable with the adaptive
     baselines' stop-at-completion count; truncated or incomplete runs
-    report max_rounds with completed=False.
+    report max_rounds with completed=False. A row keeps them as ``first``.
     """
+    for name, values in (("protocols", protocols), ("seeds", seeds)):
+        if len(values) == 0:
+            raise InstanceError(f"{name} must be non-empty")
+    _integer(max_rounds, "max_rounds", 1)
+    if m_override is not None:
+        _integer(m_override, "m_override", 1)
+    instances = list(instances)
     if not instances:
         raise InstanceError("instances must be non-empty")
-    _check_sweep(protocols, seeds, max_rounds, m_override)
     missing = [i for i, _, sinr in instances if sinr is None] if "sinr" in protocols else []
     if missing:
         raise InstanceError(f"sinr needs density and dilution for instance {missing[0]}")
     if set(protocols) == {"deterministic"}:
         seeds = seeds[:1]
     n_max = max(A.n for _, A, _ in instances)
-    links = max(len(A.topo.owner) for _, A, _ in instances)
-    batch = max(1, _BATCH_LINKS // links)
+    batch = max(1, _BATCH_LINKS // max(len(A.topo.owner) for _, A, _ in instances))
     chars = {}
     rows = {}
     for b in range(0, len(seeds), batch):
@@ -281,11 +279,12 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
                     first = _first_success(A, _adaptive_slots(A, name, sinr, store), max_rounds,
                                            len(batch_seeds))
                 bound = chars[j].slot_bound if name == "randomized" else None
+                first.flags.writeable = False
                 for r, run in enumerate(first):
                     completed = bool(run.all())
                     rounds = int(run.max()) if completed else max_rounds
                     rows[i, j, b + r] = SweepRow(instance_id, name, batch_seeds[r], A.n, rounds,
-                                                 completed, bound)
+                                                 completed, bound, run)
     return [rows[key] for key in sorted(rows)]
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffectanceMatrix, InstanceError, LayerTopology, encode_radio_network
+from .core import (MAX_WEIGHT_CELLS, AffectanceMatrix, InstanceError, LayerTopology,
+                   encode_radio_network)
 from .core import _check_cells, _integer, _json_integer, _kernel_scatter, _table, _value_text
 
 # Entries below this are truncated to 0; distant offices then cost no storage
@@ -175,8 +176,9 @@ def sinr_defaults(spec):
 
 def generate_rn_instance(n, max_degree, seed):
     """Random bipartite layer with unit-weight no-collision semantics: each
-    receiver draws a uniform neighborhood size in 1..max_degree, an integer
-    in 1..n (``core._integer``)."""
+    of n receivers (n in 1..MAX_WEIGHT_CELLS) draws a uniform neighborhood
+    size in 1..max_degree (in 1..n), both integers by ``core._integer``."""
+    n = _integer(n, "n", 1, MAX_WEIGHT_CELLS)
     max_degree = _integer(max_degree, "max_degree", 1, n)
     rng = np.random.default_rng(seed)
     links = []
@@ -189,9 +191,10 @@ def generate_rn_instance(n, max_degree, seed):
 
 
 def generate_random_instance(n, seed, link_prob=0.5, entry_prob=0.5):
-    """Dense-ish random instance for tests: random neighborhoods (never
-    empty) and uniform [0,1) interference weights on a random subset of
-    (transmitter, link) pairs."""
+    """Dense-ish random instance for tests: n nodes (an integer in
+    1..MAX_WEIGHT_CELLS by ``core._integer``), random neighborhoods (never
+    empty) and uniform [0,1) weights on a random subset of (u, link) pairs."""
+    n = _integer(n, "n", 1, MAX_WEIGHT_CELLS)
     rng = np.random.default_rng(seed)
     links = []
     for w in range(1, n + 1):

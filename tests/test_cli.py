@@ -546,9 +546,12 @@ BOTH = "sinr needs both --density and --dilution, each >= 1"
     (["--protocol", "sinr", "--density", "0", "--dilution", "3"], BOTH),
     (["--protocol", "decay", "--protocol", "sinr", "--density", "3", "--dilution", "-1"], BOTH),
     (["--protocol", "sinr"], "sinr needs --density and --dilution for instance file {file}"),
+    # Two faults: the argument that needs no sinr option is named first.
+    (["--protocol", "sinr", "--m-override", "0", "--density", "3"],
+     "m_override must be >= 1, got 0"),
 ], ids=["seed_base", "protocol", "seeds", "negative_seeds", "max_rounds", "m_override",
         "density_alone", "dilution_alone", "zero_density", "negative_dilution",
-        "sinr_instance_file"])
+        "sinr_instance_file", "m_override_and_density_alone"])
 def test_sweep_checks_its_arguments_before_building_instances(tmp_path, monkeypatch, options,
                                                                 message):
     def build(*args):
@@ -565,6 +568,19 @@ def test_sweep_checks_its_arguments_before_building_instances(tmp_path, monkeypa
     assert code == 1
     assert err == [f"error: {message.format(file=file)}"]
     assert not out.exists()
+
+
+def test_sweep_without_sinr_computes_no_sinr_defaults(tmp_path):
+    # At reach 1e308 sinr's default dilution overflows (exit 1 for sinr); a
+    # decay sweep never computes it.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"offices": 2, "reach": 1e308}))
+    out = tmp_path / "out.csv"
+    code, err = run_main(["sweep", "--scenario", str(scenario), "--protocol", "decay",
+                          "--seeds", "2", "--out", str(out)])
+    assert (code, err) == (0, [])
+    assert [line.split(",")[:3] for line in out.read_text().splitlines()[1:]] == [
+        ["office_n6", "decay", "0"], ["office_n6", "decay", "1"]]
 
 
 @pytest.mark.parametrize("command, m", [

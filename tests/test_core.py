@@ -399,6 +399,14 @@ class TestIsSelected:
         A = AffectanceMatrix(topo, [(1, 2, 1, 1.0), (2, 1, 1, 1.0)])
         assert not is_selected(A, {1, 2}, 1)
 
+    @pytest.mark.parametrize("v", [1.5, True, 1.0, "1", None])
+    def test_transmitters_follow_the_integer_rule(self, two_isolated_links, v):
+        with pytest.raises(InstanceError) as caught:
+            is_selected(two_isolated_links, [v], 1)
+        assert type(caught.value) is InstanceError
+        assert str(caught.value) == f"transmitter must be an integer, got {v!r}"
+        assert is_selected(two_isolated_links, [np.int64(1)], 1)
+
     def test_one_link_survives(self):
         # Link (1,1) accumulates 0.9 < 1 while (2,1) hits exactly 1.
         topo = LayerTopology(2, ((1, 1), (2, 1), (1, 2)))

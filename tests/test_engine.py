@@ -527,6 +527,73 @@ class TestSweep:
                 sweep(instances, protocols, seeds)
             assert str(caught.value) == f"{name} must be non-empty"
 
+    def test_any_iterable_of_instances_gives_the_rows_of_its_list(self):
+        # A generator or an iterator is read once, into a list.
+        sinr = {"density": 2, "dilution": 2}
+        instances = [("a", generate_random_instance(3, seed=2), sinr),
+                     ("b", generate_random_instance(4, seed=3), sinr)]
+        protocols = ["randomized", "deterministic", "decay", "sinr"]
+        rows = sweep(instances, protocols, [0, 1], 500)
+        for iterable in ((instance for instance in instances), iter(instances),
+                         tuple(instances)):
+            other = sweep(iterable, protocols, [0, 1], 500)
+            assert other == rows
+            assert [row.first.tolist() for row in other] == [row.first.tolist() for row in rows]
+        with pytest.raises(InstanceError, match="^instances must be non-empty$"):
+            sweep(iter([]), ["decay"], [0])
+
+    @pytest.mark.parametrize("protocols, seeds, options, message", [
+        ([], [0], {}, "protocols must be non-empty"),
+        (["decay"], [], {}, "seeds must be non-empty"),
+        (["deterministic"], range(0), {}, "seeds must be non-empty"),
+        (["decay"], [0], {"max_rounds": 0}, "max_rounds must be >= 1, got 0"),
+        (["sinr"], [0], {"max_rounds": 2.5}, "max_rounds must be an integer, got 2.5"),
+        (["decay"], [0], {"m_override": 0}, "m_override must be >= 1, got 0"),
+        (["randomized"], [0], {"m_override": True}, "m_override must be an integer, got True"),
+    ], ids=["protocols", "seeds", "seed_range", "max_rounds", "max_rounds_float", "m_override",
+            "m_override_bool"])
+    def test_instances_are_read_only_once_the_arguments_pass(self, protocols, seeds, options,
+                                                             message):
+        def instances():
+            raise AssertionError("an instance was read")
+            yield
+
+        with pytest.raises(InstanceError) as caught:
+            sweep(instances(), protocols, seeds, **options)
+        assert str(caught.value) == message
+
+    def test_rows_keep_their_first_successes(self, mutually_blocking_pair):
+        # Each row's first is the (n,) first-success array of run_schedule or
+        # run_adaptive for its seed, in schedule slots; truncated runs keep 0
+        # for the receivers they never cover.
+        instances = [("a", generate_random_instance(5, seed=1), {"density": 2, "dilution": 2}),
+                     ("blocked", mutually_blocking_pair, {"density": 1, "dilution": 1})]
+        protocols = ["randomized", "deterministic", "decay", "sinr"]
+        rows = sweep(instances, protocols, [3, 4], 40, m_override=2)
+        by_id = {instance_id: (A, sinr) for instance_id, A, sinr in instances}
+        for row in rows:
+            A, sinr = by_id[row.instance_id]
+            char = characterize(A)
+            if row.protocol == "randomized":
+                params = RandomizedParams(char, row.seed, m_override=2)
+                record = run_schedule(A, randomized_schedule(params, A.n))
+            elif row.protocol == "deterministic":
+                record = run_schedule(A, deterministic_schedule(A, char))
+            else:
+                record = run_adaptive(A, row.protocol, sinr, row.seed, 40)
+            expected = np.zeros(A.n, dtype=int)
+            for w, slot in record.first_success.items():
+                expected[w - 1] = slot
+            np.testing.assert_array_equal(row.first, expected)
+            assert row.first.shape == (A.n,) and not row.first.flags.writeable
+            assert row.completed == bool(row.first.all()) == record.completed
+            if row.completed:
+                assert row.first.max() == row.rounds
+        assert not all(row.completed for row in rows if row.instance_id == "blocked")
+        # Rows compare and print as they did without it.
+        assert dataclasses.replace(rows[0], first=None) == rows[0]
+        assert "first" not in repr(rows[0])
+
     def test_numpy_seed_arrays_give_the_rows_of_lists(self):
         # Arrays of one seed and of several are non-empty by their length;
         # their truth value is false or ambiguous.

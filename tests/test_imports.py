@@ -1,9 +1,9 @@
 """Every name that a module of the package, of the tests or of ``scripts/``
 imports is read somewhere in that module, every private name the package
-defines is read by some module of the package, and the package checks
-integers by one rule: AST scans, as the toolchain has no linter. The
-package's ``__init__.py`` imports to re-export and is exempt from the
-first."""
+defines is read by some module of the package, the package checks
+integers by one rule, and the command line imports no private name of the
+package: AST scans, as the toolchain has no linter. The package's
+``__init__.py`` imports to re-export and is exempt from the first."""
 import ast
 from pathlib import Path
 
@@ -86,6 +86,33 @@ def integer_rules(sources):
     for module, source in sources.items():
         visit(ast.parse(source), module)
     return sorted(found)
+
+
+def private_imports(source):
+    """The private names (one leading underscore) that ``source`` imports
+    from a module of the package, relatively or by its ``affsim`` name,
+    sorted."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "affsim"):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name.split(".")[-1] for alias in node.names
+                      if alias.name.split(".")[0] == "affsim"]
+    return sorted(name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_scan_finds_a_private_import():
+    source = ("from .engine import sweep, _check\nfrom affsim.core import _integer as i\n"
+              "from . import _cli\nfrom numpy import _core\nfrom affsim_x import _y\n"
+              "from .core import __all__\nimport affsim._z, os._w\n")
+    assert private_imports(source) == ["_check", "_cli", "_integer", "_z"]
+
+
+def test_cli_imports_no_private_name():
+    # The command line reaches the other modules through public names only.
+    assert private_imports((ROOT / "src" / "affsim" / "cli.py").read_text()) == []
 
 
 def test_scan_finds_a_second_integer_rule():

@@ -22,6 +22,7 @@ from affsim import (
     sinr_defaults,
 )
 from affsim import AffectanceMatrix, LayerTopology
+from affsim.core import MAX_WEIGHT_CELLS
 from affsim.scenario import _BAND, _OFFICE_KERNELS, SPARSITY_FLOOR, _office_kernel, load_scenario
 
 from oracles import a, transmitters
@@ -213,6 +214,22 @@ class TestOfficeLayer:
     def test_invalid_spec_rejected(self):
         with pytest.raises(InstanceError, match="^offices must be >= 1, got 0$"):
             OfficeGridSpec(offices=0)
+
+
+@pytest.mark.parametrize("n, message", [
+    (2.5, "n must be an integer, got 2.5"),
+    (True, "n must be an integer, got True"),
+    (0, f"n must be an integer in 1..{MAX_WEIGHT_CELLS}, got 0"),
+    (-4, f"n must be an integer in 1..{MAX_WEIGHT_CELLS}, got -4"),
+], ids=["non_integral", "boolean", "zero", "negative"])
+@pytest.mark.parametrize("generate", [lambda n: generate_rn_instance(n, 1, 0),
+                                      lambda n: generate_random_instance(n, 0)],
+                         ids=["rn", "random"])
+def test_generators_check_n_before_their_loops(generate, n, message):
+    with pytest.raises(InstanceError) as caught:
+        generate(n)
+    assert type(caught.value) is InstanceError
+    assert str(caught.value) == message
 
 
 class TestRnInstance:
