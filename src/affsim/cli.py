@@ -79,6 +79,10 @@ def build_parser():
     return parser
 
 
+# Built at import, not per call: every main() in a process parses with it.
+PARSER = build_parser()
+
+
 def cmd_characterize(args):
     A = load_instance(args.instance)
     char = characterize(A, c=args.c)
@@ -181,7 +185,7 @@ def cmd_sweep(args):
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse has printed its message; its usage-error code 2 means 1 here.
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION

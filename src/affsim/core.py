@@ -437,13 +437,18 @@ class AffectanceMatrix:
         one product with a gathered copy of just those rows, where a link
         reads column ``rank``, its row's place among the rows read; else one
         product with every row, uncopied, since the copy then costs more
-        than the rows it skips. Grid totals are exact, so both agree. The
-        totals are gathered with ``np.take``, so they are C-ordered."""
+        than the rows it skips; its columns are the totals themselves when
+        link i reads row i for every i, as when all links of a per-link
+        instance are judged. Grid totals are exact, so both agree. Other
+        totals are gathered with ``np.take``; all are C-ordered."""
         row = self._row[rows]
         read = np.zeros(len(self._rows), dtype=bool)
         read[row] = True
         if 2 * np.count_nonzero(read) > len(read):
-            return np.take(transmit @ self._rows.T, row, axis=-1)
+            totals = transmit @ self._rows.T
+            if np.array_equal(row, np.arange(len(read))):
+                return totals
+            return np.take(totals, row, axis=-1)
         rank = np.cumsum(read) - 1
         return np.take(transmit @ self._rows[read].T, rank[row], axis=-1)
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import statistics
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -214,18 +215,19 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     ``instances`` is any iterable of (instance_id, A, sinr), ``sinr`` the
     instance's {"density", "dilution"} (None when sinr is not run), read
     into a list once the checks that need no instance pass.
-    ``protocols`` holds names: randomized, deterministic, decay, sinr.
-    ``c`` goes to ``characterize``, and ``m_override`` to the randomized
-    schedule; it and ``max_rounds`` must be integers >= 1 whatever the
-    protocols. The seeds must be integers >= 0; each batch checks its own
-    as it starts (the list is never walked as a whole), so a sweep of the
-    greedy alone checks the one seed it writes. ``core._integer`` makes
-    every one of these checks. Each instance is characterized once, on its
-    first randomized or deterministic run. A randomized batch builds no
-    mask: its seeds share one ``RandomizedSlots`` source of the instance's
-    characterization and ``m_override``, which ``_randomized_first_success``
-    reads only as far as it judges, phase 0 by one slot, with the first
-    successes of ``run_schedule`` on each whole ``randomized_schedule``.
+    ``protocols`` is any iterable of names (randomized, deterministic,
+    decay, sinr), read into a list first. ``c`` goes to ``characterize``,
+    and ``m_override`` to the randomized schedule; it and ``max_rounds``
+    must be integers >= 1 whatever the protocols. ``seeds`` is any iterable
+    of integers >= 0, never listed whole: each batch reads and checks its
+    own as it starts, so a sweep of the greedy alone reads and checks the
+    one seed it writes. ``core._integer`` makes every one of these checks.
+    Each instance is characterized once, on its first randomized or
+    deterministic run. A randomized batch builds no mask: its seeds share
+    one ``RandomizedSlots`` source of the instance's characterization and
+    ``m_override``, which ``_randomized_first_success`` reads only as far
+    as it judges, phase 0 by one slot, with the first successes of
+    ``run_schedule`` on each whole ``randomized_schedule``.
 
     The seeds go in batches of max(1, _BATCH_LINKS // L) = max(1, 2^11 // L)
     seeds, L the largest link count among the instances, and each
@@ -242,8 +244,10 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     baselines' stop-at-completion count; truncated or incomplete runs
     report max_rounds with completed=False. A row keeps them as ``first``.
     """
-    for name, values in (("protocols", protocols), ("seeds", seeds)):
-        if len(values) == 0:
+    protocols, seeds = list(protocols), iter(seeds)
+    head = list(islice(seeds, 1))
+    for name, values in (("protocols", protocols), ("seeds", head)):
+        if not values:
             raise InstanceError(f"{name} must be non-empty")
     _integer(max_rounds, "max_rounds", 1)
     if m_override is not None:
@@ -254,14 +258,13 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     missing = [i for i, _, sinr in instances if sinr is None] if "sinr" in protocols else []
     if missing:
         raise InstanceError(f"sinr needs density and dilution for instance {missing[0]}")
-    if set(protocols) == {"deterministic"}:
-        seeds = seeds[:1]
+    seeds = chain(head, () if set(protocols) == {"deterministic"} else seeds)
     n_max = max(A.n for _, A, _ in instances)
     batch = max(1, _BATCH_LINKS // max(len(A.topo.owner) for _, A, _ in instances))
     chars = {}
     rows = {}
-    for b in range(0, len(seeds), batch):
-        batch_seeds = [_integer(seed, "seed", 0) for seed in seeds[b:b + batch]]
+    batches = iter(lambda: [_integer(seed, "seed", 0) for seed in islice(seeds, batch)], [])
+    for b, batch_seeds in enumerate(batches):
         store = None
         for i, name in enumerate(protocols):
             if name == "deterministic" and b:
@@ -283,8 +286,8 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
                 for r, run in enumerate(first):
                     completed = bool(run.all())
                     rounds = int(run.max()) if completed else max_rounds
-                    rows[i, j, b + r] = SweepRow(instance_id, name, batch_seeds[r], A.n, rounds,
-                                                 completed, bound, run)
+                    rows[i, j, b, r] = SweepRow(instance_id, name, batch_seeds[r], A.n, rounds,
+                                               completed, bound, run)
     return [rows[key] for key in sorted(rows)]
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import csv
@@ -666,6 +667,62 @@ def test_usage_error_is_validation_error(tmp_path, capsys, argv, message):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "usage: affsim" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("columns", ["50", "200"])
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]], ids=["affsim", "sweep"])
+def test_help_is_a_fresh_parsers_at_the_current_width(monkeypatch, capsys, argv, columns):
+    # The shared parser formats its help when it prints it, as a parser
+    # built for the call would.
+    monkeypatch.setenv("COLUMNS", columns)
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+    fresh = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == fresh
+
+
+def test_main_builds_no_parser(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(parser, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    instance = write_rn_star(tmp_path)
+    for argv, code in ((["characterize", "--instance", instance], 0),
+                       (["characterize", "--instance", instance], 0),
+                       (["simulate"], 1), (["sweep", "--help"], 0)):
+        assert main(argv) == code
+    assert built == []
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    # Two sweeps with different --instance and --protocol lists, the second
+    # on the append defaults, run in one process: each writes the CSV and
+    # stdout that it writes with a parser of its own.
+    scenario = tmp_path / "offices.json"
+    scenario.write_text(json.dumps({"offices": [2, 3]}))
+    first = ["sweep", "--instance", write_office(tmp_path), "--instance", write_rn_star(tmp_path),
+             "--protocol", "decay", "--protocol", "randomized", "--seeds", "2"]
+    second = ["sweep", "--scenario", str(scenario), "--protocol", "sinr",
+              "--protocol", "deterministic"]
+    out = tmp_path / "sweep.csv"
+
+    def run(argv):
+        code = main([*argv, "--out", str(out)])
+        return code, capsys.readouterr().out, out.read_bytes()
+
+    alone = []
+    for argv in (first, second):
+        monkeypatch.setattr(cli, "PARSER", cli.build_parser())
+        alone.append(run(argv))
+    monkeypatch.undo()
+    assert [code for code, _, _ in alone] == [0, 0]
+    assert alone[0][2] != alone[1][2]
+    assert [run(argv) for argv in (first, second, first)] == [*alone, alone[0]]
 
 
 @pytest.mark.parametrize("target", ["out", "scenario"])

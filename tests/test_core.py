@@ -337,6 +337,23 @@ class TestLinkSubsets:
             assert link_success(A, mask, rows).flags.c_contiguous
             assert link_success(A, mask[0], rows).flags.c_contiguous
 
+    def test_per_link_gathers_match_the_scalar_rule(self):
+        # Link i of a per-link instance reads row i, so judging every link
+        # in order takes the product's columns as they are; a permutation
+        # gathers them all, a third of the links gathers a smaller product.
+        A = generate_random_instance(8, 1)
+        links = np.arange(len(A.topo.owner))
+        assert np.array_equal(A._row, links)
+        rng = np.random.default_rng(4)
+        mask = rng.random((12, A.n)) < 0.4
+        third = rng.permutation(links)[:len(links) // 3]
+        for rows in (slice(None), links, rng.permutation(links), third):
+            success = link_success(A, mask, rows)
+            for slot, judged in zip(mask, success):
+                transmitting = np.flatnonzero(slot) + 1
+                assert judged.tolist() == [is_successful(A, transmitting, A.topo.links[row])
+                                           for row in links[rows]]
+
 
 class TestTotalAffectance:
     def test_empty_set(self):

@@ -527,7 +527,7 @@ class TestSweep:
                 sweep(instances, protocols, seeds)
             assert str(caught.value) == f"{name} must be non-empty"
 
-    def test_any_iterable_of_instances_gives_the_rows_of_its_list(self):
+    def test_any_iterable_of_instances_gives_the_rows_of_its_list(self, monkeypatch):
         # A generator or an iterator is read once, into a list.
         sinr = {"density": 2, "dilution": 2}
         instances = [("a", generate_random_instance(3, seed=2), sinr),
@@ -541,6 +541,25 @@ class TestSweep:
             assert [row.first.tolist() for row in other] == [row.first.tolist() for row in rows]
         with pytest.raises(InstanceError, match="^instances must be non-empty$"):
             sweep(iter([]), ["decay"], [0])
+        # So are protocols and seeds; the protocols are read once, the
+        # seeds batch by batch, here one seed a batch.
+        monkeypatch.setattr(engine, "_BATCH_LINKS", 1)
+        walks = []
+
+        class Protocols:
+            def __iter__(self):
+                walks.append(1)
+                return iter(protocols)
+
+        for names, seeds in ((Protocols(), [0, 1]), ((p for p in protocols), iter([0, 1])),
+                             (protocols, (seed for seed in [0, 1]))):
+            other = sweep(instances, names, seeds, 500)
+            assert other == rows
+            assert [row.first.tolist() for row in other] == [row.first.tolist() for row in rows]
+        assert walks == [1]
+        for name, names, seeds in (("protocols", iter([]), [0]), ("seeds", ["decay"], iter([]))):
+            with pytest.raises(InstanceError, match=f"^{name} must be non-empty$"):
+                sweep(instances, names, seeds)
 
     @pytest.mark.parametrize("protocols, seeds, options, message", [
         ([], [0], {}, "protocols must be non-empty"),
