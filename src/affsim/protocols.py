@@ -151,11 +151,19 @@ def _outcome_table(weights, owners, relevant):
     return selected
 
 
-def _selected_mass(selected, p, probabilities):
+def _exactly_one(weights, owners, deciding):
+    """Whether a receiver is selected iff exactly one of ``deciding`` (from
+    ``_relevant``) fires: they are its owners, each weighing 1 on the others'
+    links (own entries are 0 in ``weights``, so this makes the owners distinct)."""
+    return (len(deciding) == len(owners)
+            and np.count_nonzero(weights[:, owners] == 1.0) == len(owners) * (len(owners) - 1))
+
+
+def _selected_mass(selected, p, probabilities, k=None):
     """Probability of the outcomes ``selected`` marks in a table (or strided
-    view) over k transmitters that fire independently with probability p.
-    ``probabilities`` caches each k's outcome probabilities for this p."""
-    k = len(selected).bit_length() - 1
+    view), or lists if k is given, over k transmitters firing independently at
+    p; ``probabilities`` caches each k's, by the one rule every score sums."""
+    k = len(selected).bit_length() - 1 if k is None else k
     if k not in probabilities:
         ones = np.zeros(1, dtype=np.int64)
         for _ in range(k):
@@ -163,6 +171,14 @@ def _selected_mass(selected, p, probabilities):
         probabilities[k] = (p ** ones) * ((1.0 - p) ** (k - ones))
     # The outcome probabilities sum to 1 only up to rounding.
     return min(1.0, float(probabilities[k][selected].sum()))
+
+
+def _exactly_one_mass(fired, k, p, probabilities):
+    """``_selected_mass`` of an exactly-one view, ``fired`` on and k undecided."""
+    if (fired, k) not in probabilities:
+        probabilities[fired, k] = 0.0 if fired > 1 else _selected_mass(
+            [0] if fired else 1 << np.arange(k), p, probabilities, k)
+    return probabilities[fired, k]
 
 
 def _pessimistic_estimates(owners, receivers, q, totals):
@@ -213,25 +229,29 @@ def deterministic_schedule(A, char):
 
     A receiver scores its selection probability while its weighing
     transmitters (those that own or weigh on its links) from transmitter 2
-    on (transmitter 1 is decided before the first read) fit ``K_EXACT``:
-    its outcome table is built once, when it first becomes a target, over
-    its deciding transmitters only (see ``_relevant``; no outcome of the
-    others changes whether it is selected), and dropped when it is retired.
-    Each slot lists such a target under its deciding transmitters, and t's
-    decision reads only the targets listed under t, each narrowed to the
-    strided slice of its outcomes that agrees with the decision. A wider
-    receiver scores Raghavan's pessimistic estimator
-    ``_pessimistic_estimates`` of the transmit probabilities q, over link
-    totals ``weights @ q`` that each decision updates by one column. Both
-    scores are multilinear in each undecided q_t, so the better branch never
-    scores below the slot's current score. A slot ends by asserting that
-    each exact target's slice is the one outcome saying whether the slot
-    selects it, and that each wide target's estimate is at most its
-    selection. A slot with no target is silent, and a run of them, up to the
-    next pending bucket or the cycle's end, is counted as one block of zero
-    rows. The slot budget (``ScheduleError``) stays as a safety net. A cycle
-    of phases slots for n transmitters over ``MAX_RANDOMIZED_CELLS`` cells
-    is an InstanceError, raised before the first slot.
+    on (transmitter 1 is decided before the first read) fit ``K_EXACT``,
+    which so decides a receiver's score (lifting it changes RN 300/32 seed
+    0's schedule). An exact target is sorted on first becoming one, by its
+    deciding transmitters only (see ``_relevant``; no outcome of the others
+    changes whether it is selected): one selected iff exactly one of them
+    fires (``_exactly_one``; every radio-network receiver) keeps the counts
+    fired and undecided, scored in closed form (``_exactly_one_mass``); any
+    other builds an outcome table, dropped when it is retired. Each slot
+    lists an exact target under its deciding transmitters, and t's decision
+    reads only those listed under t, each narrowed to the decision: a
+    strided slice of its outcomes, or its counts. A wider receiver scores
+    Raghavan's pessimistic estimator ``_pessimistic_estimates`` of the
+    transmit probabilities q, over link totals ``weights @ q`` that each
+    decision updates by one column. Both scores are multilinear in each
+    undecided q_t, so the better branch never scores below the slot's
+    current score. A slot ends by asserting that each exact target's slice
+    (one outcome) or counts (exactly one fired) say whether the slot selects
+    it, and that each wide target's estimate is at most its selection. A
+    slot with no target is silent, and a run of them, up to the next pending
+    bucket or the cycle's end, is counted as one block of zero rows. The
+    slot budget (``ScheduleError``) stays as a safety net. A cycle of phases
+    slots for n transmitters over ``MAX_RANDOMIZED_CELLS`` cells is an
+    InstanceError, raised before the first slot.
     """
     n = A.n
     if char.phases * n > MAX_RANDOMIZED_CELLS:
@@ -241,8 +261,7 @@ def deterministic_schedule(A, char):
     buckets = receiver_partition(A, char)
     cycle = char.phases  # slot r of a cycle targets bucket r at p = b**-r
     budget = greedy_slot_budget(n, char)
-    tables = {}  # per receiver: (deciding list, outcome table), None if wide
-    probabilities = {}  # outcome probabilities per k, at this slot's p
+    tables = {}  # per receiver: (deciding list, table, or (0, k) if exactly-one), None if wide
     fired = {}  # slot index -> transmit row, for slots with a target
     slots, r = 0, 0
     while any(buckets.values()):
@@ -261,9 +280,9 @@ def deterministic_schedule(A, char):
             r = stop % cycle
             continue
         p = char.b ** -r
-        probabilities.clear()
-        # Per exact target: the view of its table that agrees with the slot's
-        # decisions so far, listed under each of its deciding transmitters.
+        probabilities = {}  # per k, and exactly-one masses per (fired, k)
+        # Per exact target, under each deciding transmitter: its table's view that
+        # agrees with the slot's decisions so far, or if exactly-one (fired, undecided).
         views = {}
         dependents = [[] for _ in range(n)]
         for w in target:
@@ -273,7 +292,8 @@ def deterministic_schedule(A, char):
                 weighing, deciding = _relevant(*links)
                 tables[w] = None
                 if np.count_nonzero(weighing) <= K_EXACT:  # counted from transmitter 2
-                    tables[w] = (deciding.tolist(), _outcome_table(*links, deciding))
+                    tables[w] = (deciding.tolist(), (0, len(deciding)) if _exactly_one(
+                        *links, deciding) else _outcome_table(*links, deciding))
             if tables[w] is not None:
                 deciding, views[w] = tables[w]
                 for t in deciding:
@@ -289,7 +309,10 @@ def deterministic_schedule(A, char):
         for t in range(n):
             # t is the lowest undecided bit of its dependents' views: odd
             # outcomes fire it.
-            gain = sum(_selected_mass(views[w][1::2], p, probabilities)
+            gain = sum(_exactly_one_mass(views[w][0] + 1, views[w][1] - 1, p, probabilities)
+                       - _exactly_one_mass(views[w][0], views[w][1] - 1, p, probabilities)
+                       if type(views[w]) is tuple
+                       else _selected_mass(views[w][1::2], p, probabilities)
                        - _selected_mass(views[w][0::2], p, probabilities)
                        for w in dependents[t])
             if wide:
@@ -304,12 +327,14 @@ def deterministic_schedule(A, char):
             if wide:
                 totals += (q[t] - p) * columns[t]
             for w in dependents[t]:
-                views[w] = views[w][1::2] if on else views[w][0::2]
+                views[w] = ((views[w][0] + on, views[w][1] - 1) if type(views[w]) is tuple
+                            else views[w][1::2] if on else views[w][0::2])
         slot = q == 1.0
         fired[slots] = slot
         hit = np.zeros(n, dtype=bool)
         hit[A.topo.receiver[link_success(A, slot)]] = True
-        assert all(len(view) == 1 and view[0] == hit[w - 1] for w, view in views.items())
+        assert all(view[1] == 0 and (view[0] == 1) == hit[w - 1] if type(view) is tuple
+                   else len(view) == 1 and view[0] == hit[w - 1] for w, view in views.items())
         if wide:
             estimates = _pessimistic_estimates(owners, receivers, q, totals)
             assert all(estimates[w - 1] <= hit[w - 1] + 1e-9 for w in wide)

@@ -1,8 +1,9 @@
 """Every name that a module of the package, of the tests or of ``scripts/``
 imports is read somewhere in that module, every private name the package
 defines is read by some module of the package, the package checks
-integers by one rule, and the command line imports no private name of the
-package: AST scans, as the toolchain has no linter. The package's
+integers by one rule and builds outcome probabilities by one rule, and the
+command line imports no private name of the package: AST scans, as the
+toolchain has no linter. The package's
 ``__init__.py`` imports to re-export and is exempt from the first."""
 import ast
 from pathlib import Path
@@ -88,6 +89,37 @@ def integer_rules(sources):
     return sorted(found)
 
 
+def outcome_probability_rules(sources):
+    """The scopes (named as by ``integer_rules``) of ``sources``, a dict of
+    module name to text, that raise ``p`` or ``1 - p`` (``1.0 - p``) to a
+    power, by ``**`` or a call of ``pow`` or ``power``, sorted."""
+    found = set()
+
+    def is_p(node):
+        return (isinstance(node, ast.Name) and node.id == "p"
+                or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and isinstance(node.left, ast.Constant) and node.left.value == 1
+                and is_p(node.right))
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            power = (isinstance(child, ast.BinOp) and isinstance(child.op, ast.Pow)
+                     and is_p(child.left)
+                     or isinstance(child, ast.Call) and child.args and is_p(child.args[0])
+                     and (getattr(child.func, "id", None) == "pow"
+                          or getattr(child.func, "attr", None) in ("pow", "power")))
+            if power:
+                found.add(scope)
+            visit(child, scope)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return sorted(found)
+
+
 def private_imports(source):
     """The private names (one leading underscore) that ``source`` imports
     from a module of the package, relatively or by its ``affsim`` name,
@@ -130,6 +162,24 @@ def test_scan_finds_a_second_integer_rule():
 def test_one_integer_rule():
     # Every integer the package checks goes through core._integer.
     assert integer_rules({path.stem: path.read_text() for path in PACKAGE}) == ["core._integer"]
+
+
+def test_scan_finds_a_second_outcome_probability_rule():
+    sources = {
+        "a": "def _one(k, p):\n    return p ** k * (1.0 - p) ** 0\n"
+             "class K:\n    def gain(self, p, k):\n        return k * p * (1 - p) ** (k - 1)\n"
+             "def g(p, b, r):\n    return b ** -r, (p - 1) ** 2, q ** 2, p * 2\n",
+        "b": "def f(p):\n    return np.power(p, 2), math.pow(1 - p, 3), pow(p, 2)\n"
+             "TOP = (1 - p) ** 2\n",
+    }
+    assert outcome_probability_rules(sources) == ["a.K.gain", "a._one", "b", "b.f"]
+
+
+def test_one_outcome_probability_rule():
+    # A closed form such as k * p * (1 - p) ** (k - 1) rounds differently
+    # from the outcome probabilities the greedy's tables sum.
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert outcome_probability_rules(sources) == ["protocols._selected_mass"]
 
 
 def test_scan_finds_an_unread_private_name():

@@ -37,6 +37,8 @@ from affsim.protocols import (
     MIN_GAIN,
     RandomizedSlots,
     ScheduleError,
+    _exactly_one,
+    _exactly_one_mass,
     _outcome_table,
     _pessimistic_estimates,
     _relevant,
@@ -469,9 +471,11 @@ class TestOutcomeTable:
     def test_greedy_matches_matmul_on_random(self, A):
         assert_greedy_matches_matmul(A)
 
+    # The RN instances' receivers are all exactly-one: scored without tables.
     @pytest.mark.parametrize("make", [
-        *FIXED_INSTANCES.values(), lambda: generate_rn_instance(20, 3, [0, 0])
-    ], ids=[*FIXED_INSTANCES.keys(), "rn_n20"])
+        *FIXED_INSTANCES.values(), lambda: generate_rn_instance(20, 3, [0, 0]),
+        *(lambda seed=seed: generate_rn_instance(10, 4, seed) for seed in range(5)),
+    ], ids=[*FIXED_INSTANCES.keys(), "rn_n20", *(f"rn_n10_s{seed}" for seed in range(5))])
     def test_greedy_matches_matmul_on_fixed(self, make):
         assert_greedy_matches_matmul(make())
 
@@ -516,6 +520,47 @@ def receiver_links(st_draw, max_n=9):
     return weights, np.array(owners)
 
 
+NEAR_MISSES = ("missing one", "light between owners", "one from a non-owner",
+               "light sum of one")
+
+
+@st.composite
+def exactly_one_links(st_draw, max_n=9):
+    """(weights, owners, miss): an exactly-one receiver's links, as for
+    ``receiver_links()`` (its owners weigh 1 on each other's links, and
+    others weigh eighths on them), and ``miss`` None; or a near miss of one,
+    ``miss`` naming what it changed (one of ``NEAR_MISSES``)."""
+    n = st_draw(st.integers(1, max_n))
+    owners = np.array(st_draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                       max_size=min(n, 5), unique=True)))
+    others = [u for u in range(n) if u not in owners]
+    weights = np.zeros((len(owners), n))
+    weights[:, owners] = 1.0 - np.eye(len(owners))
+    for row in weights:
+        light = st_draw(st.lists(st.sampled_from(others), max_size=min(len(others), 7),
+                                 unique=True)) if others else []
+        cuts = sorted(st_draw(st.lists(st.integers(1, 7), min_size=len(light),
+                                       max_size=len(light), unique=True)))
+        row[light] = np.diff([0, *cuts]) / 8  # summing below 1, they decide nothing
+    misses = [miss for miss, possible in zip(NEAR_MISSES, (
+        len(owners) > 1, len(owners) > 1, len(others) > 0, len(others) > 1)) if possible]
+    miss = st_draw(st.sampled_from([None, *misses]))
+    link = st_draw(st.integers(0, len(owners) - 1))
+    mates = [u for u in owners if u != owners[link]]
+    if miss == "missing one":
+        weights[link, st_draw(st.sampled_from(mates))] = 0.0
+    elif miss == "light between owners":
+        weights[link, st_draw(st.sampled_from(mates))] = st_draw(st.integers(1, 7)) / 8
+    elif miss == "one from a non-owner":
+        weights[link, st_draw(st.sampled_from(others))] = 1.0
+    elif miss == "light sum of one":
+        pair = st_draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True))
+        cut = st_draw(st.integers(1, 7))
+        weights[link, others] = 0.0
+        weights[link, pair] = [cut / 8, 1 - cut / 8]
+    return weights, owners, miss
+
+
 # Link 0's light weights sum to exactly 1 (all four must be kept); link 1's
 # to 7/8, beside one weight of 1 (its light transmitters 5 and 6 drop).
 EXACT_ONE = (np.array([[0.0, 0.25, 0.25, 0.25, 0.25, 0.0, 0.0, 0.0],
@@ -547,37 +592,97 @@ class TestDecidingSet:
         assert deciding.tolist() == [0, 1, 2, 3, 4, 7]
 
     @staticmethod
-    def table_sizes(A):
-        """(entries, weighing transmitters) of every table the greedy builds
-        for ``A``."""
-        sizes = []
+    def deciding_sets(A):
+        """(weighing, deciding) of every receiver the greedy scores on ``A``,
+        as ``_relevant`` gives them, and the number of outcome tables it
+        builds."""
+        sets, tables = [], []
 
-        def recording(weights, owners, deciding):
-            table = _outcome_table(weights, owners, deciding)
-            hit = weights.any(axis=0)
-            hit[owners] = True
-            sizes.append((len(table), int(hit.sum())))
-            return table
+        def relevant(weights, owners):
+            sets.append(_relevant(weights, owners))
+            return sets[-1]
+
+        def table(*links):
+            tables.append(links)
+            return _outcome_table(*links)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(protocols, "_outcome_table", recording)
+            patch.setattr(protocols, "_relevant", relevant)
+            patch.setattr(protocols, "_outcome_table", table)
             deterministic_schedule(A, characterize(A))
-        return sizes
+        assert all(np.count_nonzero(weighing) <= K_EXACT for weighing, _ in sets)
+        return sets, len(tables)
 
     def test_office_tables_span_the_office_mates(self):
         # Office n = 18: each receiver's three links are owned by its office
         # mates, which weigh 1 on each other's links; the 15 others weigh
         # below 1 in sum (at most 0.82), so they cannot change the outcome.
-        sizes = self.table_sizes(office(6))
-        assert sizes
-        assert {entries for entries, _ in sizes} == {8}
-        assert {weighing for _, weighing in sizes} == {18}
+        # Those three decide whether exactly one of them fires: no table.
+        sets, tables = self.deciding_sets(office(6))
+        assert sets
+        assert {len(deciding) for _, deciding in sets} == {3}
+        assert {len(weighing) for weighing, _ in sets} == {18}
+        assert tables == 0
 
     def test_rn_tables_keep_every_weighing_transmitter(self):
-        # Every radio-network weight is 0 or 1: nothing is dropped.
-        sizes = self.table_sizes(generate_rn_instance(80, 6, 0))
-        assert len(sizes) == 43
-        assert all(entries == 1 << weighing for entries, weighing in sizes)
+        # Every radio-network weight is 0 or 1: nothing is dropped, and a
+        # receiver is selected iff exactly one of them fires: no table.
+        sets, tables = self.deciding_sets(generate_rn_instance(80, 6, 0))
+        assert len(sets) == 43
+        assert all(np.array_equal(weighing, deciding) for weighing, deciding in sets)
+        assert tables == 0
+
+
+def exactly_one_targets(A):
+    """Whether ``_exactly_one`` holds, per receiver of ``A`` within
+    ``K_EXACT``."""
+    found = []
+    for w in A.topo.receivers:
+        rows = A.topo.link_rows(w)
+        links = A.weights(rows), A.topo.owner[rows]
+        weighing, deciding = _relevant(*links)
+        if np.count_nonzero(weighing) <= K_EXACT:
+            found.append(_exactly_one(*links, deciding))
+    return found
+
+
+class TestExactlyOne:
+    """A receiver selected iff exactly one deciding transmitter fires is
+    classified soundly, and scored without a table in the very floats its
+    table would give."""
+
+    def test_closed_form_is_the_table_mass(self):
+        char = characterize(generate_rn_instance(80, 6, 0))
+        ladder = [char.b ** -r for r in range(char.phases)]
+        cases = [(fired, k) for fired in range(4) for k in range(13)] + [(0, K_EXACT)]
+        for fired, k in cases:
+            m = fired + k  # an RN-style receiver: one link per transmitter
+            table = _outcome_table(1.0 - np.eye(m), np.arange(m), np.arange(m))
+            view = table[(1 << fired) - 1::1 << fired]  # the first ``fired`` fire
+            assert len(view) == 1 << k
+            for p in (*PROBABILITIES, *ladder):
+                assert _exactly_one_mass(fired, k, p, {}) == _selected_mass(view, p, {})
+
+    @settings(max_examples=200)
+    @example((*EXACT_ONE, "light sum of one"))
+    @given(exactly_one_links())
+    def test_classification_is_sound(self, case):
+        weights, owners, miss = case
+        _, deciding = _relevant(weights, owners)
+        assert _exactly_one(weights, owners, deciding) == (miss is None)
+        if miss is None:
+            outcomes = np.arange(1 << len(deciding))
+            assert np.array_equal(_outcome_table(weights, owners, deciding),
+                                  np.bitwise_count(outcomes) == 1)
+
+    @pytest.mark.parametrize("make, expected", [
+        (lambda: generate_rn_instance(80, 6, 0), True),
+        (lambda: office(6), True),
+        (lambda: generate_random_instance(12, seed=3), False),
+    ], ids=["rn_80_6", "office_n18", "random_n12"])
+    def test_named_instances(self, make, expected):
+        found = exactly_one_targets(make())
+        assert found and set(found) == {expected}
 
 
 def estimate(A, w, q):
