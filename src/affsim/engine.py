@@ -13,7 +13,8 @@ import numpy as np
 
 from .core import (InstanceError, _check_schedule, _integer, characterize, link_success,
                    verify_selective)
-from .protocols import RandomizedSlots, _adaptive_slots, _NodeStreams, deterministic_schedule
+from .protocols import (RandomizedSlots, _adaptive_law, _adaptive_slots, _NodeStreams,
+                        deterministic_schedule)
 
 MAX_ROUNDS_DEFAULT = 10 ** 6
 
@@ -74,45 +75,49 @@ _MAX_BLOCK = 1024
 _BATCH_LINKS = 2 ** 11
 
 
-def _first_success(A, slots, cap, runs=1):
+def _first_success(As, slots, cap, runs=1):
     """Earliest successful slot (1-based) of each receiver in each of
-    ``runs`` runs on A within the first ``cap`` slots, as a (runs, n) int
-    array; 0 marks a receiver the run never selects.
+    ``runs`` runs within the first ``cap`` slots, one (runs, A.n) int array
+    per instance A of the list ``As``; 0 marks a receiver the run never selects.
 
-    ``slots(start, stop)`` returns the (stop - start, runs, n) bool mask of
-    slots start + 1..stop of every run, in blocks of 16, 16, 32, ..., 1024
-    slots. Each block goes through one ``link_success`` call, its runs
-    stacked as (slots * runs) rows, on the link rows of receivers that some
-    run has not covered: a receiver's rows drop once every run covers it,
-    so a late block multiplies only the weight rows that its pending links
-    read, and the loop ends when none is left; one ``np.minimum.at`` keeps
-    each run's earliest success per receiver, found by one
-    ``np.flatnonzero`` of the C-ordered mask, which copies nothing. Grid
-    totals do not depend on summation order, and later slots cannot undo a
-    first success, so each run's answer is that of one pass over its own
-    ``cap`` slots.
+    ``slots(start, stop)`` returns the (stop - start, runs, n >= every A.n)
+    bool mask of slots start + 1..stop of every run, in blocks of 16, 16,
+    32, ..., 1024 slots. Each block is drawn once and goes through one
+    ``link_success`` call per instance with pending rows, on its first A.n
+    columns, its runs stacked as (slots * runs) rows, on the link rows of
+    receivers that some run has not covered: a receiver's rows drop once
+    every run covers it, so a late block multiplies only the weight rows
+    that its pending links read, and the loop ends when none is left; one
+    ``np.minimum.at`` keeps each run's earliest success per receiver, found
+    by one ``np.flatnonzero`` of the C-ordered mask, which copies nothing.
+    Block sizes depend only on the slots done, grid totals do not depend on
+    summation order, and later slots cannot undo a first success, so each
+    run's answer is that of one pass over its own ``cap`` slots on A alone.
     """
-    n = A.n
-    receiver_of = A.topo.receiver
-    rows = np.arange(len(receiver_of))
-    first = np.zeros((runs, n), dtype=int)
+    firsts = [np.zeros((runs, A.n), dtype=int) for A in As]
+    pending = [np.arange(len(A.topo.receiver)) for A in As]
     done = 0
     # Every receiver has a link, so some rows are left until all are covered.
-    while done < cap and not first.all():
+    while done < cap and any(len(rows) for rows in pending):
         stop = min(max(2 * done, _FIRST_BLOCK), done + _MAX_BLOCK, cap)
         k = stop - done
-        success = link_success(A, slots(done, stop).reshape(k * runs, n), rows)
-        # Stacked row slot * runs + run, in slot-major order.
-        hit, link = np.divmod(np.flatnonzero(success), len(rows))
-        if hit.size:
-            slot, run = np.divmod(hit, runs)
-            earliest = np.full((runs, n), k)
-            np.minimum.at(earliest, (run, receiver_of[rows[link]]), slot)
-            new = (earliest < k) & (first == 0)
-            first[new] = done + earliest[new] + 1
-            rows = rows[~first.all(axis=0)[receiver_of[rows]]]
+        block = slots(done, stop)
+        for i, (A, first, rows) in enumerate(zip(As, firsts, pending)):
+            if not len(rows):
+                continue
+            n, receiver_of = A.n, A.topo.receiver
+            success = link_success(A, block[..., :n].reshape(k * runs, n), rows)
+            # Stacked row slot * runs + run, in slot-major order.
+            hit, link = np.divmod(np.flatnonzero(success), len(rows))
+            if hit.size:
+                slot, run = np.divmod(hit, runs)
+                earliest = np.full((runs, n), k)
+                np.minimum.at(earliest, (run, receiver_of[rows[link]]), slot)
+                new = (earliest < k) & (first == 0)
+                first[new] = done + earliest[new] + 1
+                pending[i] = rows[~first.all(axis=0)[receiver_of[rows]]]
         done = stop
-    return first
+    return firsts
 
 
 def _first_dict(first):
@@ -126,7 +131,7 @@ def _schedule_first_success(A, sched):
     slot with no transmitter selects no receiver, so only the busy slots
     are judged; judged slot j is schedule slot ``busy[j - 1] + 1``."""
     busy = np.flatnonzero(sched.any(axis=1))
-    first = _first_success(A, lambda start, stop: sched[busy[start:stop], None], len(busy))
+    (first,) = _first_success([A], lambda start, stop: sched[busy[start:stop], None], len(busy))
     return np.r_[0, busy + 1][first]
 
 
@@ -148,17 +153,17 @@ def _randomized_first_success(A, char, seeds, m_override):
     slots m + 1 onward, and judged slot j > 1 is schedule slot j + m - 1."""
     source = RandomizedSlots(char, seeds, A.n, m_override)
     m = source.m
-    first = _first_success(A, lambda start, stop: source(start + m - 1, stop + m - 1),
-                           len(source) - m + 1, len(seeds))
+    (first,) = _first_success([A], lambda start, stop: source(start + m - 1, stop + m - 1),
+                              len(source) - m + 1, len(seeds))
     return np.where(first > 1, first + m - 1, first)
 
 
 def run_adaptive(A, policy, params, seed, max_rounds):
     """Iterate the adaptive policy ``policy`` (``decay``, or ``sinr`` with
     ``params`` holding ``density`` and ``dilution``), as
-    ``protocols._adaptive_slots`` decides it, until every receiver is
-    covered or the round cap is hit (truncation is an outcome, not an
-    error).
+    ``protocols._adaptive_slots`` decides its ``_adaptive_law``, until every
+    receiver is covered or the round cap is hit (truncation is an outcome,
+    not an error).
 
     The stop-when-all-covered guard uses global knowledge; it is a
     termination-detection device of the simulation, not of the protocol.
@@ -171,14 +176,14 @@ def run_adaptive(A, policy, params, seed, max_rounds):
     """
     max_rounds = _integer(max_rounds, "max_rounds", 1)
     n = A.n
-    decide = _adaptive_slots(A, policy, params, _NodeStreams([seed], n))
+    decide = _adaptive_slots(_adaptive_law(A, policy, params), _NodeStreams([seed], n), n)
     decided = []
 
     def slots(start, stop):
         decided.append(decide(start, stop))
         return decided[-1]
 
-    first = _first_dict(_first_success(A, slots, max_rounds)[0])
+    first = _first_dict(_first_success([A], slots, max_rounds)[0][0])
     rounds = max(first.values()) if len(first) == n else max_rounds
     return RunRecord(policy, seed, np.concatenate(decided)[:rounds, 0], first)
 
@@ -233,10 +238,13 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     seeds, L the largest link count among the instances, and each
     (instance, protocol) pair runs a batch's seeds through one
     ``_first_success`` loop, as ``run_schedule`` and ``run_adaptive`` run
-    one. The decay and sinr runs of a batch share one
-    ``_NodeStreams`` store of its seeds for the largest n, built on the
-    batch's first adaptive run and dropped before the next batch's; the
-    rows are then put in the order above.
+    one, except that decay and sinr judge all instances of one
+    ``_adaptive_law`` (checked before any run, a missing sinr option with
+    its instance named) in one lockstep loop, on one slot source over
+    their largest n: a batch decides each block once per (protocol, law).
+    The sources of a batch read one ``_NodeStreams`` store of its seeds for
+    the largest n, built on its first adaptive run and dropped before the
+    next batch's; the rows are then put in the order above.
 
     Every row takes its outcome from the run's first successes: rounds is
     the completion round (last first-success slot) for every protocol,
@@ -255,9 +263,12 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
     instances = list(instances)
     if not instances:
         raise InstanceError("instances must be non-empty")
-    missing = [i for i, _, sinr in instances if sinr is None] if "sinr" in protocols else []
-    if missing:
-        raise InstanceError(f"sinr needs density and dilution for instance {missing[0]}")
+    # Each adaptive protocol's instances grouped by law, checked before any run.
+    groups = {name: {} for name in protocols if name not in ("randomized", "deterministic")}
+    for name, laws in groups.items():
+        for j, (instance_id, A, sinr) in enumerate(instances):
+            law = _adaptive_law(A, name, sinr, f" for instance {instance_id}")
+            laws.setdefault(law, []).append(j)
     seeds = chain(head, () if set(protocols) == {"deterministic"} else seeds)
     n_max = max(A.n for _, A, _ in instances)
     batch = max(1, _BATCH_LINKS // max(len(A.topo.owner) for _, A, _ in instances))
@@ -269,6 +280,15 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
         for i, name in enumerate(protocols):
             if name == "deterministic" and b:
                 continue
+            firsts = {}
+            for law, group in groups.get(name, {}).items():
+                if store is None:
+                    store = _NodeStreams(batch_seeds, n_max)
+                # The source, which holds the store, dies with its loop.
+                As = [instances[j][1] for j in group]
+                first = _first_success(As, _adaptive_slots(law, store, max(A.n for A in As)),
+                                       max_rounds, len(batch_seeds))
+                firsts.update(zip(group, first))
             for j, (instance_id, A, sinr) in enumerate(instances):
                 if name in ("randomized", "deterministic") and j not in chars:
                     chars[j] = characterize(A, c=c)
@@ -277,10 +297,7 @@ def sweep(instances, protocols, seeds, max_rounds=MAX_ROUNDS_DEFAULT, c=None, m_
                 elif name == "deterministic":
                     first = _schedule_first_success(A, deterministic_schedule(A, chars[j]))
                 else:
-                    if store is None:
-                        store = _NodeStreams(batch_seeds, n_max)
-                    first = _first_success(A, _adaptive_slots(A, name, sinr, store), max_rounds,
-                                           len(batch_seeds))
+                    first = firsts[j]
                 bound = chars[j].slot_bound if name == "randomized" else None
                 first.flags.writeable = False
                 for r, run in enumerate(first):

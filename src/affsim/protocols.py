@@ -162,13 +162,16 @@ def _exactly_one(weights, owners, deciding):
 def _selected_mass(selected, p, probabilities, k=None):
     """Probability of the outcomes ``selected`` marks in a table (or strided
     view), or lists if k is given, over k transmitters firing independently at
-    p; ``probabilities`` caches each k's, by the one rule every score sums."""
-    k = len(selected).bit_length() - 1 if k is None else k
-    if k not in probabilities:
-        ones = np.zeros(1, dtype=np.int64)
-        for _ in range(k):
-            ones = np.concatenate([ones, ones + 1])
-        probabilities[k] = (p ** ones) * ((1.0 - p) ** (k - ones))
+    p, by the one rule every score sums; ``probabilities`` caches a table's
+    per k, and listed outcomes compute only their own."""
+    listed = k is not None
+    k = k if listed else len(selected).bit_length() - 1
+    if listed or k not in probabilities:
+        ones = np.bitwise_count(selected if listed else np.arange(1 << k)).astype(np.int64)
+        masses = (p ** ones) * ((1.0 - p) ** (k - ones))
+        if listed:
+            return min(1.0, float(masses.sum()))
+        probabilities[k] = masses
     # The outcome probabilities sum to 1 only up to rounding.
     return min(1.0, float(probabilities[k][selected].sum()))
 
@@ -485,27 +488,41 @@ class _NodeDraws:
         self.pos += used
 
 
-def _adaptive_slots(A, policy, params, streams):
-    """Slot source of the runs of an adaptive policy on A, one per seed of
-    the ``_NodeStreams`` store ``streams`` of n >= A.n: ``slots(start,
-    stop)`` decides rounds start + 1..stop of every run, as a
-    (stop - start, runs, n) bool mask.
+def _adaptive_law(A, policy, params, where=""):
+    """The hashable law of ``policy`` on A that ``_adaptive_slots`` decides:
+    ("decay", ``decay_period`` of the maximum in-degree), reading no
+    ``params``, or ("sinr", density, dilution) from ``params``, each an
+    integer in 1..2**63 - 1 (``core._integer``). An unknown policy or a
+    missing sinr option, named and followed by ``where``, is an InstanceError."""
+    if policy == "decay":
+        return "decay", decay_period(int(A.topo.degree.max()))
+    if policy != "sinr":
+        raise InstanceError(f"unknown adaptive policy {policy!r}")
+    missing = [name for name in ("density", "dilution") if name not in (params or {})]
+    if missing:
+        raise InstanceError(f"sinr needs {' and '.join(missing)}{where}")
+    return ("sinr", *(_integer(params[name], f"sinr {name}", 1, _INT64_MAX)
+                      for name in ("density", "dilution")))
 
-    Node v draws from its own stream, that of ``default_rng([seed, v])``.
-    Under ``decay``, which reads no ``params``, a node fires from the start
-    of each period, of ``decay_period`` of the maximum in-degree rounds, and
-    draws once per firing: below 1/2 it falls silent until the next period.
-    Under ``sinr``, whose ``params`` hold ``density`` and ``dilution``, each
-    an integer in 1..2**63 - 1 (``core._integer``), node v draws in each
-    round congruent to v modulo the dilution and fires if the draw is below
+
+def _adaptive_slots(law, streams, n):
+    """Slot source of the ``_adaptive_law`` ``law`` on nodes 1..n in one run
+    per seed of the ``_NodeStreams`` store ``streams`` of n or more nodes:
+    ``slots(start, stop)`` decides rounds start + 1..stop of every run, as a
+    (stop - start, runs, n) bool mask, whose first columns serve every
+    instance of the law with fewer nodes. Node v draws from its own stream,
+    that of ``default_rng([seed, v])``. Under decay a node fires from the
+    start of each period and draws once per firing: below 1/2 it falls
+    silent until the next period. Under sinr node v draws in each round
+    congruent to v modulo the dilution and fires if the draw is below
     1/density. No decision depends on feedback, so the runs' nodes are
     decided as runs * n independent nodes, a whole block of rounds at once,
     taking exactly the values a round-by-round loop would."""
-    runs, n = len(streams.prefix), A.n
+    runs = len(streams.prefix)
     nodes = runs * n
     draws = _NodeDraws(streams, n)
-    if policy == "decay":
-        period = decay_period(int(A.topo.degree.max()))
+    if law[0] == "decay":
+        period = law[1]
         on = np.zeros(nodes, dtype=bool)
         index = np.arange(nodes)
 
@@ -532,9 +549,8 @@ def _adaptive_slots(A, policy, params, streams):
             draws.advance(used)
             return fire
 
-    elif policy == "sinr":
-        density, dilution = (_integer(params[name], f"sinr {name}", 1, _INT64_MAX)
-                             for name in ("density", "dilution"))
+    else:
+        _, density, dilution = law
         residue = np.tile(np.arange(1, n + 1) % dilution, runs)
         node = np.arange(nodes)
 
@@ -546,8 +562,5 @@ def _adaptive_slots(A, policy, params, streams):
             values = draws.peek(stop - start)[node, (rounds - 1 - residue) // dilution - before]
             draws.advance((stop - residue) // dilution - before)
             return eligible & (values < 1.0 / density)
-
-    else:
-        raise InstanceError(f"unknown adaptive policy {policy!r}")
 
     return lambda start, stop: decide(start, stop).reshape(stop - start, runs, n)

@@ -308,7 +308,9 @@ class TestRunAdaptive:
         # then, once silent, stays silent until the next one.
         assert int(rn_star.topo.degree.max()) == 3
         store = protocols._NodeStreams(range(20), 3)
-        fire = protocols._adaptive_slots(rn_star, "decay", {}, store)(0, 40)
+        law = protocols._adaptive_law(rn_star, "decay", {})
+        assert law == ("decay", 4)
+        fire = protocols._adaptive_slots(law, store, 3)(0, 40)
         periods = fire.reshape(10, 4, -1).astype(int)
         assert periods[:, 0].all()
         assert (np.diff(periods, axis=1) <= 0).all()
@@ -317,14 +319,16 @@ class TestRunAdaptive:
     @pytest.mark.parametrize("policy, params", [("decay", {}),
                                                 ("sinr", {"density": 4, "dilution": 3})])
     def test_larger_store_serves_smaller_runs(self, policy, params):
-        # sweep hands every instance the store of its largest one; reading
-        # the first n rows of each run, past the shared prefix too, decides
-        # the same runs.
-        A = generate_rn_instance(12, 4, 0)
-        slots = [protocols._adaptive_slots(A, policy, params,
-                                           protocols._NodeStreams([5, 2 ** 40 + 3], rows))(0, 1200)
-                 for rows in (12, 40)]
-        np.testing.assert_array_equal(slots[0], slots[1])
+        # sweep hands every instance of a law the source of its largest one,
+        # on the store of the largest instance of all: an n = 40 source, read
+        # on its first 12 columns past the shared prefix too, decides the
+        # same runs as an n = 12 source on a store of 12 nodes.
+        law = protocols._adaptive_law(generate_rn_instance(12, 4, 0), policy, params)
+        seeds = [5, 2 ** 40 + 3]
+        small = protocols._adaptive_slots(law, protocols._NodeStreams(seeds, 12), 12)(0, 1200)
+        large = protocols._adaptive_slots(law, protocols._NodeStreams(seeds, 40), 40)(0, 1200)
+        assert large.shape == (1200, 2, 40)
+        np.testing.assert_array_equal(large[..., :12], small)
 
 
 @pytest.mark.parametrize("seed, message", [(-1, "seed must be >= 0, got -1"),
@@ -631,6 +635,81 @@ class TestSweep:
             sweep(instances, ["decay", "sinr"], [0])
         assert len(sweep(instances, ["decay"], [0])) == 2
 
+    @pytest.mark.parametrize("params, missing", [({}, "density and dilution"),
+                                                 (None, "density and dilution"),
+                                                 ({"density": 2}, "dilution"),
+                                                 ({"dilution": 2}, "density")],
+                             ids=["empty", "none", "no_dilution", "no_density"])
+    def test_sinr_names_a_missing_option(self, params, missing):
+        # One InstanceError, before any run; the sweep's names the instance.
+        A = generate_random_instance(3, seed=0)
+        for call, suffix in [(lambda: run_adaptive(A, "sinr", params, 0, 10), ""),
+                             (lambda: sweep([("a", A, params)], ["sinr"], [0]),
+                              " for instance a")]:
+            with pytest.raises(InstanceError) as caught:
+                call()
+            assert type(caught.value) is InstanceError
+            assert str(caught.value) == f"sinr needs {missing}{suffix}"
+        # Decay reads no options.
+        assert run_adaptive(A, "decay", params, 0, 10).seed == 0
+
+    @pytest.mark.parametrize("max_rounds", [10 ** 4, 300, 40])
+    def test_instances_of_one_law_run_in_lockstep(self, max_rounds):
+        # Radio networks of mixed n under two decay periods (max in-degree 3
+        # and 6) and two sinr laws, each law's instances apart in the list;
+        # the slow sinr law runs past the store's 256-round prefix, and caps
+        # of 300 and 40 rounds truncate runs. Every row's first successes
+        # are run_adaptive's for its seed.
+        fast, slow = {"density": 2, "dilution": 2}, {"density": 40, "dilution": 3}
+        instances = [("rn12_d3", generate_rn_instance(12, 3, 0), slow),
+                     ("rn12_d6", generate_rn_instance(12, 6, 2), fast),
+                     ("rn30_d3", generate_rn_instance(30, 3, 1), fast),
+                     ("rn25_d6", generate_rn_instance(25, 6, 3), slow)]
+        assert [decay_period(int(A.topo.degree.max())) for _, A, _ in instances] == [4, 6, 4, 6]
+        rows = sweep(instances, ["decay", "sinr"], [0, 1, 2, 3], max_rounds)
+        assert len(rows) == 2 * 4 * 4
+        by_id = {instance_id: (A, sinr) for instance_id, A, sinr in instances}
+        for row in rows:
+            A, sinr = by_id[row.instance_id]
+            record = run_adaptive(A, row.protocol, sinr, row.seed, max_rounds)
+            expected = np.zeros(A.n, dtype=int)
+            expected[np.array(list(record.first_success), dtype=int) - 1] = list(
+                record.first_success.values())
+            np.testing.assert_array_equal(row.first, expected)
+            assert (row.rounds, row.completed) == (record.rounds or max_rounds, record.completed)
+        completed = [row.completed for row in rows]
+        if max_rounds == 10 ** 4:
+            assert all(completed) and max(row.rounds for row in rows) > 256
+        else:
+            assert not all(completed) and any(completed)
+
+    def test_one_source_per_batch_protocol_and_law(self, monkeypatch):
+        # Three instances of one decay period and one sinr law, of different
+        # n, in batches of two seeds: each batch builds one slot source per
+        # protocol, over the largest n, and the rows are those of each
+        # instance swept alone.
+        sinr = {"density": 4, "dilution": 2}
+        instances = [(f"rn{n}", generate_rn_instance(n, 3, seed), sinr)
+                     for seed, n in enumerate((12, 30, 20))]
+        assert {decay_period(int(A.topo.degree.max())) for _, A, _ in instances} == {4}
+        links = max(len(A.topo.owner) for _, A, _ in instances)
+        monkeypatch.setattr(engine, "_BATCH_LINKS", 2 * links)
+        built = []
+        adaptive_slots = engine._adaptive_slots
+
+        def recording(*args):
+            built.append(args)
+            return adaptive_slots(*args)
+
+        monkeypatch.setattr(engine, "_adaptive_slots", recording)
+        rows = sweep(instances, ["decay", "sinr"], [0, 1, 2], 500)
+        assert len(built) == 2 * 2
+        assert [(law, n) for law, _, n in built] == [(("decay", 4), 30), (("sinr", 4, 2), 30)] * 2
+        alone = [row for name in ("decay", "sinr") for instance in instances
+                 for row in sweep([instance], [name], [0, 1, 2], 500)]
+        assert rows == alone
+        assert [row.first.tolist() for row in rows] == [row.first.tolist() for row in alone]
+
     @pytest.mark.parametrize("batch", [1, 2, 3, 4])
     def test_batched_sweep_matches_per_seed_runs(self, batch, mutually_blocking_pair,
                                                  monkeypatch):
@@ -853,7 +932,7 @@ class TestBlockLoop:
             asked.append((start, stop))
             return mask[start:stop, None]
 
-        first = engine._first_success(A, slots, cap)
+        first = engine._first_success([A], slots, cap)[0]
         assert asked == blocks
         assert first.shape == (1, 2)
         assert engine._first_dict(first[0]) == full_mask_first_success(A, mask)
@@ -869,7 +948,7 @@ class TestBlockLoop:
             asked.append((start, stop))
             return np.zeros((stop - start, 1, 2), dtype=bool)
 
-        assert not engine._first_success(A, slots, 5000).any()
+        assert not engine._first_success([A], slots, 5000)[0].any()
         assert [start for start, _ in asked[1:]] == [stop for _, stop in asked[:-1]]
         assert asked[-1][1] == 5000
         sizes = [stop - start for start, stop in asked]
@@ -885,8 +964,8 @@ class TestBlockLoop:
                 masks = [rng.random((length, A.n)) < rng.random() * 0.4 for _ in range(4)]
                 masks.append(np.zeros((length, A.n), dtype=bool))  # never completes
                 stacked = np.stack(masks, axis=1)
-                first = engine._first_success(A, lambda start, stop: stacked[start:stop], length,
-                                              len(masks))
+                first = engine._first_success([A], lambda start, stop: stacked[start:stop], length,
+                                              len(masks))[0]
                 assert first.shape == (len(masks), A.n)
                 for run, mask in zip(first, masks):
                     assert engine._first_dict(run) == full_mask_first_success(A, mask)
@@ -905,7 +984,7 @@ class TestBlockLoop:
             return link_success(A, transmit, rows)
 
         monkeypatch.setattr(engine, "link_success", recording_success)
-        first = engine._first_success(A, lambda start, stop: stacked[start:stop], 100, 2)
+        first = engine._first_success([A], lambda start, stop: stacked[start:stop], 100, 2)[0]
         assert first.tolist() == [[1, 2], [40, 2]]
         assert judged == [(16 * 2, [0, 1]), (16 * 2, [0]), (32 * 2, [0])]
 
@@ -926,7 +1005,7 @@ class TestBlockLoop:
         rng = np.random.default_rng(6)
         masks = np.stack([one_slot_each(20 * rng.permutation(np.arange(1, A.n + 1)), 600)
                           for _ in range(3)], axis=1)
-        first = engine._first_success(A, lambda start, stop: masks[start:stop], 600, 3)
+        first = engine._first_success([A], lambda start, stop: masks[start:stop], 600, 3)[0]
         assert judged[0] == len(A.topo.owner) > judged[-1] > 0
         for run in range(3):
             assert engine._first_dict(first[run]) == full_mask_first_success(A, masks[:, run])
